@@ -9,13 +9,13 @@ brute-force oracle recomputes everything independently for verification.
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
-                     DependentPair, EmptyBasis, InternalCheckError, LimitError,
-                     MultivariateInput, NonIntegralCoefficient,
-                     NonIntegralSolution, NotMonic, ParseError,
-                     PreconditionError, QTooLarge, ReducibleModulus,
-                     RingNotField, SingularMatrix, SizeLimit,
-                     StabilityViolation, TooLarge, UnknownVariable, ZetaError,
-                     ZeroConstantTerm)
+                     DependentPair, EmptyBasis, InternalCheckError,
+                     InvariantViolation, LimitError, MultivariateInput,
+                     NonIntegralCoefficient, NonIntegralSolution, NotMonic,
+                     ParseError, PreconditionError, QTooLarge,
+                     ReducibleModulus, RingNotField, SingularMatrix,
+                     SizeLimit, StabilityViolation, TooLarge,
+                     UnknownVariable, ZetaError, ZeroConstantTerm)
 from .factor import Factorization, admissible_basis, factorize, split
 from .fq import make_field, make_galois_ring, split_prime_power
 from .hyper import (MonomialBasis, TruncatedSeries, hyper_matrix_mod_p,
@@ -34,9 +34,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientOutsidePrimeField", "CompositeP", "ConstantInput",
     "DEFAULT_LIMITS", "DependentPair", "EmptyBasis", "FactoredZeta",
-    "Factorization", "InternalCheckError", "LimitError", "Limits",
-    "MonomialBasis", "MultivariateInput", "NonIntegralCoefficient",
-    "NonIntegralSolution", "NotMonic", "OperatorKind", "ParseError",
+    "Factorization", "InternalCheckError", "InvariantViolation",
+    "LimitError", "Limits", "MonomialBasis", "MultivariateInput",
+    "NonIntegralCoefficient", "NonIntegralSolution", "NotMonic",
+    "OperatorKind", "ParseError",
     "PreconditionError", "QTooLarge", "ReducibleModulus", "RingNotField",
     "SingularMatrix", "SizeLimit", "SparsePoly", "SquareMatrix",
     "StabilityViolation", "TooLarge", "TruncatedSeries", "UnknownVariable",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
@@ -21,14 +20,13 @@ from .config import DEFAULT_LIMITS
 from .errors import (LimitError, ParseError, PreconditionError,
                      UnknownVariable)
 from .factor import Factorization, factor_sort_key, factorize
-from .fq import make_field, make_galois_ring, split_prime_power
-from .hyper import torus_zeta, zeta_mod_p, zeta_mod_pm
-from .hyper import hyper_matrix_mod_p, hyper_matrix_mod_pm
-from .linalg import charpoly_reverse
+from .fq import make_field, split_prime_power
+from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
+                    zeta_mod_p, zeta_mod_pm)
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (OperatorKind, congruence_charpoly, degree_profile,
-                      op_matrix, zerodim_zeta)
+from .zerodim import (OperatorKind, _zeta_from_profile, congruence_charpoly,
+                      degree_profile, op_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +285,7 @@ def _cmd_zerodim(args, ctx, limits):
     g = _shifted(f, shift) if shift is not None else f
     kind = _METHODS[args.method]
     prof = degree_profile(g)
-    zeta = zerodim_zeta(g)
+    zeta = _zeta_from_profile(prof)
     cp = congruence_charpoly(g, kind)
     result = {
         "s": list(prof),
@@ -321,14 +319,12 @@ def _cmd_factor(args, ctx, limits):
 
 def _cmd_modp(args, ctx, limits):
     f = parse_poly(args.poly, ctx, args.nvars)
-    M = hyper_matrix_mod_p(f, args.nvars, args.d, limits)
-    det = charpoly_reverse(M)
-    series = zeta_mod_p(f, args.nvars, args.B, args.d, limits)
-    sign = -1 if args.nvars % 2 else 1
+    M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d,
+                                        limits)
     result = {
         "modulus": ctx.p,
         "series": list(series.coeffs),
-        "det_factors": [[sign, [c % ctx.p for c in det]]],
+        "det_factors": [[expo, det] for expo, det in dets],
     }
     if args.dump_matrix:
         result["matrix"] = M.to_rows()
@@ -337,24 +333,14 @@ def _cmd_modp(args, ctx, limits):
 
 def _cmd_modpm(args, ctx, limits):
     f = parse_poly(args.poly, ctx, args.nvars)
-    m = args.m
-    ring = make_galois_ring(ctx, m) if m > 1 else ctx
-    flift = f.lift_to(ring) if m > 1 else f
-    M = hyper_matrix_mod_pm(flift, args.nvars, args.d, m, limits)
-    series = zeta_mod_pm(f, m, args.B, args.d, limits)
-    pm = ring.pm
-    n = args.nvars
-    outer = -1 if n % 2 else 1
-    dets = []
-    for i in range(n + 1):
-        det = charpoly_reverse(M.scale(pow(ring.q, i, pm)))
-        expo = outer * math.comb(n, i) * (-1) ** i
-        dets.append([expo, det])
+    M, dets, series = _zeta_mod_pm_parts(f, args.m, args.B, args.d, limits)
+    pm = series.modulus
     result = {
         "modulus": pm,
         "series": list(series.coeffs),
-        "det_factors": dets,
-        "torus": list(torus_zeta(n, ring.q, series.order, pm).coeffs),
+        "det_factors": [[expo, det] for expo, det in dets],
+        "torus": list(torus_zeta(args.nvars, ctx.q, series.order,
+                                 pm).coeffs),
     }
     if args.dump_matrix:
         result["matrix"] = M.to_rows()
@@ -435,9 +421,6 @@ def build_parser():
                            help="polynomial text, e.g. 'x^2+x+1'")
         p.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of text")
-        p.add_argument("--threads", type=int, default=1,
-                       help="upper bound on worker threads (computation "
-                       "is deterministic regardless)")
         for name in ("max-terms", "max-enum", "max-sieve", "max-factor-q",
                      "max-basis", "max-nvars"):
             p.add_argument("--" + name, type=int, dest=name.replace("-", "_"),
@@ -504,8 +487,6 @@ def build_parser():
 
 def run(args):
     """Execute a parsed invocation; returns the JSON-ready payload."""
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     ctx = _field_from_args(args)
     limits = _limits_from_args(args)
     result, text = _COMMANDS[args.command](args, ctx, limits)

@@ -109,3 +109,7 @@ class CoefficientOutsidePrimeField(InternalCheckError):
 
 class StabilityViolation(InternalCheckError):
     pass
+
+
+class InvariantViolation(InternalCheckError):
+    """A computed value broke an identity that holds for every input."""

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS
-from .errors import DependentPair, InternalCheckError, QTooLarge
+from .errors import (DependentPair, InternalCheckError, InvariantViolation,
+                     QTooLarge)
 from .linalg import SquareMatrix, kernel_basis
 from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mod, dense_mul,
                    render_poly, squarefree_part)
@@ -144,7 +145,8 @@ def _coprime_split(ctx, g, h):
     w = dense_gcd(ctx, rem, u)
     while len(w) > 1:
         rem, r = dense_divmod(ctx, rem, w)
-        assert not r
+        if r:
+            raise InvariantViolation("gcd does not divide its argument")
         s = dense_mul(ctx, s, w)
         w = dense_gcd(ctx, rem, w)
     if len(s) <= 1 or len(rem) <= 1:
@@ -209,7 +211,8 @@ def factorize(f, kind=OperatorKind.FROBENIUS, limits=None):
     for g in terminal:
         root = squarefree_part(SparsePoly.from_dense(ctx, g))
         mult, r = divmod(len(g) - 1, root.degree())
-        assert r == 0
+        if r:
+            raise InvariantViolation("root degree does not divide degree")
         factors.append((root, mult))
     factors.sort(key=factor_sort_key)
     return Factorization(1, tuple(factors))

@@ -7,11 +7,15 @@ hypersurface f = 0.  Mod p^m: lift f to the Galois ring, raise it to
 (q-1)p^{m-1}, act on all monomials of degree <= d p^{m-1}, and an
 alternating product of det(I - q^i M T) gives the zeta function of the
 part of the hypersurface with all coordinates nonzero, relative to the
-zeta function of the full torus.
+zeta function of the full torus.  Every factor comes from the one
+characteristic polynomial P(T) = det(I - MT), as det(I - q^i M T) =
+P(q^i T).
 
-Both determinants provably land in the prime subring even though the
-matrices live over F_q or its Galois-ring extension; that containment is
-asserted, never assumed.
+The mod-p determinant and the mod-p^m series provably land in the prime
+subring even though the matrices live over F_q or its Galois-ring
+extension; that containment is checked, never assumed.  Series
+arithmetic is written once, over any context with add/mul/neg/inv:
+Galois-ring codes, or Z/N for TruncatedSeries.
 """
 
 from __future__ import annotations
@@ -21,15 +25,79 @@ import math
 from dataclasses import dataclass
 
 from .config import DEFAULT_LIMITS
-from .errors import (CoefficientOutsidePrimeField, EmptyBasis, RingNotField,
-                     SizeLimit, StabilityViolation)
+from .errors import (CoefficientOutsidePrimeField, EmptyBasis,
+                     InvariantViolation, RingNotField, SizeLimit,
+                     StabilityViolation)
 from .fq import make_galois_ring
 from .linalg import charpoly_reverse, SquareMatrix
 from .poly import poly_pow
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Z/p^m
+# truncated power series
+
+
+def _series_mul(ctx, a, b):
+    """Product of two coefficient lists of equal length, truncated to it,
+    over any context with add/mul/neg/inv."""
+    B = len(a) - 1
+    out = [0] * (B + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(B + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return out
+
+
+def _series_inv(ctx, a):
+    B = len(a) - 1
+    b0 = ctx.inv(a[0])
+    out = [b0] + [0] * B
+    for k in range(1, B + 1):
+        s = 0
+        for j in range(1, k + 1):
+            if a[j] and out[k - j]:
+                s = ctx.add(s, ctx.mul(a[j], out[k - j]))
+        out[k] = ctx.neg(ctx.mul(b0, s))
+    return out
+
+
+def _series_pow(ctx, a, k):
+    base = a if k >= 0 else _series_inv(ctx, a)
+    k = abs(k)
+    out = [1] + [0] * (len(a) - 1)
+    while k:
+        if k & 1:
+            out = _series_mul(ctx, out, base)
+        base = _series_mul(ctx, base, base)
+        k >>= 1
+    return out
+
+
+class _Residues:
+    """Z/N with the add/mul/neg/inv of a field or Galois-ring context, so
+    TruncatedSeries shares the series code; N need not be a prime power,
+    and inv raises ValueError on a non-unit."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self.n = n
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def mul(self, a, b):
+        return a * b % self.n
+
+    def neg(self, a):
+        return -a % self.n
+
+    def inv(self, a):
+        return pow(a, -1, self.n)
 
 
 @dataclass(frozen=True)
@@ -63,47 +131,19 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         self._compat(other)
-        B = self.order
-        mod = self.modulus
-        out = [0] * (B + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(B + 1 - i):
-                out[i + j] = (out[i + j] + a * other.coeffs[j]) % mod
-        return TruncatedSeries(mod, tuple(out))
+        ctx = _Residues(self.modulus)
+        return TruncatedSeries(
+            self.modulus, tuple(_series_mul(ctx, self.coeffs, other.coeffs)))
 
     def inverse(self):
-        mod = self.modulus
-        B = self.order
-        a = self.coeffs
-        b0 = pow(a[0], -1, mod)
-        out = [b0] + [0] * B
-        for k in range(1, B + 1):
-            s = 0
-            for j in range(1, k + 1):
-                s += a[j] * out[k - j]
-            out[k] = (-b0 * s) % mod
-        return TruncatedSeries(mod, tuple(out))
+        ctx = _Residues(self.modulus)
+        return TruncatedSeries(
+            self.modulus, tuple(_series_inv(ctx, self.coeffs)))
 
     def pow(self, k):
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        acc = TruncatedSeries.one(self.modulus, self.order)
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedSeries)
-                and self.modulus == other.modulus
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        ctx = _Residues(self.modulus)
+        return TruncatedSeries(
+            self.modulus, tuple(_series_pow(ctx, self.coeffs, k)))
 
     def __str__(self):
         parts = []
@@ -174,7 +214,8 @@ def rd_basis(n, d, limits=None):
             u.append(b - a)
         vecs.append(tuple(u))
     basis = MonomialBasis(n, d, True, tuple(_graded_lex(vecs)))
-    assert len(basis) == math.comb(d, n)
+    if len(basis) != math.comb(d, n):
+        raise InvariantViolation("basis size is not C(%d, %d)" % (d, n))
     return basis
 
 
@@ -196,7 +237,9 @@ def rmd_basis(n, d, p, m, limits=None):
             u.append(b - a - 1)
         vecs.append(tuple(u))
     basis = MonomialBasis(n, bound, False, tuple(_graded_lex(vecs)))
-    assert len(basis) == math.comb(bound + n, n)
+    if len(basis) != math.comb(bound + n, n):
+        raise InvariantViolation("basis size is not C(%d, %d)"
+                                 % (bound + n, n))
     return basis
 
 
@@ -271,48 +314,6 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
     return _operator_matrix(ctx, power, basis, limits)
 
 
-# ---------------------------------------------------------------------------
-# series arithmetic over Galois-ring codes (internal)
-
-
-def _rs_mul(ctx, a, b):
-    B = len(a) - 1
-    out = [0] * (B + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(B + 1 - i):
-            y = b[j]
-            if y:
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
-
-
-def _rs_inv(ctx, a):
-    B = len(a) - 1
-    b0 = ctx.inv(a[0])
-    out = [b0] + [0] * B
-    for k in range(1, B + 1):
-        s = 0
-        for j in range(1, k + 1):
-            if a[j] and out[k - j]:
-                s = ctx.add(s, ctx.mul(a[j], out[k - j]))
-        out[k] = ctx.neg(ctx.mul(b0, s))
-    return out
-
-
-def _rs_pow(ctx, a, k):
-    base = a if k >= 0 else _rs_inv(ctx, a)
-    k = abs(k)
-    out = [1] + [0] * (len(a) - 1)
-    while k:
-        if k & 1:
-            out = _rs_mul(ctx, out, base)
-        base = _rs_mul(ctx, base, base)
-        k >>= 1
-    return out
-
-
 def _prime_subring_values(ctx, codes, what):
     """Codes of constants in a Galois ring are exactly the residues mod
     p^m; anything else means the congruence guarantee was violated."""
@@ -329,9 +330,9 @@ def _prime_subring_values(ctx, codes, what):
 # zeta series
 
 
-def zeta_mod_p(f, n=None, B=None, d=None, limits=None):
-    """Zeta function of the affine hypersurface f = 0, reduced mod p and
-    truncated at order B."""
+def _zeta_mod_p_parts(f, n, B, d, limits):
+    """zeta_mod_p with its working: the operator matrix M, the det
+    factors as (exponent, coefficients) pairs, and the series."""
     M = hyper_matrix_mod_p(f, n, d, limits)
     if n is None:
         n = f.nvars
@@ -341,9 +342,16 @@ def zeta_mod_p(f, n=None, B=None, d=None, limits=None):
         B = M.n
     if B < 1:
         raise ValueError("truncation order must be >= 1")
-    p = f.ctx.p
-    series = TruncatedSeries.from_list(p, vals, B)
-    return series if n % 2 == 0 else series.inverse()
+    series = TruncatedSeries.from_list(f.ctx.p, vals, B)
+    if n % 2:
+        return M, [(-1, vals)], series.inverse()
+    return M, [(1, vals)], series
+
+
+def zeta_mod_p(f, n=None, B=None, d=None, limits=None):
+    """Zeta function of the affine hypersurface f = 0, reduced mod p and
+    truncated at order B."""
+    return _zeta_mod_p_parts(f, n, B, d, limits)[2]
 
 
 def torus_zeta(n, q, B, pm):
@@ -365,14 +373,10 @@ def torus_zeta(n, q, B, pm):
     return out
 
 
-def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
-    """Zeta function of the part of the hypersurface f = 0 with all
-    coordinates nonzero, computed mod p^m and truncated at order B.
-
-    f may live over F_q (it is then lifted coefficient-wise) or over a
-    Galois ring, in which case it is itself taken as the lift and m must
-    agree with the ring precision.
-    """
+def _zeta_mod_pm_parts(f, m, B, d, limits):
+    """zeta_mod_pm with its working: the operator matrix M, the det
+    factors det(I - q^i M T) as (exponent, coefficients) pairs, and the
+    series."""
     ctx = f.ctx
     if m is None:
         m = ctx.m
@@ -393,15 +397,28 @@ def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
         raise ValueError("truncation order must be >= 1")
     pm = ring.pm
     q = ring.q
+    # det(I - c M T) = P(cT) for P(T) = det(I - M T), so one charpoly
+    # gives every factor
+    P = charpoly_reverse(M)
+    factors = []
     acc = [1] + [0] * B
     for i in range(n + 1):
-        qi = pow(q, i, pm)
-        P = charpoly_reverse(M.scale(qi))
-        det = (P + [0] * (B + 1))[:B + 1]
-        expo = math.comb(n, i) * (-1) ** i
-        acc = _rs_mul(ring, acc, _rs_pow(ring, det, expo))
-    if n % 2:
-        acc = _rs_inv(ring, acc)
+        det = [ring.mul(pow(q, i * k, pm), c) for k, c in enumerate(P)]
+        expo = math.comb(n, i) * (-1) ** (n + i)
+        factors.append((expo, det))
+        det = (det + [0] * B)[:B + 1]
+        acc = _series_mul(ring, acc, _series_pow(ring, det, expo))
     vals = _prime_subring_values(ring, acc, "zeta")
     relative = TruncatedSeries.from_list(pm, vals, B)
-    return torus_zeta(n, q, B, pm) * relative
+    return M, factors, torus_zeta(n, q, B, pm) * relative
+
+
+def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
+    """Zeta function of the part of the hypersurface f = 0 with all
+    coordinates nonzero, computed mod p^m and truncated at order B.
+
+    f may live over F_q (it is then lifted coefficient-wise) or over a
+    Galois ring, in which case it is itself taken as the lift and m must
+    agree with the ring precision.
+    """
+    return _zeta_mod_pm_parts(f, m, B, d, limits)[2]

@@ -5,7 +5,8 @@ array whose slice c holds the degree-c digits of every entry, reduced mod p
 (fields) or mod p^m (rings).  Products then run as integer matrix products
 per plane pair followed by a reduction of the high planes through the
 context's modulus, which keeps the heavy loops inside numpy while staying
-exact.
+exact.  When a product or its reduction could exceed int64 for the
+matrix size, the planes hold Python integers instead.
 
 charpoly_reverse uses the Berkowitz vector recurrence, which needs no
 divisions and is therefore valid over rings with zero divisors; it returns
@@ -20,17 +21,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegralSolution, RingNotField, SingularMatrix
+from .errors import (InvariantViolation, NonIntegralSolution, RingNotField,
+                     SingularMatrix)
 
 
 def _dtype_ok(ctx, n):
+    """Whether int64 planes are exact for n x n matrices.  A plane of a
+    product sums at most L*n products of digits below mod, and _fold adds
+    to it up to L-1 high planes times reduction-row entries below mod."""
     L = ctx.digits
-    return L * L * max(n, 1) * (ctx.char_mod - 1) ** 2 < 2 ** 62
+    mod = ctx.char_mod
+    high = L * max(n, 1) * (mod - 1) ** 2
+    return high * (1 + (L - 1) * (mod - 1)) < 2 ** 62
 
 
-def _to_planes(ctx, codes):
+def _to_planes(ctx, codes, n):
     base = ctx.base
-    arr = np.asarray(codes, dtype=np.int64 if _dtype_ok(ctx, 1) else object)
+    arr = np.asarray(codes, dtype=np.int64 if _dtype_ok(ctx, n) else object)
     planes = np.stack([(arr // base ** c) % base for c in range(ctx.digits)])
     return planes
 
@@ -71,21 +78,6 @@ def _mul_planes(ctx, A, B):
     return _fold(ctx, np.stack(conv))
 
 
-def _scale_planes(ctx, digits, P):
-    L = ctx.digits
-    conv = [None] * (2 * L - 1)
-    for c1 in range(L):
-        d = int(digits[c1])
-        if not d and L > 1:
-            continue
-        for c2 in range(L):
-            prod = d * P[c2]
-            c = c1 + c2
-            conv[c] = prod if conv[c] is None else conv[c] + prod
-    stack = [np.zeros_like(P[0]) if c is None else c for c in conv]
-    return _fold(ctx, np.stack(stack))
-
-
 class SquareMatrix:
     __slots__ = ("ctx", "n", "planes")
 
@@ -108,13 +100,13 @@ class SquareMatrix:
     @classmethod
     def from_rows(cls, ctx, rows):
         n = len(rows)
-        return cls(ctx, n, _to_planes(ctx, np.array(rows).reshape(n, n)))
+        return cls(ctx, n, _to_planes(ctx, np.array(rows).reshape(n, n), n))
 
     @classmethod
     def from_columns(cls, ctx, cols):
         n = len(cols)
         codes = np.array(cols).T.reshape(n, n)
-        return cls(ctx, n, _to_planes(ctx, codes))
+        return cls(ctx, n, _to_planes(ctx, codes, n))
 
     def entry(self, i, j):
         return int(_from_planes(self.ctx, self.planes[:, i, j]))
@@ -142,12 +134,6 @@ class SquareMatrix:
         return SquareMatrix(self.ctx, self.n,
                             _mul_planes(self.ctx, self.planes, other.planes))
 
-    def scale(self, code):
-        """Multiply every entry by a scalar code."""
-        digits = _to_planes(self.ctx, code)
-        return SquareMatrix(self.ctx, self.n,
-                            _scale_planes(self.ctx, digits, self.planes))
-
     def pow(self, j):
         if j < 0:
             raise ValueError("negative matrix power")
@@ -169,10 +155,6 @@ class SquareMatrix:
 
     def __repr__(self):
         return "SquareMatrix(%r, %s)" % (self.ctx, self.to_rows())
-
-
-def mat_pow(M, j):
-    return M.pow(j)
 
 
 def charpoly_reverse(M):
@@ -211,7 +193,9 @@ def charpoly_reverse(M):
                 conv[c] = prod if conv[c] is None else conv[c] + prod
         cur = _fold(ctx, np.stack(conv))[:, :k + 2]
     out = [int(v) for v in _from_planes(ctx, cur)]
-    assert out[0] == 1
+    if out[0] != 1:
+        raise InvariantViolation("det(I - M*T) has constant term %d"
+                                 % out[0])
     return out
 
 

@@ -314,14 +314,6 @@ def _row_indices(q, rows, d):
     return acc
 
 
-def _bigend_keys(q, rows, d):
-    # sort key weights c_{d-1} most, matching tuple order (c_{d-1}, ..., c_0)
-    acc = np.zeros(len(rows), dtype=np.int64)
-    for i in range(d - 1, -1, -1):
-        acc = acc * q + rows[:, i]
-    return acc
-
-
 def _sieve(ctx, D):
     """Per-degree sorted irreducible coefficient rows, up to degree D."""
     key = ctx
@@ -346,7 +338,9 @@ def _sieve(ctx, D):
                     prod = _batch_mul_fixed(ctx, irr, [int(v) for v in mrow])
                     comp[_row_indices(q, prod, d)] = True
         rows = _monic_digit_rows(q, d)[~comp]
-        order = np.argsort(_bigend_keys(q, rows, d), kind="stable")
+        # the index weights c_{d-1} most, matching the tuple order
+        # (c_{d-1}, ..., c_0) of the sort
+        order = np.argsort(_row_indices(q, rows, d), kind="stable")
         data[d] = rows[order]
     _SIEVE_CACHE[key] = (max(built, D), data)
     return data

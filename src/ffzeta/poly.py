@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 
 from .config import DEFAULT_LIMITS
-from .errors import (ConstantInput, MultivariateInput, SizeLimit)
+from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
+                     SizeLimit)
 
 
 class SparsePoly:
@@ -461,7 +462,8 @@ def _dense_squarefree(ctx, f):
     if len(g) == 1:
         return dense_monic(ctx, f)
     w, rem = dense_divmod(ctx, f, g)
-    assert not rem
+    if rem:
+        raise InvariantViolation("gcd(f, f') does not divide f")
     # w carries the factors of multiplicity prime to p exactly once; strip
     # them from g, whose leftover is a p-th power
     c = g
@@ -470,7 +472,8 @@ def _dense_squarefree(ctx, f):
         if len(h) == 1:
             break
         c, rem = dense_divmod(ctx, c, h)
-        assert not rem
+        if rem:
+            raise InvariantViolation("gcd does not divide its argument")
     if len(c) == 1:
         return dense_monic(ctx, w)
     return dense_mul(ctx, dense_monic(ctx, w),

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import (CoefficientOutsidePrimeField, ConstantInput,
-                     MultivariateInput, NotMonic, RingNotField,
-                     ZeroConstantTerm)
+                     InvariantViolation, MultivariateInput, NotMonic,
+                     RingNotField, ZeroConstantTerm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis, solve_integer
 from .poly import (SparsePoly, _binom_mod_p, dense_mod, dense_mul, dense_trim)
 
@@ -128,8 +128,9 @@ def degree_profile(f):
         P = P @ M
         ks.append(len(kernel_basis(P - ident)))
     s = solve_integer(gcd_matrix(d), ks)
-    assert all(v >= 0 for v in s)
-    assert sum((i + 1) * v for i, v in enumerate(s)) <= d
+    if any(v < 0 for v in s) or sum(i * v for i, v in enumerate(s, 1)) > d:
+        raise InvariantViolation("degree profile %s is impossible for "
+                                 "degree %d" % (list(s), d))
     return tuple(s)
 
 
@@ -165,11 +166,14 @@ class FactoredZeta:
         return "1/(%s)" % "".join(parts)
 
 
+def _zeta_from_profile(s):
+    return FactoredZeta(tuple((i + 1, -v) for i, v in enumerate(s) if v))
+
+
 def zerodim_zeta(f):
     """Exact zeta function of V(f) from the degree profile: one pole factor
     1/(1-T^i)^(s_i) per degree i with s_i > 0."""
-    s = degree_profile(f)
-    return FactoredZeta(tuple((i + 1, -v) for i, v in enumerate(s) if v))
+    return _zeta_from_profile(degree_profile(f))
 
 
 def congruence_charpoly(f, kind):

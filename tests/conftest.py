@@ -1,6 +1,7 @@
 """Shared corpus generators; every test seeds its own RNG for reproducibility."""
 
 import random
+import sys
 from itertools import product
 
 from ffzeta import make_field, split_prime_power
@@ -38,6 +39,25 @@ def rand_poly_mv(ctx, rng, nvars, d, density=0.6):
                     terms[u] = c
         if terms:
             return SparsePoly(ctx, nvars, terms)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap the named ffzeta functions with call counters, in every package
+    module that holds a reference to them; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+    for modname, mod in list(sys.modules.items()):
+        if modname != "ffzeta" and not modname.startswith("ffzeta."):
+            continue
+        for name in names:
+            fn = mod.__dict__.get(name)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return counts
 
 
 def count_scalar_reference(f, k, domain="affine"):

@@ -18,7 +18,7 @@ from ffzeta import (InternalCheckError, OperatorKind, SquareMatrix,
                     multiplication_matrix, op_matrix, torus_zeta,
                     trial_factorize, zeta_coeffs_exact, zeta_mod_p,
                     zeta_mod_pm)
-from ffzeta.linalg import invert, mat_pow
+from ffzeta.linalg import invert
 from ffzeta.poly import SparsePoly
 
 FIELDS = (2, 3, 4, 5, 9)

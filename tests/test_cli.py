@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import field, rand_poly_mv
+from conftest import count_calls, field, rand_poly_mv
 from ffzeta.cli import main, parse_modulus, parse_poly
 from ffzeta.errors import ParseError, UnknownVariable
 from ffzeta.poly import SparsePoly, render_poly
@@ -137,14 +137,30 @@ def test_exit_code_limits(capsys):
     assert main(["factor", "--q", "128", "--poly", "x^2+x"]) == 4
 
 
-def test_threads_flag_validated():
-    assert main(["count", "--q", "2", "-n", "1", "--poly", "x",
-                 "--threads", "0"]) == 2
-    assert main(["count", "--q", "2", "-n", "1", "--poly", "x",
-                 "--threads", "4"]) == 0
-
-
 # -- behaviors --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,assembler", [
+    (["modp", "--q", "2", "-n", "1", "--poly", "x^3+x+1", "-B", "4"],
+     "hyper_matrix_mod_p"),
+    (["modp", "--q", "4", "-n", "2", "--poly", "x^2*y+t*x*y^2+1", "-B", "3"],
+     "hyper_matrix_mod_p"),
+    (["modpm", "--q", "3", "-n", "1", "-m", "2", "--poly", "x^2+x+2"],
+     "hyper_matrix_mod_pm"),
+    (["modpm", "--q", "2", "-n", "2", "-m", "2", "--poly", "x*y+1", "-B", "4"],
+     "hyper_matrix_mod_pm"),
+])
+def test_one_matrix_and_one_charpoly_per_command(argv, assembler, monkeypatch,
+                                                 capsys):
+    counts = count_calls(monkeypatch, ("hyper_matrix_mod_p",
+                                       "hyper_matrix_mod_pm",
+                                       "charpoly_reverse"))
+    assert main(argv + ["--json", "--dump-matrix"]) == 0
+    want = {"hyper_matrix_mod_p": 0, "hyper_matrix_mod_pm": 0,
+            "charpoly_reverse": 1}
+    want[assembler] = 1
+    assert counts == want
+    assert json.loads(capsys.readouterr().out)["result"]["matrix"]
 
 
 def test_shift_translates_and_pulls_back(capsys):

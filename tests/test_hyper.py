@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import field, rand_poly_mv
+from conftest import count_calls, field, rand_poly_mv
 from ffzeta import (EmptyBasis, RingNotField, SizeLimit, TruncatedSeries,
                     count_points, hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     make_galois_ring, rd_basis, rmd_basis, torus_zeta,
@@ -256,6 +256,32 @@ def test_zeta_mod_pm_lift_independence():
     assert za == zeta_mod_pm(f, 2)
     zc = zeta_mod_pm(lift_c)
     assert zc == za  # same variety, different unit
+    # bivariate f and f over F_4 (e = 2), lifted by adding p*r, r a unit,
+    # to every coefficient of the trivial lift
+    rng = random.Random(17)
+    for q, nvars, d in ((2, 2, 2), (3, 2, 1), (4, 1, 3)):
+        ctx = field(q)
+        ring = make_galois_ring(ctx, 2)
+        units = [r for r in ring.elements() if ring.is_unit(r)]
+        for _ in range(2):
+            f = rand_poly_mv(ctx, rng, nvars, d)
+            lift = SparsePoly(ring, nvars, {
+                u: ring.add(c, ring.mul(ctx.p, rng.choice(units)))
+                for u, c in f.lift_to(ring).terms.items()})
+            assert zeta_mod_pm(lift, B=4) == zeta_mod_pm(f, 2, 4)
+
+
+@pytest.mark.parametrize("q,terms", [
+    (2, {(1,): 1, (3,): 1, (0,): 1}),
+    (3, {(1, 1): 1, (2, 0): 2, (0, 0): 1}),
+])
+def test_zeta_mod_pm_one_matrix_and_one_charpoly(q, terms, monkeypatch):
+    f = SparsePoly(field(q), len(next(iter(terms))), terms)
+    want = zeta_mod_pm(f, 2, 4)
+    counts = count_calls(monkeypatch, ("hyper_matrix_mod_pm",
+                                       "charpoly_reverse"))
+    assert zeta_mod_pm(f, 2, 4) == want
+    assert counts == {"hyper_matrix_mod_pm": 1, "charpoly_reverse": 1}
 
 
 def test_zeta_mod_pm_rejects_mismatched_precision():

@@ -5,13 +5,24 @@ import pytest
 
 from conftest import field
 from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse,
-                    kernel_basis, make_galois_ring)
-from ffzeta.linalg import invert, mat_pow, solve_integer
+                    kernel_basis, make_field, make_galois_ring)
+from ffzeta.linalg import invert, solve_integer
 
 
 def rand_matrix(ctx, rng, n):
     return SquareMatrix.from_rows(
         ctx, [[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)])
+
+
+def matmul_scalar(ctx, A, B):
+    """Row-list product through ctx.add and ctx.mul only."""
+    n = len(A)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = ctx.add(out[i][j], ctx.mul(A[i][k], B[k][j]))
+    return out
 
 
 def det_one_minus_mt_leibniz(ctx, M):
@@ -62,6 +73,41 @@ def test_charpoly_reverse_over_ring_matches_leibniz():
             want = det_one_minus_mt_leibniz(ring, M)
             want += [0] * (len(got) - len(want))
             assert got == want
+
+
+def test_matmul_reduction_past_int64_matches_scalar_ring():
+    # the plane products fit int64 here, but their reduction through the
+    # modulus did not, and every entry of A @ A came out wrong
+    ring = make_galois_ring(make_field(101, 2), 4)
+    rng = random.Random(0)
+    rows = [[rng.randrange(ring.size) for _ in range(6)] for _ in range(6)]
+    A = SquareMatrix.from_rows(ring, rows)
+    assert (A @ A).to_rows() == matmul_scalar(ring, rows, rows)
+
+
+@pytest.mark.parametrize("p,e,m", [
+    (101, 2, 4),          # p^m about 10^8
+    (46337, 2, 2),        # p^m just below 2^31
+    (2147483647, 1, 1),   # the field F_p, p = 2^31 - 1
+    (2, 6, 8),            # e = 6: five high planes fold back
+    (7, 3, 5),
+])
+def test_matmul_and_charpoly_match_scalar_ring(p, e, m):
+    ring = make_galois_ring(make_field(p, e), m)
+    rng = random.Random(p + e + m)
+    top = [[ring.size - 1] * 6 for _ in range(6)]  # every digit maximal
+    assert SquareMatrix.from_rows(ring, top).pow(2).to_rows() == \
+        matmul_scalar(ring, top, top)
+    for n in (2, 5):
+        A = rand_matrix(ring, rng, n)
+        B = rand_matrix(ring, rng, n)
+        assert (A @ B).to_rows() == \
+            matmul_scalar(ring, A.to_rows(), B.to_rows())
+    for n in (3, 4):
+        M = rand_matrix(ring, rng, n)
+        got = charpoly_reverse(M)
+        want = det_one_minus_mt_leibniz(ring, M)
+        assert got == want + [0] * (len(got) - len(want))
 
 
 def test_charpoly_constant_coefficient_is_one():
@@ -157,8 +203,8 @@ def test_mat_pow_homomorphism():
     M = rand_matrix(ctx, rng, 4)
     for i in range(4):
         for j in range(4):
-            assert mat_pow(M, i + j) == mat_pow(M, i) @ mat_pow(M, j)
-    assert mat_pow(M, 0) == SquareMatrix.identity(ctx, 4)
+            assert M.pow(i + j) == M.pow(i) @ M.pow(j)
+    assert M.pow(0) == SquareMatrix.identity(ctx, 4)
 
 
 def test_invert_round_trip_and_singular():

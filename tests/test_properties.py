@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import field
-from ffzeta import (OperatorKind, TruncatedSeries, congruence_charpoly,
-                    trial_factorize)
+from ffzeta import (OperatorKind, SquareMatrix, TruncatedSeries,
+                    charpoly_reverse, congruence_charpoly, make_field,
+                    make_galois_ring, trial_factorize)
 from ffzeta.cli import parse_poly
 from ffzeta.poly import SparsePoly, psi_q, render_poly
 
@@ -58,6 +59,45 @@ def test_psi_left_inverts_qth_power(f):
 @given(sparse_mv(3, 2, 3))
 def test_render_parse_round_trip(f):
     assert parse_poly(render_poly(f), f.ctx, f.nvars) == f
+
+
+# (p, e, m): Z/4, Z/8, Z/9, Z/25, Z/27, GR(4, 2), GR(9, 2), GR(4, 3)
+GALOIS_RINGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3),
+                (2, 2, 2), (3, 2, 2), (2, 3, 2)]
+
+
+@st.composite
+def ring_matrix(draw):
+    """A Galois ring and rows of a matrix over it: arbitrary, singular (a
+    row a multiple of another), strictly upper triangular, or with every
+    entry a multiple of p (both nilpotent)."""
+    p, e, m = draw(st.sampled_from(GALOIS_RINGS))
+    ring = make_galois_ring(make_field(p, e), m)
+    n = draw(st.integers(1, 5))
+    code = st.integers(0, ring.size - 1)
+    rows = [[draw(code) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "singular", "upper", "p"]))
+    if kind == "singular" and n > 1:
+        c = draw(code)
+        rows[-1] = [ring.mul(c, x) for x in rows[0]]
+    elif kind == "upper":
+        rows = [[x if j > i else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif kind == "p":
+        rows = [[ring.mul(p, x) for x in row] for row in rows]
+    return ring, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(ring_matrix(), st.data())
+def test_charpoly_of_scaled_matrix_is_charpoly_at_scaled_argument(rm, data):
+    # det(I - cMT) = P(cT) for P(T) = det(I - MT), with c*M built here
+    ring, rows = rm
+    c = data.draw(st.integers(0, ring.size - 1))
+    P = charpoly_reverse(SquareMatrix.from_rows(ring, rows))
+    scaled = [[ring.mul(c, x) for x in row] for row in rows]
+    want = [ring.mul(ring.pow(c, k), a) for k, a in enumerate(P)]
+    assert charpoly_reverse(SquareMatrix.from_rows(ring, scaled)) == want
 
 
 @settings(max_examples=50, deadline=None)
