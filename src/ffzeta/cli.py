@@ -25,8 +25,8 @@ from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (OperatorKind, _zeta_from_profile, congruence_charpoly,
-                      degree_profile, op_matrix)
+from .zerodim import (OperatorKind, _prime_field_charpoly, _profile,
+                      _zeta_from_profile, congruence_charpoly, op_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +284,11 @@ def _cmd_zerodim(args, ctx, limits):
     shift = _parse_shift(args, ctx)
     g = _shifted(f, shift) if shift is not None else f
     kind = _METHODS[args.method]
-    prof = degree_profile(g)
+    frob = op_matrix(g, OperatorKind.FROBENIUS)
+    prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
-    cp = congruence_charpoly(g, kind)
+    M = frob if kind == OperatorKind.FROBENIUS else op_matrix(g, kind)
+    cp = _prime_field_charpoly(M)
     result = {
         "s": list(prof),
         "zeta_factors": [[i, e] for i, e in zeta.factors],
@@ -294,7 +296,7 @@ def _cmd_zerodim(args, ctx, limits):
         "method": args.method,
     }
     if args.dump_matrix:
-        result["matrix"] = op_matrix(g, kind).to_rows()
+        result["matrix"] = M.to_rows()
     text = "s = %s\nZ = %s\ndet(I - MT) mod %d = %s" % (
         list(prof), zeta, ctx.p, cp)
     return result, text
@@ -333,14 +335,14 @@ def _cmd_modp(args, ctx, limits):
 
 def _cmd_modpm(args, ctx, limits):
     f = parse_poly(args.poly, ctx, args.nvars)
-    M, dets, series = _zeta_mod_pm_parts(f, args.m, args.B, args.d, limits)
+    M, dets, torus, series = _zeta_mod_pm_parts(f, args.m, args.B, args.d,
+                                                limits)
     pm = series.modulus
     result = {
         "modulus": pm,
         "series": list(series.coeffs),
         "det_factors": [[expo, det] for expo, det in dets],
-        "torus": list(torus_zeta(args.nvars, ctx.q, series.order,
-                                 pm).coeffs),
+        "torus": list(torus.coeffs),
     }
     if args.dump_matrix:
         result["matrix"] = M.to_rows()

@@ -7,9 +7,13 @@ them hashable, comparable and cheap, and lets hot paths run on flat lookup
 tables or numpy arrays of codes.
 
 For p = 2 the code is the bit-packed coefficient vector, so addition is XOR
-at any size.  Small contexts additionally carry full q x q multiplication /
-addition tables; large ones (used by the brute-force point counter) carry
-discrete log / antilog tables built once and cached on the context.
+at any size.  A field tabulates itself once, in O(q) numpy work, with one
+set of 1-D tables (a VectorKit: discrete log / antilog, and for odd p a
+carry-free digit packing for addition); up to q = 2^14 it does so at
+construction and scalar ops read list copies, above that on the first
+vector_kit() call, for the brute-force point counter.  Galois rings Z/p^m
+use integer arithmetic; other small rings keep flat tables.  Past the caps
+both run the same generic digit arithmetic.
 
 A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
 the same `m`, `pm`, `base`, `char_mod`, `to_field`, `from_field` surface, so
@@ -18,15 +22,14 @@ code written against the ring protocol runs unchanged on fields.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import CompositeP, ReducibleModulus
 
-_SCALAR_TABLE_CAP = 1024        # build q x q python tables up to this order
-_P2_VECTOR_CAP = 1 << 22        # log/exp tables for p = 2 up to this order
-_ODD_VECTOR_CAP = 3000          # log/exp + addition table for odd p up to this
+_P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
+_ODD_VECTOR_CAP = 3000          # and fields with odd p up to this one
+_LIST_CAP = 1 << 14             # up to here at construction, with list copies
+_RING_TABLE_CAP = 1024          # flat tables for Galois rings with e > 1
 
 
 def _is_prime(n):
@@ -45,12 +48,6 @@ def _is_prime(n):
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over F_p (coefficient lists, little-endian),
 # used only while constructing contexts
-
-
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _fp_eval(c, x, p):
@@ -172,56 +169,129 @@ def _factorize_int(n):
     return out
 
 
+def _digit_product(ctx, x, y):
+    """Codes of x[i] * y[j] for code arrays x and y, shape (len(x), len(y)):
+    the schoolbook product sum_k y_k (x t^k) on digit arrays, x t^k reduced
+    one shift at a time.  For contexts whose tables fit, where L (base-1)^2
+    is far below 2^63."""
+    base = ctx.base
+    w = np.array(ctx._bpow, dtype=np.int64)
+    xt = x[:, None] // w % base
+    ydig = y[:, None] // w % base
+    out = np.zeros((len(x), len(y), ctx.digits), dtype=np.int64)
+    for k in range(ctx.digits):
+        if k:
+            top = xt[:, -1:]
+            xt = np.concatenate([np.zeros_like(top), xt[:, :-1]], axis=1)
+            xt = (xt + top * np.array(ctx.reduction[0])) % base
+        out += xt[:, None, :] * ydig[None, :, k, None]
+    return out % base @ w
+
+
+class _DigitArithmetic:
+    """Codes with `digits` digits in base `base` = `char_mod` (p for a
+    field, p^m for a Galois ring), multiplied modulo the monic `modulus`.
+    The generic arithmetic of both contexts: what they use above their
+    table caps, and the reference their tables are tested against."""
+
+    _mod_int = None                 # the modulus as a bit mask, base 2 only
+
+    def _set_modulus(self, modulus, base):
+        self.modulus = tuple(c % base for c in modulus)
+        self.digits = len(modulus) - 1
+        self.base = base
+        self.char_mod = base
+        self.reduction = _reduction_rows(self.modulus, self.digits, base)
+        self._bpow = [base ** i for i in range(self.digits)]
+        if base == 2:
+            self._mod_int = sum(b << i for i, b in enumerate(self.modulus))
+
+    def encode(self, coeffs):
+        code = 0
+        for i, c in enumerate(coeffs):
+            code += (c % self.base) * self._bpow[i]
+        return code
+
+    def coeffs(self, code):
+        return tuple((code // b) % self.base for b in self._bpow)
+
+    def _add_generic(self, a, b):
+        base = self.base
+        code = 0
+        for bp in self._bpow:
+            code += (((a // bp) + (b // bp)) % base) * bp
+        return code
+
+    def _neg_generic(self, a):
+        base = self.base
+        code = 0
+        for bp in self._bpow:
+            code += ((-(a // bp)) % base) * bp
+        return code
+
+    def _mul_generic(self, a, b):
+        L = self.digits
+        if L == 1:
+            return a * b % self.base
+        if self.base == 2:
+            return _gf2_mul_int(a, b, self._mod_int, L)
+        base = self.base
+        da = self.coeffs(a)
+        db = self.coeffs(b)
+        conv = [0] * (2 * L - 1)
+        for i, x in enumerate(da):
+            if x:
+                for j, y in enumerate(db):
+                    conv[i + j] += x * y
+        out = [c % base for c in conv[:L]]
+        for jj in range(len(conv) - 1, L - 1, -1):
+            top = conv[jj] % base
+            if top:
+                row = self.reduction[jj - L]
+                for i in range(L):
+                    out[i] = (out[i] + top * row[i]) % base
+        return self.encode(out)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def pow(self, a, n):
+        if n < 0:
+            return self.pow(self.inv(a), -n)
+        r = 1
+        while n:
+            if n & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return r
+
+
 class VectorKit:
-    """Numpy-side arithmetic for one field: antilog/log tables plus either
-    XOR addition (p = 2) or a full addition table (odd p)."""
+    """Numpy tables of one field, indexed by codes.
 
-    __slots__ = ("q", "p", "exp", "log", "exp_py", "log_py", "add_table")
+    With g a generator, log[g^i] = i and log[0] = 2(q-1); exp holds g^i for
+    i < 2(q-1) and 0 from there on, so exp[log[a] + log[b]] = a*b with no
+    branch for zero.  For odd p, wide[a] packs the digits of a in base
+    2p-1, where the digit sums of two codes never carry, and red reduces
+    each digit of such a sum mod p, so red[wide[a] + wide[b]] = a + b;
+    for p = 2 addition is XOR.  FiniteField keeps list copies up to
+    q = 2^14 for its scalar ops."""
 
-    def __init__(self, q, p, exp, log, add_table):
-        self.q = q
-        self.p = p
-        self.exp = exp
-        self.log = log
-        self.add_table = add_table
-        if q <= 1 << 14:
-            self.exp_py = exp.tolist()
-            self.log_py = log.tolist()
-        else:
-            self.exp_py = None
-            self.log_py = None
+    __slots__ = ("p", "exp", "log", "neg", "wide", "red")
 
-    def mul_vec(self, a, b):
-        """Elementwise product of two code arrays."""
-        la = self.log[a]
-        lb = self.log[b]
-        prod = self.exp[(la + lb) % (self.q - 1)]
-        return np.where((a == 0) | (b == 0), 0, prod)
-
-    def mul_vec_scalar(self, a, c):
-        if c == 0:
-            return np.zeros_like(a)
-        lc = int(self.log[c])
-        prod = self.exp[(self.log[a] + lc) % (self.q - 1)]
-        return np.where(a == 0, 0, prod)
-
-    def add_vec(self, a, b):
+    def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self.add_table[a, b]
+        return self.red[self.wide[a] + self.wide[b]]
 
-    def add_vec_scalar(self, a, c):
+    def sub(self, a, b):
         if self.p == 2:
-            return a ^ c
-        return self.add_table[a, c]
-
-    def pow_vec(self, a, u):
-        """Elementwise a**u for u >= 1."""
-        prod = self.exp[(self.log[a] * u) % (self.q - 1)]
-        return np.where(a == 0, 0, prod) if u else np.ones_like(a)
+            return a ^ b
+        return self.red[self.wide[a] + self.wide[self.neg[b]]]
 
 
-class FiniteField:
+class FiniteField(_DigitArithmetic):
     """Context for F_q, q = p^e.  Construct through make_field."""
 
     m = 1
@@ -232,21 +302,20 @@ class FiniteField:
         self.q = p ** e
         self.pm = p
         self.size = self.q
-        self.modulus = modulus          # length e+1, monic, entries mod p
-        self.digits = e
-        self.base = p
-        self.char_mod = p
-        self.reduction = _reduction_rows(modulus, e, p)
-        self._mod_int = None
-        if p == 2:
-            self._mod_int = sum(b << i for i, b in enumerate(modulus))
-        self._ppow = [p ** i for i in range(e)]
+        self._set_modulus(modulus, p)
         self._kit = None
-        self._np_mul = None
-        self._np_add = None
-        self._tables = None
-        if self.q <= _SCALAR_TABLE_CAP:
-            self._build_tables()
+        # the kit's tables as Python lists, which scalar ops read
+        self._exp = self._log = self._neg = self._wide = self._red = None
+        if self.q <= _LIST_CAP and self.vector_kit() is not None:
+            kit = self._kit
+            cycle = kit.exp[:self.q - 1].tolist()
+            # doubled by concatenation, so both halves share the ints
+            self._exp = cycle + cycle + [0] * (2 * self.q - 1)
+            self._log = kit.log.tolist()
+            if p != 2:
+                self._neg = kit.neg.tolist()
+                self._wide = kit.wide.tolist()
+                self._red = kit.red.tolist()
 
     # -- identity ----------------------------------------------------------
 
@@ -262,16 +331,6 @@ class FiniteField:
 
     # -- element codecs ----------------------------------------------------
 
-    def encode(self, coeffs):
-        code = 0
-        for i, c in enumerate(coeffs):
-            code += (c % self.p) * self._ppow[i]
-        return code
-
-    def coeffs(self, code):
-        p = self.p
-        return tuple((code // self._ppow[i]) % p for i in range(self.e))
-
     def elements(self):
         return range(self.q)
 
@@ -286,90 +345,12 @@ class FiniteField:
 
     # -- scalar arithmetic -------------------------------------------------
 
-    def _build_tables(self):
-        q = self.q
-        mul = [0] * (q * q)
-        for a in range(q):
-            row = a * q
-            for b in range(a, q):
-                v = self._mul_generic(a, b)
-                mul[row + b] = v
-                mul[b * q + a] = v
-        self._mul_table = mul
-        if self.p == 2:
-            self._add_table = None
-        else:
-            add = [0] * (q * q)
-            for a in range(q):
-                row = a * q
-                for b in range(q):
-                    add[row + b] = self._add_generic(a, b)
-            self._add_table = add
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._pow_generic(a, q - 2)
-        self._inv_table = inv
-        self._neg_table = [self._neg_generic(a) for a in range(q)]
-        self._frob_table = [self._pow_generic(a, self.p) for a in range(q)]
-        self._tables = True
-
-    def _add_generic(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        code = 0
-        for pw in self._ppow:
-            code += (((a // pw) + (b // pw)) % p) * pw
-        return code
-
-    def _neg_generic(self, a):
-        if self.p == 2:
-            return a
-        p = self.p
-        code = 0
-        for pw in self._ppow:
-            code += ((-(a // pw)) % p) * pw
-        return code
-
-    def _mul_generic(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        if self.e == 1:
-            return a * b % self.p
-        if self.p == 2:
-            return _gf2_mul_int(a, b, self._mod_int, self.e)
-        p = self.p
-        da = self.coeffs(a)
-        db = self.coeffs(b)
-        conv = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:self.e]]
-        for jj in range(len(conv) - 1, self.e - 1, -1):
-            top = conv[jj] % p
-            if top:
-                row = self.reduction[jj - self.e]
-                for i in range(self.e):
-                    out[i] = (out[i] + top * row[i]) % p
-        return self.encode(out)
-
-    def _pow_generic(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_generic(r, a)
-            a = self._mul_generic(a, a)
-            n >>= 1
-        return r
-
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
-        if self._tables:
-            return self._add_table[a * self.q + b]
-        return self._add_generic(a, b)
+        if self._red is None:
+            return self._add_generic(a, b)
+        return self._red[self._wide[a] + self._wide[b]]
 
     def sub(self, a, b):
         if self.p == 2:
@@ -379,43 +360,27 @@ class FiniteField:
     def neg(self, a):
         if self.p == 2:
             return a
-        if self._tables:
-            return self._neg_table[a]
-        return self._neg_generic(a)
+        if self._neg is None:
+            return self._neg_generic(a)
+        return self._neg[a]
 
     def mul(self, a, b):
-        if self._tables:
-            return self._mul_table[a * self.q + b]
-        kit = self._kit
-        if kit is not None and kit.log_py is not None:
-            if a == 0 or b == 0:
-                return 0
-            return kit.exp_py[(kit.log_py[a] + kit.log_py[b]) % (self.q - 1)]
-        return self._mul_generic(a, b)
+        if self._log is None:
+            return self._mul_generic(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in %r" % self)
-        if self._tables:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        if self._log is None:
+            return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def frob(self, a):
         """a -> a^p, the absolute Frobenius."""
-        if self._tables:
-            return self._frob_table[a]
-        return self.pow(a, self.p)
+        if self._log is None or a == 0:
+            return self.pow(a, self.p)
+        return self._exp[self._log[a] * self.p % (self.q - 1)]
 
     def pth_root(self, a):
         """Inverse of frob; a -> a^(p^(e-1))."""
@@ -423,90 +388,52 @@ class FiniteField:
             a = self.frob(a)
         return a
 
-    # -- numpy-side tables -------------------------------------------------
-
-    @property
-    def np_mul(self):
-        """q x q multiplication table as an int64 array (small fields)."""
-        if self._np_mul is None:
-            if not self._tables:
-                raise TooBigForTables(self.q)
-            self._np_mul = np.array(self._mul_table,
-                                    dtype=np.int64).reshape(self.q, self.q)
-        return self._np_mul
-
-    @property
-    def np_add(self):
-        if self._np_add is None:
-            if self.p == 2:
-                a = np.arange(self.q, dtype=np.int64)
-                self._np_add = a[:, None] ^ a[None, :]
-            else:
-                if not self._tables:
-                    raise TooBigForTables(self.q)
-                self._np_add = np.array(self._add_table,
-                                        dtype=np.int64).reshape(self.q, self.q)
-        return self._np_add
-
-    @property
-    def np_neg(self):
-        if self.p == 2:
-            return np.arange(self.q, dtype=np.int64)
-        if not self._tables:
-            raise TooBigForTables(self.q)
-        return np.array(self._neg_table, dtype=np.int64)
+    # -- tables ------------------------------------------------------------
 
     def vector_kit(self):
-        """Log/antilog tables for vectorized evaluation, or None if the
-        field is too large to tabulate."""
-        if self._kit is not None:
-            return self._kit
-        q = self.q
-        if self.p == 2:
-            if q > _P2_VECTOR_CAP:
-                return None
-        elif q > _ODD_VECTOR_CAP:
-            return None
-        g = self._find_generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        if self.p == 2 and q > 4096:
-            block = 4096
-            cur = 1
-            vals = []
-            for _ in range(block):
-                vals.append(cur)
-                cur = self.mul(cur, g)
-            exp[:block] = vals
-            step = cur          # g^block; each window is the previous one
-            start = block       # scaled by it, so step never changes
-            while start < q - 1:
-                width = min(block, q - 1 - start)
-                exp[start:start + width] = _gf2_mul_vec(
-                    exp[start - block:start - block + width],
-                    step, self._mod_int, self.e)
-                start += width
-        else:
-            cur = 1
-            vals = []
-            for _ in range(q - 1):
-                vals.append(cur)
-                cur = self.mul(cur, g)
-            exp[:] = vals
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        add_table = None
-        if self.p != 2:
-            add_table = np.empty((q, q), dtype=np.int64)
-            digits = (np.arange(q, dtype=np.int64)[:, None]
-                      // np.array(self._ppow)) % self.p
-            pvec = np.array(self._ppow, dtype=np.int64)
-            step = max(1, (1 << 22) // max(q, 1))
-            for lo in range(0, q, step):
-                hi = min(q, lo + step)
-                s = (digits[lo:hi, None, :] + digits[None, :, :]) % self.p
-                add_table[lo:hi] = s @ pvec
-        self._kit = VectorKit(q, self.p, exp, log, add_table)
+        """The field's numpy tables (a VectorKit), built on first use, or
+        None if the field is too large to tabulate."""
+        cap = _P2_VECTOR_CAP if self.p == 2 else _ODD_VECTOR_CAP
+        if self._kit is None and self.q <= cap:
+            self._kit = self._tabulate()
         return self._kit
+
+    def _tabulate(self):
+        """The VectorKit in O(q) numpy work, O((2p-1)^e) for `red`."""
+        q, p, e = self.q, self.p, self.e
+        g = self._find_generator()
+        # int32 holds every entry and index, 4(q-1) < 2^24 under the caps
+        exp = np.zeros(4 * q - 3, dtype=np.int32)
+        exp[0] = 1
+        n = 1
+        while n < q - 1:
+            # g^(i+n) = g^i * g^n doubles the known powers
+            k = min(n, q - 1 - n)
+            step = self._mul_generic(int(exp[n - 1]), g)
+            head = exp[:k].astype(np.int64)
+            if p == 2:
+                exp[n:n + k] = _gf2_mul_vec(head, step, self._mod_int, e)
+            else:
+                exp[n:n + k] = _digit_product(self, head,
+                                              np.array([step]))[:, 0]
+            n += k
+        exp[q - 1:2 * (q - 1)] = exp[:q - 1]
+        kit = VectorKit()
+        kit.p = p
+        kit.exp = exp
+        kit.log = np.empty(q, dtype=np.int32)
+        kit.log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
+        kit.log[0] = 2 * (q - 1)
+        kit.neg = kit.wide = kit.red = None
+        if p != 2:
+            w = np.array(self._bpow, dtype=np.int64)
+            digits = np.arange(q)[:, None] // w % p
+            wbase = (2 * p - 1) ** np.arange(e)
+            sums = np.arange((2 * p - 1) ** e)
+            kit.neg = (-digits % p) @ w
+            kit.wide = digits @ wbase
+            kit.red = (sums[:, None] // wbase % (2 * p - 1) % p) @ w
+        return kit
 
     def _find_generator(self):
         q = self.q
@@ -519,12 +446,7 @@ class FiniteField:
         raise RuntimeError("no generator found for %r" % self)
 
 
-class TooBigForTables(RuntimeError):
-    def __init__(self, q):
-        super().__init__("field of order %d has no dense tables" % q)
-
-
-class GaloisRing:
+class GaloisRing(_DigitArithmetic):
     """Context for (Z/p^m)[t]/(H(t)) where H is the trivial lift of the
     field modulus.  q^m elements; codes use base p^m digits."""
 
@@ -536,14 +458,9 @@ class GaloisRing:
         self.q = field.q
         self.pm = field.p ** m
         self.size = self.pm ** field.e
-        self.modulus = tuple(c % self.pm for c in field.modulus)
-        self.digits = field.e
-        self.base = self.pm
-        self.char_mod = self.pm
-        self.reduction = _reduction_rows(self.modulus, self.e, self.pm)
-        self._bpow = [self.pm ** i for i in range(self.e)]
-        self._tables = None
-        if self.size <= _SCALAR_TABLE_CAP:
+        self._set_modulus(field.modulus, self.pm)
+        self._mul_table = self._add_table = self._neg_table = None
+        if self.e > 1 and self.size <= _RING_TABLE_CAP:
             self._build_tables()
 
     def __repr__(self):
@@ -555,15 +472,6 @@ class GaloisRing:
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
-
-    def encode(self, coeffs):
-        code = 0
-        for i, c in enumerate(coeffs):
-            code += (c % self.pm) * self._bpow[i]
-        return code
-
-    def coeffs(self, code):
-        return tuple((code // b) % self.pm for b in self._bpow)
 
     def elements(self):
         return range(self.size)
@@ -581,84 +489,40 @@ class GaloisRing:
         return self.to_field(a) != 0
 
     def _build_tables(self):
-        n = self.size
-        mul = [0] * (n * n)
-        add = [0] * (n * n)
-        for a in range(n):
-            row = a * n
-            for b in range(n):
-                add[row + b] = self._add_generic(a, b)
-                if b >= a:
-                    v = self._mul_generic(a, b)
-                    mul[row + b] = v
-                    mul[b * n + a] = v
-        self._mul_table = mul
-        self._add_table = add
-        self._neg_table = [self._neg_generic(a) for a in range(n)]
-        self._tables = True
-
-    def _add_generic(self, a, b):
-        pm = self.pm
-        code = 0
-        for bp in self._bpow:
-            code += (((a // bp) + (b // bp)) % pm) * bp
-        return code
-
-    def _neg_generic(self, a):
-        pm = self.pm
-        code = 0
-        for bp in self._bpow:
-            code += ((-(a // bp)) % pm) * bp
-        return code
-
-    def _mul_generic(self, a, b):
-        if self.e == 1:
-            return a * b % self.pm
-        pm = self.pm
-        da = self.coeffs(a)
-        db = self.coeffs(b)
-        conv = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [c % pm for c in conv[:self.e]]
-        for jj in range(len(conv) - 1, self.e - 1, -1):
-            top = conv[jj] % pm
-            if top:
-                row = self.reduction[jj - self.e]
-                for i in range(self.e):
-                    out[i] = (out[i] + top * row[i]) % pm
-        return self.encode(out)
+        """Flat size x size tables, a block of rows at a time."""
+        n, pm = self.size, self.pm
+        w = np.array(self._bpow, dtype=np.int64)
+        codes = np.arange(n, dtype=np.int64)
+        digits = codes[:, None] // w % pm
+        self._mul_table, self._add_table = [], []
+        for lo in range(0, n, 64):
+            rows = slice(lo, lo + 64)
+            self._mul_table += _digit_product(
+                self, codes[rows], codes).ravel().tolist()
+            self._add_table += (
+                (digits[rows, None] + digits) % pm @ w).ravel().tolist()
+        self._neg_table = (-digits % pm @ w).tolist()
 
     def add(self, a, b):
-        if self._tables:
-            return self._add_table[a * self.size + b]
-        return self._add_generic(a, b)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a + b) % self.pm
+        if self._add_table is None:
+            return self._add_generic(a, b)
+        return self._add_table[a * self.size + b]
 
     def neg(self, a):
-        if self._tables:
-            return self._neg_table[a]
-        return self._neg_generic(a)
+        if self.e == 1:
+            return -a % self.pm
+        if self._neg_table is None:
+            return self._neg_generic(a)
+        return self._neg_table[a]
 
     def mul(self, a, b):
-        if self._tables:
-            return self._mul_table[a * self.size + b]
-        return self._mul_generic(a, b)
-
-    def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        if self.e == 1:
+            return a * b % self.pm
+        if self._mul_table is None:
+            return self._mul_generic(a, b)
+        return self._mul_table[a * self.size + b]
 
     def inv(self, a):
         """Inverse of a unit, by lifting the residue-field inverse."""

@@ -375,8 +375,8 @@ def torus_zeta(n, q, B, pm):
 
 def _zeta_mod_pm_parts(f, m, B, d, limits):
     """zeta_mod_pm with its working: the operator matrix M, the det
-    factors det(I - q^i M T) as (exponent, coefficients) pairs, and the
-    series."""
+    factors det(I - q^i M T) as (exponent, coefficients) pairs, the torus
+    zeta and the series."""
     ctx = f.ctx
     if m is None:
         m = ctx.m
@@ -410,7 +410,8 @@ def _zeta_mod_pm_parts(f, m, B, d, limits):
         acc = _series_mul(ring, acc, _series_pow(ring, det, expo))
     vals = _prime_subring_values(ring, acc, "zeta")
     relative = TruncatedSeries.from_list(pm, vals, B)
-    return M, factors, torus_zeta(n, q, B, pm) * relative
+    torus = torus_zeta(n, q, B, pm)
+    return M, factors, torus, torus * relative
 
 
 def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
@@ -421,4 +422,4 @@ def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
     Galois ring, in which case it is itself taken as the lift and m must
     agree with the ring precision.
     """
-    return _zeta_mod_pm_parts(f, m, B, d, limits)[2]
+    return _zeta_mod_pm_parts(f, m, B, d, limits)[3]

@@ -8,8 +8,11 @@ of irreducibles plus trial division.  None of it shares code with the
 operator path beyond basic field arithmetic.
 
 Enumeration is vectorized when the extension field is small enough to carry
-log/antilog tables; otherwise a plain odometer loop runs.  Either way the
-work is q^(k*n) point evaluations, capped by Limits.max_enum.
+the field's 1-D tables (log/antilog, and for odd p the carry-free addition
+of fq.VectorKit), one Horner pass over every value of the last variable per
+point of the others; otherwise a plain odometer loop runs.  Either way the
+work is q^(k*n) point evaluations, capped by Limits.max_enum.  The sieve
+and trial division run on the same tables.
 """
 
 from __future__ import annotations
@@ -36,17 +39,8 @@ _SIEVE_CACHE = {}
 def _find_root(big, int_coeffs):
     """Least root in `big` of a polynomial with prime-subfield coefficients."""
     kit = big.vector_kit()
-    if kit is not None and big.q > (1 << 14):
-        xs = np.arange(big.q, dtype=np.int64)
-        y = np.full(big.q, int_coeffs[-1], dtype=np.int64)
-        xlog = kit.log[xs]
-        xzero = xs == 0
-        for c in reversed(int_coeffs[:-1]):
-            prod = kit.exp[(kit.log[y] + xlog) % (big.q - 1)]
-            y = np.where((y == 0) | xzero, 0, prod)
-            if c:
-                y = kit.add_vec_scalar(y, c)
-        roots = np.nonzero(y == 0)[0]
+    if kit is not None:
+        roots = np.nonzero(_horner_vec(kit, int_coeffs, kit.log) == 0)[0]
         if len(roots):
             return int(roots[0])
     else:
@@ -123,16 +117,15 @@ def _group_terms(terms, n):
     return out
 
 
-def _horner_vec(kit, dense, xs, xlog, xzero):
+def _horner_vec(kit, dense, xlog):
+    """Values of a dense polynomial at the points whose logs are xlog."""
     if not dense:
-        return np.zeros(len(xs), dtype=np.int64)
-    y = np.full(len(xs), dense[-1], dtype=np.int64)
-    qm1 = kit.q - 1
+        return np.zeros(len(xlog), dtype=np.int64)
+    y = np.full(len(xlog), dense[-1], dtype=np.int64)
     for c in reversed(dense[:-1]):
-        prod = kit.exp[(kit.log[y] + xlog) % qm1]
-        y = np.where((y == 0) | xzero, 0, prod)
+        y = kit.exp[kit.log[y] + xlog]
         if c:
-            y = kit.add_vec_scalar(y, c)
+            y = kit.add(y, c)
     return y
 
 
@@ -165,14 +158,12 @@ def count_points(f, k=1, domain="affine", limits=None):
 def _count_vectorized(big, kit, terms, n, domain):
     Q = big.q
     lo = 0 if domain == "affine" else 1
-    xs = np.arange(lo, Q, dtype=np.int64)
-    xlog = kit.log[xs]
-    xzero = xs == 0
+    xlog = kit.log[lo:Q]
     if n == 1:
         dense = [0] * (max(u[0] for u in terms) + 1)
         for (u,), c in terms.items():
             dense[u] = c
-        y = _horner_vec(kit, dense, xs, xlog, xzero)
+        y = _horner_vec(kit, dense, xlog)
         return int(np.count_nonzero(y == 0))
     groups = _group_terms(terms, n)
     maxdeg = [0] * (n - 1)
@@ -202,7 +193,7 @@ def _count_vectorized(big, kit, terms, n, domain):
             for j, c in enumerate(dvec):
                 if c:
                     dense[j] = add(dense[j], mul(w, c))
-        y = _horner_vec(kit, dense_trim(dense), xs, xlog, xzero)
+        y = _horner_vec(kit, dense_trim(dense), xlog)
         count += int(np.count_nonzero(y == 0))
     return count
 
@@ -287,22 +278,23 @@ def _monic_digit_rows(q, d):
     return rows
 
 
+def _field_tables(ctx):
+    kit = ctx.vector_kit()
+    if kit is None:
+        raise TooLarge("F_%d is too large to tabulate for the sieve" % ctx.q)
+    return kit
+
+
 def _batch_mul_fixed(ctx, rows, fixed):
     """Product of every row polynomial with one fixed dense polynomial."""
-    np_mul = ctx.np_mul
-    p2 = ctx.p == 2
-    np_add = None if p2 else ctx.np_add
+    kit = _field_tables(ctx)
     n, la = rows.shape
     out = np.zeros((n, la + len(fixed) - 1), dtype=np.int64)
+    logs = kit.log[rows]
     for j, c in enumerate(fixed):
-        if not c:
-            continue
-        prod = np_mul[c, rows]
-        if p2:
-            out[:, j:j + la] ^= prod
-        else:
-            seg = out[:, j:j + la]
-            out[:, j:j + la] = np_add[seg, prod]
+        if c:
+            prod = kit.exp[logs + kit.log[c]]
+            out[:, j:j + la] = kit.add(out[:, j:j + la], prod)
     return out
 
 
@@ -368,22 +360,12 @@ def _field_from_order(q):
 def _batch_remainders(ctx, a, rows, ell):
     """Remainder of the fixed polynomial `a` modulo every monic row of
     degree ell; returns a divisibility mask."""
-    np_mul = ctx.np_mul
-    p2 = ctx.p == 2
-    if not p2:
-        np_add = ctx.np_add
-        np_neg = ctx.np_neg
-    n = len(rows)
-    rem = np.tile(np.array(a, dtype=np.int64), (n, 1))
-    divs = rows[:, :ell]
+    kit = _field_tables(ctx)
+    rem = np.tile(np.array(a, dtype=np.int64), (len(rows), 1))
+    logs = kit.log[rows[:, :ell]]
     for i in range(len(a) - 1, ell - 1, -1):
-        lead = rem[:, i]
-        prod = np_mul[lead[:, None], divs]
-        if p2:
-            rem[:, i - ell:i] ^= prod
-        else:
-            seg = rem[:, i - ell:i]
-            rem[:, i - ell:i] = np_add[seg, np_neg[prod]]
+        prod = kit.exp[kit.log[rem[:, i, None]] + logs]
+        rem[:, i - ell:i] = kit.sub(rem[:, i - ell:i], prod)
         rem[:, i] = 0
     return np.all(rem[:, :ell] == 0, axis=1)
 

@@ -117,9 +117,12 @@ def gcd_matrix(d):
 def degree_profile(f):
     """Vector s with s[i-1] = number of distinct irreducible factors of
     degree i, recovered from fixed-space dimensions of Frobenius powers."""
-    _check_zerodim_input(f)
-    ctx = f.ctx
-    M = op_matrix(f, OperatorKind.FROBENIUS)
+    return _profile(op_matrix(f, OperatorKind.FROBENIUS))
+
+
+def _profile(M):
+    """degree_profile from the Frobenius matrix M."""
+    ctx = M.ctx
     d = M.n
     ident = SquareMatrix.identity(ctx, d)
     ks = []
@@ -179,9 +182,13 @@ def zerodim_zeta(f):
 def congruence_charpoly(f, kind):
     """det(I - M*T) for the chosen operator; the coefficients provably lie
     in the prime field, and that containment is asserted."""
-    M = op_matrix(f, kind)
+    return _prime_field_charpoly(op_matrix(f, kind))
+
+
+def _prime_field_charpoly(M):
+    """congruence_charpoly from the operator matrix M."""
     coeffs = charpoly_reverse(M)
-    p = f.ctx.p
+    p = M.ctx.p
     for c in coeffs:
         if c >= p:
             raise CoefficientOutsidePrimeField(

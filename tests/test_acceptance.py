@@ -5,11 +5,17 @@ Corpora are seeded, so failures reproduce exactly.  The time budgets are
 asserted, not just wished for.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
+import ffzeta
 from conftest import field, rand_monic, rand_poly_mv
 from ffzeta import (InternalCheckError, OperatorKind, SquareMatrix,
                     charpoly_reverse, congruence_charpoly, count_points,
@@ -214,6 +220,83 @@ def test_criterion_8_internal_assertions_silent():
     except InternalCheckError as exc:  # pragma: no cover
         raise AssertionError("internal soundness check fired: %r" % exc)
     assert checked > 500
+
+
+# run by the test below in-process and under `python -O`
+_SWEEP = """
+import json
+import sys
+
+from ffzeta import (CoefficientOutsidePrimeField, OperatorKind, SparsePoly,
+                    congruence_charpoly, degree_profile, make_field,
+                    make_galois_ring, split_prime_power, zeta_mod_p,
+                    zeta_mod_pm)
+from ffzeta.hyper import _prime_subring_values
+
+
+def sweep(univariate, hypersurfaces):
+    out = []
+    for q, dense in univariate:
+        f = SparsePoly.from_dense(make_field(*split_prime_power(q)), dense)
+        out.append([congruence_charpoly(f, kind) for kind in OperatorKind])
+        out.append(list(degree_profile(f)))
+    for q, n, terms in hypersurfaces:
+        ctx = make_field(*split_prime_power(q))
+        f = SparsePoly(ctx, n, {tuple(u): c for u, c in terms})
+        d = max(f.degree(), n)
+        out.append(list(zeta_mod_p(f, n, 4, d).coeffs))
+        out.append(list(zeta_mod_pm(f, 2, 3, d).coeffs))
+    return out
+
+
+def forced_violation_raises():
+    ring = make_galois_ring(make_field(2), 2)
+    try:
+        _prime_subring_values(ring, [ring.pm], "zeta")
+    except CoefficientOutsidePrimeField:
+        return True
+    return False
+
+
+if __name__ == "__main__":
+    cases = json.load(sys.stdin)
+    print(json.dumps({"optimize": sys.flags.optimize,
+                      "sweep": sweep(*cases),
+                      "raised": forced_violation_raises()}))
+"""
+
+
+def test_criterion_8_checks_survive_python_O():
+    # python -O strips assert statements: the sweep must give the same
+    # answers there, and a violated check must still raise
+    univariate, hypersurfaces = [], []
+    for q in (2, 3, 4):
+        ctx = field(q)
+        rng = random.Random(q * 808)
+        for _ in range(4):
+            f = rand_monic(ctx, rng, rng.randrange(2, 8), nonzero_const=True)
+            univariate.append((q, f.to_dense()))
+        for n in (1, 2):
+            f = random_hypersurface(ctx, rng, n, 2)
+            hypersurfaces.append((q, n, sorted(f.terms.items())))
+    src = str(Path(ffzeta.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-O", "-c", _SWEEP],
+                         input=json.dumps([univariate, hypersurfaces]),
+                         capture_output=True, text=True, env=env,
+                         timeout=600)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["optimize"] == 1
+    assert got["raised"] is True
+    here = {}
+    exec(_SWEEP, here)
+    want = here["sweep"](univariate, hypersurfaces)
+    assert len(want) == 2 * (len(univariate) + len(hypersurfaces)) == 36
+    assert got["sweep"] == json.loads(json.dumps(want))
+    assert here["forced_violation_raises"]()
 
 
 def _time_zeta(ctx, f, n, d, repeats):

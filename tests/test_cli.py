@@ -163,6 +163,31 @@ def test_one_matrix_and_one_charpoly_per_command(argv, assembler, monkeypatch,
     assert json.loads(capsys.readouterr().out)["result"]["matrix"]
 
 
+@pytest.mark.parametrize("method,matrices", [("frobenius", 1),
+                                             ("niederreiter", 2),
+                                             ("psi", 2)])
+def test_zerodim_builds_each_operator_matrix_once(method, matrices,
+                                                  monkeypatch, capsys):
+    # the profile always needs the Frobenius matrix; the charpoly and the
+    # dump read the chosen operator's matrix, which may be the same one
+    counts = count_calls(monkeypatch, ("op_matrix",))
+    assert main(["zerodim", "--q", "3", "--poly", "x^4+x+2", "--method",
+                 method, "--dump-matrix", "--json"]) == 0
+    assert counts == {"op_matrix": matrices}
+    assert json.loads(capsys.readouterr().out)["result"]["matrix"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["modpm", "--q", "3", "-n", "1", "-m", "2", "--poly", "x^2+x+2"],
+    ["modpm", "--q", "2", "-n", "2", "-m", "2", "--poly", "x*y+1", "-B", "4"],
+])
+def test_modpm_computes_the_torus_series_once(argv, monkeypatch, capsys):
+    counts = count_calls(monkeypatch, ("torus_zeta",))
+    assert main(argv + ["--json"]) == 0
+    assert counts == {"torus_zeta": 1}
+    assert json.loads(capsys.readouterr().out)["result"]["torus"]
+
+
 def test_shift_translates_and_pulls_back(capsys):
     assert main(["factor", "--q", "3", "--poly", "x^2+2*x", "--shift", "1",
                  "--json"]) == 0

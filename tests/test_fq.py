@@ -1,8 +1,10 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
-from ffzeta import (CompositeP, ReducibleModulus, irreducibles_up_to,
+from ffzeta import (CompositeP, ReducibleModulus, fq, irreducibles_up_to,
                     make_field, make_galois_ring, split_prime_power)
 
 
@@ -115,3 +117,125 @@ def test_galois_ring_lift_roundtrip():
 def test_field_cache_returns_same_context():
     assert make_field(3, 2) is make_field(3, 2)
     assert make_field(5) is make_field(5, 1)
+
+
+# -- tables against the generic digit arithmetic -----------------------------
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            out.append(split_prime_power(q))
+        except ValueError:
+            pass
+    return out
+
+
+def _generic_pow(ctx, a, n):
+    r = 1
+    while n:
+        if n & 1:
+            r = ctx._mul_generic(r, a)
+        a = ctx._mul_generic(a, a)
+        n >>= 1
+    return r
+
+
+def _check_pair(ctx, a, b):
+    assert ctx.add(a, b) == ctx._add_generic(a, b)
+    assert ctx.sub(a, b) == ctx._add_generic(a, ctx._neg_generic(b))
+    assert ctx.mul(a, b) == ctx._mul_generic(a, b)
+
+
+def _check_element(ctx, a, exponents):
+    assert ctx.neg(a) == ctx._neg_generic(a)
+    for n in exponents:
+        assert ctx.pow(a, n) == _generic_pow(ctx, a, n)
+    if ctx.is_unit(a):
+        assert ctx._mul_generic(a, ctx.inv(a)) == 1
+        assert ctx.pow(a, -1) == ctx.inv(a)
+    if ctx.m == 1:
+        assert ctx.frob(a) == _generic_pow(ctx, a, ctx.p)
+        assert _generic_pow(ctx, ctx.pth_root(a), ctx.p) == a
+
+
+def _check_exhaustive(ctx):
+    els = range(ctx.size)
+    for a in els:
+        assert [ctx.add(a, b) for b in els] == \
+            [ctx._add_generic(a, b) for b in els]
+        assert [ctx.sub(a, b) for b in els] == \
+            [ctx._add_generic(a, ctx._neg_generic(b)) for b in els]
+        assert [ctx.mul(a, b) for b in els] == \
+            [ctx._mul_generic(a, b) for b in els]
+        _check_element(ctx, a, (0, 1, 2, 3, ctx.size - 1, ctx.size + 1))
+
+
+@pytest.mark.parametrize("p,e", _prime_powers(256))
+def test_field_tables_match_generic_arithmetic(p, e):
+    _check_exhaustive(make_field(p, e))
+
+
+def test_field_tables_nondefault_modulus():
+    ctx = make_field(3, 2, [2, 2, 1])
+    assert ctx.modulus != make_field(3, 2).modulus
+    _check_exhaustive(ctx)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 2, 2), (2, 2, 3), (2, 2, 4),
+                                   (2, 3, 2), (2, 4, 2), (3, 2, 2),
+                                   (2, 1, 5), (3, 1, 3), (5, 1, 2)])
+def test_ring_tables_match_generic_arithmetic(p, e, m):
+    ring = make_galois_ring(make_field(p, e), m)
+    assert ring.size <= 256
+    _check_exhaustive(ring)
+
+
+@pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (5, 4), (3, 7), (2, 14)])
+def test_large_field_arithmetic_random_pairs(p, e):
+    ctx = make_field(p, e)
+    rng = random.Random(p ** e)
+    for _ in range(1000):
+        a, b = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        _check_pair(ctx, a, b)
+        _check_element(ctx, a, (rng.randrange(1, 4 * ctx.q),))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4),
+                                 (5, 2), (3, 3), (2, 8), (3, 5), (3, 7),
+                                 (2999, 1), (2, 15)])
+def test_vector_kit_matches_scalar_ops(p, e):
+    ctx = make_field(p, e)
+    kit = ctx.vector_kit()
+    rng = np.random.default_rng(ctx.q)
+    if ctx.q <= 64:
+        grid = np.arange(ctx.q, dtype=np.int64)
+        a, b = (x.ravel() for x in np.meshgrid(grid, grid))
+    else:
+        a, b = rng.integers(0, ctx.q, (2, 5000))
+        a[:50] = 0
+        b[25:75] = 0
+    pairs = list(zip(a.tolist(), b.tolist()))
+    # above the list threshold scalar ops run the generic arithmetic
+    prod = kit.exp[kit.log[a] + kit.log[b]]
+    assert prod.tolist() == [ctx.mul(x, y) for x, y in pairs]
+    assert kit.add(a, b).tolist() == [ctx.add(x, y) for x, y in pairs]
+    assert kit.sub(a, b).tolist() == [ctx.sub(x, y) for x, y in pairs]
+
+
+def test_vector_kit_absent_above_the_caps():
+    assert make_field(3, 8).vector_kit() is None
+    assert make_field(3001).vector_kit() is None
+
+
+def test_contexts_build_in_well_under_a_second(monkeypatch):
+    # no set-up cost may grow quadratically in the size of the context
+    monkeypatch.setattr(fq, "_FIELD_CACHE", {})
+    monkeypatch.setattr(fq, "_RING_CACHE", {})
+    builds = [lambda: make_field(3, 6),
+              lambda: make_galois_ring(make_field(2, 2), 5),
+              lambda: make_galois_ring(make_field(3, 2), 3)]
+    for build in builds:
+        t0 = time.perf_counter()
+        ctx = build()
+        assert time.perf_counter() - t0 < 1.0, ctx

@@ -156,3 +156,19 @@ def test_sieve_cap():
     ctx = field(3)
     with pytest.raises(TooLarge):
         irreducibles_up_to(ctx, 9, DEFAULT_LIMITS.but(max_sieve=100))
+
+
+def test_trial_factorize_past_the_old_table_order():
+    # fields between 1024 and the odd-p cap run the sieve on log tables
+    ctx = field(1031)
+    # (x - 1)(x + 2)(x^2 - x + 3)
+    f = SparsePoly.from_dense(ctx, [1025, 5, 0, 0, 1])
+    fac = trial_factorize(f)
+    assert [(g.to_dense(), m) for g, m in fac.factors] == \
+        [([2, 1], 1), ([1030, 1], 1), ([3, 1030, 1], 1)]
+    assert fac.expand() == f
+
+
+def test_sieve_needs_field_tables():
+    with pytest.raises(TooLarge):
+        irreducibles_up_to(field(3001), 2)
