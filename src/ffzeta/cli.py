@@ -7,6 +7,18 @@ congruence claims via the brute-force oracle.
 
 Output is human text by default, one JSON document with --json.  Exit
 codes: 0 success, 2 malformed input, 3 violated precondition, 4 size cap.
+
+--poly, --shift and --modulus share one grammar:
+
+    sum    := [+|-] term {(+|-) term}
+    term   := factor {* factor}
+    factor := integer | name [^ integer] | ( sum )
+
+A product needs its `*` (2*t, not 2t).  Names are the variables x1..xN
+(x, y, z when N <= 3) and t, the root of the field modulus, which a prime
+field refuses.  Inside parentheses only integers and t may appear, and
+parentheses do not nest.  --modulus is read like the inside of
+parentheses: integers and t, no parentheses.
 """
 
 from __future__ import annotations
@@ -25,8 +37,9 @@ from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (OperatorKind, _prime_field_charpoly, _profile,
-                      _zeta_from_profile, congruence_charpoly, op_matrix)
+from .zerodim import (FactoredZeta, OperatorKind, _prime_field_charpoly,
+                      _profile, _zeta_from_profile, congruence_charpoly,
+                      op_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -34,200 +47,148 @@ from .zerodim import (OperatorKind, _prime_field_charpoly, _profile,
 
 
 _TOKEN = re.compile(r"(\d+)|([A-Za-z]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\))")
+_END, _NUM, _NAME, _CARET, _STAR, _PLUS, _MINUS, _OPEN, _CLOSE = range(9)
+_MAX_MODULUS_DEGREE = 1024
 
 
 def _tokenize(text):
+    """(kind, value, position) triples, an integer's value an int, ending
+    with an _END token."""
     out = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
             continue
         m = _TOKEN.match(text, i)
         if m is None:
-            raise ParseError("unexpected character %r" % ch, i)
-        kind = m.lastindex  # 1 num, 2 name, 3 ^, 4 *, 5 +, 6 -, 7 (, 8 )
-        out.append((kind, m.group(0), i))
+            raise ParseError("unexpected character %r" % text[i], i)
+        kind = m.lastindex
+        try:
+            value = int(m.group(0)) if kind == _NUM else m.group(0)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ParseError("integer has too many digits", i) from None
+        out.append((kind, value, i))
         i = m.end()
-    out.append((0, "", len(text)))
+    out.append((_END, "", len(text)))
     return out
 
 
-_NUM, _NAME, _CARET, _STAR, _PLUS, _MINUS, _OPEN, _CLOSE = range(1, 9)
+def _product(a, b):
+    out = {}
+    for u, c in a.items():
+        for v, d in b.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = out.get(w, 0) + c * d
+    return out
 
 
-def _expect_exponent(toks, i):
-    kind, text, pos = toks[i]
-    if kind != _NUM:
-        raise ParseError("expected an integer exponent", pos)
-    return int(text), i + 1
-
-
-def _parse_tpoly(toks, i, ctx, closing):
-    """Sum of integer/t-power terms, ending at `closing` (a token kind);
-    value is a single field element."""
-    if ctx.e == 1:
-        raise ParseError("coefficient uses t but the field is prime",
-                         toks[i][2])
-    total = 0
-    first = True
-    while toks[i][0] != closing:
-        kind, text, pos = toks[i]
-        sign = 1
+def _read_sum(toks, i, end, slot, width, group):
+    """Read a signed sum of `*`-products ending at the token kind `end`;
+    returns ({exponent tuple: int}, index past `end`).  `slot(name, pos)`
+    gives a name's place in the exponent tuple; `group(toks, i)` reads a
+    parenthesised factor after its `(`, and parentheses are a ParseError
+    where it is None."""
+    one = (0,) * width
+    total = {}
+    while True:
+        kind = toks[i][0]
+        term = {one: -1 if kind == _MINUS else 1}
         if kind in (_PLUS, _MINUS):
-            if first and kind == _PLUS:
-                raise ParseError("expected a number or t-power", pos)
-            sign = -1 if kind == _MINUS else 1
             i += 1
-            kind, text, pos = toks[i]
-        elif not first:
-            raise ParseError("expected + or - between terms", pos)
-        first = False
-        acc = 1
-        seen = False
-        if kind == _NUM:
-            acc = int(text) % ctx.p
-            seen = True
+        while True:
+            kind, value, pos = toks[i]
             i += 1
-            if toks[i][0] == _STAR:
-                i += 1
-                kind, text, pos = toks[i]
-                if kind != _NAME or text != "t":
-                    raise ParseError("expected t after *", pos)
-        kind, text, pos = toks[i]
-        if kind == _NAME and text == "t":
+            if kind == _NUM:
+                factor = {one: value}
+            elif kind == _NAME:
+                k = 1
+                if toks[i][0] == _CARET:
+                    if toks[i + 1][0] != _NUM:
+                        raise ParseError("expected an integer exponent",
+                                         toks[i + 1][2])
+                    k = toks[i + 1][1]
+                    i += 2
+                u = [0] * width
+                u[slot(value, pos)] = k
+                factor = {tuple(u): 1}
+            elif kind == _OPEN and group is not None:
+                factor, i = group(toks, i)
+            else:
+                raise ParseError("expected a factor", pos)
+            term = _product(term, factor)
+            if toks[i][0] != _STAR:
+                break
             i += 1
-            k = 1
-            if toks[i][0] == _CARET:
-                k, i = _expect_exponent(toks, i + 1)
-            acc = ctx.mul(acc, ctx.pow(ctx.p, k))
-            seen = True
-        if not seen:
-            raise ParseError("expected a number or t-power", pos)
-        if sign < 0:
-            acc = ctx.neg(acc)
-        total = ctx.add(total, acc)
-    return total, i + 1
+        for u, c in term.items():
+            total[u] = total.get(u, 0) + c
+        kind, _, pos = toks[i]
+        if kind == end:
+            return total, i + 1
+        if kind == _END:
+            raise ParseError("unclosed parenthesis", pos)
+        if kind not in (_PLUS, _MINUS):
+            raise ParseError("expected *, + or -", pos)
 
 
 def parse_poly(text, ctx, nvars):
-    """Parse '+'/'-'-separated terms of '*'-separated factors; factors are
-    integers, t-powers, parenthesized t-polynomials, or variable powers.
-    Variables are x1..xN, with x, y, z as aliases when N <= 3."""
-    toks = _tokenize(text)
-    names = {}
-    for k in range(nvars):
-        names["x%d" % (k + 1)] = k
+    """Polynomial over ctx in nvars variables.  Variables are x1..xN, with
+    x, y, z as aliases when N <= 3; t is the root of the field modulus."""
+    names = {"x%d" % (k + 1): k for k in range(nvars)}
     if nvars <= 3:
-        for k, alias in enumerate(var_names(nvars)):
-            names[alias] = k
-    terms = {}
-    i = 0
-    sign = 1
-    if toks[i][0] == 0:
-        raise ParseError("empty polynomial", 0)
-    while toks[i][0] != 0:
-        kind, text_, pos = toks[i]
-        if kind == _PLUS or kind == _MINUS:
-            sign = 1 if kind == _PLUS else -1
-            i += 1
-            if toks[i][0] == 0:
-                raise ParseError("dangling sign", pos)
-        coeff = 1
-        exps = [0] * nvars
-        want_factor = True
-        while True:
-            kind, text_, pos = toks[i]
-            if want_factor:
-                if kind == _NUM:
-                    coeff = ctx.mul(coeff, int(text_) % ctx.p)
-                    i += 1
-                elif kind == _OPEN:
-                    val, i = _parse_tpoly(toks, i + 1, ctx, _CLOSE)
-                    coeff = ctx.mul(coeff, val)
-                elif kind == _NAME and text_ == "t":
-                    if ctx.e == 1:
-                        raise ParseError(
-                            "coefficient uses t but the field is prime", pos)
-                    i += 1
-                    k = 1
-                    if toks[i][0] == _CARET:
-                        k, i = _expect_exponent(toks, i + 1)
-                    coeff = ctx.mul(coeff, ctx.pow(ctx.p, k))
-                elif kind == _NAME:
-                    if text_ not in names:
-                        raise UnknownVariable(
-                            "unknown variable %r" % text_, pos)
-                    i += 1
-                    k = 1
-                    if toks[i][0] == _CARET:
-                        k, i = _expect_exponent(toks, i + 1)
-                    exps[names[text_]] += k
-                else:
-                    raise ParseError("expected a factor", pos)
-                want_factor = False
-            elif kind == _STAR:
-                want_factor = True
-                i += 1
-            else:
-                break
-        u = tuple(exps)
-        val = coeff if sign > 0 else ctx.neg(coeff)
-        prev = terms.get(u, 0)
-        now = ctx.add(prev, val)
-        if now:
-            terms[u] = now
-        elif u in terms:
-            del terms[u]
-        kind, text_, pos = toks[i]
-        if kind == 0:
-            break
-        if kind not in (_PLUS, _MINUS):
-            raise ParseError("expected + or - between terms", pos)
-    return SparsePoly(ctx, nvars, terms)
+        names.update((alias, k) for k, alias in enumerate(var_names(nvars)))
+    one = (0,) * nvars
+
+    def slot(name, pos):
+        if name == "t":
+            if ctx.e == 1:
+                raise ParseError("coefficient uses t but the field is prime",
+                                 pos)
+            return nvars
+        if name not in names:
+            raise UnknownVariable("unknown variable %r" % name, pos)
+        return names[name]
+
+    def t_only(name, pos):
+        if name != "t":
+            raise ParseError("only integers and t may appear inside "
+                             "parentheses", pos)
+        return slot(name, pos)
+
+    def group(toks, i):
+        # the digits of the group's field element, so that a product of
+        # groups stays as small as the field
+        raw, i = _read_sum(toks, i, _CLOSE, t_only, nvars + 1, None)
+        a = to_field(raw).get(one, 0)
+        return {one + (j,): d for j, d in enumerate(ctx.coeffs(a))}, i
+
+    def to_field(raw):
+        terms = {}
+        for u, c in raw.items():
+            val = ctx.mul(c % ctx.p, ctx.pow(ctx.p, u[-1]))
+            terms[u[:-1]] = ctx.add(terms.get(u[:-1], 0), val)
+        return terms
+
+    raw, _ = _read_sum(_tokenize(text), 0, _END, slot, nvars + 1, group)
+    return SparsePoly(ctx, nvars, to_field(raw))
 
 
 def parse_modulus(text, p):
     """Monic t-polynomial with integer coefficients, little-endian list."""
-    toks = _tokenize(text)
-    coeffs = {}
-    i = 0
-    sign = 1
-    if toks[i][0] == 0:
-        raise ParseError("empty modulus", 0)
-    while toks[i][0] != 0:
-        kind, text_, pos = toks[i]
-        if kind in (_PLUS, _MINUS):
-            sign = 1 if kind == _PLUS else -1
-            i += 1
-        coef = 1
-        deg = 0
-        kind, text_, pos = toks[i]
-        if kind == _NUM:
-            coef = int(text_)
-            i += 1
-            if toks[i][0] == _STAR:
-                i += 1
-                kind, text_, pos = toks[i]
-                if kind != _NAME or text_ != "t":
-                    raise ParseError("expected t", pos)
-        kind, text_, pos = toks[i]
-        if kind == _NAME:
-            if text_ != "t":
-                raise UnknownVariable("modulus variable must be t", pos)
-            i += 1
-            deg = 1
-            if toks[i][0] == _CARET:
-                deg, i = _expect_exponent(toks, i + 1)
-        coeffs[deg] = (coeffs.get(deg, 0) + sign * coef) % p
-        kind, text_, pos = toks[i]
-        if kind == 0:
-            break
-        if kind not in (_PLUS, _MINUS):
-            raise ParseError("expected + or - between terms", pos)
-    top = max(coeffs)
-    return [coeffs.get(k, 0) for k in range(top + 1)]
+    def t_only(name, pos):
+        if name != "t":
+            raise UnknownVariable("modulus variable must be t", pos)
+        return 0
+
+    raw, _ = _read_sum(_tokenize(text), 0, _END, t_only, 1, None)
+    top = max(k for (k,) in raw)
+    if top > _MAX_MODULUS_DEGREE:
+        raise ParseError("modulus degree %d is above %d"
+                         % (top, _MAX_MODULUS_DEGREE))
+    coeffs = [0] * (top + 1)
+    for (k,), c in raw.items():
+        coeffs[k] = c % p
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -250,27 +211,27 @@ def _field_from_args(args):
 
 
 def _limits_from_args(args):
-    kw = {}
-    for name in ("max_terms", "max_enum", "max_sieve", "max_factor_q",
-                 "max_basis", "max_nvars"):
-        v = getattr(args, name, None)
-        if v is not None:
-            kw[name] = v
+    kw = {k: v for k, v in vars(args).items()
+          if k.startswith("max_") and v is not None}
     return DEFAULT_LIMITS.but(**kw) if kw else DEFAULT_LIMITS
-
-
-def _parse_shift(args, ctx):
-    if args.shift is None:
-        return None
-    c = parse_poly(args.shift, ctx, 1)
-    if not c.is_constant():
-        raise ParseError("--shift must be a constant")
-    return c.constant_term()
 
 
 def _shifted(f, c):
     dense = f.to_dense()
     return SparsePoly.from_dense(f.ctx, dense_translate(f.ctx, dense, c))
+
+
+def _shifted_poly(args, ctx):
+    """The univariate --poly translated x -> x + c by the --shift constant
+    c, and c (None without --shift)."""
+    f = parse_poly(args.poly, ctx, 1)
+    if args.shift is None:
+        return f, None
+    c = parse_poly(args.shift, ctx, 1)
+    if not c.is_constant():
+        raise ParseError("--shift must be a constant")
+    c = c.constant_term()
+    return _shifted(f, c), c
 
 
 def _cmd_count(args, ctx, limits):
@@ -280,9 +241,7 @@ def _cmd_count(args, ctx, limits):
 
 
 def _cmd_zerodim(args, ctx, limits):
-    f = parse_poly(args.poly, ctx, 1)
-    shift = _parse_shift(args, ctx)
-    g = _shifted(f, shift) if shift is not None else f
+    g, _ = _shifted_poly(args, ctx)
     kind = _METHODS[args.method]
     frob = op_matrix(g, OperatorKind.FROBENIUS)
     prof = _profile(frob)
@@ -303,85 +262,52 @@ def _cmd_zerodim(args, ctx, limits):
 
 
 def _cmd_factor(args, ctx, limits):
-    f = parse_poly(args.poly, ctx, 1)
-    shift = _parse_shift(args, ctx)
-    g = _shifted(f, shift) if shift is not None else f
-    kind = _METHODS[args.method]
-    fac = factorize(g, kind, limits)
+    g, shift = _shifted_poly(args, ctx)
+    fac = factorize(g, _METHODS[args.method], limits)
     if shift is not None:
         back = ctx.neg(shift)
-        pulled = [(SparsePoly.from_dense(
-            ctx, dense_translate(ctx, h.to_dense(), back)), m)
-            for h, m in fac.factors]
+        pulled = [(_shifted(h, back), m) for h, m in fac.factors]
         pulled.sort(key=factor_sort_key)
         fac = Factorization(fac.unit, tuple(pulled))
     result = [[render_poly(h), m] for h, m in fac.factors]
     return {"factors": result}, str(fac)
 
 
-def _cmd_modp(args, ctx, limits):
+def _cmd_series(args, ctx, limits):
     f = parse_poly(args.poly, ctx, args.nvars)
-    M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d,
-                                        limits)
-    result = {
-        "modulus": ctx.p,
-        "series": list(series.coeffs),
-        "det_factors": [[expo, det] for expo, det in dets],
-    }
+    result = {}
+    if args.command == "modp":
+        M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d,
+                                            limits)
+    else:
+        M, dets, torus, series = _zeta_mod_pm_parts(f, args.m, args.B,
+                                                    args.d, limits)
+        result["torus"] = list(torus.coeffs)
+    result.update(modulus=series.modulus, series=list(series.coeffs),
+                  det_factors=[[expo, det] for expo, det in dets])
     if args.dump_matrix:
         result["matrix"] = M.to_rows()
-    return result, "Z mod %d = %s" % (ctx.p, series)
-
-
-def _cmd_modpm(args, ctx, limits):
-    f = parse_poly(args.poly, ctx, args.nvars)
-    M, dets, torus, series = _zeta_mod_pm_parts(f, args.m, args.B, args.d,
-                                                limits)
-    pm = series.modulus
-    result = {
-        "modulus": pm,
-        "series": list(series.coeffs),
-        "det_factors": [[expo, det] for expo, det in dets],
-        "torus": list(torus.coeffs),
-    }
-    if args.dump_matrix:
-        result["matrix"] = M.to_rows()
-    return result, "Z mod %d = %s" % (pm, series)
+    return result, "Z mod %d = %s" % (series.modulus, series)
 
 
 def _cmd_verify(args, ctx, limits):
     f = parse_poly(args.poly, ctx, args.nvars)
-    if args.mode == "modp":
-        B = args.B or 4
-        series = zeta_mod_p(f, args.nvars, B, args.d, limits)
-        counts = [count_points(f, k, "affine", limits)
-                  for k in range(1, B + 1)]
-        exact = zeta_coeffs_exact(counts, B)
-        lhs = list(series.coeffs)
-        rhs = [c % ctx.p for c in exact]
-    elif args.mode == "modpm":
-        B = args.B or 4
-        pm = ctx.p ** args.m
-        series = zeta_mod_pm(f, args.m, B, args.d, limits)
-        counts = [count_points(f, k, "torus", limits)
-                  for k in range(1, B + 1)]
-        exact = zeta_coeffs_exact(counts, B)
-        lhs = list(series.coeffs)
-        rhs = [c % pm for c in exact]
-    else:  # zerodim
-        kind = _METHODS[args.method]
-        lhs = congruence_charpoly(f, kind)
+    if args.mode == "zerodim":
+        lhs = congruence_charpoly(f, _METHODS[args.method])
+        # 1/Z = prod (1 - T^deg h) over the distinct irreducible factors h
         fac = trial_factorize(f, limits)
-        prod = [1]
-        for h, _ in fac.factors:
-            d = h.degree()
-            nxt = [0] * (len(prod) + d)
-            for j, c in enumerate(prod):
-                nxt[j] = (nxt[j] + c) % ctx.p
-                nxt[j + d] = (nxt[j + d] - c) % ctx.p
-            prod = nxt
-        rhs = prod
-        rhs += [0] * (len(lhs) - len(rhs))
+        inverse = FactoredZeta(tuple((h.degree(), 1) for h, _ in fac.factors))
+        rhs = [c % ctx.p for c in inverse.expand(len(lhs) - 1)]
+    else:
+        B = 4 if args.B is None else args.B
+        if args.mode == "modp":
+            series = zeta_mod_p(f, args.nvars, B, args.d, limits)
+        else:
+            series = zeta_mod_pm(f, args.m, B, args.d, limits)
+        domain = "affine" if args.mode == "modp" else "torus"
+        counts = [count_points(f, k, domain, limits) for k in range(1, B + 1)]
+        lhs = list(series.coeffs)
+        rhs = [c % series.modulus for c in zeta_coeffs_exact(counts, B)]
     match = lhs == rhs
     result = {"match": match, "lhs": lhs, "rhs": rhs,
               "terms_compared": len(lhs)}
@@ -399,8 +325,8 @@ _COMMANDS = {
     "count": _cmd_count,
     "zerodim": _cmd_zerodim,
     "factor": _cmd_factor,
-    "modp": _cmd_modp,
-    "modpm": _cmd_modpm,
+    "modp": _cmd_series,
+    "modpm": _cmd_series,
     "verify": _cmd_verify,
     "torus-zeta": _cmd_torus,
 }
@@ -450,22 +376,17 @@ def build_parser():
     p.add_argument("--shift", help="translate x -> x + c first; factors "
                    "are translated back")
 
-    p = sub.add_parser("modp", help="zeta series of an affine hypersurface "
-                       "mod p")
-    common(p)
-    p.add_argument("-n", "--nvars", type=int, default=1)
-    p.add_argument("-B", type=int, default=None, help="truncation order")
-    p.add_argument("-d", type=int, default=None, help="degree bound")
-    p.add_argument("--dump-matrix", action="store_true")
-
-    p = sub.add_parser("modpm", help="zeta series of a toric hypersurface "
-                       "mod p^m")
-    common(p)
-    p.add_argument("-n", "--nvars", type=int, default=1)
-    p.add_argument("-m", type=int, default=1, help="precision exponent")
-    p.add_argument("-B", type=int, default=None, help="truncation order")
-    p.add_argument("-d", type=int, default=None, help="degree bound")
-    p.add_argument("--dump-matrix", action="store_true")
+    for name, what in (("modp", "an affine hypersurface mod p"),
+                       ("modpm", "a toric hypersurface mod p^m")):
+        p = sub.add_parser(name, help="zeta series of " + what)
+        common(p)
+        p.add_argument("-n", "--nvars", type=int, default=1)
+        if name == "modpm":
+            p.add_argument("-m", type=int, default=1,
+                           help="precision exponent")
+        p.add_argument("-B", type=int, help="truncation order")
+        p.add_argument("-d", type=int, help="degree bound")
+        p.add_argument("--dump-matrix", action="store_true")
 
     p = sub.add_parser("verify", help="recompute a congruence via the "
                        "brute-force oracle and compare")
@@ -474,8 +395,8 @@ def build_parser():
                    required=True)
     p.add_argument("-n", "--nvars", type=int, default=1)
     p.add_argument("-m", type=int, default=2)
-    p.add_argument("-B", type=int, default=None)
-    p.add_argument("-d", type=int, default=None)
+    p.add_argument("-B", type=int, help="truncation order (default 4)")
+    p.add_argument("-d", type=int, help="degree bound")
     p.add_argument("--method", choices=sorted(_METHODS), default="frobenius")
 
     p = sub.add_parser("torus-zeta", help="closed-form zeta of the n-torus")

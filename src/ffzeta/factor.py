@@ -54,12 +54,6 @@ class Factorization:
     def degree(self):
         return sum(mult * g.degree() for g, mult in self.factors)
 
-    def distinct_degrees(self):
-        """Degree of each distinct irreducible factor, multiplicities
-        ignored; this is what the operator characteristic polynomials
-        see."""
-        return tuple(g.degree() for g, _ in self.factors)
-
     def __str__(self):
         if not self.factors:
             return str(self.unit)

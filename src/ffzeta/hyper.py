@@ -247,7 +247,7 @@ def rmd_basis(n, d, p, m, limits=None):
 # operator matrices
 
 
-def _operator_matrix(ctx, power, basis, limits):
+def _operator_matrix(ctx, power, basis):
     """Matrix of h -> psi_q(power * h) on the basis, column convention."""
     q = ctx.q
     index = basis.index_map()
@@ -286,7 +286,7 @@ def hyper_matrix_mod_p(f, n=None, d=None, limits=None):
         raise ValueError("degree bound %d is below deg f = %d" % (d, deg))
     basis = rd_basis(n, d, limits)
     power = poly_pow(f, ctx.q - 1, limits)
-    return _operator_matrix(ctx, power, basis, limits)
+    return _operator_matrix(ctx, power, basis)
 
 
 def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
@@ -311,7 +311,7 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
         raise EmptyBasis("cannot build a basis for the zero polynomial")
     basis = rmd_basis(n, d, ctx.p, m, limits)
     power = poly_pow(f_lift, (ctx.q - 1) * ctx.p ** (m - 1), limits)
-    return _operator_matrix(ctx, power, basis, limits)
+    return _operator_matrix(ctx, power, basis)
 
 
 def _prime_subring_values(ctx, codes, what):

@@ -199,23 +199,18 @@ def charpoly_reverse(M):
     return out
 
 
-def kernel_basis(M):
-    """Basis of ker(M) over a field, from the reduced row echelon form;
-    vectors are ordered by their free column."""
-    ctx = M.ctx
-    if ctx.m != 1:
-        raise RingNotField("kernels need field coefficients")
-    n = M.n
-    rows = M.to_rows()
+def _reduce_rows(ctx, rows, ncols):
+    """Gauss-Jordan over a field: bring the first ncols columns of the row
+    lists to reduced row echelon form in place; returns the pivot
+    columns, one per leading row."""
+    n = len(rows)
     pivots = []
     r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, n):
-            if rows[i][col]:
-                sel = i
+    for col in range(ncols):
+        for sel in range(r, n):
+            if rows[sel][col]:
                 break
-        if sel is None:
+        else:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
         inv = ctx.inv(rows[r][col])
@@ -229,6 +224,18 @@ def kernel_basis(M):
         r += 1
         if r == n:
             break
+    return pivots
+
+
+def kernel_basis(M):
+    """Basis of ker(M) over a field, from the reduced row echelon form;
+    vectors are ordered by their free column."""
+    ctx = M.ctx
+    if ctx.m != 1:
+        raise RingNotField("kernels need field coefficients")
+    n = M.n
+    rows = M.to_rows()
+    pivots = _reduce_rows(ctx, rows, n)
     pivot_set = set(pivots)
     basis = []
     for col in range(n):
@@ -250,24 +257,8 @@ def invert(M):
     n = M.n
     rows = [list(r) + [1 if i == j else 0 for j in range(n)]
             for i, r in enumerate(M.to_rows())]
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, n):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            raise SingularMatrix("matrix is singular")
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = ctx.inv(rows[r][col])
-        rows[r] = [ctx.mul(v, inv) for v in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [ctx.sub(v, ctx.mul(c, w))
-                           for v, w in zip(rows[i], rows[r])]
-        r += 1
+    if len(_reduce_rows(ctx, rows, n)) < n:
+        raise SingularMatrix("matrix is singular")
     return SquareMatrix.from_rows(ctx, [row[n:] for row in rows])
 
 

@@ -12,7 +12,8 @@ the field's 1-D tables (log/antilog, and for odd p the carry-free addition
 of fq.VectorKit), one Horner pass over every value of the last variable per
 point of the others; otherwise a plain odometer loop runs.  Either way the
 work is q^(k*n) point evaluations, capped by Limits.max_enum.  The sieve
-and trial division run on the same tables.
+and trial division run on the same tables over extension fields and on
+int64 arithmetic mod p over prime fields.
 """
 
 from __future__ import annotations
@@ -279,6 +280,12 @@ def _monic_digit_rows(q, d):
 
 
 def _field_tables(ctx):
+    """None for a prime field, whose rows reduce by int64 % p; otherwise
+    the field's tables."""
+    if ctx.e == 1:
+        if ctx.p >= 1 << 31:
+            raise TooLarge("p = %d is too large for int64 products" % ctx.p)
+        return None
     kit = ctx.vector_kit()
     if kit is None:
         raise TooLarge("F_%d is too large to tabulate for the sieve" % ctx.q)
@@ -290,11 +297,16 @@ def _batch_mul_fixed(ctx, rows, fixed):
     kit = _field_tables(ctx)
     n, la = rows.shape
     out = np.zeros((n, la + len(fixed) - 1), dtype=np.int64)
-    logs = kit.log[rows]
+    logs = None if kit is None else kit.log[rows]
     for j, c in enumerate(fixed):
-        if c:
-            prod = kit.exp[logs + kit.log[c]]
-            out[:, j:j + la] = kit.add(out[:, j:j + la], prod)
+        if not c:
+            continue
+        acc = out[:, j:j + la]
+        if kit is None:
+            acc += rows * c
+            acc %= ctx.p
+        else:
+            acc[:] = kit.add(acc, kit.exp[logs + kit.log[c]])
     return out
 
 
@@ -362,10 +374,15 @@ def _batch_remainders(ctx, a, rows, ell):
     degree ell; returns a divisibility mask."""
     kit = _field_tables(ctx)
     rem = np.tile(np.array(a, dtype=np.int64), (len(rows), 1))
-    logs = kit.log[rows[:, :ell]]
+    low = rows[:, :ell]
+    logs = None if kit is None else kit.log[low]
     for i in range(len(a) - 1, ell - 1, -1):
-        prod = kit.exp[kit.log[rem[:, i, None]] + logs]
-        rem[:, i - ell:i] = kit.sub(rem[:, i - ell:i], prod)
+        acc = rem[:, i - ell:i]
+        if kit is None:
+            acc -= rem[:, i, None] * low
+            acc %= ctx.p
+        else:
+            acc[:] = kit.sub(acc, kit.exp[kit.log[rem[:, i, None]] + logs])
         rem[:, i] = 0
     return np.all(rem[:, :ell] == 0, axis=1)
 
@@ -387,7 +404,7 @@ def trial_factorize(f, limits=None):
     half = (len(rem) - 1) // 2
     if half >= 1 and ctx.q ** half > lim.max_sieve:
         raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
-    data = _sieve(ctx, max(half, 1))
+    data = _sieve(ctx, half)
     factors = []
     for ell in range(1, half + 1):
         if 2 * ell > len(rem) - 1:

@@ -25,7 +25,8 @@ from .errors import (CoefficientOutsidePrimeField, ConstantInput,
                      InvariantViolation, MultivariateInput, NotMonic,
                      RingNotField, ZeroConstantTerm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis, solve_integer
-from .poly import (SparsePoly, _binom_mod_p, dense_mod, dense_mul, dense_trim)
+from .poly import (SparsePoly, _binom_mod_p, dense_mod, dense_mul,
+                   dense_powmod, dense_trim)
 
 
 class OperatorKind(enum.Enum):
@@ -70,7 +71,6 @@ def op_matrix(f, kind):
         raise ZeroConstantTerm("psi-multiplication operator needs f(0) != 0")
     cols = []
     if kind == OperatorKind.FROBENIUS:
-        from .poly import dense_powmod
         for j in range(d):
             col = dense_powmod(ctx, [0] * j + [1], q, fd)
             cols.append(col + [0] * (d - len(col)))

@@ -92,6 +92,68 @@ def test_parse_modulus_forms():
         parse_modulus("x^2+1", 2)
 
 
+def test_parse_rejects_signs_and_groups_without_a_term():
+    for bad in ("t^2+", "+", "-", "t^2 - ", "()"):
+        with pytest.raises(ParseError):
+            parse_modulus(bad, 3)
+    ctx9 = field(9)
+    for bad in ("x*()", "x^2+()", "( )", "(t+)*x", "x*(-)"):
+        with pytest.raises(ParseError):
+            parse_poly(bad, ctx9, 1)
+
+
+def test_parentheses_hold_integers_and_t_only():
+    ctx9 = field(9)
+    for bad in ("(x+1)*y", "((t))*x", "(t*(t+1))*x", "(y)"):
+        with pytest.raises(ParseError):
+            parse_poly(bad, ctx9, 2)
+    with pytest.raises(ParseError):
+        parse_modulus("(t+1)*t", 3)
+    with pytest.raises(UnknownVariable):
+        parse_modulus("t^2+s", 3)
+
+
+def test_products_and_signs_read_alike_everywhere():
+    ctx9 = field(9)
+    assert parse_poly("(t*t)*x", ctx9, 1) == parse_poly("t^2*x", ctx9, 1)
+    assert parse_poly("(+t)", ctx9, 1) == parse_poly("t", ctx9, 1)
+    assert parse_poly("(t*2 - 3*t)*x", ctx9, 1) == parse_poly("(2*t)*x",
+                                                             ctx9, 1)
+    assert parse_modulus("t*t+1", 3) == [1, 0, 1]
+    assert parse_modulus("2*3*t^2 + t*t*t", 5) == [0, 0, 1, 1]
+    # a group over a prime field is its integer value
+    assert parse_poly("(2)*x + (1+1)", field(3), 1).to_dense() == [2, 2]
+
+
+def test_products_need_their_star():
+    # "2t" was read as 2*t inside parentheses and in --modulus only
+    with pytest.raises(ParseError):
+        parse_modulus("t^2+2t+1", 3)
+    for bad in ("(2t)*x", "2x", "x y", "(t 2)"):
+        with pytest.raises(ParseError):
+            parse_poly(bad, field(9), 2)
+
+
+def test_parse_guards_against_huge_values():
+    with pytest.raises(ParseError):
+        parse_modulus("t^99999999999+1", 2)
+    with pytest.raises(ParseError):
+        parse_poly("9" * 5000 + "*x", field(2), 1)
+    # products of groups fold into the field, so they stay small
+    text = "*".join("(t^%d+t+1)" % (7 ** k) for k in range(12)) + "*x"
+    assert len(parse_poly(text, field(9), 1).terms) == 1
+
+
+def test_modulus_render_parse_round_trip():
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            coeffs = [rng.randrange(p) for _ in range(rng.randrange(0, 7))]
+            coeffs.append(rng.randrange(1, p))
+            text = render_poly(SparsePoly.from_dense(field(p), coeffs))
+            assert parse_modulus(text.replace("x", "t"), p) == coeffs
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_render_parse_round_trip(q):
     ctx = field(q)
@@ -121,6 +183,28 @@ def test_exit_code_parse_error(capsys):
     assert "parse error" in capsys.readouterr().err
     assert main(["count", "--q", "6", "-n", "1", "--poly", "x"]) == 2
     assert main(["zerodim", "--q", "2", "--poly", "x+w"]) == 2
+
+
+def test_exit_code_for_malformed_groups_and_moduli(capsys):
+    assert main(["zerodim", "--q", "9", "--poly", "x^2+()"]) == 2
+    assert main(["zerodim", "--q", "9", "--poly", "x^2+1",
+                 "--modulus", "t^2+"]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("B", ["0", "-3"])
+def test_verify_rejects_truncation_below_one(B, capsys):
+    assert main(["verify", "--q", "2", "--poly", "x^3+x+1", "--mode",
+                 "modp", "-B", B]) == 2
+    assert "truncation order must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_truncates_at_four_by_default(capsys):
+    assert main(["verify", "--q", "2", "--poly", "x^3+x+1", "--mode",
+                 "modp", "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["result"]["terms_compared"] == 5
+    assert "B" not in got["inputs"]
 
 
 def test_exit_code_precondition(capsys):

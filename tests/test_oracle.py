@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (count_scalar_reference, field, rand_monic,
@@ -9,6 +10,7 @@ from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
                     count_vector, degree_profile, irreducibles_up_to,
                     trial_factorize, zeta_coeffs_exact, zerodim_zeta)
 from ffzeta.config import DEFAULT_LIMITS
+from ffzeta.oracle import _batch_mul_fixed, _batch_remainders
 from ffzeta.poly import SparsePoly
 
 
@@ -169,6 +171,41 @@ def test_trial_factorize_past_the_old_table_order():
     assert fac.expand() == f
 
 
-def test_sieve_needs_field_tables():
+def test_sieve_over_a_prime_field_past_the_table_cap():
+    # F_3001 carries no field tables; prime fields sieve with int64 % p
+    assert len(irreducibles_up_to(field(3001), 1)) == 3001
+
+
+def test_trial_factorize_over_a_prime_field_past_the_table_cap():
+    ctx = field(3001)
+    f = SparsePoly.from_dense(ctx, [6, 11, 6, 1])  # (x+1)(x+2)(x+3)
+    fac = trial_factorize(f)
+    assert [(g.to_dense(), m) for g, m in fac.factors] == [
+        ([1, 1], 1), ([2, 1], 1), ([3, 1], 1)]
+
+
+def test_prime_field_sieve_arithmetic_near_the_int64_bound():
+    p = 2 ** 31 - 1
+    ctx = field(p)
+    rng = random.Random(3)
+    rows = np.array([[rng.randrange(p), rng.randrange(p), 1]
+                     for _ in range(20)], dtype=np.int64)
+    fixed = [rng.randrange(p) for _ in range(4)]
+    got = _batch_mul_fixed(ctx, rows, fixed)
+    for row, out in zip(rows.tolist(), got.tolist()):
+        want = [0] * 6
+        for i, a in enumerate(row):
+            for j, b in enumerate(fixed):
+                want[i + j] = (want[i + j] + a * b) % p
+        assert out == want
+    mask = _batch_remainders(ctx, got[0].tolist(), rows, 2)
+    assert mask.tolist() == [True] + [False] * 19
+    with pytest.raises(TooLarge):  # p^2 would pass int64
+        _batch_mul_fixed(field(2 ** 31 + 11), rows % 5, [1])
+
+
+def test_sieve_needs_tables_for_extension_fields():
+    ctx = field(3 ** 8)  # 6561 > 3000, the odd-p table cap
+    f = SparsePoly.from_dense(ctx, [6, 11, 6, 1])
     with pytest.raises(TooLarge):
-        irreducibles_up_to(field(3001), 2)
+        trial_factorize(f)

@@ -7,7 +7,8 @@ from conftest import field
 from ffzeta import (OperatorKind, SquareMatrix, TruncatedSeries,
                     charpoly_reverse, congruence_charpoly, make_field,
                     make_galois_ring, trial_factorize)
-from ffzeta.cli import parse_poly
+from ffzeta.cli import parse_modulus, parse_poly
+from ffzeta.errors import ParseError
 from ffzeta.poly import SparsePoly, psi_q, render_poly
 
 
@@ -64,6 +65,24 @@ def test_render_parse_round_trip(f):
 # (p, e, m): Z/4, Z/8, Z/9, Z/25, Z/27, GR(4, 2), GR(9, 2), GR(4, 3)
 GALOIS_RINGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (3, 1, 3),
                 (2, 2, 2), (3, 2, 2), (2, 3, 2)]
+
+
+_PARSER_ALPHABET = "0123456789xyt^*+-()? "
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(_PARSER_ALPHABET, max_size=40),
+                 st.integers(1, 600).map(lambda k: "(" * k),
+                 st.integers(1, 600).map(lambda k: "(" * k + "t" + ")" * k),
+                 st.integers(1, 300).map(lambda k: "x*(" * k)))
+def test_parsers_raise_only_parse_errors(text):
+    for call in (lambda: parse_poly(text, field(2), 2),
+                 lambda: parse_poly(text, field(9), 2),
+                 lambda: parse_modulus(text, 3)):
+        try:
+            call()
+        except ParseError:
+            pass
 
 
 @st.composite
