@@ -101,14 +101,12 @@ def _dense_sub_scaled(ctx, a, b, c):
     return out
 
 
-def split(g, h1, h2, q=None):
+def split(g, h1, h2):
     """One round of gcd splitting: gcd(g, h1 - c*h2) for every scalar c,
     plus gcd(g, h2) to catch components on which h2 vanishes.  Trivial
     entries are dropped; the pieces need not be coprime when g has
     repeated factors."""
     ctx = g.ctx
-    if q is not None and q != ctx.q:
-        raise ValueError("scalar count %d does not match the field" % q)
     gd = g.to_dense()
     a = dense_mod(ctx, h1.to_dense(), gd)
     b = dense_mod(ctx, h2.to_dense(), gd)

@@ -333,6 +333,8 @@ def _prime_subring_values(ctx, codes, what):
 def _zeta_mod_p_parts(f, n, B, d, limits):
     """zeta_mod_p with its working: the operator matrix M, the det
     factors as (exponent, coefficients) pairs, and the series."""
+    if B is not None and B < 1:  # checked before any matrix is built
+        raise ValueError("truncation order must be >= 1")
     M = hyper_matrix_mod_p(f, n, d, limits)
     if n is None:
         n = f.nvars
@@ -340,8 +342,6 @@ def _zeta_mod_p_parts(f, n, B, d, limits):
     vals = _prime_subring_values(f.ctx, P, "determinant")
     if B is None:
         B = M.n
-    if B < 1:
-        raise ValueError("truncation order must be >= 1")
     series = TruncatedSeries.from_list(f.ctx.p, vals, B)
     if n % 2:
         return M, [(-1, vals)], series.inverse()
@@ -377,6 +377,8 @@ def _zeta_mod_pm_parts(f, m, B, d, limits):
     """zeta_mod_pm with its working: the operator matrix M, the det
     factors det(I - q^i M T) as (exponent, coefficients) pairs, the torus
     zeta and the series."""
+    if B is not None and B < 1:  # checked before any matrix is built
+        raise ValueError("truncation order must be >= 1")
     ctx = f.ctx
     if m is None:
         m = ctx.m
@@ -393,8 +395,6 @@ def _zeta_mod_pm_parts(f, m, B, d, limits):
     M = hyper_matrix_mod_pm(flift, n, d, m, limits)
     if B is None:
         B = M.n
-    if B < 1:
-        raise ValueError("truncation order must be >= 1")
     pm = ring.pm
     q = ring.q
     # det(I - c M T) = P(cT) for P(T) = det(I - M T), so one charpoly

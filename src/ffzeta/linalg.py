@@ -10,19 +10,14 @@ matrix size, the planes hold Python integers instead.
 
 charpoly_reverse uses the Berkowitz vector recurrence, which needs no
 divisions and is therefore valid over rings with zero divisors; it returns
-det(I - M*T) directly.  Kernels require a field.  solve_integer is a
-fraction-free (Bareiss) elimination over the integers with an exact
-rational back-substitution.
+det(I - M*T) directly.  Kernels and inverses require a field.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from .errors import (InvariantViolation, NonIntegralSolution, RingNotField,
-                     SingularMatrix)
+from .errors import InvariantViolation, RingNotField, SingularMatrix
 
 
 def _dtype_ok(ctx, n):
@@ -261,40 +256,3 @@ def invert(M):
         raise SingularMatrix("matrix is singular")
     return SquareMatrix.from_rows(ctx, [row[n:] for row in rows])
 
-
-def solve_integer(A, b):
-    """Solve A x = b exactly over the integers.
-
-    Fraction-free (Bareiss) forward elimination, exact rational back
-    substitution.  Raises SingularMatrix if A is singular and
-    NonIntegralSolution if the unique rational solution is not integral.
-    """
-    n = len(A)
-    M = [[int(v) for v in row] + [int(b[i])] for i, row in enumerate(A)]
-    prev = 1
-    for k in range(n):
-        sel = None
-        for i in range(k, n):
-            if M[i][k]:
-                sel = i
-                break
-        if sel is None:
-            raise SingularMatrix("singular system")
-        M[k], M[sel] = M[sel], M[k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    xs = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = Fraction(M[k][n])
-        for j in range(k + 1, n):
-            acc -= M[k][j] * xs[j]
-        xs[k] = acc / M[k][k]
-    out = []
-    for v in xs:
-        if v.denominator != 1:
-            raise NonIntegralSolution("solution %s is not integral" % (v,))
-        out.append(int(v))
-    return out

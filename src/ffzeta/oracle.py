@@ -292,9 +292,9 @@ def _field_tables(ctx):
     return kit
 
 
-def _batch_mul_fixed(ctx, rows, fixed):
-    """Product of every row polynomial with one fixed dense polynomial."""
-    kit = _field_tables(ctx)
+def _batch_mul_fixed(ctx, kit, rows, fixed):
+    """Product of every row polynomial with one fixed dense polynomial;
+    kit is _field_tables(ctx)."""
     n, la = rows.shape
     out = np.zeros((n, la + len(fixed) - 1), dtype=np.int64)
     logs = None if kit is None else kit.log[rows]
@@ -319,11 +319,13 @@ def _row_indices(q, rows, d):
 
 
 def _sieve(ctx, D):
-    """Per-degree sorted irreducible coefficient rows, up to degree D."""
+    """The field's tables (None below degree 1) and the per-degree sorted
+    irreducible coefficient rows, up to degree D."""
+    kit = _field_tables(ctx) if D >= 1 else None
     key = ctx
     built, data = _SIEVE_CACHE.get(key, (0, {}))
     if built >= D:
-        return data
+        return kit, data
     q = ctx.q
     for d in range(1, D + 1):
         if d in data:
@@ -335,11 +337,11 @@ def _sieve(ctx, D):
             monics = _monic_digit_rows(q, r)
             if len(irr) <= q ** r:
                 for row in irr:
-                    prod = _batch_mul_fixed(ctx, monics, [int(v) for v in row])
+                    prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
                     comp[_row_indices(q, prod, d)] = True
             else:
                 for mrow in monics:
-                    prod = _batch_mul_fixed(ctx, irr, [int(v) for v in mrow])
+                    prod = _batch_mul_fixed(ctx, kit, irr, mrow.tolist())
                     comp[_row_indices(q, prod, d)] = True
         rows = _monic_digit_rows(q, d)[~comp]
         # the index weights c_{d-1} most, matching the tuple order
@@ -347,7 +349,7 @@ def _sieve(ctx, D):
         order = np.argsort(_row_indices(q, rows, d), kind="stable")
         data[d] = rows[order]
     _SIEVE_CACHE[key] = (max(built, D), data)
-    return data
+    return kit, data
 
 
 def irreducibles_up_to(field, D, limits=None):
@@ -357,7 +359,7 @@ def irreducibles_up_to(field, D, limits=None):
     lim = limits or DEFAULT_LIMITS
     if ctx.q ** D > lim.max_sieve:
         raise TooLarge("sieve size q^D = %d over cap" % ctx.q ** D)
-    data = _sieve(ctx, D)
+    _, data = _sieve(ctx, D)
     out = []
     for d in range(1, D + 1):
         for row in data[d]:
@@ -369,10 +371,9 @@ def _field_from_order(q):
     return make_field(*split_prime_power(q))
 
 
-def _batch_remainders(ctx, a, rows, ell):
+def _batch_remainders(ctx, kit, a, rows, ell):
     """Remainder of the fixed polynomial `a` modulo every monic row of
-    degree ell; returns a divisibility mask."""
-    kit = _field_tables(ctx)
+    degree ell; returns a divisibility mask.  kit is _field_tables(ctx)."""
     rem = np.tile(np.array(a, dtype=np.int64), (len(rows), 1))
     low = rows[:, :ell]
     logs = None if kit is None else kit.log[low]
@@ -404,12 +405,12 @@ def trial_factorize(f, limits=None):
     half = (len(rem) - 1) // 2
     if half >= 1 and ctx.q ** half > lim.max_sieve:
         raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
-    data = _sieve(ctx, half)
+    kit, data = _sieve(ctx, half)
     factors = []
     for ell in range(1, half + 1):
         if 2 * ell > len(rem) - 1:
             break
-        mask = _batch_remainders(ctx, rem, data[ell], ell)
+        mask = _batch_remainders(ctx, kit, rem, data[ell], ell)
         if not mask.any():
             continue
         for row in data[ell][mask]:

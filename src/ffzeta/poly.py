@@ -3,14 +3,15 @@ ring context.
 
 Terms are a dict mapping exponent tuples to nonzero coefficient codes, so a
 polynomial in n variables over F_q costs O(#terms) regardless of degree.
-All the operator-level primitives live here as free functions: the halving
-map psi_q, Hasse derivatives, powering with full expansion, univariate gcd,
-squarefree parts and modular Frobenius.
+Next to the sparse type live its rendering, powering with full expansion,
+squarefree parts, and the dense univariate kernels (little-endian code
+lists: products, division, gcd, modular powers) that the factorization
+and zero-dimensional pipelines run on.  The univariate psi_q and Hasse
+derivative act on dense lists in `zerodim`; the multivariate psi_q is
+applied inside `hyper`'s operator matrix.
 """
 
 from __future__ import annotations
-
-import math
 
 from .config import DEFAULT_LIMITS
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
@@ -356,61 +357,7 @@ def dense_translate(ctx, a, c):
 
 
 # ---------------------------------------------------------------------------
-# operator-level primitives
-
-
-def _require_uni(f, who):
-    if f.nvars != 1:
-        raise MultivariateInput("%s needs a univariate input" % who)
-
-
-def psi_q(h, q=None):
-    """Halving operator: keeps terms whose exponent vector is divisible by q
-    componentwise and divides the exponents by q.  One-sided inverse of the
-    q-power map."""
-    ctx = h.ctx
-    if q is None:
-        q = ctx.q
-    elif q != ctx.q:
-        raise ValueError("psi_q order %d does not match the context" % q)
-    out = SparsePoly(ctx, h.nvars)
-    for u, c in h.terms.items():
-        if all(ui % q == 0 for ui in u):
-            out.terms[tuple(ui // q for ui in u)] = c
-    return out
-
-
-def _binom_mod_p(n, k, p):
-    """Binomial coefficient mod p by the base-p digit product rule."""
-    r = 1
-    while k:
-        r = r * math.comb(n % p, k % p) % p
-        if not r:
-            return 0
-        n //= p
-        k //= p
-    return r
-
-
-def hasse_derivative(h, r):
-    """r-th Hasse derivative of a univariate polynomial: x^u maps to
-    C(u, r) x^(u-r)."""
-    _require_uni(h, "hasse_derivative")
-    ctx = h.ctx
-    out = SparsePoly(ctx, 1)
-    for (u,), c in h.terms.items():
-        if u < r:
-            continue
-        if ctx.m == 1:
-            b = _binom_mod_p(u, r, ctx.p)
-        else:
-            b = math.comb(u, r) % ctx.pm
-        if not b:
-            continue
-        scaled = ctx.mul(c, b % ctx.base)
-        if scaled:
-            out.terms[(u - r,)] = scaled
-    return out
+# powering and squarefree parts
 
 
 def poly_pow(f, k, limits=None):
@@ -432,17 +379,6 @@ def poly_pow(f, k, limits=None):
             if len(base.terms) > lim:
                 raise SizeLimit("expansion exceeds %d terms" % lim)
     return out
-
-
-def gcd_uni(a, b):
-    """Monic gcd of univariate polynomials over a field."""
-    _require_uni(a, "gcd_uni")
-    _require_uni(b, "gcd_uni")
-    a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    return SparsePoly.from_dense(
-        a.ctx, dense_gcd(a.ctx, a.to_dense(), b.to_dense()))
 
 
 def _dense_pth_root(ctx, a):
@@ -482,18 +418,9 @@ def _dense_squarefree(ctx, f):
 
 def squarefree_part(f):
     """Product of the distinct monic irreducible factors of f."""
-    _require_uni(f, "squarefree_part")
+    if f.nvars != 1:
+        raise MultivariateInput("squarefree_part needs a univariate input")
     if f.is_constant():
         raise ConstantInput("squarefree part of a constant")
     return SparsePoly.from_dense(
         f.ctx, _dense_squarefree(f.ctx, f.to_dense()))
-
-
-def frobenius_mod(h, f):
-    """h^q mod f by repeated squaring with reduction after each step."""
-    _require_uni(h, "frobenius_mod")
-    _require_uni(f, "frobenius_mod")
-    h._check(f)
-    ctx = h.ctx
-    return SparsePoly.from_dense(
-        ctx, dense_powmod(ctx, h.to_dense(), ctx.q, f.to_dense()))

@@ -13,6 +13,14 @@ of Frobenius (equivalently of the others) has dimension equal to the number
 of distinct irreducible factors.  Counting fixed points of Frobenius powers
 pins down the whole degree profile of f, hence the exact zeta function,
 without ever factoring f.
+
+The profile comes out of a closed-form inverse.  With s_i distinct
+irreducible factors of degree i, the fixed space of the j-th Frobenius
+power has dimension k_j = sum_i gcd(i, j) s_i.  Since gcd(i, j) =
+sum_{k | i, k | j} phi(k), the sums t_k = sum_{k | i} s_i satisfy
+k_j = sum_{k | j} phi(k) t_k, so by Moebius inversion
+
+  t_j = sum_{k | j} mu(j/k) k_k / phi(j),   s_i = sum_{i | k <= d} mu(k/i) t_k.
 """
 
 from __future__ import annotations
@@ -22,11 +30,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import (CoefficientOutsidePrimeField, ConstantInput,
-                     InvariantViolation, MultivariateInput, NotMonic,
-                     RingNotField, ZeroConstantTerm)
-from .linalg import SquareMatrix, charpoly_reverse, kernel_basis, solve_integer
-from .poly import (SparsePoly, _binom_mod_p, dense_mod, dense_mul,
-                   dense_powmod, dense_trim)
+                     InvariantViolation, MultivariateInput,
+                     NonIntegralSolution, NotMonic, RingNotField,
+                     ZeroConstantTerm)
+from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
+from .poly import dense_mod, dense_mul, dense_powmod, dense_trim
 
 
 class OperatorKind(enum.Enum):
@@ -49,6 +57,18 @@ def _check_zerodim_input(f):
 
 def _dense_psi(h, q):
     return h[::q]
+
+
+def _binom_mod_p(n, k, p):
+    """Binomial coefficient mod p by the base-p digit product rule."""
+    r = 1
+    while k:
+        r = r * math.comb(n % p, k % p) % p
+        if not r:
+            return 0
+        n //= p
+        k //= p
+    return r
 
 
 def _dense_hasse(ctx, h, r):
@@ -130,11 +150,45 @@ def _profile(M):
     for _ in range(d):
         P = P @ M
         ks.append(len(kernel_basis(P - ident)))
-    s = solve_integer(gcd_matrix(d), ks)
+    s = _solve_gcd_system(ks)
     if any(v < 0 for v in s) or sum(i * v for i, v in enumerate(s, 1)) > d:
         raise InvariantViolation("degree profile %s is impossible for "
                                  "degree %d" % (list(s), d))
     return tuple(s)
+
+
+def _mobius_phi(d):
+    """Lists mu and phi of 0..d (index 0 unused), by a prime sieve."""
+    mu = [1] * (d + 1)
+    phi = list(range(d + 1))
+    for p in range(2, d + 1):
+        if phi[p] != p:
+            continue  # composite: a smaller prime already lowered phi[p]
+        for k in range(p, d + 1, p):
+            phi[k] -= phi[k] // p
+            mu[k] = -mu[k]
+        for k in range(p * p, d + 1, p * p):
+            mu[k] = 0
+    return mu, phi
+
+
+def _solve_gcd_system(ks):
+    """The integer s with sum_i gcd(i, j) s_i = ks[j-1] for j = 1..d, by
+    the Moebius inversion in the module docstring; raises
+    NonIntegralSolution when the rational solution is not integral."""
+    d = len(ks)
+    mu, phi = _mobius_phi(d)
+    t = [0] * (d + 1)
+    for j in range(1, d + 1):
+        acc = sum(mu[j // k] * ks[k - 1]
+                  for k in range(1, j + 1) if j % k == 0)
+        t[j], r = divmod(acc, phi[j])
+        if r:
+            raise NonIntegralSolution(
+                "fixed-space counts %s: phi(%d) = %d does not divide %d"
+                % (list(ks), j, phi[j], acc))
+    return [sum(mu[k // i] * t[k] for k in range(i, d + 1, i))
+            for i in range(1, d + 1)]
 
 
 @dataclass(frozen=True)

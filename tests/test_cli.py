@@ -247,6 +247,21 @@ def test_one_matrix_and_one_charpoly_per_command(argv, assembler, monkeypatch,
     assert json.loads(capsys.readouterr().out)["result"]["matrix"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["modp", "--q", "2", "-n", "2", "--poly", "x*y+1"],
+    ["modpm", "--q", "2", "-n", "2", "-m", "2", "--poly", "x*y+1"],
+])
+def test_truncation_below_one_fails_before_any_matrix(argv, monkeypatch,
+                                                      capsys):
+    counts = count_calls(monkeypatch, ("hyper_matrix_mod_p",
+                                       "hyper_matrix_mod_pm",
+                                       "charpoly_reverse"))
+    assert main(argv + ["-B", "0"]) == 2
+    assert "truncation order must be >= 1" in capsys.readouterr().err
+    assert counts == {"hyper_matrix_mod_p": 0, "hyper_matrix_mod_pm": 0,
+                      "charpoly_reverse": 0}
+
+
 @pytest.mark.parametrize("method,matrices", [("frobenius", 1),
                                              ("niederreiter", 2),
                                              ("psi", 2)])

@@ -6,7 +6,7 @@ import pytest
 from conftest import field
 from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse,
                     kernel_basis, make_field, make_galois_ring)
-from ffzeta.linalg import invert, solve_integer
+from ffzeta.linalg import invert
 
 
 def rand_matrix(ctx, rng, n):
@@ -221,11 +221,3 @@ def test_invert_round_trip_and_singular():
     singular = SquareMatrix.from_rows(ctx, [[1, 2], [2, 4]])
     with pytest.raises(SingularMatrix):
         invert(singular)
-
-
-def test_solve_integer_exact():
-    # gcd-style integer systems must solve without rounding
-    A = [[1, 1, 1], [1, 2, 1], [1, 1, 3]]
-    x = [3, 1, 4]
-    b = [sum(a * v for a, v in zip(row, x)) for row in A]
-    assert list(solve_integer(A, b)) == x

@@ -10,7 +10,7 @@ from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
                     count_vector, degree_profile, irreducibles_up_to,
                     trial_factorize, zeta_coeffs_exact, zerodim_zeta)
 from ffzeta.config import DEFAULT_LIMITS
-from ffzeta.oracle import _batch_mul_fixed, _batch_remainders
+from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
 from ffzeta.poly import SparsePoly
 
 
@@ -191,21 +191,27 @@ def test_prime_field_sieve_arithmetic_near_the_int64_bound():
     rows = np.array([[rng.randrange(p), rng.randrange(p), 1]
                      for _ in range(20)], dtype=np.int64)
     fixed = [rng.randrange(p) for _ in range(4)]
-    got = _batch_mul_fixed(ctx, rows, fixed)
+    got = _batch_mul_fixed(ctx, None, rows, fixed)
     for row, out in zip(rows.tolist(), got.tolist()):
         want = [0] * 6
         for i, a in enumerate(row):
             for j, b in enumerate(fixed):
                 want[i + j] = (want[i + j] + a * b) % p
         assert out == want
-    mask = _batch_remainders(ctx, got[0].tolist(), rows, 2)
+    mask = _batch_remainders(ctx, None, got[0].tolist(), rows, 2)
     assert mask.tolist() == [True] + [False] * 19
+    assert _field_tables(ctx) is None
     with pytest.raises(TooLarge):  # p^2 would pass int64
-        _batch_mul_fixed(field(2 ** 31 + 11), rows % 5, [1])
+        _field_tables(field(2 ** 31 + 11))
 
 
 def test_sieve_needs_tables_for_extension_fields():
     ctx = field(3 ** 8)  # 6561 > 3000, the odd-p table cap
-    f = SparsePoly.from_dense(ctx, [6, 11, 6, 1])
-    with pytest.raises(TooLarge):
-        trial_factorize(f)
+    with pytest.raises(TooLarge):  # degree 1 needs the tables too
+        irreducibles_up_to(ctx, 1)
+    for dense in ([6, 11, 6, 1], [2, 0, 1]):
+        with pytest.raises(TooLarge):
+            trial_factorize(SparsePoly.from_dense(ctx, dense))
+    # a linear polynomial needs no sieve
+    fac = trial_factorize(SparsePoly.from_dense(ctx, [6, 1]))
+    assert [(g.to_dense(), m) for g, m in fac.factors] == [([6, 1], 1)]

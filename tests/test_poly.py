@@ -6,10 +6,17 @@ import pytest
 from conftest import field, rand_monic, rand_poly_mv, rand_poly_uni
 from ffzeta import SizeLimit, make_galois_ring
 from ffzeta.config import DEFAULT_LIMITS
-from ffzeta.poly import (SparsePoly, dense_eval, dense_divmod,
-                         dense_translate, frobenius_mod, gcd_uni,
-                         hasse_derivative, poly_pow, psi_q, squarefree_part)
-from ffzeta.poly import _binom_mod_p
+from ffzeta.poly import (SparsePoly, dense_divmod, dense_eval, dense_gcd,
+                         dense_mul, dense_powmod, dense_translate,
+                         dense_trim, poly_pow, squarefree_part)
+from ffzeta.zerodim import _binom_mod_p, _dense_hasse, _dense_psi
+
+
+def dense_power(ctx, h, k):
+    out = [1]
+    for _ in range(k):
+        out = dense_mul(ctx, out, h)
+    return out
 
 
 def test_canonical_form_no_zero_terms():
@@ -61,8 +68,8 @@ def test_psi_inverts_frobenius(q):
     ctx = field(q)
     rng = random.Random(q + 17)
     for _ in range(40):
-        h = rand_poly_mv(ctx, rng, rng.randrange(1, 3), 3)
-        assert psi_q(h ** q) == h
+        h = rand_poly_uni(ctx, rng, 3).to_dense()
+        assert _dense_psi(dense_power(ctx, h, q), q) == h
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -70,9 +77,11 @@ def test_psi_commutes_past_qth_powers(q):
     ctx = field(q)
     rng = random.Random(q + 29)
     for _ in range(30):
-        f = rand_poly_uni(ctx, rng, 2)
-        h = rand_poly_uni(ctx, rng, 2 * q)
-        assert psi_q(f ** q * h) == f * psi_q(h)
+        f = rand_poly_uni(ctx, rng, 2).to_dense()
+        h = rand_poly_uni(ctx, rng, 2 * q).to_dense()
+        fqh = dense_mul(ctx, dense_power(ctx, f, q), h)
+        assert dense_trim(_dense_psi(fqh, q)) == \
+            dense_mul(ctx, f, _dense_psi(h, q))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -80,21 +89,18 @@ def test_hasse_commutes_past_qth_powers(q):
     ctx = field(q)
     rng = random.Random(q + 43)
     for _ in range(30):
-        f = rand_poly_uni(ctx, rng, 2)
-        h = rand_poly_uni(ctx, rng, 2 * q)
-        fq = f ** q
-        assert hasse_derivative(fq * h, q - 1) == fq * hasse_derivative(
-            h, q - 1)
+        fq = dense_power(ctx, rand_poly_uni(ctx, rng, 2).to_dense(), q)
+        h = rand_poly_uni(ctx, rng, 2 * q).to_dense()
+        assert _dense_hasse(ctx, dense_mul(ctx, fq, h), q - 1) == \
+            dense_mul(ctx, fq, _dense_hasse(ctx, h, q - 1))
 
 
 def test_hasse_derivative_monomials():
     ctx = field(3)
     # H^(2)(x^4) = C(4,2) x^2 = 6 x^2 = 0 mod 3
-    x4 = SparsePoly.monomial(ctx, (4,))
-    assert hasse_derivative(x4, 2) == SparsePoly.zero(ctx)
+    assert _dense_hasse(ctx, [0, 0, 0, 0, 1], 2) == []
     # H^(2)(x^5) = C(5,2) x^3 = 10 x^3 = x^3 mod 3
-    x5 = SparsePoly.monomial(ctx, (5,))
-    assert hasse_derivative(x5, 2) == SparsePoly.monomial(ctx, (3,))
+    assert _dense_hasse(ctx, [0, 0, 0, 0, 0, 1], 2) == [0, 0, 0, 1]
 
 
 def test_binomials_match_integer_binomials():
@@ -127,31 +133,28 @@ def test_gcd_divides_and_lcm_identity(q):
     ctx = field(q)
     rng = random.Random(q + 11)
     for _ in range(60):
-        a = rand_poly_uni(ctx, rng, 6)
-        b = rand_poly_uni(ctx, rng, 6)
-        g = gcd_uni(a, b)
-        assert g.is_monic_uni()
-        ga, ra = dense_divmod(ctx, a.to_dense(), g.to_dense())
-        gb, rb = dense_divmod(ctx, b.to_dense(), g.to_dense())
+        a = rand_poly_uni(ctx, rng, 6).to_dense()
+        b = rand_poly_uni(ctx, rng, 6).to_dense()
+        g = dense_gcd(ctx, a, b)
+        assert g[-1] == 1
+        ga, ra = dense_divmod(ctx, a, g)
+        gb, rb = dense_divmod(ctx, b, g)
         assert ra == [] and rb == []
         # (a*b)/g is a common multiple of both arguments
-        lcm, r = dense_divmod(ctx, (a * b).to_dense(), g.to_dense())
+        lcm, r = dense_divmod(ctx, dense_mul(ctx, a, b), g)
         for h in (a, b):
-            _, rem = dense_divmod(ctx, lcm, h.to_dense())
+            _, rem = dense_divmod(ctx, lcm, h)
             assert rem == []
 
 
 def test_frobenius_mod_worked_cases():
+    # h^q mod f, the columns of the Frobenius operator matrix
     ctx2 = field(2)
-    f = SparsePoly.from_dense(ctx2, [1, 1, 1])
-    x = SparsePoly.variable(ctx2)
-    assert frobenius_mod(x, f) == SparsePoly.from_dense(ctx2, [1, 1])
+    assert dense_powmod(ctx2, [0, 1], ctx2.q, [1, 1, 1]) == [1, 1]
     ctx3 = field(3)
-    f3 = SparsePoly.from_dense(ctx3, [2, 0, 1])  # x^2 - 1
-    x3 = SparsePoly.variable(ctx3)
-    assert frobenius_mod(x3, f3) == x3
-    one = SparsePoly.one(ctx3)
-    assert frobenius_mod(one, f3) == one
+    f3 = [2, 0, 1]  # x^2 - 1
+    assert dense_powmod(ctx3, [0, 1], ctx3.q, f3) == [0, 1]
+    assert dense_powmod(ctx3, [1], ctx3.q, f3) == [1]
 
 
 def test_dense_translate_round_trip_and_evaluation():

@@ -9,7 +9,7 @@ from ffzeta import (OperatorKind, SquareMatrix, TruncatedSeries,
                     make_galois_ring, trial_factorize)
 from ffzeta.cli import parse_modulus, parse_poly
 from ffzeta.errors import ParseError
-from ffzeta.poly import SparsePoly, psi_q, render_poly
+from ffzeta.poly import SparsePoly, render_poly
 
 
 @st.composite
@@ -48,12 +48,6 @@ def test_charpoly_degree_parity(f):
     while stripped and stripped[-1] == 0:
         stripped.pop()
     assert len(stripped) - 1 == deg
-
-
-@settings(max_examples=50, deadline=None)
-@given(sparse_mv(4, 2, 3))
-def test_psi_left_inverts_qth_power(f):
-    assert psi_q(f ** 4) == f
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from conftest import field, rand_monic
-from ffzeta import (ConstantInput, MultivariateInput, NotMonic, OperatorKind,
-                    RingNotField, SquareMatrix, ZeroConstantTerm,
+from ffzeta import (ConstantInput, MultivariateInput, NonIntegralSolution,
+                    NotMonic, OperatorKind, RingNotField, SquareMatrix,
+                    ZeroConstantTerm,
                     charpoly_reverse, congruence_charpoly, count_points,
                     degree_profile, distinct_factor_count, gcd_matrix,
                     kernel_basis, make_galois_ring, multiplication_matrix,
@@ -13,6 +14,7 @@ from ffzeta import (ConstantInput, MultivariateInput, NotMonic, OperatorKind,
                     zeta_coeffs_exact)
 from ffzeta.linalg import invert
 from ffzeta.poly import SparsePoly
+from ffzeta.zerodim import _solve_gcd_system
 
 
 def product_over_distinct_factors(ctx, f):
@@ -155,6 +157,31 @@ def test_degree_profile_invariants():
 def test_gcd_matrix_contents():
     assert gcd_matrix(4) == [[1, 1, 1, 1], [1, 2, 1, 2],
                              [1, 1, 3, 1], [1, 2, 1, 4]]
+
+
+def test_gcd_system_inversion_round_trips():
+    # profiles with sum i*s_i <= d give fixed-space counts
+    # k_j = sum_i gcd(i, j) s_i, and the Moebius inversion returns them
+    rng = random.Random(30)
+    for _ in range(300):
+        d = rng.randrange(1, 31)
+        s = [0] * d
+        room = rng.randrange(d + 1)
+        while room:
+            i = rng.randrange(1, room + 1)
+            s[i - 1] += 1
+            room -= i
+        ks = [sum(g * v for g, v in zip(row, s)) for row in gcd_matrix(d)]
+        assert _solve_gcd_system(ks) == s
+        # one more fixed vector at a j with phi(j) > 1 leaves t_j
+        # = sum_{k | j} mu(j/k) k_k / phi(j) off by 1/phi(j)
+        if d >= 3:
+            j = rng.randrange(3, d + 1)
+            ks[j - 1] += 1
+            with pytest.raises(NonIntegralSolution):
+                _solve_gcd_system(ks)
+    with pytest.raises(NonIntegralSolution):
+        _solve_gcd_system([0, 0, 1])  # t_3 = 1/phi(3) = 1/2
 
 
 def test_operator_charpolys_equal_exactly():
