@@ -15,6 +15,11 @@ vector_kit() call, for the brute-force point counter.  Galois rings Z/p^m
 use integer arithmetic; other small rings keep flat tables.  Past the caps
 both run the same generic digit arithmetic.
 
+The modulus h is certified irreducible by `poly.dense_is_irreducible`
+(Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
+no polynomial arithmetic of their own; the default h is the least monic
+irreducible of degree e in coefficient order.
+
 A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
 the same `m`, `pm`, `base`, `char_mod`, `to_field`, `from_field` surface, so
 code written against the ring protocol runs unchanged on fields.
@@ -25,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CompositeP, ReducibleModulus
+from .poly import dense_is_irreducible
 
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
 _ODD_VECTOR_CAP = 3000          # and fields with odd p up to this one
@@ -45,69 +51,18 @@ def _is_prime(n):
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_p (coefficient lists, little-endian),
-# used only while constructing contexts
-
-
-def _fp_eval(c, x, p):
-    acc = 0
-    for a in reversed(c):
-        acc = (acc * x + a) % p
-    return acc
-
-
-def _fp_divisible_batch(f, p, level):
-    """True if some monic divisor of degree `level` divides f. Vectorized."""
-    n = p ** level
-    deg = len(f) - 1
-    # rows: remainder-in-progress per candidate divisor
-    divs = (np.arange(n, dtype=np.int64)[:, None]
-            // p ** np.arange(level, dtype=np.int64)) % p
-    rem = np.tile(np.array(f, dtype=np.int64), (n, 1))
-    for i in range(deg, level - 1, -1):
-        lead = rem[:, i].copy()
-        rem[:, i] = 0
-        rem[:, i - level:i] = (rem[:, i - level:i] - lead[:, None] * divs) % p
-    return bool(np.any(np.all(rem[:, :level] == 0, axis=1)))
-
-
-def _fp_is_irreducible(f, p):
-    """Trial division of f by every monic polynomial of degree <= deg(f)//2."""
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    if f[0] == 0:
-        return False
-    # root check doubles as the degree-1 pass
-    for a in range(p):
-        if _fp_eval(f, a, p) == 0:
-            return False
-    for level in range(2, deg // 2 + 1):
-        if p ** level > (1 << 26):
-            raise ReducibleModulus(
-                "irreducibility check too large: p^%d candidates" % level)
-        if _fp_divisible_batch(f, p, level):
-            return False
-    return True
-
-
 def _lex_least_modulus(p, e):
     """Least monic irreducible of degree e, ordering coefficient tuples
     (c_{e-1}, ..., c_0) ascending."""
     if e == 1:
         return (0, 1)
+    base = make_field(p)
     for j in range(p ** e):
         c = [(j // p ** i) % p for i in range(e)]
         if c[0] == 0:
             continue            # divisible by t
-        f = c + [1]
-        if p == 2 and sum(f) % 2 == 0:
-            continue            # root at t = 1
-        if _fp_is_irreducible(f, p):
-            return tuple(f)
+        if dense_is_irreducible(base, c + [1]):
+            return tuple(c + [1])
     raise ReducibleModulus("no irreducible of degree %d over F_%d" % (e, p))
 
 
@@ -565,7 +520,8 @@ def make_field(p, e=1, modulus=None):
 
     With modulus=None the modulus is the least monic irreducible of degree e,
     ordering coefficient tuples (c_{e-1}, ..., c_0) ascending.  A supplied
-    modulus must be monic of degree e and irreducible over F_p.
+    modulus must be monic of degree e and irreducible over F_p, or
+    ReducibleModulus is raised.
     """
     if e < 1:
         raise ValueError("extension degree must be >= 1")
@@ -582,7 +538,7 @@ def make_field(p, e=1, modulus=None):
         if len(mod) != e + 1 or mod[-1] != 1:
             raise ReducibleModulus(
                 "modulus must be monic of degree %d" % e)
-        if not _fp_is_irreducible(list(mod), p):
+        if not dense_is_irreducible(make_field(p), list(mod)):
             raise ReducibleModulus("modulus %s is reducible over F_%d"
                                    % (list(mod), p))
     ctx = _FIELD_CACHE.get((p, e, mod))

@@ -196,6 +196,20 @@ def _basis_caps(n, size, limits):
                         % (size, lim.max_basis))
 
 
+def _monomials(n, bound):
+    """Exponent vectors of all monomials in n variables of total degree
+    <= bound, graded lex."""
+    vecs = []
+    # u_1 + 1, u_1 + u_2 + 2, ... are n distinct values in 1..bound+n, and
+    # every such choice arises exactly once
+    for stops in itertools.combinations(range(1, bound + n + 1), n):
+        u = [stops[0] - 1]
+        for a, b in zip(stops, stops[1:]):
+            u.append(b - a - 1)
+        vecs.append(tuple(u))
+    return _graded_lex(vecs)
+
+
 def rd_basis(n, d, limits=None):
     """Monomials x^u with all u_i >= 1 and total degree <= d; there are
     C(d, n) of them."""
@@ -205,15 +219,10 @@ def rd_basis(n, d, limits=None):
         raise EmptyBasis("no monomial of degree <= %d is divisible by all "
                          "%d variables" % (d, n))
     _basis_caps(n, math.comb(d, n), limits)
-    vecs = []
-    # partial sums of a qualifying exponent vector are n distinct values
-    # in 1..d, and every such choice arises exactly once
-    for stops in itertools.combinations(range(1, d + 1), n):
-        u = [stops[0]]
-        for a, b in zip(stops, stops[1:]):
-            u.append(b - a)
-        vecs.append(tuple(u))
-    basis = MonomialBasis(n, d, True, tuple(_graded_lex(vecs)))
+    # x^u is x_1...x_n times a monomial of degree <= d - n; the shift keeps
+    # the graded-lex order
+    vecs = tuple(tuple(x + 1 for x in u) for u in _monomials(n, d - n))
+    basis = MonomialBasis(n, d, True, vecs)
     if len(basis) != math.comb(d, n):
         raise InvariantViolation("basis size is not C(%d, %d)" % (d, n))
     return basis
@@ -230,13 +239,7 @@ def rmd_basis(n, d, p, m, limits=None):
     if bound < 0:
         raise EmptyBasis("negative degree bound")
     _basis_caps(n, math.comb(bound + n, n), limits)
-    vecs = []
-    for stops in itertools.combinations(range(1, bound + n + 1), n):
-        u = [stops[0] - 1]
-        for a, b in zip(stops, stops[1:]):
-            u.append(b - a - 1)
-        vecs.append(tuple(u))
-    basis = MonomialBasis(n, bound, False, tuple(_graded_lex(vecs)))
+    basis = MonomialBasis(n, bound, False, tuple(_monomials(n, bound)))
     if len(basis) != math.comb(bound + n, n):
         raise InvariantViolation("basis size is not C(%d, %d)"
                                  % (bound + n, n))
@@ -268,12 +271,9 @@ def _operator_matrix(ctx, power, basis):
     return SquareMatrix.from_columns(ctx, cols)
 
 
-def hyper_matrix_mod_p(f, n=None, d=None, limits=None):
-    """Matrix of h -> psi_q(f^{q-1} h) on the all-variables-divide basis
-    of degree <= d, over F_q."""
-    ctx = f.ctx
-    if ctx.m != 1:
-        raise RingNotField("the mod-p operator works over a field")
+def _shape(f, n, d):
+    """The number of variables n and the degree bound d of an operator
+    matrix, each defaulting to f's and checked against it."""
     if n is None:
         n = f.nvars
     elif n != f.nvars:
@@ -284,6 +284,16 @@ def hyper_matrix_mod_p(f, n=None, d=None, limits=None):
         d = deg
     if d < deg:
         raise ValueError("degree bound %d is below deg f = %d" % (d, deg))
+    return n, d
+
+
+def hyper_matrix_mod_p(f, n=None, d=None, limits=None):
+    """Matrix of h -> psi_q(f^{q-1} h) on the all-variables-divide basis
+    of degree <= d, over F_q."""
+    ctx = f.ctx
+    if ctx.m != 1:
+        raise RingNotField("the mod-p operator works over a field")
+    n, d = _shape(f, n, d)
     basis = rd_basis(n, d, limits)
     power = poly_pow(f, ctx.q - 1, limits)
     return _operator_matrix(ctx, power, basis)
@@ -297,16 +307,7 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
         m = ctx.m
     elif m != ctx.m:
         raise ValueError("lift lives mod p^%d, not p^%d" % (ctx.m, m))
-    if n is None:
-        n = f_lift.nvars
-    elif n != f_lift.nvars:
-        raise ValueError("polynomial has %d variables, not %d"
-                         % (f_lift.nvars, n))
-    deg = f_lift.degree()
-    if d is None:
-        d = deg
-    if d < deg:
-        raise ValueError("degree bound %d is below deg f = %d" % (d, deg))
+    n, d = _shape(f_lift, n, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
     basis = rmd_basis(n, d, ctx.p, m, limits)

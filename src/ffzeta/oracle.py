@@ -5,7 +5,8 @@ points are counted by enumerating every candidate tuple over F_{q^k}, exact
 zeta series coefficients come from the exp-of-power-sums recurrence run in
 exact integer arithmetic, and univariate factorizations come from a sieve
 of irreducibles plus trial division.  None of it shares code with the
-operator path beyond basic field arithmetic.
+operator path beyond field construction and arithmetic; the tests check
+the irreducibility test that certifies a field's modulus against the sieve.
 
 Enumeration is vectorized when the extension field is small enough to carry
 the field's 1-D tables (log/antilog, and for odd p the carry-free addition
@@ -160,12 +161,6 @@ def _count_vectorized(big, kit, terms, n, domain):
     Q = big.q
     lo = 0 if domain == "affine" else 1
     xlog = kit.log[lo:Q]
-    if n == 1:
-        dense = [0] * (max(u[0] for u in terms) + 1)
-        for (u,), c in terms.items():
-            dense[u] = c
-        y = _horner_vec(kit, dense, xlog)
-        return int(np.count_nonzero(y == 0))
     groups = _group_terms(terms, n)
     maxdeg = [0] * (n - 1)
     for outer, _ in groups:
@@ -205,18 +200,7 @@ def _count_scalar(big, terms, n, domain):
     count = 0
     mul = big.mul
     add = big.add
-    groups = _group_terms(terms, n) if n > 1 else None
-    if n == 1:
-        dense = [0] * (max(u[0] for u in terms) + 1)
-        for (u,), c in terms.items():
-            dense[u] = c
-        for x in range(lo, Q):
-            acc = 0
-            for c in reversed(dense):
-                acc = add(mul(acc, x), c)
-            if acc == 0:
-                count += 1
-        return count
+    groups = _group_terms(terms, n)
     for point in itertools.product(range(lo, Q), repeat=n - 1):
         dense = {}
         for outer, dvec in groups:

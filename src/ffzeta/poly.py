@@ -4,11 +4,13 @@ ring context.
 Terms are a dict mapping exponent tuples to nonzero coefficient codes, so a
 polynomial in n variables over F_q costs O(#terms) regardless of degree.
 Next to the sparse type live its rendering, powering with full expansion,
-squarefree parts, and the dense univariate kernels (little-endian code
-lists: products, division, gcd, modular powers) that the factorization
-and zero-dimensional pipelines run on.  The univariate psi_q and Hasse
-derivative act on dense lists in `zerodim`; the multivariate psi_q is
-applied inside `hyper`'s operator matrix.
+squarefree parts, and the package's one univariate polynomial
+arithmetic: dense kernels on little-endian code lists (products, division,
+gcd, modular powers, the irreducibility test) that the factorization and
+zero-dimensional pipelines run on, and that `fq` runs to certify a field's
+modulus.  The univariate psi_q and Hasse derivative act on dense lists in
+`zerodim`; the multivariate psi_q is applied inside `hyper`'s operator
+matrix.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class SparsePoly:
         u = [0] * nvars
         u[i] = 1
         return cls(ctx, nvars, {tuple(u): 1})
-
-    @classmethod
-    def monomial(cls, ctx, exps, coeff=1):
-        return cls(ctx, len(exps), {tuple(exps): coeff})
 
     @classmethod
     def from_dense(cls, ctx, coeffs):
@@ -331,6 +329,24 @@ def dense_powmod(ctx, a, n, f):
         a = dense_mulmod(ctx, a, a, f)
         n >>= 1
     return r
+
+
+def dense_is_irreducible(ctx, f):
+    """Ben-Or's form of Rabin's test: a monic f of degree e over F_q is
+    irreducible iff gcd(x^(q^i) - x mod f, f) = 1 for 1 <= i <= e/2, since
+    x^(q^i) - x is the product of the monic irreducibles of degree
+    dividing i."""
+    e = len(f) - 1
+    if e < 1:
+        return False
+    xqi = [0, 1]
+    for _ in range(e // 2):
+        xqi = dense_powmod(ctx, xqi, ctx.q, f)
+        diff = xqi + [0] * (2 - len(xqi))
+        diff[1] = ctx.sub(diff[1], 1)
+        if len(dense_gcd(ctx, f, dense_trim(diff))) > 1:
+            return False
+    return True
 
 
 def dense_eval(ctx, a, x):

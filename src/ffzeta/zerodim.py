@@ -34,7 +34,8 @@ from .errors import (CoefficientOutsidePrimeField, ConstantInput,
                      NonIntegralSolution, NotMonic, RingNotField,
                      ZeroConstantTerm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
-from .poly import dense_mod, dense_mul, dense_powmod, dense_trim
+from .poly import (dense_mod, dense_mul, dense_mulmod, dense_powmod,
+                   dense_trim)
 
 
 class OperatorKind(enum.Enum):
@@ -91,8 +92,12 @@ def op_matrix(f, kind):
         raise ZeroConstantTerm("psi-multiplication operator needs f(0) != 0")
     cols = []
     if kind == OperatorKind.FROBENIUS:
+        # x^(jq) = x^((j-1)q) * x^q, so one modular power serves every column
+        xq = dense_powmod(ctx, [0, 1], q, fd)
+        col = [1]
         for j in range(d):
-            col = dense_powmod(ctx, [0] * j + [1], q, fd)
+            if j:
+                col = dense_mulmod(ctx, col, xq, fd)
             cols.append(col + [0] * (d - len(col)))
     else:
         fq1 = [1]

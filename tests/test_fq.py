@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -6,6 +7,7 @@ import pytest
 
 from ffzeta import (CompositeP, ReducibleModulus, fq, irreducibles_up_to,
                     make_field, make_galois_ring, split_prime_power)
+from ffzeta.poly import dense_is_irreducible
 
 
 def test_split_prime_power():
@@ -41,12 +43,35 @@ def test_reducible_modulus_rejected():
 def test_default_modulus_is_least_irreducible():
     # sieve order within one degree is the same coefficient order the
     # constructor minimizes, so the default must be the first hit
-    for p, e in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
+    for p, e in ((2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 5),
+                 (5, 2), (5, 3), (7, 3), (13, 2)):
         ctx = make_field(p, e)
         base = make_field(p)
         first = next(g for g in irreducibles_up_to(base, e)
                      if g.degree() == e)
         assert list(ctx.modulus) == first.to_dense()
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 65) if fq._is_prime(p)])
+def test_irreducibility_test_matches_the_sieve(p):
+    # every monic polynomial of degree e with p^e <= 4096, against the
+    # oracle's sieve, which shares no code with the Ben-Or test
+    base = make_field(p)
+    top = max(e for e in range(1, 13) if p ** e <= 4096)
+    sieve = {tuple(g.to_dense()) for g in irreducibles_up_to(base, top)}
+    for e in range(1, top + 1):
+        for c in itertools.product(range(p), repeat=e):
+            f = list(c) + [1]
+            assert dense_is_irreducible(base, f) == (tuple(f) in sieve), f
+
+
+def test_large_fields_build_in_under_a_second(monkeypatch):
+    # the modulus check grows polynomially in e and log p, not in p^(e/2)
+    monkeypatch.setattr(fq, "_FIELD_CACHE", {})
+    t0 = time.perf_counter()
+    assert make_field(2, 36).q == 2 ** 36
+    assert make_field(2147483647, 2).modulus == (1, 0, 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])

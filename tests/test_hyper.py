@@ -64,6 +64,16 @@ def test_rmd_basis_size(n, d, p, m):
         assert sum(u) <= bound and all(x >= 0 for x in u)
 
 
+def test_rd_basis_is_the_shifted_rmd_basis():
+    # x^u with every u_i >= 1 is x_1...x_n times a monomial of degree
+    # <= d - n, in the same graded-lex order
+    for n in range(1, 5):
+        for d in range(n, 14):
+            shifted = [tuple(x + 1 for x in u)
+                       for u in rmd_basis(n, d - n, 2, 1)]
+            assert list(rd_basis(n, d)) == shifted
+
+
 def test_basis_caps():
     with pytest.raises(SizeLimit):
         rd_basis(7, 9)

@@ -13,7 +13,7 @@ from ffzeta import (ConstantInput, MultivariateInput, NonIntegralSolution,
                     op_matrix, trial_factorize, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.linalg import invert
-from ffzeta.poly import SparsePoly
+from ffzeta.poly import SparsePoly, dense_powmod
 from ffzeta.zerodim import _solve_gcd_system
 
 
@@ -36,6 +36,21 @@ def test_frobenius_matrix_worked_case():
     M = op_matrix(f, OperatorKind.FROBENIUS)
     assert M.to_rows() == [[1, 1], [0, 1]]
     assert congruence_charpoly(f, OperatorKind.FROBENIUS) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 25])
+def test_frobenius_matrix_matches_per_column_powers(q):
+    # the definition: column j is x^(jq) mod f, one modular power each
+    ctx = field(q)
+    rng = random.Random(q)
+    for d in range(1, 7):
+        for _ in range(3):
+            f = rand_monic(ctx, rng, d)
+            fd = f.to_dense()
+            cols = [dense_powmod(ctx, [0] * j + [1], q, fd) for j in range(d)]
+            ref = SquareMatrix.from_columns(
+                ctx, [c + [0] * (d - len(c)) for c in cols])
+            assert op_matrix(f, OperatorKind.FROBENIUS) == ref, fd
 
 
 def test_degree_profile_worked_cases():
