@@ -18,9 +18,8 @@ from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
                      UnknownVariable, ZetaError, ZeroConstantTerm)
 from .factor import Factorization, admissible_basis, factorize, split
 from .fq import make_field, make_galois_ring, split_prime_power
-from .hyper import (MonomialBasis, TruncatedSeries, hyper_matrix_mod_p,
-                    hyper_matrix_mod_pm, rd_basis, rmd_basis, torus_zeta,
-                    zeta_mod_p, zeta_mod_pm)
+from .hyper import (TruncatedSeries, hyper_matrix_mod_p, hyper_matrix_mod_pm,
+                    rd_basis, rmd_basis, torus_zeta, zeta_mod_p, zeta_mod_pm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
 from .oracle import (count_points, count_vector, irreducibles_up_to,
                      trial_factorize, zeta_coeffs_exact)
@@ -35,7 +34,7 @@ __all__ = [
     "CoefficientOutsidePrimeField", "CompositeP", "ConstantInput",
     "DEFAULT_LIMITS", "DependentPair", "EmptyBasis", "FactoredZeta",
     "Factorization", "InternalCheckError", "InvariantViolation",
-    "LimitError", "Limits", "MonomialBasis", "MultivariateInput",
+    "LimitError", "Limits", "MultivariateInput",
     "NonIntegralCoefficient", "NonIntegralSolution", "NotMonic",
     "OperatorKind", "ParseError",
     "PreconditionError", "QTooLarge", "ReducibleModulus", "RingNotField",

@@ -20,9 +20,19 @@ The modulus h is certified irreducible by `poly.dense_is_irreducible`
 no polynomial arithmetic of their own; the default h is the least monic
 irreducible of degree e in coefficient order.
 
+Arrays of elements are stored as digit "planes": an (L, ...) int64 array
+whose slice c holds the degree-c digits, reduced mod p (fields) or mod p^m
+(rings).  The product of two plane stacks applies one numpy operation per
+plane pair (np.matmul for matrices, np.convolve for polynomials,
+np.multiply elementwise), sums the pairs into 2L-1 planes and folds the
+high ones back through the modulus, which keeps the heavy loops inside
+numpy while staying exact.  When a product or its fold could exceed int64,
+the planes hold Python integers instead.
+
 A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
-the same `m`, `pm`, `base`, `char_mod`, `to_field`, `from_field` surface, so
-code written against the ring protocol runs unchanged on fields.
+the same `m`, `pm`, `to_field`, `from_field` surface, so code written
+against the ring protocol runs unchanged on fields; `pm` is also the base
+of the digits.
 """
 
 from __future__ import annotations
@@ -38,17 +48,46 @@ _LIST_CAP = 1 << 14             # up to here at construction, with list copies
 _RING_TABLE_CAP = 1024          # flat tables for Galois rings with e > 1
 
 
+# Miller-Rabin with these bases is exact below _MR_BOUND, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        return all(n % f for f in range(43, _iroot(n, 2) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n, k):
+    """The largest r with r^k <= n, by Newton's method on integers from
+    2^ceil(bits/k), which lies above the root."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _lex_least_modulus(p, e):
@@ -125,72 +164,60 @@ def _factorize_int(n):
 
 
 def _digit_product(ctx, x, y):
-    """Codes of x[i] * y[j] for code arrays x and y, shape (len(x), len(y)):
-    the schoolbook product sum_k y_k (x t^k) on digit arrays, x t^k reduced
-    one shift at a time.  For contexts whose tables fit, where L (base-1)^2
-    is far below 2^63."""
-    base = ctx.base
-    w = np.array(ctx._bpow, dtype=np.int64)
-    xt = x[:, None] // w % base
-    ydig = y[:, None] // w % base
-    out = np.zeros((len(x), len(y), ctx.digits), dtype=np.int64)
-    for k in range(ctx.digits):
-        if k:
-            top = xt[:, -1:]
-            xt = np.concatenate([np.zeros_like(top), xt[:, :-1]], axis=1)
-            xt = (xt + top * np.array(ctx.reduction[0])) % base
-        out += xt[:, None, :] * ydig[None, :, k, None]
-    return out % base @ w
+    """Codes of x[i] * y[j] for code arrays x and y, shape (len(x), len(y))."""
+    planes = ctx._mul_planes(np.multiply, ctx._to_planes(x[:, None], 1),
+                             ctx._to_planes(y[None, :], 1))
+    return ctx._from_planes(planes)
 
 
 class _DigitArithmetic:
-    """Codes with `digits` digits in base `base` = `char_mod` (p for a
-    field, p^m for a Galois ring), multiplied modulo the monic `modulus`.
-    The generic arithmetic of both contexts: what they use above their
-    table caps, and the reference their tables are tested against."""
+    """Codes with `digits` digits in base `pm` (p for a field, p^m for a
+    Galois ring), multiplied modulo the monic `modulus`.  The generic
+    arithmetic of both contexts: what they use above their table caps, and
+    the reference their tables are tested against; and the digit planes
+    that vectorised products run on."""
 
     _mod_int = None                 # the modulus as a bit mask, base 2 only
 
-    def _set_modulus(self, modulus, base):
-        self.modulus = tuple(c % base for c in modulus)
+    def _set_modulus(self, modulus, pm):
+        self.modulus = tuple(c % pm for c in modulus)
         self.digits = len(modulus) - 1
-        self.base = base
-        self.char_mod = base
-        self.reduction = _reduction_rows(self.modulus, self.digits, base)
-        self._bpow = [base ** i for i in range(self.digits)]
-        if base == 2:
+        self.pm = pm
+        self.reduction = _reduction_rows(self.modulus, self.digits, pm)
+        self._bpow = [pm ** i for i in range(self.digits)]
+        if pm == 2:
             self._mod_int = sum(b << i for i, b in enumerate(self.modulus))
 
     def encode(self, coeffs):
         code = 0
         for i, c in enumerate(coeffs):
-            code += (c % self.base) * self._bpow[i]
+            code += (c % self.pm) * self._bpow[i]
         return code
 
     def coeffs(self, code):
-        return tuple((code // b) % self.base for b in self._bpow)
+        return tuple((code // b) % self.pm for b in self._bpow)
 
     def _add_generic(self, a, b):
-        base = self.base
+        pm = self.pm
         code = 0
         for bp in self._bpow:
-            code += (((a // bp) + (b // bp)) % base) * bp
+            code += (((a // bp) + (b // bp)) % pm) * bp
         return code
 
     def _neg_generic(self, a):
-        base = self.base
+        pm = self.pm
         code = 0
         for bp in self._bpow:
-            code += ((-(a // bp)) % base) * bp
+            code += ((-(a // bp)) % pm) * bp
         return code
 
     def _mul_generic(self, a, b):
         L = self.digits
         if L == 1:
-            return a * b % self.base
-        if self.base == 2:
+            return a * b % self.pm
+        if self.pm == 2:
             return _gf2_mul_int(a, b, self._mod_int, L)
-        base = self.base
+        pm = self.pm
         da = self.coeffs(a)
         db = self.coeffs(b)
         conv = [0] * (2 * L - 1)
@@ -198,13 +225,13 @@ class _DigitArithmetic:
             if x:
                 for j, y in enumerate(db):
                     conv[i + j] += x * y
-        out = [c % base for c in conv[:L]]
+        out = [c % pm for c in conv[:L]]
         for jj in range(len(conv) - 1, L - 1, -1):
-            top = conv[jj] % base
+            top = conv[jj] % pm
             if top:
                 row = self.reduction[jj - L]
                 for i in range(L):
-                    out[i] = (out[i] + top * row[i]) % base
+                    out[i] = (out[i] + top * row[i]) % pm
         return self.encode(out)
 
     def sub(self, a, b):
@@ -220,6 +247,57 @@ class _DigitArithmetic:
             a = self.mul(a, a)
             n >>= 1
         return r
+
+    # -- digit planes ------------------------------------------------------
+
+    def _dtype_ok(self, n):
+        """Whether int64 planes are exact for products whose planes sum at
+        most n products of digits per plane pair (n = 1 elementwise, the
+        size for n x n matrices).  A product plane sums at most L*n
+        products of digits below pm, and _fold adds to it up to L-1 high
+        planes times reduction-row entries below pm."""
+        L = self.digits
+        high = L * max(n, 1) * (self.pm - 1) ** 2
+        return high * (1 + (L - 1) * (self.pm - 1)) < 2 ** 62
+
+    def _to_planes(self, codes, n):
+        """The (L, ...) planes of an array of codes, int64 when _dtype_ok(n)
+        and Python integers otherwise."""
+        dt = np.int64 if self._dtype_ok(n) else object
+        arr = np.asarray(codes, dtype=dt)
+        return np.stack([arr // b % self.pm for b in self._bpow])
+
+    def _from_planes(self, planes):
+        acc = np.zeros_like(planes[0])
+        for c in range(self.digits - 1, -1, -1):
+            acc = acc * self.pm + planes[c]
+        return acc
+
+    def _fold(self, conv):
+        """Reduce a (2L-1, ...) plane stack through the modulus to (L, ...)."""
+        L = self.digits
+        if L == 1:
+            return conv % self.pm
+        out = conv[:L].copy()
+        for j in range(conv.shape[0] - 1, L - 1, -1):
+            row = self.reduction[j - L]
+            top = conv[j]
+            for i in range(L):
+                if row[i]:
+                    out[i] = out[i] + row[i] * top
+        return out % self.pm
+
+    def _mul_planes(self, op, A, B):
+        """The plane stack of the product of A and B, where op multiplies
+        one plane of A by one plane of B over the integers."""
+        L = self.digits
+        conv = [None] * (2 * L - 1)
+        for c1 in range(L):
+            for c2 in range(L):
+                prod = op(A[c1], B[c2])
+                c = c1 + c2
+                conv[c] = prod if conv[c] is None else conv[c] + prod
+        return self._fold(np.stack(conv))
 
 
 class VectorKit:
@@ -255,7 +333,6 @@ class FiniteField(_DigitArithmetic):
         self.p = p
         self.e = e
         self.q = p ** e
-        self.pm = p
         self.size = self.q
         self._set_modulus(modulus, p)
         self._kit = None
@@ -381,13 +458,13 @@ class FiniteField(_DigitArithmetic):
         kit.log[0] = 2 * (q - 1)
         kit.neg = kit.wide = kit.red = None
         if p != 2:
-            w = np.array(self._bpow, dtype=np.int64)
-            digits = np.arange(q)[:, None] // w % p
+            digits = self._to_planes(np.arange(q), 1)
             wbase = (2 * p - 1) ** np.arange(e)
             sums = np.arange((2 * p - 1) ** e)
-            kit.neg = (-digits % p) @ w
-            kit.wide = digits @ wbase
-            kit.red = (sums[:, None] // wbase % (2 * p - 1) % p) @ w
+            kit.neg = self._from_planes(-digits % p)
+            kit.wide = wbase @ digits
+            kit.red = self._from_planes(sums // wbase[:, None] % (2 * p - 1)
+                                        % p)
         return kit
 
     def _find_generator(self):
@@ -411,9 +488,8 @@ class GaloisRing(_DigitArithmetic):
         self.e = field.e
         self.m = m
         self.q = field.q
-        self.pm = field.p ** m
+        self._set_modulus(field.modulus, field.p ** m)
         self.size = self.pm ** field.e
-        self._set_modulus(field.modulus, self.pm)
         self._mul_table = self._add_table = self._neg_table = None
         if self.e > 1 and self.size <= _RING_TABLE_CAP:
             self._build_tables()
@@ -446,17 +522,16 @@ class GaloisRing(_DigitArithmetic):
     def _build_tables(self):
         """Flat size x size tables, a block of rows at a time."""
         n, pm = self.size, self.pm
-        w = np.array(self._bpow, dtype=np.int64)
         codes = np.arange(n, dtype=np.int64)
-        digits = codes[:, None] // w % pm
+        digits = self._to_planes(codes, 1)
         self._mul_table, self._add_table = [], []
         for lo in range(0, n, 64):
             rows = slice(lo, lo + 64)
             self._mul_table += _digit_product(
                 self, codes[rows], codes).ravel().tolist()
-            self._add_table += (
-                (digits[rows, None] + digits) % pm @ w).ravel().tolist()
-        self._neg_table = (-digits % pm @ w).tolist()
+            sums = (digits[:, rows, None] + digits[:, None]) % pm
+            self._add_table += self._from_planes(sums).ravel().tolist()
+        self._neg_table = self._from_planes(-digits % pm).tolist()
 
     def add(self, a, b):
         if self.e == 1:
@@ -498,21 +573,12 @@ _RING_CACHE = {}
 
 def split_prime_power(q):
     """(p, e) with q = p^e, or ValueError if q is not a prime power."""
-    if q < 2:
-        raise ValueError("%d is not a prime power" % q)
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            if rest != 1:
-                raise ValueError("%d is not a prime power" % q)
-            return p, e
-        p += 1
-    return q, 1
+    if q >= 2:
+        for e in range(q.bit_length(), 0, -1):
+            p = _iroot(q, e)
+            if p ** e == q and _is_prime(p):
+                return p, e
+    raise ValueError("%d is not a prime power" % q)
 
 
 def make_field(p, e=1, modulus=None):

@@ -163,26 +163,6 @@ class TruncatedSeries:
 # monomial bases
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Graded-lex list of exponent vectors, optionally restricted to
-    monomials every variable divides."""
-
-    nvars: int
-    bound: int
-    divisible: bool
-    vectors: tuple
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def index_map(self):
-        return {u: i for i, u in enumerate(self.vectors)}
-
-
 def _graded_lex(vectors):
     return sorted(vectors, key=lambda u: (sum(u), tuple(-x for x in u)))
 
@@ -211,8 +191,8 @@ def _monomials(n, bound):
 
 
 def rd_basis(n, d, limits=None):
-    """Monomials x^u with all u_i >= 1 and total degree <= d; there are
-    C(d, n) of them."""
+    """The graded-lex tuple of exponent vectors u with all u_i >= 1 and
+    total degree <= d; there are C(d, n) of them."""
     if n < 1:
         raise ValueError("need at least one variable")
     if d < n:
@@ -221,16 +201,15 @@ def rd_basis(n, d, limits=None):
     _basis_caps(n, math.comb(d, n), limits)
     # x^u is x_1...x_n times a monomial of degree <= d - n; the shift keeps
     # the graded-lex order
-    vecs = tuple(tuple(x + 1 for x in u) for u in _monomials(n, d - n))
-    basis = MonomialBasis(n, d, True, vecs)
+    basis = tuple(tuple(x + 1 for x in u) for u in _monomials(n, d - n))
     if len(basis) != math.comb(d, n):
         raise InvariantViolation("basis size is not C(%d, %d)" % (d, n))
     return basis
 
 
 def rmd_basis(n, d, p, m, limits=None):
-    """All monomials of total degree <= d*p^(m-1); there are
-    C(d*p^(m-1) + n, n) of them."""
+    """The graded-lex tuple of exponent vectors of all monomials of total
+    degree <= d*p^(m-1); there are C(d*p^(m-1) + n, n) of them."""
     if n < 1:
         raise ValueError("need at least one variable")
     if m < 1:
@@ -239,7 +218,7 @@ def rmd_basis(n, d, p, m, limits=None):
     if bound < 0:
         raise EmptyBasis("negative degree bound")
     _basis_caps(n, math.comb(bound + n, n), limits)
-    basis = MonomialBasis(n, bound, False, tuple(_monomials(n, bound)))
+    basis = tuple(_monomials(n, bound))
     if len(basis) != math.comb(bound + n, n):
         raise InvariantViolation("basis size is not C(%d, %d)"
                                  % (bound + n, n))
@@ -251,17 +230,19 @@ def rmd_basis(n, d, p, m, limits=None):
 
 
 def _operator_matrix(ctx, power, basis):
-    """Matrix of h -> psi_q(power * h) on the basis, column convention."""
+    """Matrix of h -> psi_q(power * h) on the basis, column convention.
+    Column u reads only the terms x^v of the power with v = -u mod q, the
+    ones whose product with x^u psi_q keeps."""
     q = ctx.q
-    index = basis.index_map()
+    index = {u: i for i, u in enumerate(basis)}
+    classes = {}
+    for v, c in power.terms.items():
+        classes.setdefault(tuple(x % q for x in v), []).append((v, c))
     cols = []
-    for u in basis.vectors:
-        g = power.mul_monomial(u)
+    for u in basis:
         col = [0] * len(basis)
-        for v, c in g.terms.items():
-            if any(x % q for x in v):
-                continue
-            w = tuple(x // q for x in v)
+        for v, c in classes.get(tuple(-x % q for x in u), ()):
+            w = tuple((a + b) // q for a, b in zip(v, u))
             at = index.get(w)
             if at is None:
                 raise StabilityViolation(

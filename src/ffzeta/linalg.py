@@ -1,12 +1,8 @@
 """Exact linear algebra over field and Galois ring contexts.
 
-A SquareMatrix stores its entries as numpy "planes": an (L, n, n) int64
-array whose slice c holds the degree-c digits of every entry, reduced mod p
-(fields) or mod p^m (rings).  Products then run as integer matrix products
-per plane pair followed by a reduction of the high planes through the
-context's modulus, which keeps the heavy loops inside numpy while staying
-exact.  When a product or its reduction could exceed int64 for the
-matrix size, the planes hold Python integers instead.
+A SquareMatrix stores its entries as the context's digit planes, an
+(L, n, n) array (see `fq`); a matrix product is the context's plane
+product with np.matmul.
 
 charpoly_reverse uses the Berkowitz vector recurrence, which needs no
 divisions and is therefore valid over rings with zero divisors; it returns
@@ -20,59 +16,6 @@ import numpy as np
 from .errors import InvariantViolation, RingNotField, SingularMatrix
 
 
-def _dtype_ok(ctx, n):
-    """Whether int64 planes are exact for n x n matrices.  A plane of a
-    product sums at most L*n products of digits below mod, and _fold adds
-    to it up to L-1 high planes times reduction-row entries below mod."""
-    L = ctx.digits
-    mod = ctx.char_mod
-    high = L * max(n, 1) * (mod - 1) ** 2
-    return high * (1 + (L - 1) * (mod - 1)) < 2 ** 62
-
-
-def _to_planes(ctx, codes, n):
-    base = ctx.base
-    arr = np.asarray(codes, dtype=np.int64 if _dtype_ok(ctx, n) else object)
-    planes = np.stack([(arr // base ** c) % base for c in range(ctx.digits)])
-    return planes
-
-
-def _from_planes(ctx, planes):
-    base = ctx.base
-    acc = np.zeros_like(planes[0])
-    for c in range(ctx.digits - 1, -1, -1):
-        acc = acc * base + planes[c]
-    return acc
-
-
-def _fold(ctx, conv):
-    """Reduce a (2L-1, ...) plane stack through the modulus to (L, ...)."""
-    L = ctx.digits
-    mod = ctx.char_mod
-    if L == 1:
-        return conv % mod
-    out = conv[:L].copy()
-    for j in range(conv.shape[0] - 1, L - 1, -1):
-        row = ctx.reduction[j - L]
-        top = conv[j]
-        for i in range(L):
-            if row[i]:
-                out[i] = out[i] + row[i] * top
-    return out % mod
-
-
-def _mul_planes(ctx, A, B):
-    """Plane product; works for matrix @ matrix and matrix @ vector."""
-    L = ctx.digits
-    conv = [None] * (2 * L - 1)
-    for c1 in range(L):
-        for c2 in range(L):
-            prod = A[c1] @ B[c2]
-            c = c1 + c2
-            conv[c] = prod if conv[c] is None else conv[c] + prod
-    return _fold(ctx, np.stack(conv))
-
-
 class SquareMatrix:
     __slots__ = ("ctx", "n", "planes")
 
@@ -83,7 +26,7 @@ class SquareMatrix:
 
     @classmethod
     def zeros(cls, ctx, n):
-        dt = np.int64 if _dtype_ok(ctx, n) else object
+        dt = np.int64 if ctx._dtype_ok(n) else object
         return cls(ctx, n, np.zeros((ctx.digits, n, n), dtype=dt))
 
     @classmethod
@@ -95,19 +38,19 @@ class SquareMatrix:
     @classmethod
     def from_rows(cls, ctx, rows):
         n = len(rows)
-        return cls(ctx, n, _to_planes(ctx, np.array(rows).reshape(n, n), n))
+        return cls(ctx, n, ctx._to_planes(np.array(rows).reshape(n, n), n))
 
     @classmethod
     def from_columns(cls, ctx, cols):
         n = len(cols)
         codes = np.array(cols).T.reshape(n, n)
-        return cls(ctx, n, _to_planes(ctx, codes, n))
+        return cls(ctx, n, ctx._to_planes(codes, n))
 
     def entry(self, i, j):
-        return int(_from_planes(self.ctx, self.planes[:, i, j]))
+        return int(self.ctx._from_planes(self.planes[:, i, j]))
 
     def to_rows(self):
-        return _from_planes(self.ctx, self.planes).tolist()
+        return self.ctx._from_planes(self.planes).tolist()
 
     def copy(self):
         return SquareMatrix(self.ctx, self.n, self.planes.copy())
@@ -119,15 +62,15 @@ class SquareMatrix:
 
     def __add__(self, other):
         return SquareMatrix(self.ctx, self.n,
-                            (self.planes + other.planes) % self.ctx.char_mod)
+                            (self.planes + other.planes) % self.ctx.pm)
 
     def __sub__(self, other):
         return SquareMatrix(self.ctx, self.n,
-                            (self.planes - other.planes) % self.ctx.char_mod)
+                            (self.planes - other.planes) % self.ctx.pm)
 
     def __matmul__(self, other):
-        return SquareMatrix(self.ctx, self.n,
-                            _mul_planes(self.ctx, self.planes, other.planes))
+        return SquareMatrix(self.ctx, self.n, self.ctx._mul_planes(
+            np.matmul, self.planes, other.planes))
 
     def pow(self, j):
         if j < 0:
@@ -161,7 +104,7 @@ def charpoly_reverse(M):
         return [1]
     A = M.planes
     L = ctx.digits
-    mod = ctx.char_mod
+    mod = ctx.pm
     dt = A.dtype
     cur = np.zeros((L, 2), dtype=dt)
     cur[0, 0] = 1
@@ -176,18 +119,14 @@ def charpoly_reverse(M):
         q[:, 1] = (-a) % mod
         w = C
         for i in range(k):
-            dot = _mul_planes(ctx, R.reshape(L, 1, k), w.reshape(L, k, 1))
+            dot = ctx._mul_planes(np.matmul, R.reshape(L, 1, k),
+                                  w.reshape(L, k, 1))
             q[:, i + 2] = (-dot.reshape(L)) % mod
             if i < k - 1:
-                w = _mul_planes(ctx, Asub, w.reshape(L, k, 1)).reshape(L, k)
-        conv = [None] * (2 * L - 1)
-        for c1 in range(L):
-            for c2 in range(L):
-                prod = np.convolve(q[c1], cur[c2])
-                c = c1 + c2
-                conv[c] = prod if conv[c] is None else conv[c] + prod
-        cur = _fold(ctx, np.stack(conv))[:, :k + 2]
-    out = [int(v) for v in _from_planes(ctx, cur)]
+                w = ctx._mul_planes(np.matmul, Asub,
+                                    w.reshape(L, k, 1)).reshape(L, k)
+        cur = ctx._mul_planes(np.convolve, q, cur)[:, :k + 2]
+    out = [int(v) for v in ctx._from_planes(cur)]
     if out[0] != 1:
         raise InvariantViolation("det(I - M*T) has constant term %d"
                                  % out[0])

@@ -143,12 +143,6 @@ class SparsePoly:
                      ((u, mul(cv, c)) for u, cv in self.terms.items()) if v}
         return out
 
-    def mul_monomial(self, exps):
-        out = SparsePoly(self.ctx, self.nvars)
-        out.terms = {tuple(a + b for a, b in zip(u, exps)): c
-                     for u, c in self.terms.items()}
-        return out
-
     def __pow__(self, k):
         return poly_pow(self, k)
 
@@ -311,8 +305,8 @@ def dense_gcd(ctx, a, b):
 
 
 def dense_deriv(ctx, a):
-    # the integer i embeds as the degree-0 code i mod base
-    out = [ctx.mul(a[i], i % ctx.base) for i in range(1, len(a))]
+    # the integer i embeds as the degree-0 code i mod pm
+    out = [ctx.mul(a[i], i % ctx.pm) for i in range(1, len(a))]
     return dense_trim(out)
 
 

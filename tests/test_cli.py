@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,14 @@ def test_exit_code_limits(capsys):
                  "-k", "11"]) == 4
     assert "limit" in capsys.readouterr().err
     assert main(["factor", "--q", "128", "--poly", "x^2+x"]) == 4
+
+
+def test_large_prime_q_reaches_the_enumeration_cap_quickly(capsys):
+    # recognising q = 10^14 + 31 as prime once took seconds of trial division
+    start = time.perf_counter()
+    assert main(["count", "--q", "100000000000031", "--poly", "x"]) == 4
+    assert time.perf_counter() - start < 0.5
+    assert "limit" in capsys.readouterr().err
 
 
 # -- behaviors --------------------------------------------------------------

@@ -21,6 +21,30 @@ def test_split_prime_power():
             split_prime_power(bad)
 
 
+def test_split_prime_power_of_large_primes():
+    assert split_prime_power(10000019 ** 2) == (10000019, 2)
+    assert split_prime_power((2 ** 61 - 1) ** 3) == (2 ** 61 - 1, 3)
+    assert split_prime_power(2 ** 89) == (2, 89)
+    for bad in (10000019 * 10000079, 10000019 ** 2 * 2, 2 ** 61 - 2):
+        with pytest.raises(ValueError):
+            split_prime_power(bad)
+
+
+def test_primality_matches_trial_division():
+    small = [f for f in range(2, 448) if all(f % g for g in range(2, f))]
+    want = [n >= 2 and all(n % f for f in small if f * f <= n)
+            for n in range(200000)]
+    assert [fq._is_prime(n) for n in range(200000)] == want
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not fq._is_prime(3215031751)
+    assert not fq._is_prime(3825123056546413051)
+    assert fq._is_prime(2 ** 61 - 1)
+    assert not fq._is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+
+
 def test_composite_characteristic_rejected():
     for bad in (1, 4, 6, 9, 15):
         with pytest.raises(CompositeP):

@@ -10,7 +10,7 @@ from ffzeta import (EmptyBasis, RingNotField, SizeLimit, TruncatedSeries,
                     make_galois_ring, rd_basis, rmd_basis, torus_zeta,
                     zeta_coeffs_exact, zeta_mod_p, zeta_mod_pm)
 from ffzeta.config import DEFAULT_LIMITS
-from ffzeta.poly import SparsePoly
+from ffzeta.poly import SparsePoly, poly_pow
 
 
 def exact_series_mod(f, B, mod, domain="affine"):
@@ -79,6 +79,42 @@ def test_basis_caps():
         rd_basis(7, 9)
     with pytest.raises(SizeLimit):
         rd_basis(4, 60, DEFAULT_LIMITS.but(max_basis=1000))
+
+
+def _per_column_matrix(ctx, power, basis):
+    """Rows of the matrix of h -> psi_q(power * h), assembled column by
+    column from every term of x^u * power: the reference for the
+    assembly by residue class."""
+    q = ctx.q
+    index = {u: i for i, u in enumerate(basis)}
+    rows = [[0] * len(basis) for _ in basis]
+    for j, u in enumerate(basis):
+        for v, c in power.terms.items():
+            w = tuple(a + b for a, b in zip(v, u))
+            if not any(x % q for x in w):
+                rows[index[tuple(x // q for x in w)]][j] = c
+    return rows
+
+
+@pytest.mark.parametrize("q,m,n,d", [
+    (2, 1, 3, 5), (3, 1, 3, 4), (4, 1, 2, 4), (9, 1, 2, 3), (25, 1, 1, 3),
+    (25, 1, 2, 3), (4, 2, 3, 2), (9, 2, 2, 2), (8, 2, 2, 2), (8, 2, 3, 1),
+])
+def test_operator_matrix_matches_per_column_assembly(q, m, n, d):
+    ctx = field(q)
+    rng = random.Random(1000 * q + 100 * m + 10 * n + d)
+    for _ in range(3):
+        f = rand_poly_mv(ctx, rng, n, d)
+        if m == 1:
+            got = hyper_matrix_mod_p(f, n, d)
+            basis = rd_basis(n, d)
+        else:
+            ring = make_galois_ring(ctx, m)
+            f = f.lift_to(ring)
+            got = hyper_matrix_mod_pm(f, n, d)
+            basis = rmd_basis(n, d, ring.p, m)
+        power = poly_pow(f, (ctx.q - 1) * ctx.p ** (m - 1))
+        assert got.to_rows() == _per_column_matrix(f.ctx, power, basis)
 
 
 # -- truncated series -------------------------------------------------------

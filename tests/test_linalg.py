@@ -1,10 +1,11 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from conftest import field
-from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse,
+from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse, fq,
                     kernel_basis, make_field, make_galois_ring)
 from ffzeta.linalg import invert
 
@@ -108,6 +109,11 @@ def test_matmul_and_charpoly_match_scalar_ring(p, e, m):
         got = charpoly_reverse(M)
         want = det_one_minus_mt_leibniz(ring, M)
         assert got == want + [0] * (len(got) - len(want))
+    # the elementwise plane product the table builders use
+    xs = np.array([rng.randrange(ring.size) for _ in range(7)] + [top[0][0]])
+    ys = np.array([rng.randrange(ring.size) for _ in range(5)] + [top[0][0]])
+    assert fq._digit_product(ring, xs, ys).tolist() == \
+        [[ring.mul(int(x), int(y)) for y in ys] for x in xs]
 
 
 def test_charpoly_constant_coefficient_is_one():
