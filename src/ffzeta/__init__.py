@@ -7,7 +7,6 @@ these determine the zeta series to any truncation order.  The univariate
 brute-force oracle recomputes everything independently for verification.
 """
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
                      DependentPair, EmptyBasis, InternalCheckError,
                      InvariantViolation, LimitError, MultivariateInput,
@@ -32,9 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientOutsidePrimeField", "CompositeP", "ConstantInput",
-    "DEFAULT_LIMITS", "DependentPair", "EmptyBasis", "FactoredZeta",
-    "Factorization", "InternalCheckError", "InvariantViolation",
-    "LimitError", "Limits", "MultivariateInput",
+    "DependentPair", "EmptyBasis", "FactoredZeta", "Factorization",
+    "InternalCheckError", "InvariantViolation", "LimitError",
+    "MultivariateInput",
     "NonIntegralCoefficient", "NonIntegralSolution", "NotMonic",
     "OperatorKind", "ParseError",
     "PreconditionError", "QTooLarge", "ReducibleModulus", "RingNotField",

@@ -28,7 +28,6 @@ import json
 import re
 import sys
 
-from .config import DEFAULT_LIMITS
 from .errors import (LimitError, ParseError, PreconditionError,
                      UnknownVariable)
 from .factor import Factorization, factor_sort_key, factorize
@@ -134,6 +133,8 @@ def _read_sum(toks, i, end, slot, width, group):
 def parse_poly(text, ctx, nvars):
     """Polynomial over ctx in nvars variables.  Variables are x1..xN, with
     x, y, z as aliases when N <= 3; t is the root of the field modulus."""
+    if nvars < 0:
+        raise ValueError("number of variables must be >= 0")
     names = {"x%d" % (k + 1): k for k in range(nvars)}
     if nvars <= 3:
         names.update((alias, k) for k, alias in enumerate(var_names(nvars)))
@@ -210,12 +211,6 @@ def _field_from_args(args):
     return make_field(p, e, modulus)
 
 
-def _limits_from_args(args):
-    kw = {k: v for k, v in vars(args).items()
-          if k.startswith("max_") and v is not None}
-    return DEFAULT_LIMITS.but(**kw) if kw else DEFAULT_LIMITS
-
-
 def _shifted(f, c):
     dense = f.to_dense()
     return SparsePoly.from_dense(f.ctx, dense_translate(f.ctx, dense, c))
@@ -234,13 +229,13 @@ def _shifted_poly(args, ctx):
     return _shifted(f, c), c
 
 
-def _cmd_count(args, ctx, limits):
+def _cmd_count(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
-    n = count_points(f, args.k, args.domain, limits)
+    n = count_points(f, args.k, args.domain)
     return {"count": n}, "N_%d = %d  (%s)" % (args.k, n, args.domain)
 
 
-def _cmd_zerodim(args, ctx, limits):
+def _cmd_zerodim(args, ctx):
     g, _ = _shifted_poly(args, ctx)
     kind = _METHODS[args.method]
     frob = op_matrix(g, OperatorKind.FROBENIUS)
@@ -261,9 +256,9 @@ def _cmd_zerodim(args, ctx, limits):
     return result, text
 
 
-def _cmd_factor(args, ctx, limits):
+def _cmd_factor(args, ctx):
     g, shift = _shifted_poly(args, ctx)
-    fac = factorize(g, _METHODS[args.method], limits)
+    fac = factorize(g, _METHODS[args.method])
     if shift is not None:
         back = ctx.neg(shift)
         pulled = [(_shifted(h, back), m) for h, m in fac.factors]
@@ -273,15 +268,14 @@ def _cmd_factor(args, ctx, limits):
     return {"factors": result}, str(fac)
 
 
-def _cmd_series(args, ctx, limits):
+def _cmd_series(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
     result = {}
     if args.command == "modp":
-        M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d,
-                                            limits)
+        M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d)
     else:
         M, dets, torus, series = _zeta_mod_pm_parts(f, args.m, args.B,
-                                                    args.d, limits)
+                                                    args.d)
         result["torus"] = list(torus.coeffs)
     result.update(modulus=series.modulus, series=list(series.coeffs),
                   det_factors=[[expo, det] for expo, det in dets])
@@ -290,22 +284,22 @@ def _cmd_series(args, ctx, limits):
     return result, "Z mod %d = %s" % (series.modulus, series)
 
 
-def _cmd_verify(args, ctx, limits):
+def _cmd_verify(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
     if args.mode == "zerodim":
         lhs = congruence_charpoly(f, _METHODS[args.method])
         # 1/Z = prod (1 - T^deg h) over the distinct irreducible factors h
-        fac = trial_factorize(f, limits)
+        fac = trial_factorize(f)
         inverse = FactoredZeta(tuple((h.degree(), 1) for h, _ in fac.factors))
         rhs = [c % ctx.p for c in inverse.expand(len(lhs) - 1)]
     else:
         B = 4 if args.B is None else args.B
         if args.mode == "modp":
-            series = zeta_mod_p(f, args.nvars, B, args.d, limits)
+            series = zeta_mod_p(f, args.nvars, B, args.d)
         else:
-            series = zeta_mod_pm(f, args.m, B, args.d, limits)
+            series = zeta_mod_pm(f, args.m, B, args.d)
         domain = "affine" if args.mode == "modp" else "torus"
-        counts = [count_points(f, k, domain, limits) for k in range(1, B + 1)]
+        counts = [count_points(f, k, domain) for k in range(1, B + 1)]
         lhs = list(series.coeffs)
         rhs = [c % series.modulus for c in zeta_coeffs_exact(counts, B)]
     match = lhs == rhs
@@ -314,7 +308,9 @@ def _cmd_verify(args, ctx, limits):
     return result, "match: %s" % ("true" if match else "false")
 
 
-def _cmd_torus(args, ctx, limits):
+def _cmd_torus(args, ctx):
+    if args.m < 1:
+        raise ValueError("precision must be >= 1")
     pm = ctx.p ** args.m
     series = torus_zeta(args.nvars, ctx.q, args.B, pm)
     return ({"modulus": pm, "series": list(series.coeffs)},
@@ -349,10 +345,6 @@ def build_parser():
                            help="polynomial text, e.g. 'x^2+x+1'")
         p.add_argument("--json", action="store_true",
                        help="emit one JSON document instead of text")
-        for name in ("max-terms", "max-enum", "max-sieve", "max-factor-q",
-                     "max-basis", "max-nvars"):
-            p.add_argument("--" + name, type=int, dest=name.replace("-", "_"),
-                           help=argparse.SUPPRESS)
 
     p = sub.add_parser("count", help="count points by brute force")
     common(p)
@@ -411,8 +403,7 @@ def build_parser():
 def run(args):
     """Execute a parsed invocation; returns the JSON-ready payload."""
     ctx = _field_from_args(args)
-    limits = _limits_from_args(args)
-    result, text = _COMMANDS[args.command](args, ctx, limits)
+    result, text = _COMMANDS[args.command](args, ctx)
     inputs = {}
     for key in ("poly", "nvars", "k", "domain", "method", "shift",
                 "m", "B", "d", "mode", "modulus"):

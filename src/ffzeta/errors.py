@@ -79,7 +79,7 @@ class SingularMatrix(PreconditionError):
     pass
 
 
-# -- size limits (exit 4) --
+# -- size caps (exit 4) --
 
 class SizeLimit(LimitError):
     pass

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS
 from .errors import (DependentPair, InternalCheckError, InvariantViolation,
                      QTooLarge)
 from .linalg import SquareMatrix, kernel_basis
 from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mod, dense_mul,
                    render_poly, squarefree_part)
 from .zerodim import OperatorKind, op_matrix
+
+# largest field order accepted, since splitting loops over all of F_q
+_MAX_FACTOR_Q = 64
 
 
 @dataclass(frozen=True)
@@ -164,7 +166,7 @@ def _refine(ctx, g, basis):
     return None
 
 
-def factorize(f, kind=OperatorKind.FROBENIUS, limits=None):
+def factorize(f, kind=OperatorKind.FROBENIUS):
     """Complete factorization of monic univariate f into irreducibles,
     driven by the fixed space of the chosen operator.
 
@@ -173,11 +175,10 @@ def factorize(f, kind=OperatorKind.FROBENIUS, limits=None):
     computed, which either certifies it as a prime power (dimension one)
     or is guaranteed to cut it further.
     """
-    lim = limits or DEFAULT_LIMITS
     ctx = f.ctx
-    if ctx.q > lim.max_factor_q:
+    if ctx.q > _MAX_FACTOR_Q:
         raise QTooLarge("scalar enumeration over %d elements exceeds the "
-                        "cap %d" % (ctx.q, lim.max_factor_q))
+                        "cap %d" % (ctx.q, _MAX_FACTOR_Q))
     basis = [h.to_dense() for h in admissible_basis(f, kind)]
     queue = [(f.to_dense(), basis, True)]
     terminal = []

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CompositeP, ReducibleModulus
+from .errors import CompositeP, ReducibleModulus, TooLarge
 from .poly import dense_is_irreducible
 
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
@@ -49,7 +49,8 @@ _RING_TABLE_CAP = 1024          # flat tables for Galois rings with e > 1
 
 
 # Miller-Rabin with these bases is exact below _MR_BOUND, the least strong
-# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017)
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017); a
+# number at or above it with no factor among the bases is refused
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
@@ -61,7 +62,8 @@ def _is_prime(n):
         if n % a == 0:
             return n == a
     if n >= _MR_BOUND:
-        return all(n % f for f in range(43, _iroot(n, 2) + 1, 2))
+        raise TooLarge("primality is undecided at or above the "
+                       "deterministic Miller-Rabin bound %d" % _MR_BOUND)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -591,12 +593,13 @@ def make_field(p, e=1, modulus=None):
     """
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    if not _is_prime(p):
-        raise CompositeP("p = %d is not prime" % p)
-    key = (p, e, None if modulus is None else tuple(c % p for c in modulus))
+    # keyed by the modulus as given, so that a hit needs no primality test
+    key = (p, e, None if modulus is None else tuple(modulus))
     hit = _FIELD_CACHE.get(key)
     if hit is not None:
         return hit
+    if not _is_prime(p):
+        raise CompositeP("p = %d is not prime" % p)
     if modulus is None:
         mod = _lex_least_modulus(p, e)
     else:

@@ -24,13 +24,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_LIMITS
 from .errors import (CoefficientOutsidePrimeField, EmptyBasis,
                      InvariantViolation, RingNotField, SizeLimit,
                      StabilityViolation)
 from .fq import make_galois_ring
 from .linalg import charpoly_reverse, SquareMatrix
 from .poly import poly_pow
+
+_MAX_BASIS = 10 ** 5    # largest monomial basis an operator matrix may use
+_MAX_NVARS = 6          # most variables the hypersurface routines accept
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +169,12 @@ def _graded_lex(vectors):
     return sorted(vectors, key=lambda u: (sum(u), tuple(-x for x in u)))
 
 
-def _basis_caps(n, size, limits):
-    lim = limits or DEFAULT_LIMITS
-    if n > lim.max_nvars:
-        raise SizeLimit("%d variables exceeds the cap %d" % (n, lim.max_nvars))
-    if size > lim.max_basis:
+def _basis_caps(n, size):
+    if n > _MAX_NVARS:
+        raise SizeLimit("%d variables exceeds the cap %d" % (n, _MAX_NVARS))
+    if size > _MAX_BASIS:
         raise SizeLimit("basis of size %d exceeds the cap %d"
-                        % (size, lim.max_basis))
+                        % (size, _MAX_BASIS))
 
 
 def _monomials(n, bound):
@@ -190,7 +191,7 @@ def _monomials(n, bound):
     return _graded_lex(vecs)
 
 
-def rd_basis(n, d, limits=None):
+def rd_basis(n, d):
     """The graded-lex tuple of exponent vectors u with all u_i >= 1 and
     total degree <= d; there are C(d, n) of them."""
     if n < 1:
@@ -198,7 +199,7 @@ def rd_basis(n, d, limits=None):
     if d < n:
         raise EmptyBasis("no monomial of degree <= %d is divisible by all "
                          "%d variables" % (d, n))
-    _basis_caps(n, math.comb(d, n), limits)
+    _basis_caps(n, math.comb(d, n))
     # x^u is x_1...x_n times a monomial of degree <= d - n; the shift keeps
     # the graded-lex order
     basis = tuple(tuple(x + 1 for x in u) for u in _monomials(n, d - n))
@@ -207,7 +208,7 @@ def rd_basis(n, d, limits=None):
     return basis
 
 
-def rmd_basis(n, d, p, m, limits=None):
+def rmd_basis(n, d, p, m):
     """The graded-lex tuple of exponent vectors of all monomials of total
     degree <= d*p^(m-1); there are C(d*p^(m-1) + n, n) of them."""
     if n < 1:
@@ -217,7 +218,7 @@ def rmd_basis(n, d, p, m, limits=None):
     bound = d * p ** (m - 1)
     if bound < 0:
         raise EmptyBasis("negative degree bound")
-    _basis_caps(n, math.comb(bound + n, n), limits)
+    _basis_caps(n, math.comb(bound + n, n))
     basis = tuple(_monomials(n, bound))
     if len(basis) != math.comb(bound + n, n):
         raise InvariantViolation("basis size is not C(%d, %d)"
@@ -268,19 +269,19 @@ def _shape(f, n, d):
     return n, d
 
 
-def hyper_matrix_mod_p(f, n=None, d=None, limits=None):
+def hyper_matrix_mod_p(f, n=None, d=None):
     """Matrix of h -> psi_q(f^{q-1} h) on the all-variables-divide basis
     of degree <= d, over F_q."""
     ctx = f.ctx
     if ctx.m != 1:
         raise RingNotField("the mod-p operator works over a field")
     n, d = _shape(f, n, d)
-    basis = rd_basis(n, d, limits)
-    power = poly_pow(f, ctx.q - 1, limits)
+    basis = rd_basis(n, d)
+    power = poly_pow(f, ctx.q - 1)
     return _operator_matrix(ctx, power, basis)
 
 
-def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
+def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None):
     """Matrix of h -> psi_q(f_lift^{(q-1)p^{m-1}} h) on all monomials of
     degree <= d*p^{m-1}, over the Galois ring Z_p^m extension."""
     ctx = f_lift.ctx
@@ -291,8 +292,8 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None, limits=None):
     n, d = _shape(f_lift, n, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
-    basis = rmd_basis(n, d, ctx.p, m, limits)
-    power = poly_pow(f_lift, (ctx.q - 1) * ctx.p ** (m - 1), limits)
+    basis = rmd_basis(n, d, ctx.p, m)
+    power = poly_pow(f_lift, (ctx.q - 1) * ctx.p ** (m - 1))
     return _operator_matrix(ctx, power, basis)
 
 
@@ -312,12 +313,12 @@ def _prime_subring_values(ctx, codes, what):
 # zeta series
 
 
-def _zeta_mod_p_parts(f, n, B, d, limits):
+def _zeta_mod_p_parts(f, n, B, d):
     """zeta_mod_p with its working: the operator matrix M, the det
     factors as (exponent, coefficients) pairs, and the series."""
     if B is not None and B < 1:  # checked before any matrix is built
         raise ValueError("truncation order must be >= 1")
-    M = hyper_matrix_mod_p(f, n, d, limits)
+    M = hyper_matrix_mod_p(f, n, d)
     if n is None:
         n = f.nvars
     P = charpoly_reverse(M)
@@ -330,10 +331,10 @@ def _zeta_mod_p_parts(f, n, B, d, limits):
     return M, [(1, vals)], series
 
 
-def zeta_mod_p(f, n=None, B=None, d=None, limits=None):
+def zeta_mod_p(f, n=None, B=None, d=None):
     """Zeta function of the affine hypersurface f = 0, reduced mod p and
     truncated at order B."""
-    return _zeta_mod_p_parts(f, n, B, d, limits)[2]
+    return _zeta_mod_p_parts(f, n, B, d)[2]
 
 
 def torus_zeta(n, q, B, pm):
@@ -355,7 +356,7 @@ def torus_zeta(n, q, B, pm):
     return out
 
 
-def _zeta_mod_pm_parts(f, m, B, d, limits):
+def _zeta_mod_pm_parts(f, m, B, d):
     """zeta_mod_pm with its working: the operator matrix M, the det
     factors det(I - q^i M T) as (exponent, coefficients) pairs, the torus
     zeta and the series."""
@@ -374,7 +375,7 @@ def _zeta_mod_pm_parts(f, m, B, d, limits):
         raise ValueError("polynomial precision p^%d does not match m=%d"
                          % (ctx.m, m))
     n = f.nvars
-    M = hyper_matrix_mod_pm(flift, n, d, m, limits)
+    M = hyper_matrix_mod_pm(flift, n, d, m)
     if B is None:
         B = M.n
     pm = ring.pm
@@ -396,7 +397,7 @@ def _zeta_mod_pm_parts(f, m, B, d, limits):
     return M, factors, torus, torus * relative
 
 
-def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
+def zeta_mod_pm(f, m=None, B=None, d=None):
     """Zeta function of the part of the hypersurface f = 0 with all
     coordinates nonzero, computed mod p^m and truncated at order B.
 
@@ -404,4 +405,4 @@ def zeta_mod_pm(f, m=None, B=None, d=None, limits=None):
     Galois ring, in which case it is itself taken as the lift and m must
     agree with the ring precision.
     """
-    return _zeta_mod_pm_parts(f, m, B, d, limits)[3]
+    return _zeta_mod_pm_parts(f, m, B, d)[3]

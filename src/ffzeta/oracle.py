@@ -12,7 +12,7 @@ Enumeration is vectorized when the extension field is small enough to carry
 the field's 1-D tables (log/antilog, and for odd p the carry-free addition
 of fq.VectorKit), one Horner pass over every value of the last variable per
 point of the others; otherwise a plain odometer loop runs.  Either way the
-work is q^(k*n) point evaluations, capped by Limits.max_enum.  The sieve
+work is q^(k*n) point evaluations, capped by _MAX_ENUM.  The sieve
 and trial division run on the same tables over extension fields and on
 int64 arithmetic mod p over prime fields.
 """
@@ -24,11 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS
 from .errors import NonIntegralCoefficient, TooLarge
 from .factor import Factorization, factor_sort_key
 from .fq import make_field, split_prime_power
 from .poly import SparsePoly, dense_divmod, dense_monic, dense_trim
+
+_MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
+_MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -131,7 +133,7 @@ def _horner_vec(kit, dense, xlog):
     return y
 
 
-def count_points(f, k=1, domain="affine", limits=None):
+def count_points(f, k=1, domain="affine"):
     """Number of F_{q^k}-rational points of {f = 0}, by enumeration over the
     affine space or the torus (all coordinates nonzero)."""
     if domain not in ("affine", "torus"):
@@ -139,9 +141,8 @@ def count_points(f, k=1, domain="affine", limits=None):
     ctx = f.ctx
     if ctx.m != 1:
         raise ValueError("point counting needs field coefficients")
-    lim = limits or DEFAULT_LIMITS
     n = f.nvars
-    if ctx.q ** (k * n) > lim.max_enum:
+    if ctx.q ** (k * n) > _MAX_ENUM:
         raise TooLarge("q^(k*n) = %d exceeds the enumeration cap"
                        % ctx.q ** (k * n))
     big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
@@ -151,6 +152,9 @@ def count_points(f, k=1, domain="affine", limits=None):
         # the zero polynomial vanishes everywhere
         total = big.q ** n if domain == "affine" else (big.q - 1) ** n
         return total
+    if n == 0:
+        # the one point is the empty tuple, where a nonzero constant is not 0
+        return 0
     kit = big.vector_kit()
     if kit is not None:
         return _count_vectorized(big, kit, terms, n, domain)
@@ -223,8 +227,8 @@ def _count_scalar(big, terms, n, domain):
     return count
 
 
-def count_vector(f, K, domain="affine", limits=None):
-    counts = tuple(count_points(f, k, domain, limits) for k in range(1, K + 1))
+def count_vector(f, K, domain="affine"):
+    counts = tuple(count_points(f, k, domain) for k in range(1, K + 1))
     return CountVector(f.ctx.q, f.nvars, domain, counts)
 
 
@@ -336,12 +340,11 @@ def _sieve(ctx, D):
     return kit, data
 
 
-def irreducibles_up_to(field, D, limits=None):
+def irreducibles_up_to(field, D):
     """All monic irreducibles of degree <= D over the field, sorted by
     degree then by coefficient tuple (c_{d-1}, ..., c_0)."""
     ctx = field if not isinstance(field, int) else _field_from_order(field)
-    lim = limits or DEFAULT_LIMITS
-    if ctx.q ** D > lim.max_sieve:
+    if ctx.q ** D > _MAX_SIEVE:
         raise TooLarge("sieve size q^D = %d over cap" % ctx.q ** D)
     _, data = _sieve(ctx, D)
     out = []
@@ -372,7 +375,7 @@ def _batch_remainders(ctx, kit, a, rows, ell):
     return np.all(rem[:, :ell] == 0, axis=1)
 
 
-def trial_factorize(f, limits=None):
+def trial_factorize(f):
     """Factor a univariate polynomial by dividing out sieve irreducibles in
     increasing order.  Independent of the operator machinery."""
     if f.nvars != 1:
@@ -385,9 +388,8 @@ def trial_factorize(f, limits=None):
         raise ValueError("cannot factor a constant")
     unit = dense[-1]
     rem = dense_monic(ctx, dense)
-    lim = limits or DEFAULT_LIMITS
     half = (len(rem) - 1) // 2
-    if half >= 1 and ctx.q ** half > lim.max_sieve:
+    if half >= 1 and ctx.q ** half > _MAX_SIEVE:
         raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
     kit, data = _sieve(ctx, half)
     factors = []

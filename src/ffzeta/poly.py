@@ -15,9 +15,10 @@ matrix.
 
 from __future__ import annotations
 
-from .config import DEFAULT_LIMITS
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      SizeLimit)
+
+_MAX_TERMS = 10 ** 7    # most terms a fully expanded power may reach
 
 
 class SparsePoly:
@@ -370,24 +371,23 @@ def dense_translate(ctx, a, c):
 # powering and squarefree parts
 
 
-def poly_pow(f, k, limits=None):
+def poly_pow(f, k):
     """f**k by repeated squaring with full expansion; SizeLimit guards the
     term count."""
     if k < 0:
         raise ValueError("negative power of a polynomial")
-    lim = (limits or DEFAULT_LIMITS).max_terms
     out = SparsePoly.one(f.ctx, f.nvars)
     base = f
     while k:
         if k & 1:
             out = out * base
-            if len(out.terms) > lim:
-                raise SizeLimit("expansion exceeds %d terms" % lim)
+            if len(out.terms) > _MAX_TERMS:
+                raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
         k >>= 1
         if k:
             base = base * base
-            if len(base.terms) > lim:
-                raise SizeLimit("expansion exceeds %d terms" % lim)
+            if len(base.terms) > _MAX_TERMS:
+                raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
     return out
 
 

@@ -230,6 +230,41 @@ def test_large_prime_q_reaches_the_enumeration_cap_quickly(capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_prime_above_the_miller_rabin_bound_exits_four_quickly(capsys):
+    # q = 2^89 - 1 once fell back to trial division and never finished
+    start = time.perf_counter()
+    assert main(["count", "--q", str(2 ** 89 - 1), "--poly", "x"]) == 4
+    assert time.perf_counter() - start < 0.5
+    assert "Miller-Rabin" in capsys.readouterr().err
+
+
+def test_size_caps_are_not_flags():
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",
+              "--max-enum", "10"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_torus_zeta_rejects_precision_below_one(m, capsys):
+    assert main(["torus-zeta", "--q", "2", "-n", "1", "-m", m, "-B", "2"]) == 2
+    assert "precision must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("poly,count", [("1", 0), ("0", 1)])
+def test_count_in_zero_variables(poly, count, capsys):
+    assert main(["count", "--q", "2", "-n", "0", "--poly", poly]) == 0
+    assert capsys.readouterr().out.startswith("N_1 = %d " % count)
+
+
+@pytest.mark.parametrize("command", ["count", "modp"])
+def test_negative_variable_count_is_malformed(command, capsys):
+    assert main([command, "--q", "2", "-n", "-1", "--poly", "1"]) == 2
+    assert "number of variables must be >= 0" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        parse_poly("1", field(2), -1)
+
+
 # -- behaviors --------------------------------------------------------------
 
 

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
-from ffzeta import (CompositeP, ReducibleModulus, fq, irreducibles_up_to,
-                    make_field, make_galois_ring, split_prime_power)
+from conftest import count_calls
+from ffzeta import (CompositeP, ReducibleModulus, TooLarge, fq,
+                    irreducibles_up_to, make_field, make_galois_ring,
+                    split_prime_power)
 from ffzeta.poly import dense_is_irreducible
 
 
@@ -49,6 +51,26 @@ def test_composite_characteristic_rejected():
     for bad in (1, 4, 6, 9, 15):
         with pytest.raises(CompositeP):
             make_field(bad)
+
+
+def test_prime_above_the_miller_rabin_bound_is_refused():
+    # the bases decide primality only below fq._MR_BOUND
+    with pytest.raises(TooLarge, match="Miller-Rabin"):
+        make_field(2 ** 89 - 1)
+    assert split_prime_power(2 ** 89) == (2, 89)
+
+
+def test_cached_field_skips_the_primality_test(monkeypatch):
+    ctx = make_field(2999)
+    calls = count_calls(monkeypatch, ["_is_prime"])
+    assert make_field(2999) is ctx
+    assert calls["_is_prime"] == 0
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_characteristic_checked_before_a_supplied_modulus(p):
+    with pytest.raises(CompositeP):
+        make_field(p, 1, [1, 1])
 
 
 def test_reducible_modulus_rejected():

@@ -9,7 +9,6 @@ from conftest import (count_scalar_reference, field, rand_monic,
 from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
                     count_vector, degree_profile, irreducibles_up_to,
                     trial_factorize, zeta_coeffs_exact, zerodim_zeta)
-from ffzeta.config import DEFAULT_LIMITS
 from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
 from ffzeta.poly import SparsePoly
 
@@ -51,6 +50,11 @@ def test_affine_torus_border_cases():
     assert count_points(zero, 2, "torus") == 9
     one = SparsePoly.one(ctx, 2)
     assert count_points(one, 3) == 0
+    # in zero variables the one point is the empty tuple
+    for domain in ("affine", "torus"):
+        for k in (1, 2):
+            assert count_points(SparsePoly.zero(ctx, 0), k, domain) == 1
+            assert count_points(SparsePoly.one(ctx, 0), k, domain) == 0
 
 
 def test_worked_counts():
@@ -151,13 +155,13 @@ def test_enumeration_cap():
     with pytest.raises(TooLarge):
         count_points(f, 11)
     with pytest.raises(TooLarge):
-        count_points(f, 2, "affine", DEFAULT_LIMITS.but(max_enum=10))
+        count_points(f, 10, "torus")  # 2^30 points, over the cap
 
 
 def test_sieve_cap():
     ctx = field(3)
     with pytest.raises(TooLarge):
-        irreducibles_up_to(ctx, 9, DEFAULT_LIMITS.but(max_sieve=100))
+        irreducibles_up_to(ctx, 15)  # 3^15, refused before any sieving
 
 
 def test_trial_factorize_past_the_old_table_order():

@@ -19,6 +19,27 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_caps_are_not_parameters():
+    # each size cap is a constant of the module that enforces it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                if "limits" in [x.arg for x in
+                                a.posonlyargs + a.args + a.kwonlyargs]:
+                    found.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [x.name for x in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                if any("config" in name.split(".") for name in names):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert len(SOURCES) > 1
+    assert "config.py" not in [path.name for path in SOURCES]
+    assert found == []
+
+
 def test_only_fq_reads_the_digit_encoding():
     # the plane codec and the fold through the modulus live in fq
     found = []
