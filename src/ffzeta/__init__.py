@@ -8,14 +8,14 @@ brute-force oracle recomputes everything independently for verification.
 """
 
 from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
-                     DependentPair, EmptyBasis, InternalCheckError,
-                     InvariantViolation, LimitError, MultivariateInput,
+                     EmptyBasis, InternalCheckError, InvariantViolation,
+                     LimitError, MultivariateInput,
                      NonIntegralCoefficient, NonIntegralSolution, NotMonic,
                      ParseError, PreconditionError, QTooLarge,
                      ReducibleModulus, RingNotField, SingularMatrix,
                      SizeLimit, StabilityViolation, TooLarge,
                      UnknownVariable, ZetaError, ZeroConstantTerm)
-from .factor import Factorization, admissible_basis, factorize, split
+from .factor import Factorization, admissible_basis, factorize
 from .fq import make_field, make_galois_ring, split_prime_power
 from .hyper import (TruncatedSeries, hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     rd_basis, rmd_basis, torus_zeta, zeta_mod_p, zeta_mod_pm)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientOutsidePrimeField", "CompositeP", "ConstantInput",
-    "DependentPair", "EmptyBasis", "FactoredZeta", "Factorization",
+    "EmptyBasis", "FactoredZeta", "Factorization",
     "InternalCheckError", "InvariantViolation", "LimitError",
     "MultivariateInput",
     "NonIntegralCoefficient", "NonIntegralSolution", "NotMonic",
@@ -44,7 +44,7 @@ __all__ = [
     "distinct_factor_count", "factorize", "gcd_matrix", "hyper_matrix_mod_p",
     "hyper_matrix_mod_pm", "irreducibles_up_to", "kernel_basis", "make_field",
     "make_galois_ring", "multiplication_matrix", "op_matrix", "rd_basis",
-    "render_poly", "rmd_basis", "split", "split_prime_power", "torus_zeta",
+    "render_poly", "rmd_basis", "split_prime_power", "torus_zeta",
     "trial_factorize", "zerodim_zeta", "zeta_coeffs_exact", "zeta_mod_p",
     "zeta_mod_pm", "__version__",
 ]

@@ -34,11 +34,11 @@ from .factor import Factorization, factor_sort_key, factorize
 from .fq import make_field, split_prime_power
 from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
+from .linalg import charpoly_reverse
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (FactoredZeta, OperatorKind, _prime_field_charpoly,
-                      _profile, _zeta_from_profile, congruence_charpoly,
-                      op_matrix)
+from .zerodim import (FactoredZeta, OperatorKind, _profile,
+                      _zeta_from_profile, congruence_charpoly, op_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ def _cmd_zerodim(args, ctx):
     prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
     M = frob if kind == OperatorKind.FROBENIUS else op_matrix(g, kind)
-    cp = _prime_field_charpoly(M)
+    cp = ctx.prime_subring(charpoly_reverse(M), "charpoly")
     result = {
         "s": list(prof),
         "zeta_factors": [[i, e] for i, e in zeta.factors],

@@ -67,10 +67,6 @@ class ZeroConstantTerm(PreconditionError):
     pass
 
 
-class DependentPair(PreconditionError):
-    pass
-
-
 class EmptyBasis(PreconditionError):
     pass
 

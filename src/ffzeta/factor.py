@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DependentPair, InternalCheckError, InvariantViolation,
-                     QTooLarge)
+from .errors import InternalCheckError, InvariantViolation, QTooLarge
 from .linalg import SquareMatrix, kernel_basis
 from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mod, dense_mul,
                    render_poly, squarefree_part)
@@ -100,28 +99,6 @@ def _dense_sub_scaled(ctx, a, b, c):
                 out[i] = ctx.sub(out[i], ctx.mul(c, y))
     while out and out[-1] == 0:
         out.pop()
-    return out
-
-
-def split(g, h1, h2):
-    """One round of gcd splitting: gcd(g, h1 - c*h2) for every scalar c,
-    plus gcd(g, h2) to catch components on which h2 vanishes.  Trivial
-    entries are dropped; the pieces need not be coprime when g has
-    repeated factors."""
-    ctx = g.ctx
-    gd = g.to_dense()
-    a = dense_mod(ctx, h1.to_dense(), gd)
-    b = dense_mod(ctx, h2.to_dense(), gd)
-    if _dependent(ctx, a, b):
-        raise DependentPair("splitting pair is linearly dependent")
-    out = []
-    for c in range(ctx.q):
-        w = dense_gcd(ctx, gd, _dense_sub_scaled(ctx, a, b, c))
-        if len(w) > 1:
-            out.append(SparsePoly.from_dense(ctx, w))
-    w = dense_gcd(ctx, gd, b)
-    if len(w) > 1:
-        out.append(SparsePoly.from_dense(ctx, w))
     return out
 
 

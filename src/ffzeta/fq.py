@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CompositeP, ReducibleModulus, TooLarge
+from .errors import (CoefficientOutsidePrimeField, CompositeP,
+                     ReducibleModulus, TooLarge)
 from .poly import dense_is_irreducible
 
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
@@ -198,6 +199,18 @@ class _DigitArithmetic:
 
     def coeffs(self, code):
         return tuple((code // b) % self.pm for b in self._bpow)
+
+    def prime_subring(self, codes, what):
+        """The codes as a list.  Constants are exactly the codes below pm,
+        whose higher digits are zero; any other code means a congruence
+        guarantee was violated, and raises."""
+        vals = list(codes)
+        for c in vals:
+            if not 0 <= c < self.pm:
+                raise CoefficientOutsidePrimeField(
+                    "%s coefficient %d is not in the prime subring"
+                    % (what, c))
+        return vals
 
     def _add_generic(self, a, b):
         pm = self.pm

@@ -24,9 +24,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import (CoefficientOutsidePrimeField, EmptyBasis,
-                     InvariantViolation, RingNotField, SizeLimit,
-                     StabilityViolation)
+from .errors import (EmptyBasis, InvariantViolation, RingNotField,
+                     SizeLimit, StabilityViolation)
 from .fq import make_galois_ring
 from .linalg import charpoly_reverse, SquareMatrix
 from .poly import poly_pow
@@ -297,18 +296,6 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None):
     return _operator_matrix(ctx, power, basis)
 
 
-def _prime_subring_values(ctx, codes, what):
-    """Codes of constants in a Galois ring are exactly the residues mod
-    p^m; anything else means the congruence guarantee was violated."""
-    vals = []
-    for c in codes:
-        if not 0 <= c < ctx.pm:
-            raise CoefficientOutsidePrimeField(
-                "%s coefficient %d is not in the prime subring" % (what, c))
-        vals.append(c)
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # zeta series
 
@@ -322,7 +309,7 @@ def _zeta_mod_p_parts(f, n, B, d):
     if n is None:
         n = f.nvars
     P = charpoly_reverse(M)
-    vals = _prime_subring_values(f.ctx, P, "determinant")
+    vals = f.ctx.prime_subring(P, "determinant")
     if B is None:
         B = M.n
     series = TruncatedSeries.from_list(f.ctx.p, vals, B)
@@ -391,7 +378,7 @@ def _zeta_mod_pm_parts(f, m, B, d):
         factors.append((expo, det))
         det = (det + [0] * B)[:B + 1]
         acc = _series_mul(ring, acc, _series_pow(ring, det, expo))
-    vals = _prime_subring_values(ring, acc, "zeta")
+    vals = ring.prime_subring(acc, "zeta")
     relative = TruncatedSeries.from_list(pm, vals, B)
     torus = torus_zeta(n, q, B, pm)
     return M, factors, torus, torus * relative

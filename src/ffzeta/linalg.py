@@ -52,9 +52,6 @@ class SquareMatrix:
     def to_rows(self):
         return self.ctx._from_planes(self.planes).tolist()
 
-    def copy(self):
-        return SquareMatrix(self.ctx, self.n, self.planes.copy())
-
     def __eq__(self, other):
         return (isinstance(other, SquareMatrix) and self.ctx == other.ctx
                 and self.n == other.n
@@ -83,13 +80,6 @@ class SquareMatrix:
             base = base @ base if j > 1 else base
             j >>= 1
         return out
-
-    def reduce_mod_p(self):
-        """Entrywise reduction of a ring matrix to the residue field."""
-        ctx = self.ctx
-        if ctx.m == 1:
-            return self.copy()
-        return SquareMatrix(ctx.field, self.n, self.planes % ctx.p)
 
     def __repr__(self):
         return "SquareMatrix(%r, %s)" % (self.ctx, self.to_rows())

@@ -11,7 +11,8 @@ the irreducibility test that certifies a field's modulus against the sieve.
 Enumeration is vectorized when the extension field is small enough to carry
 the field's 1-D tables (log/antilog, and for odd p the carry-free addition
 of fq.VectorKit), one Horner pass over every value of the last variable per
-point of the others; otherwise a plain odometer loop runs.  Either way the
+point of the others; otherwise a plain odometer loop runs.  Exponents
+are first folded below q^k, since x^(q^k) = x on F_{q^k}.  Either way the
 work is q^(k*n) point evaluations, capped by _MAX_ENUM.  The sieve
 and trial division run on the same tables over extension fields and on
 int64 arithmetic mod p over prime fields.
@@ -147,9 +148,15 @@ def count_points(f, k=1, domain="affine"):
                        % ctx.q ** (k * n))
     big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
     rpows = _embedding(ctx, big)
-    terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in f.terms.items()}
+    terms = {}
+    for u, c in f.terms.items():
+        # x^u = x^((u-1) mod (Q-1) + 1) on F_Q for u >= 1, so the work
+        # depends on Q and not on the degree
+        v = tuple((e - 1) % (big.q - 1) + 1 if e else 0 for e in u)
+        terms[v] = big.add(terms.get(v, 0), _embed_coeff(ctx, big, rpows, c))
+    terms = {u: c for u, c in terms.items() if c}
     if not terms:
-        # the zero polynomial vanishes everywhere
+        # f is zero as a function on F_Q^n (x^2 + x on F_2, say)
         total = big.q ** n if domain == "affine" else (big.q - 1) ** n
         return total
     if n == 0:

@@ -8,9 +8,8 @@ squarefree parts, and the package's one univariate polynomial
 arithmetic: dense kernels on little-endian code lists (products, division,
 gcd, modular powers, the irreducibility test) that the factorization and
 zero-dimensional pipelines run on, and that `fq` runs to certify a field's
-modulus.  The univariate psi_q and Hasse derivative act on dense lists in
-`zerodim`; the multivariate psi_q is applied inside `hyper`'s operator
-matrix.
+modulus.  The univariate psi_q acts on dense lists in `zerodim`; the
+multivariate psi_q is applied inside `hyper`'s operator matrix.
 """
 
 from __future__ import annotations
@@ -157,33 +156,12 @@ class SparsePoly:
     def __repr__(self):
         return "<poly %s>" % render_poly(self)
 
-    def evaluate(self, point):
-        ctx = self.ctx
-        acc = 0
-        for u, c in self.terms.items():
-            v = c
-            for xi, ui in zip(point, u):
-                if ui:
-                    v = ctx.mul(v, ctx.pow(xi, ui))
-            acc = ctx.add(acc, v)
-        return acc
-
     # -- context changes ---------------------------------------------------
 
     def lift_to(self, ring):
         """Trivial coefficient-wise lift of a polynomial over ring.field."""
         out = SparsePoly(ring, self.nvars)
         out.terms = {u: ring.from_field(c) for u, c in self.terms.items()}
-        return out
-
-    def reduce_mod_p(self):
-        """Reduce a polynomial over a Galois ring to the residue field."""
-        ctx = self.ctx
-        out = SparsePoly(ctx.field, self.nvars)
-        for u, c in self.terms.items():
-            v = ctx.to_field(c)
-            if v:
-                out.terms[u] = v
         return out
 
 
@@ -342,13 +320,6 @@ def dense_is_irreducible(ctx, f):
         if len(dense_gcd(ctx, f, dense_trim(diff))) > 1:
             return False
     return True
-
-
-def dense_eval(ctx, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
 
 
 def dense_translate(ctx, a, c):

@@ -5,7 +5,9 @@ The coordinate ring R = F_q[x]/(f) has basis 1, x, ..., x^(d-1).  Three
 semilinear/linear operators on R tie the arithmetic of f to linear algebra:
 
   * Frobenius        h -> h^q
-  * Niederreiter     h -> psi_q(hasse_{q-1}(f^(q-1) * h))
+  * Niederreiter     h -> psi_q(hasse_{q-1}(f^(q-1) * h)), computed as
+                     the slice g[q-1::q] of g = f^(q-1) * h: the Hasse
+                     binomials C(qk + q-1, q-1) that psi_q keeps are 1 mod p
   * PsiMul           h -> psi_q(f^(q-1) * h), needs f(0) != 0
 
 Each has det(I - M*T) congruent mod p to 1/Z(V(f), T), and the fixed space
@@ -29,13 +31,11 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (CoefficientOutsidePrimeField, ConstantInput,
-                     InvariantViolation, MultivariateInput,
+from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      NonIntegralSolution, NotMonic, RingNotField,
                      ZeroConstantTerm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
-from .poly import (dense_mod, dense_mul, dense_mulmod, dense_powmod,
-                   dense_trim)
+from .poly import dense_mod, dense_mul, dense_mulmod, dense_powmod
 
 
 class OperatorKind(enum.Enum):
@@ -54,30 +54,6 @@ def _check_zerodim_input(f):
         raise ConstantInput("f must be nonconstant")
     if not f.is_monic_uni():
         raise NotMonic("f must be monic")
-
-
-def _dense_psi(h, q):
-    return h[::q]
-
-
-def _binom_mod_p(n, k, p):
-    """Binomial coefficient mod p by the base-p digit product rule."""
-    r = 1
-    while k:
-        r = r * math.comb(n % p, k % p) % p
-        if not r:
-            return 0
-        n //= p
-        k //= p
-    return r
-
-
-def _dense_hasse(ctx, h, r):
-    out = []
-    for u in range(r, len(h)):
-        b = _binom_mod_p(u, r, ctx.p)
-        out.append(ctx.mul(h[u], b) if b else 0)
-    return dense_trim(out)
 
 
 def op_matrix(f, kind):
@@ -103,12 +79,10 @@ def op_matrix(f, kind):
         fq1 = [1]
         for _ in range(q - 1):
             fq1 = dense_mul(ctx, fq1, fd)
+        # Lucas: C(qk+q-1, q-1) = 1 mod p, so psi_q(hasse_{q-1}(g)) = g[q-1::q]
+        start = q - 1 if kind == OperatorKind.NIEDERREITER else 0
         for j in range(d):
-            h = [0] * j + fq1
-            if kind == OperatorKind.NIEDERREITER:
-                h = _dense_hasse(ctx, h, q - 1)
-            h = _dense_psi(h, q)
-            h = dense_mod(ctx, h, fd)
+            h = dense_mod(ctx, ([0] * j + fq1)[start::q], fd)
             cols.append(h + [0] * (d - len(h)))
     return SquareMatrix.from_columns(ctx, cols)
 
@@ -241,15 +215,5 @@ def zerodim_zeta(f):
 def congruence_charpoly(f, kind):
     """det(I - M*T) for the chosen operator; the coefficients provably lie
     in the prime field, and that containment is asserted."""
-    return _prime_field_charpoly(op_matrix(f, kind))
-
-
-def _prime_field_charpoly(M):
-    """congruence_charpoly from the operator matrix M."""
-    coeffs = charpoly_reverse(M)
-    p = M.ctx.p
-    for c in coeffs:
-        if c >= p:
-            raise CoefficientOutsidePrimeField(
-                "charpoly coefficient code %d outside F_%d" % (c, p))
-    return coeffs
+    return f.ctx.prime_subring(charpoly_reverse(op_matrix(f, kind)),
+                               "charpoly")

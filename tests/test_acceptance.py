@@ -231,7 +231,6 @@ from ffzeta import (CoefficientOutsidePrimeField, OperatorKind, SparsePoly,
                     congruence_charpoly, degree_profile, make_field,
                     make_galois_ring, split_prime_power, zeta_mod_p,
                     zeta_mod_pm)
-from ffzeta.hyper import _prime_subring_values
 
 
 def sweep(univariate, hypersurfaces):
@@ -252,7 +251,7 @@ def sweep(univariate, hypersurfaces):
 def forced_violation_raises():
     ring = make_galois_ring(make_field(2), 2)
     try:
-        _prime_subring_values(ring, [ring.pm], "zeta")
+        ring.prime_subring([ring.pm], "zeta")
     except CoefficientOutsidePrimeField:
         return True
     return False

@@ -238,6 +238,14 @@ def test_prime_above_the_miller_rabin_bound_exits_four_quickly(capsys):
     assert "Miller-Rabin" in capsys.readouterr().err
 
 
+def test_count_cost_does_not_grow_with_the_exponent(capsys):
+    # x^1000000 + x once built a dense list of a million coefficients
+    start = time.perf_counter()
+    assert main(["count", "--q", "2", "--poly", "x^1000000+x"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.startswith("N_1 = 2 ")
+
+
 def test_size_caps_are_not_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from conftest import field, rand_monic
-from ffzeta import (DependentPair, Factorization, OperatorKind, QTooLarge,
-                    ZeroConstantTerm, admissible_basis, distinct_factor_count,
-                    factorize, irreducibles_up_to, split, trial_factorize)
-from ffzeta.poly import SparsePoly
+from ffzeta import (Factorization, OperatorKind, QTooLarge, ZeroConstantTerm,
+                    admissible_basis, distinct_factor_count, factorize,
+                    irreducibles_up_to, trial_factorize)
+from ffzeta.factor import _refine
+from ffzeta.poly import SparsePoly, dense_gcd, dense_mul
 
 
 def dense_factors(fac):
@@ -42,47 +43,29 @@ def test_admissible_basis_dimension_counts_factors():
     assert len(basis) == len(trial_factorize(f).factors)
 
 
-def test_split_produces_nontrivial_pieces():
-    from ffzeta.poly import dense_gcd
+def test_refine_cuts_into_a_coprime_pair():
     ctx = field(3)
     rng = random.Random(33)
-    done = full_identity = 0
+    done = 0
     while done < 40:
         f = rand_monic(ctx, rng, rng.randrange(3, 9), nonzero_const=True)
-        basis = admissible_basis(f, OperatorKind.FROBENIUS)
+        basis = [h.to_dense() for h in admissible_basis(f)]
         if len(basis) < 2:
             continue
-        pieces = split(f, basis[0], basis[1])
         done += 1
-        assert len(pieces) >= 2
-        for g in pieces:
-            assert 0 < g.degree() < f.degree()
-            _, rem = divmod_dense(ctx, f, g)
-            assert rem == []
-        # when the second element is a unit in every component the
-        # gcd buckets multiply back to f exactly
-        if len(dense_gcd(ctx, f.to_dense(), basis[1].to_dense())) == 1:
-            full_identity += 1
-            prod = SparsePoly.one(ctx)
-            for g in pieces:
-                prod = prod * g
-            assert prod == f
-    assert full_identity >= 10
+        s, t = _refine(ctx, f.to_dense(), basis)
+        assert 0 < len(s) - 1 < f.degree()
+        assert 0 < len(t) - 1 < f.degree()
+        assert dense_mul(ctx, s, t) == f.to_dense()
+        assert dense_gcd(ctx, s, t) == [1]
 
 
-def divmod_dense(ctx, f, g):
-    from ffzeta.poly import dense_divmod
-    return dense_divmod(ctx, f.to_dense(), g.to_dense())
-
-
-def test_split_rejects_dependent_pair():
+def test_refine_stalls_on_a_one_dimensional_fixed_space():
     ctx = field(2)
-    f = SparsePoly.from_dense(ctx, [1, 1, 1, 1])  # (x+1)(x^2+x+1)? no:
-    # x^3+x^2+x+1 = (x+1)^3 over F_2; any two kernel vectors are dependent
-    basis = admissible_basis(f, OperatorKind.FROBENIUS)
+    f = SparsePoly.from_dense(ctx, [1, 1, 1, 1])  # (x+1)^3 over F_2
+    basis = [h.to_dense() for h in admissible_basis(f)]
     assert len(basis) == 1
-    with pytest.raises(DependentPair):
-        split(f, basis[0], basis[0])
+    assert _refine(ctx, f.to_dense(), basis) is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from ffzeta import (CompositeP, ReducibleModulus, TooLarge, fq,
-                    irreducibles_up_to, make_field, make_galois_ring,
-                    split_prime_power)
+from ffzeta import (CoefficientOutsidePrimeField, CompositeP,
+                    ReducibleModulus, TooLarge, fq, irreducibles_up_to,
+                    make_field, make_galois_ring, split_prime_power)
 from ffzeta.poly import dense_is_irreducible
 
 
@@ -183,6 +183,17 @@ def test_galois_ring_lift_roundtrip():
     ring = make_galois_ring(ctx, 3)
     for a in ctx.elements():
         assert ring.to_field(ring.from_field(a)) == a
+
+
+@pytest.mark.parametrize("ctx", [make_field(3, 2),
+                                 make_galois_ring(make_field(2, 2), 2)])
+def test_prime_subring_holds_the_codes_below_pm(ctx):
+    assert ctx.prime_subring(iter(range(ctx.pm)), "test") == \
+        list(range(ctx.pm))
+    bad = [ctx.pm] + ([3] if ctx.q == 9 else [])  # on F_9, 3 is t
+    for c in bad:
+        with pytest.raises(CoefficientOutsidePrimeField):
+            ctx.prime_subring([0, c], "test")
 
 
 def test_field_cache_returns_same_context():

@@ -57,6 +57,38 @@ def test_affine_torus_border_cases():
             assert count_points(SparsePoly.one(ctx, 0), k, domain) == 0
 
 
+def test_vanishing_everywhere_counts_every_point():
+    # x^2 + x is the zero function on F_2, though not the zero polynomial
+    f = SparsePoly.from_dense(field(2), [0, 1, 1])
+    assert count_points(f) == 2
+    assert count_points(f, 1, "torus") == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_exponents_fold_below_the_field_order(q):
+    # x^u = x^(u + Q-1) on F_Q for u >= 1, while 0^0 = 1 and 0^u = 0
+    ctx = field(q)
+    rng = random.Random(q * 37)
+    for _ in range(10):
+        n = rng.randrange(1, 3)
+        k = rng.randrange(1, 3) if q ** (2 * n) <= 100 else 1
+        Q = q ** k
+        terms = {tuple(rng.randrange(3 * Q) for _ in range(n)):
+                 rng.randrange(1, q) for _ in range(rng.randrange(1, 4))}
+        f = SparsePoly(ctx, n, terms)
+        u = rng.choice(sorted(terms))
+        i = rng.randrange(n)
+        v = u[:i] + (u[i] + Q - 1,) + u[i + 1:]
+        if u[i] == 0 or v in terms:
+            continue
+        g = SparsePoly(ctx, n, {**terms, v: terms[u]})
+        del g.terms[u]
+        for domain in ("affine", "torus"):
+            count = count_points(f, k, domain)
+            assert count == count_scalar_reference(f, k, domain)
+            assert count_points(g, k, domain) == count
+
+
 def test_worked_counts():
     ctx = field(3)
     f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 1})  # xy + 1

@@ -52,3 +52,25 @@ def test_only_fq_reads_the_digit_encoding():
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(SOURCES) > 1
     assert found == []
+
+
+def test_private_helpers_are_used():
+    # a private function or class that nothing in the package refers to
+    # is dead code
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    defined, used = {}, set()
+    for path, tree in zip(SOURCES, trees):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = "%s:%d" % (path.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 10
+    assert sorted(loc for name, loc in defined.items()
+                  if name not in used) == []

@@ -13,7 +13,7 @@ from ffzeta import (ConstantInput, MultivariateInput, NonIntegralSolution,
                     op_matrix, trial_factorize, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.linalg import invert
-from ffzeta.poly import SparsePoly, dense_powmod
+from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
 from ffzeta.zerodim import _solve_gcd_system
 
 
@@ -51,6 +51,30 @@ def test_frobenius_matrix_matches_per_column_powers(q):
             ref = SquareMatrix.from_columns(
                 ctx, [c + [0] * (d - len(c)) for c in cols])
             assert op_matrix(f, OperatorKind.FROBENIUS) == ref, fd
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16, 27])
+def test_niederreiter_is_psi_after_hasse(q):
+    # the definition: column j is psi_q(hasse_{q-1}(x^j f^(q-1))) mod f,
+    # with the Hasse derivative x^u -> C(u, q-1) x^(u-q+1) taken literally
+    ctx = field(q)
+    rng = random.Random(q + 61)
+    for _ in range(30):
+        f = rand_monic(ctx, rng, rng.randrange(1, 7))
+        fd = f.to_dense()
+        d = len(fd) - 1
+        fq1 = [1]
+        for _ in range(q - 1):
+            fq1 = dense_mul(ctx, fq1, fd)
+        cols = []
+        for j in range(d):
+            g = [0] * j + fq1
+            hasse = [ctx.mul(g[u], math.comb(u, q - 1) % ctx.p)
+                     for u in range(q - 1, len(g))]
+            c = dense_mod(ctx, hasse[::q], fd)
+            cols.append(c + [0] * (d - len(c)))
+        ref = SquareMatrix.from_columns(ctx, cols)
+        assert op_matrix(f, OperatorKind.NIEDERREITER) == ref, fd
 
 
 def test_degree_profile_worked_cases():
