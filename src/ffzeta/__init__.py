@@ -24,7 +24,7 @@ from .oracle import (count_points, count_vector, irreducibles_up_to,
                      trial_factorize, zeta_coeffs_exact)
 from .poly import SparsePoly, render_poly
 from .zerodim import (FactoredZeta, OperatorKind, congruence_charpoly,
-                      degree_profile, distinct_factor_count, gcd_matrix,
+                      degree_profile, distinct_factor_count,
                       multiplication_matrix, op_matrix, zerodim_zeta)
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "StabilityViolation", "TooLarge", "TruncatedSeries", "UnknownVariable",
     "ZeroConstantTerm", "ZetaError", "admissible_basis", "charpoly_reverse",
     "congruence_charpoly", "count_points", "count_vector", "degree_profile",
-    "distinct_factor_count", "factorize", "gcd_matrix", "hyper_matrix_mod_p",
+    "distinct_factor_count", "factorize", "hyper_matrix_mod_p",
     "hyper_matrix_mod_pm", "irreducibles_up_to", "kernel_basis", "make_field",
     "make_galois_ring", "multiplication_matrix", "op_matrix", "rd_basis",
     "render_poly", "rmd_basis", "split_prime_power", "torus_zeta",

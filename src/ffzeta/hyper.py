@@ -327,6 +327,7 @@ def zeta_mod_p(f, n=None, B=None, d=None):
 def torus_zeta(n, q, B, pm):
     """Zeta function of the n-torus (all coordinates nonzero), mod pm,
     truncated at order B: prod_{i=0..n} (1 - q^i T)^{(-1)^(n-i+1) C(n,i)}.
+    Once q^i = 0 mod pm, every later factor is exactly 1 and is skipped.
 
     n = 0 returns the constant series 1 (empty product convention)."""
     if B < 1:
@@ -337,8 +338,11 @@ def torus_zeta(n, q, B, pm):
     if n == 0:
         return out
     for i in range(n + 1):
+        qi = pow(q, i, pm)
+        if qi == 0:
+            break
         expo = math.comb(n, i) * (-1) ** (n - i + 1)
-        base = TruncatedSeries.from_list(pm, [1, -pow(q, i, pm)], B)
+        base = TruncatedSeries.from_list(pm, [1, -qi], B)
         out = out * base.pow(expo)
     return out
 

@@ -4,9 +4,16 @@ A SquareMatrix stores its entries as the context's digit planes, an
 (L, n, n) array (see `fq`); a matrix product is the context's plane
 product with np.matmul.
 
-charpoly_reverse uses the Berkowitz vector recurrence, which needs no
-divisions and is therefore valid over rings with zero divisors; it returns
-det(I - M*T) directly.  Kernels and inverses require a field.
+charpoly_reverse returns det(I - M*T) in O(n^3): a Hessenberg reduction
+(Cohen, A Course in Computational Algebraic Number Theory, 2.2.9) followed
+by the Hessenberg recurrence for the characteristic polynomial, both on
+the planes.  Over a Galois ring each column pivots on its entry of least
+p-adic valuation, so every multiplier is an exact quotient and the
+similarity stays integral (Caruso, Roe and Vaccon, "Characteristic
+polynomials of p-adic matrices", ISSAC 2017); one code path serves fields
+and rings.  Each of its plane products sums at most n digit products per
+plane pair, the bound `_dtype_ok(n)` already covers for the matrix's
+planes.  Kernels and inverses require a field.
 """
 
 from __future__ import annotations
@@ -46,9 +53,6 @@ class SquareMatrix:
         codes = np.array(cols).T.reshape(n, n)
         return cls(ctx, n, ctx._to_planes(codes, n))
 
-    def entry(self, i, j):
-        return int(self.ctx._from_planes(self.planes[:, i, j]))
-
     def to_rows(self):
         return self.ctx._from_planes(self.planes).tolist()
 
@@ -86,37 +90,56 @@ class SquareMatrix:
 
 
 def charpoly_reverse(M):
-    """Coefficients c_0..c_n of det(I - M*T), c_0 = 1, by the Berkowitz
-    recurrence (division-free, so valid over Z/p^m contexts too)."""
+    """Coefficients c_0..c_n of det(I - M*T), c_0 = 1: a Hessenberg
+    reduction, then the Hessenberg recurrence for det(xI - H), reversed.
+
+    Column k pivots on the entry of least p-adic valuation v below the
+    diagonal and clears the rest with c = (entries / p^v) * unit^-1, which
+    is exact in a chain ring; the similarity is a permutation and a
+    unit-triangular matrix, so no precision is lost over Z/p^m either."""
     ctx = M.ctx
     n = M.n
-    if n == 0:
-        return [1]
-    A = M.planes
-    L = ctx.digits
     mod = ctx.pm
-    dt = A.dtype
-    cur = np.zeros((L, 2), dtype=dt)
-    cur[0, 0] = 1
-    cur[:, 1] = (-A[:, 0, 0]) % mod
-    for k in range(1, n):
-        a = A[:, k, k]
-        R = A[:, k, :k]
-        C = A[:, :k, k]
-        Asub = A[:, :k, :k]
-        q = np.zeros((L, k + 2), dtype=dt)
-        q[0, 0] = 1
-        q[:, 1] = (-a) % mod
-        w = C
-        for i in range(k):
-            dot = ctx._mul_planes(np.matmul, R.reshape(L, 1, k),
-                                  w.reshape(L, k, 1))
-            q[:, i + 2] = (-dot.reshape(L)) % mod
-            if i < k - 1:
-                w = ctx._mul_planes(np.matmul, Asub,
-                                    w.reshape(L, k, 1)).reshape(L, k)
-        cur = ctx._mul_planes(np.convolve, q, cur)[:, :k + 2]
-    out = [int(v) for v in ctx._from_planes(cur)]
+    H = M.planes.copy()
+    for k in range(n - 2):
+        # the valuation of an entry, capped at m, is the number of s <= m
+        # with every digit divisible by p^s
+        val = np.zeros(n - k - 1, dtype=np.int64)
+        for s in range(1, ctx.m + 1):
+            val += (H[:, k + 1:, k] % ctx.p ** s == 0).all(axis=0)
+        r = k + 1 + int(np.argmin(val))
+        v = int(val[r - k - 1])
+        if v == ctx.m:
+            continue                    # the column is zero below h_kk
+        if r != k + 1:
+            H[:, [k + 1, r]] = H[:, [r, k + 1]]
+            H[:, :, [k + 1, r]] = H[:, :, [r, k + 1]]
+        unit = int(ctx._from_planes(H[:, k + 1, k] // ctx.p ** v))
+        c = ctx._mul_planes(np.multiply, H[:, k + 2:, k] // ctx.p ** v,
+                            ctx._to_planes(ctx.inv(unit), n))
+        # rows j > k+1 lose c_j times row k+1; column k+1 gains the
+        # columns j > k+1 weighted by c_j
+        H[:, k + 2:, k:] = (H[:, k + 2:, k:] - ctx._mul_planes(
+            np.multiply, c[:, :, None], H[:, k + 1:k + 2, k:])) % mod
+        H[:, :, k + 1] = (H[:, :, k + 1] + ctx._mul_planes(
+            np.matmul, H[:, :, k + 2:], c[:, :, None])[:, :, 0]) % mod
+    # chi_k = det(xI - H[:k, :k]) = x chi_{k-1}
+    #   - sum_{i<k} h_{i,k-1} h_{i+1,i} ... h_{k-1,k-2} chi_i;
+    # at step k row i of Y holds chi_i times that product of subdiagonal
+    # entries, which is empty for i = k-1
+    Y = np.zeros((ctx.digits, n + 1, n + 1), dtype=H.dtype)
+    Y[0, 0, 0] = 1
+    chi = Y[:, 0].copy()
+    for k in range(1, n + 1):
+        tot = ctx._mul_planes(np.matmul, H[:, None, :k, k - 1],
+                              Y[:, :k, :k])[:, 0]
+        chi = np.roll(chi, 1, axis=1)   # x chi_{k-1}, of degree k <= n
+        chi[:, :k] = (chi[:, :k] - tot) % mod
+        if k < n:
+            Y[:, :k, :k] = ctx._mul_planes(np.multiply, Y[:, :k, :k],
+                                           H[:, k, k - 1, None, None])
+            Y[:, k] = chi
+    out = [int(v) for v in ctx._from_planes(chi[:, ::-1])]
     if out[0] != 1:
         raise InvariantViolation("det(I - M*T) has constant term %d"
                                  % out[0])

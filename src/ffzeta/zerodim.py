@@ -28,7 +28,6 @@ k_j = sum_{k | j} phi(k) t_k, so by Moebius inversion
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
@@ -106,11 +105,6 @@ def distinct_factor_count(f, kind=OperatorKind.FROBENIUS):
     number of distinct monic irreducible factors of f."""
     M = op_matrix(f, kind)
     return len(kernel_basis(M - SquareMatrix.identity(f.ctx, M.n)))
-
-
-def gcd_matrix(d):
-    """The d x d integer matrix with entries gcd(i, j); invertible."""
-    return [[math.gcd(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
 def degree_profile(f):

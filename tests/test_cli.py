@@ -246,6 +246,17 @@ def test_count_cost_does_not_grow_with_the_exponent(capsys):
     assert capsys.readouterr().out.startswith("N_1 = 2 ")
 
 
+def test_torus_zeta_cost_stops_at_the_vanishing_factors(capsys):
+    # C(100000, i) for every i once took over 20 s; mod 8 only the factors
+    # with 2^i != 0, i < 3, are computed
+    start = time.perf_counter()
+    assert main(["torus-zeta", "--q", "2", "-n", "100000", "-m", "3",
+                 "-B", "3"]) == 0
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.strip() == \
+        "Z(torus) mod 8 = 1 + T + T^2 + T^3"
+
+
 def test_size_caps_are_not_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",

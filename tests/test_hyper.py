@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls, field, rand_poly_mv
 from ffzeta import (EmptyBasis, RingNotField, SizeLimit, TruncatedSeries,
@@ -238,6 +241,21 @@ def test_torus_zeta_matches_exponential_series(n, q):
         assert list(got.coeffs) == torus_series_reference(n, q, 6, mod)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_torus_zeta_equals_the_full_product(q):
+    # the factors with q^i = 0 mod p^m are 1, so dropping them keeps the
+    # series of the product over every i = 0..n
+    p = 3 if q % 3 == 0 else 2
+    for m in (1, 2, 3):
+        pm = p ** m
+        for n in range(1, 13):
+            full = TruncatedSeries.one(pm, 5)
+            for i in range(n + 1):
+                base = TruncatedSeries.from_list(pm, [1, -q ** i], 5)
+                full = full * base.pow(math.comb(n, i) * (-1) ** (n - i + 1))
+            assert torus_zeta(n, q, 5, pm) == full
+
+
 def test_torus_zeta_counts_directly():
     # (q^k - 1)^n points on the n-torus, recovered from the series
     ctx = field(3)
@@ -286,6 +304,82 @@ def test_zeta_mod_pm_m1_consistency():
         got = zeta_mod_pm(f, 1, 4)
         assert got.modulus == 2
         assert list(got.coeffs) == exact_series_mod(f, 4, 2, "torus")
+
+
+def face_product_mod_p(f, B):
+    """prod over S of Z_torus(f restricted to x_S = 0) mod p, truncated at
+    B: the affine zeta by the decomposition of affine space into tori.
+    A nonzero constant restriction has no points, a zero one is the whole
+    torus, and the face S = all is the origin, a point when f(0) = 0."""
+    ctx, n, p = f.ctx, f.nvars, f.ctx.p
+    out = TruncatedSeries.one(p, B)
+    for size in range(n + 1):
+        for S in itertools.combinations(range(n), size):
+            keep = [i for i in range(n) if i not in S]
+            g = SparsePoly(ctx, len(keep), {
+                tuple(u[i] for i in keep): c for u, c in f.terms.items()
+                if all(u[i] == 0 for i in S)})
+            if not keep:
+                if g.is_zero():
+                    out = out * TruncatedSeries.from_list(
+                        p, [1, -1], B).inverse()
+            elif g.is_zero():
+                out = out * torus_zeta(len(keep), ctx.q, B, p)
+            elif g.degree() > 0:
+                out = out * zeta_mod_pm(g, m=1, B=B)
+    return out
+
+
+def check_faces(f, B):
+    n = f.nvars
+    affine = zeta_mod_p(f, n, B, max(f.degree(), n))
+    assert affine == face_product_mod_p(f, B)
+
+
+@st.composite
+def face_case(draw):
+    q = draw(st.sampled_from([2, 3, 4, 9]))
+    n = draw(st.integers(1, 3))
+    dmax = 3 if q == 9 else 4
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        u = tuple(draw(st.lists(st.integers(0, dmax), min_size=n,
+                                max_size=n)))
+        if sum(u) <= dmax:
+            terms[u] = draw(st.integers(1, q - 1))
+    if not terms:
+        terms[(0,) * n] = draw(st.integers(1, q - 1))
+    return SparsePoly(field(q), n, terms), draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(face_case())
+def test_affine_zeta_is_the_product_over_faces(case):
+    check_faces(*case)
+
+
+@pytest.mark.parametrize("f", [
+    SparsePoly(field(2), 2, {(1, 0): 1, (0, 0): 1}),  # x + 1: y = 0 face
+    SparsePoly(field(3), 2, {(1, 1): 1}),             # xy: zero faces
+    SparsePoly(field(3), 3, {(0, 0, 0): 2}),          # a nonzero constant
+    SparsePoly(field(4), 2, {(2, 0): 2, (0, 1): 3}),  # f(0) = 0
+], ids=["x+1", "xy", "constant", "origin"])
+def test_face_product_edge_cases(f):
+    check_faces(f, 5)
+
+
+# (q, n, d, B) with sum_{k <= B} q^(kn) past the oracle's 10^9 points
+FACES_PAST_THE_ORACLE = [(2, 3, 4, 12), (4, 2, 4, 16), (3, 2, 5, 14),
+                         (2, 4, 4, 8)]
+
+
+@pytest.mark.parametrize("q,n,d,B", FACES_PAST_THE_ORACLE)
+def test_face_product_past_the_oracle_cap(q, n, d, B):
+    assert q ** (n * B) > 10 ** 9
+    ctx = field(q)
+    rng = random.Random("%d/%d/%d/%d" % (q, n, d, B))
+    for _ in range(3):
+        check_faces(rand_poly_mv(ctx, rng, n, d), B)
 
 
 def test_zeta_mod_pm_lift_independence():

@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import field
 from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse, fq,
@@ -26,10 +28,43 @@ def matmul_scalar(ctx, A, B):
     return out
 
 
+def charpoly_berkowitz(M):
+    """det(I - M*T) by the division-free Berkowitz vector recurrence on
+    the digit planes, O(n^4); the reference the Hessenberg charpoly is
+    checked against."""
+    ctx = M.ctx
+    n = M.n
+    if n == 0:
+        return [1]
+    A = M.planes
+    L = ctx.digits
+    mod = ctx.pm
+    cur = np.zeros((L, 2), dtype=A.dtype)
+    cur[0, 0] = 1
+    cur[:, 1] = (-A[:, 0, 0]) % mod
+    for k in range(1, n):
+        R = A[:, k, :k]
+        Asub = A[:, :k, :k]
+        q = np.zeros((L, k + 2), dtype=A.dtype)
+        q[0, 0] = 1
+        q[:, 1] = (-A[:, k, k]) % mod
+        w = A[:, :k, k]
+        for i in range(k):
+            dot = ctx._mul_planes(np.matmul, R.reshape(L, 1, k),
+                                  w.reshape(L, k, 1))
+            q[:, i + 2] = (-dot.reshape(L)) % mod
+            if i < k - 1:
+                w = ctx._mul_planes(np.matmul, Asub,
+                                    w.reshape(L, k, 1)).reshape(L, k)
+        cur = ctx._mul_planes(np.convolve, q, cur)[:, :k + 2]
+    return [int(v) for v in ctx._from_planes(cur)]
+
+
 def det_one_minus_mt_leibniz(ctx, M):
     """Sign-expanded determinant of I - M*T over ctx[T]; O(n!) reference."""
     n = M.n
-    entries = [[[(1 if i == j else 0), ctx.neg(M.entry(i, j))]
+    rows = M.to_rows()
+    entries = [[[(1 if i == j else 0), ctx.neg(rows[i][j])]
                 for j in range(n)] for i in range(n)]
     out = [0] * (n + 1)
     for perm in permutations(range(n)):
@@ -49,6 +84,85 @@ def det_one_minus_mt_leibniz(ctx, M):
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+# (p, e, m, sizes): F_2, F_9, F_{2^10}, Z/8, Z/25, GR(4, 2), GR(9, 2);
+# Z/32749^2 on int64 planes at n = 4 and on Python integers at n = 5; and
+# F_p with p = 2^31 - 1
+CHARPOLY_CONTEXTS = [(2, 1, 1, range(8)), (3, 2, 1, range(8)),
+                     (2, 10, 1, range(8)), (2, 1, 3, range(8)),
+                     (5, 1, 2, range(8)), (2, 2, 2, range(8)),
+                     (3, 2, 2, range(8)), (32749, 1, 2, (4, 5)),
+                     (2147483647, 1, 1, range(7))]
+MATRIX_KINDS = ["random", "zero", "identity", "nilpotent", "p-multiple",
+                "mixed-valuation", "block-triangular", "hessenberg"]
+
+
+def structured_rows(ctx, rng, n, kind):
+    """Rows of an n x n matrix over ctx of the given kind."""
+    rows = [[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    if kind == "zero":
+        return [[0] * n for _ in range(n)]
+    if kind == "identity":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    if kind == "nilpotent":
+        # strictly upper triangular, conjugated by a permutation
+        return [[rows[i][j] if perm[i] < perm[j] else 0 for j in range(n)]
+                for i in range(n)]
+    if kind == "p-multiple":
+        return [[ctx.mul(ctx.p % ctx.pm, c) for c in row] for row in rows]
+    if kind == "mixed-valuation":
+        return [[ctx.mul(pow(ctx.p, rng.randrange(ctx.m + 1), ctx.pm), c)
+                 for c in row] for row in rows]
+    if kind == "block-triangular":
+        # block upper triangular at a random cut, permuted
+        cut = rng.randrange(n + 1)
+        return [[rows[i][j] if perm[i] >= cut or perm[j] < cut else 0
+                 for j in range(n)] for i in range(n)]
+    if kind == "hessenberg":
+        # already zero below the subdiagonal: a column with a zero
+        # subdiagonal entry is skipped, the others clear nothing
+        return [[c if i <= j + 1 else 0 for j, c in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows
+
+
+def check_charpoly_against_berkowitz(ctx, rows):
+    M = SquareMatrix.from_rows(ctx, rows)
+    got = charpoly_reverse(M)
+    assert got == charpoly_berkowitz(M)
+    assert len(got) == M.n + 1
+    assert M.to_rows() == rows          # the input is left untouched
+
+
+def test_charpoly_contexts_cover_both_plane_dtypes():
+    ring = make_galois_ring(make_field(32749), 2)
+    assert SquareMatrix.zeros(ring, 4).planes.dtype == np.int64
+    assert SquareMatrix.zeros(ring, 5).planes.dtype == object
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("p,e,m,sizes", CHARPOLY_CONTEXTS)
+def test_charpoly_edge_sizes_match_berkowitz(p, e, m, sizes, kind):
+    # n = 0, 1, 2 and the context's two largest sizes
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random("%d/%d/%d/%s" % (p, e, m, kind))
+    for n in sorted({0, 1, 2, *sizes[-2:]}):
+        check_charpoly_against_berkowitz(
+            ctx, structured_rows(ctx, rng, n, kind))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CHARPOLY_CONTEXTS), st.sampled_from(MATRIX_KINDS),
+       st.data())
+def test_charpoly_matches_berkowitz(context, kind, data):
+    p, e, m, sizes = context
+    ctx = make_galois_ring(make_field(p, e), m)
+    n = data.draw(st.sampled_from(sizes))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    check_charpoly_against_berkowitz(ctx, structured_rows(ctx, rng, n, kind))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

@@ -74,3 +74,39 @@ def test_private_helpers_are_used():
     assert len(defined) > 10
     assert sorted(loc for name, loc in defined.items()
                   if name not in used) == []
+
+
+PLANE_PRODUCTS = ("matmul", "convolve", "multiply", "dot", "einsum")
+
+
+def test_plane_products_go_through_mul_planes():
+    # outside fq, a numpy product of planes is only ever the op of
+    # _mul_planes, whose int64 bound then covers it
+    found = []
+    for path in SOURCES:
+        if path.name == "fq.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        ops = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                if name == "_mul_planes":
+                    ops.update(id(a) for a in node.args[:1])
+                    ops.update(id(k.value) for k in node.keywords
+                               if k.arg == "op")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in PLANE_PRODUCTS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                    and id(node) not in ops):
+                found.append("%s:%d" % (path.name, node.lineno))
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "numpy"
+                  and any(a.name in PLANE_PRODUCTS for a in node.names)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert len(SOURCES) > 1
+    assert found == []

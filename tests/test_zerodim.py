@@ -8,13 +8,19 @@ from ffzeta import (ConstantInput, MultivariateInput, NonIntegralSolution,
                     NotMonic, OperatorKind, RingNotField, SquareMatrix,
                     ZeroConstantTerm,
                     charpoly_reverse, congruence_charpoly, count_points,
-                    degree_profile, distinct_factor_count, gcd_matrix,
+                    degree_profile, distinct_factor_count,
                     kernel_basis, make_galois_ring, multiplication_matrix,
                     op_matrix, trial_factorize, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.linalg import invert
 from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
 from ffzeta.zerodim import _solve_gcd_system
+
+
+def gcd_matrix(d):
+    """The d x d integer matrix with entries gcd(i, j): row j maps a degree
+    profile s to the fixed-space dimension k_j = sum_i gcd(i, j) s_i."""
+    return [[math.gcd(i, j) for j in range(1, d + 1)] for i in range(1, d + 1)]
 
 
 def product_over_distinct_factors(ctx, f):
