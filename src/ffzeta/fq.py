@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (CoefficientOutsidePrimeField, CompositeP,
-                     ReducibleModulus, TooLarge)
+                     InvariantViolation, ReducibleModulus, TooLarge)
 from .poly import dense_is_irreducible
 
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
@@ -289,30 +289,30 @@ class _DigitArithmetic:
         return acc
 
     def _fold(self, conv):
-        """Reduce a (2L-1, ...) plane stack through the modulus to (L, ...)."""
+        """Reduce a (2L-1, ...) plane stack through the modulus to its
+        first L planes, in place."""
         L = self.digits
-        if L == 1:
-            return conv % self.pm
-        out = conv[:L].copy()
-        for j in range(conv.shape[0] - 1, L - 1, -1):
+        for j in range(L, conv.shape[0]):
             row = self.reduction[j - L]
-            top = conv[j]
             for i in range(L):
                 if row[i]:
-                    out[i] = out[i] + row[i] * top
-        return out % self.pm
+                    conv[i] += row[i] * conv[j]
+        low = conv[:L]
+        low %= self.pm
+        return low
 
     def _mul_planes(self, op, A, B):
         """The plane stack of the product of A and B, where op multiplies
         one plane of A by one plane of B over the integers."""
         L = self.digits
-        conv = [None] * (2 * L - 1)
+        conv = None
         for c1 in range(L):
             for c2 in range(L):
                 prod = op(A[c1], B[c2])
-                c = c1 + c2
-                conv[c] = prod if conv[c] is None else conv[c] + prod
-        return self._fold(np.stack(conv))
+                if conv is None:
+                    conv = np.zeros((2 * L - 1,) + prod.shape, prod.dtype)
+                conv[c1 + c2] += prod
+        return self._fold(conv)
 
 
 class VectorKit:
@@ -508,6 +508,7 @@ class GaloisRing(_DigitArithmetic):
         self._mul_table = self._add_table = self._neg_table = None
         if self.e > 1 and self.size <= _RING_TABLE_CAP:
             self._build_tables()
+        self._sigma_powers = None       # sigma(t)^i, i < e, on first frob
 
     def __repr__(self):
         return "GR(%d^%d, %d)" % (self.p, self.m, self.e)
@@ -580,6 +581,45 @@ class GaloisRing(_DigitArithmetic):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
             prec *= 2
         return x
+
+    def frob(self, a):
+        """sigma(a) for the Frobenius automorphism sigma of the ring, the
+        lift of a -> a^p that fixes Z/p^m: sigma(sum a_i t^i) is
+        sum a_i sigma(t)^i."""
+        if self.e == 1:
+            return a
+        if self._sigma_powers is None:
+            self._sigma_powers = self._frobenius_powers()
+        out = 0
+        for c, s in zip(self.coeffs(a), self._sigma_powers):
+            if c:
+                out = self.add(out, self.mul(c, s))
+        return out
+
+    def _frobenius_powers(self):
+        """sigma(t)^i for i < e.  sigma(t) is the root of H that reduces to
+        t^p, a simple root since H mod p is separable; Newton's iteration
+        from the lift of t^p doubles its p-adic precision at each step."""
+        def value(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = self.add(self.mul(acc, x), c)
+            return acc
+
+        H = self.modulus
+        dH = [i * c % self.pm for i, c in enumerate(H)][1:]
+        x = self.from_field(self.field.frob(self.p))   # the code p is t
+        prec = 1
+        while prec < self.m:
+            x = self.sub(x, self.mul(value(H, x), self.inv(value(dH, x))))
+            prec *= 2
+        if value(H, x) != 0:
+            raise InvariantViolation("sigma(t) = %d is not a root of the "
+                                     "modulus of %r" % (x, self))
+        powers = [1]
+        for _ in range(self.e - 1):
+            powers.append(self.mul(powers[-1], x))
+        return powers
 
 
 _FIELD_CACHE = {}

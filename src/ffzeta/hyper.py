@@ -11,6 +11,17 @@ zeta function of the full torus.  Every factor comes from the one
 characteristic polynomial P(T) = det(I - MT), as det(I - q^i M T) =
 P(q^i T).
 
+The full power f^{(q-1)p^{m-1}} is never expanded.  With q = p^e and
+G = f^{(p-1)p^{m-1}} (m = 1 for the mod-p operator), it is the product of
+the G^{p^i}, i < e, and G^{p^i} = sigma^i(G)(x^{p^i}) mod p^m for sigma
+the Frobenius acting on coefficients.  Since psi_p(a(x^p) b) =
+a psi_p(b), psi_q o f^{(q-1)p^{m-1}} is the composite of the maps
+h -> psi_p(sigma^i(G) h).  So M is sigma^{e-1}(A) ... sigma(A) A, with A
+the matrix of h -> psi_p(G h) on the same basis (Dwork's splitting of
+Frobenius, as in Lauder and Wan, "Counting points on varieties over
+finite fields of small characteristic", 2008), and the expanded power
+has degree (p-1)p^{m-1}d, not (q-1)p^{m-1}d.
+
 The mod-p determinant and the mod-p^m series provably land in the prime
 subring even though the matrices live over F_q or its Galois-ring
 extension; that containment is checked, never assumed.  Series
@@ -23,6 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (EmptyBasis, InvariantViolation, RingNotField,
                      SizeLimit, StabilityViolation)
@@ -229,20 +242,19 @@ def rmd_basis(n, d, p, m):
 # operator matrices
 
 
-def _operator_matrix(ctx, power, basis):
-    """Matrix of h -> psi_q(power * h) on the basis, column convention.
-    Column u reads only the terms x^v of the power with v = -u mod q, the
-    ones whose product with x^u psi_q keeps."""
-    q = ctx.q
+def _operator_matrix(ctx, power, basis, p):
+    """Matrix of h -> psi_p(power * h) on the basis, column convention.
+    Column u reads only the terms x^v of the power with v = -u mod p, the
+    ones whose product with x^u psi_p keeps."""
     index = {u: i for i, u in enumerate(basis)}
     classes = {}
     for v, c in power.terms.items():
-        classes.setdefault(tuple(x % q for x in v), []).append((v, c))
+        classes.setdefault(tuple(x % p for x in v), []).append((v, c))
     cols = []
     for u in basis:
         col = [0] * len(basis)
-        for v, c in classes.get(tuple(-x % q for x in u), ()):
-            w = tuple((a + b) // q for a, b in zip(v, u))
+        for v, c in classes.get(tuple(-x % p for x in u), ()):
+            w = tuple((a + b) // p for a, b in zip(v, u))
             at = index.get(w)
             if at is None:
                 raise StabilityViolation(
@@ -250,6 +262,20 @@ def _operator_matrix(ctx, power, basis):
             col[at] = c
         cols.append(col)
     return SquareMatrix.from_columns(ctx, cols)
+
+
+def _frobenius_product(A):
+    """sigma^{e-1}(A) ... sigma(A) A, where sigma is the Frobenius of A's
+    context acting on every entry."""
+    ctx, n = A.ctx, A.n
+    if ctx.e == 1:
+        return A
+    codes, at = np.unique(np.array(A.to_rows()).ravel(), return_inverse=True)
+    M = A
+    for _ in range(ctx.e - 1):
+        codes = np.array([ctx.frob(int(c)) for c in codes], codes.dtype)
+        M = SquareMatrix.from_rows(ctx, codes[at].reshape(n, n)) @ M
+    return M
 
 
 def _shape(f, n, d):
@@ -270,19 +296,22 @@ def _shape(f, n, d):
 
 def hyper_matrix_mod_p(f, n=None, d=None):
     """Matrix of h -> psi_q(f^{q-1} h) on the all-variables-divide basis
-    of degree <= d, over F_q."""
+    of degree <= d, over F_q, as the product of the e Frobenius twists of
+    the matrix of h -> psi_p(f^{p-1} h)."""
     ctx = f.ctx
     if ctx.m != 1:
         raise RingNotField("the mod-p operator works over a field")
     n, d = _shape(f, n, d)
     basis = rd_basis(n, d)
-    power = poly_pow(f, ctx.q - 1)
-    return _operator_matrix(ctx, power, basis)
+    power = poly_pow(f, ctx.p - 1)
+    return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
 
 
 def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None):
     """Matrix of h -> psi_q(f_lift^{(q-1)p^{m-1}} h) on all monomials of
-    degree <= d*p^{m-1}, over the Galois ring Z_p^m extension."""
+    degree <= d*p^{m-1}, over the Galois ring Z_p^m extension, as the
+    product of the e Frobenius twists of the matrix of
+    h -> psi_p(f_lift^{(p-1)p^{m-1}} h)."""
     ctx = f_lift.ctx
     if m is None:
         m = ctx.m
@@ -292,8 +321,8 @@ def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None):
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
     basis = rmd_basis(n, d, ctx.p, m)
-    power = poly_pow(f_lift, (ctx.q - 1) * ctx.p ** (m - 1))
-    return _operator_matrix(ctx, power, basis)
+    power = poly_pow(f_lift, (ctx.p - 1) * ctx.p ** (m - 1))
+    return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      SizeLimit)
 
 _MAX_TERMS = 10 ** 7    # most terms a fully expanded power may reach
+_MAX_WORK = 15 * 10 ** 5  # most term pairs one product of a power may take
 
 
 class SparsePoly:
@@ -342,23 +343,33 @@ def dense_translate(ctx, a, c):
 # powering and squarefree parts
 
 
+def _capped_product(a, b):
+    """a * b, refused before it starts when its work, the number of term
+    pairs, passes _MAX_WORK, and after it ends when the result passes
+    _MAX_TERMS."""
+    work = len(a.terms) * len(b.terms)
+    if work > _MAX_WORK:
+        raise SizeLimit("a product of %d term pairs exceeds the cap %d"
+                        % (work, _MAX_WORK))
+    out = a * b
+    if len(out.terms) > _MAX_TERMS:
+        raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
+    return out
+
+
 def poly_pow(f, k):
     """f**k by repeated squaring with full expansion; SizeLimit guards the
-    term count."""
+    work of each product and the term count."""
     if k < 0:
         raise ValueError("negative power of a polynomial")
     out = SparsePoly.one(f.ctx, f.nvars)
     base = f
     while k:
         if k & 1:
-            out = out * base
-            if len(out.terms) > _MAX_TERMS:
-                raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
+            out = _capped_product(out, base)
         k >>= 1
         if k:
-            base = base * base
-            if len(base.terms) > _MAX_TERMS:
-                raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
+            base = _capped_product(base, base)
     return out
 
 

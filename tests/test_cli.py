@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import ffzeta
 from conftest import count_calls, field, rand_poly_mv
 from ffzeta.cli import main, parse_modulus, parse_poly
 from ffzeta.errors import ParseError, UnknownVariable
@@ -255,6 +259,22 @@ def test_torus_zeta_cost_stops_at_the_vanishing_factors(capsys):
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr().out.strip() == \
         "Z(torus) mod 8 = 1 + T + T^2 + T^3"
+
+
+@pytest.mark.parametrize("argv,code", [
+    # a 1x1 matrix: the operator is built from f itself, not f^65535
+    (["modp", "--q", "65536", "-n", "2", "--poly", "x*y+x+1", "-B", "2"], 0),
+    # e = 1, so f^1008 is expanded; its products pass the work cap
+    (["modp", "--q", "1009", "-n", "2", "--poly", "x^2*y+x*y^2+x+y+1",
+      "-B", "2"], 4),
+], ids=["q=2^16", "q=1009"])
+def test_large_q_operator_ends_within_ten_seconds(argv, code):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
 
 
 def test_size_caps_are_not_flags():

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import count_calls
 from ffzeta import (CoefficientOutsidePrimeField, CompositeP,
-                    ReducibleModulus, TooLarge, fq, irreducibles_up_to,
-                    make_field, make_galois_ring, split_prime_power)
+                    InvariantViolation, ReducibleModulus, TooLarge, fq,
+                    irreducibles_up_to, make_field, make_galois_ring,
+                    split_prime_power)
 from ffzeta.poly import dense_is_irreducible
 
 
@@ -183,6 +184,41 @@ def test_galois_ring_lift_roundtrip():
     ring = make_galois_ring(ctx, 3)
     for a in ctx.elements():
         assert ring.to_field(ring.from_field(a)) == a
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 2, 2), (2, 3, 2), (2, 2, 3),
+                                   (3, 2, 2), (5, 2, 2), (3, 3, 3),
+                                   (2, 4, 4), (2, 1, 3), (3, 1, 2)])
+def test_galois_ring_frobenius(p, e, m):
+    field = make_field(p, e)
+    ring = make_galois_ring(field, m)
+    rng = random.Random(100 * p + 10 * e + m)
+    for _ in range(200):
+        a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+        fa = ring.frob(a)
+        assert ring.frob(ring.add(a, b)) == ring.add(fa, ring.frob(b))
+        assert ring.frob(ring.mul(a, b)) == ring.mul(fa, ring.frob(b))
+        # sigma reduces mod p to the field's a -> a^p
+        assert ring.to_field(fa) == field.frob(ring.to_field(a))
+        x = a
+        for _ in range(e):
+            x = ring.frob(x)
+        assert x == a
+        if e == 1:
+            assert fa == a
+    for a in field.elements():
+        assert ring.to_field(ring.frob(ring.from_field(a))) == field.frob(a)
+    for c in range(ring.pm):
+        assert ring.frob(c) == c
+
+
+def test_galois_ring_frobenius_checks_its_root(monkeypatch):
+    # Newton's iteration from 0 instead of the lift of t^p reaches no root
+    # of t^2 + t + 1 mod 4, and the check raises rather than asserts
+    field = make_field(2, 2)
+    monkeypatch.setattr(field, "frob", lambda a: 0)
+    with pytest.raises(InvariantViolation):
+        fq.GaloisRing(field, 2).frob(3)
 
 
 @pytest.mark.parametrize("ctx", [make_field(3, 2),

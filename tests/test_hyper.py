@@ -119,6 +119,48 @@ def test_operator_matrix_matches_per_column_assembly(q, m, n, d):
         assert got.to_rows() == _per_column_matrix(f.ctx, power, basis)
 
 
+# (q, m, n, d): the contexts F_4 .. F_27 mod p and GR(2^2, 2), GR(3^2, 2),
+# GR(2^3, 2), GR(2^2, 3) mod p^m, with degrees that keep the reference's
+# full power f^{(q-1)p^{m-1}} cheap
+SPLIT_CELLS = [
+    (4, 1, 1, 5), (4, 1, 2, 4), (4, 1, 3, 3), (8, 1, 2, 3), (8, 1, 3, 3),
+    (9, 1, 2, 3), (16, 1, 2, 3), (25, 1, 2, 2), (27, 1, 2, 2),
+    (4, 2, 2, 2), (4, 2, 3, 2), (9, 2, 2, 2), (8, 2, 1, 3), (8, 2, 2, 2),
+    (4, 3, 2, 2), (4, 3, 3, 1),
+]
+
+
+@st.composite
+def split_case(draw):
+    q, m, n, d = draw(st.sampled_from(SPLIT_CELLS))
+    ctx = make_galois_ring(field(q), m)
+    terms = {}
+    for _ in range(draw(st.integers(1, 8))):
+        u = tuple(draw(st.lists(st.integers(0, d), min_size=n,
+                                max_size=n)))
+        if sum(u) <= d:
+            terms[u] = draw(st.integers(1, ctx.size - 1))
+    return SparsePoly(ctx, n, terms), d
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_case())
+def test_frobenius_twists_equal_the_full_power_assembly(case):
+    # M = sigma^{e-1}(A) ... sigma(A) A, from the matrix A of
+    # h -> psi_p(f^{(p-1)p^{m-1}} h), is the matrix of
+    # h -> psi_q(f^{(q-1)p^{m-1}} h) entry for entry
+    f, d = case
+    ctx, n = f.ctx, f.nvars
+    if ctx.m == 1:
+        got = hyper_matrix_mod_p(f, n, d)
+        basis = rd_basis(n, d)
+    else:
+        got = hyper_matrix_mod_pm(f, n, d)
+        basis = rmd_basis(n, d, ctx.p, ctx.m)
+    power = poly_pow(f, (ctx.q - 1) * ctx.p ** (ctx.m - 1))
+    assert got.to_rows() == _per_column_matrix(ctx, power, basis)
+
+
 # -- truncated series -------------------------------------------------------
 
 
@@ -306,13 +348,13 @@ def test_zeta_mod_pm_m1_consistency():
         assert list(got.coeffs) == exact_series_mod(f, 4, 2, "torus")
 
 
-def face_product_mod_p(f, B):
-    """prod over S of Z_torus(f restricted to x_S = 0) mod p, truncated at
-    B: the affine zeta by the decomposition of affine space into tori.
+def face_product(f, B, m=1):
+    """prod over S of Z_torus(f restricted to x_S = 0) mod p^m, truncated
+    at B: the affine zeta by the decomposition of affine space into tori.
     A nonzero constant restriction has no points, a zero one is the whole
     torus, and the face S = all is the origin, a point when f(0) = 0."""
-    ctx, n, p = f.ctx, f.nvars, f.ctx.p
-    out = TruncatedSeries.one(p, B)
+    ctx, n, pm = f.ctx, f.nvars, f.ctx.p ** m
+    out = TruncatedSeries.one(pm, B)
     for size in range(n + 1):
         for S in itertools.combinations(range(n), size):
             keep = [i for i in range(n) if i not in S]
@@ -322,18 +364,18 @@ def face_product_mod_p(f, B):
             if not keep:
                 if g.is_zero():
                     out = out * TruncatedSeries.from_list(
-                        p, [1, -1], B).inverse()
+                        pm, [1, -1], B).inverse()
             elif g.is_zero():
-                out = out * torus_zeta(len(keep), ctx.q, B, p)
+                out = out * torus_zeta(len(keep), ctx.q, B, pm)
             elif g.degree() > 0:
-                out = out * zeta_mod_pm(g, m=1, B=B)
+                out = out * zeta_mod_pm(g, m=m, B=B)
     return out
 
 
 def check_faces(f, B):
     n = f.nvars
     affine = zeta_mod_p(f, n, B, max(f.degree(), n))
-    assert affine == face_product_mod_p(f, B)
+    assert affine == face_product(f, B)
 
 
 @st.composite
@@ -380,6 +422,27 @@ def test_face_product_past_the_oracle_cap(q, n, d, B):
     rng = random.Random("%d/%d/%d/%d" % (q, n, d, B))
     for _ in range(3):
         check_faces(rand_poly_mv(ctx, rng, n, d), B)
+
+
+@pytest.mark.parametrize("q,n,d,B,cases", [
+    (2, 1, 4, 5, 6), (2, 2, 3, 4, 5), (2, 3, 2, 3, 3), (3, 1, 3, 4, 4),
+    (3, 2, 2, 3, 4), (4, 1, 3, 4, 4), (4, 2, 2, 3, 3),
+])
+def test_face_product_mod_p2_is_the_affine_series(q, n, d, B, cases):
+    # the same decomposition mod p^2 gives the affine zeta mod p^2; over
+    # F_4 each face runs the Frobenius twists over GR(2^2, 2)
+    ctx = field(q)
+    rng = random.Random("faces mod p^2/%d/%d/%d" % (q, n, d))
+    for _ in range(cases):
+        f = rand_poly_mv(ctx, rng, n, d)
+        assert list(face_product(f, B, 2).coeffs) == \
+            exact_series_mod(f, B, ctx.p ** 2)
+    # a zero restriction, a nonzero constant one and f(0) = 0
+    edge = [SparsePoly(ctx, n, {(1,) + (0,) * (n - 1): 1}),
+            SparsePoly(ctx, n, {(0,) * n: 1, (1,) * n: 1})]
+    for f in edge:
+        assert list(face_product(f, B, 2).coeffs) == \
+            exact_series_mod(f, B, ctx.p ** 2)
 
 
 def test_zeta_mod_pm_lift_independence():

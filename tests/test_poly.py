@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 import ffzeta.poly
-from conftest import field, rand_monic, rand_poly_mv, rand_poly_uni
+from conftest import (count_calls, field, rand_monic, rand_poly_mv,
+                      rand_poly_uni)
 from ffzeta import SizeLimit, make_galois_ring
 from ffzeta.poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
                          dense_powmod, dense_translate, dense_trim, poly_pow,
@@ -138,6 +140,19 @@ def test_dense_translate_round_trip_and_evaluation():
         x = rng.randrange(9)
         assert horner(ctx, shifted, x) == horner(
             ctx, f.to_dense(), ctx.add(x, c))
+
+
+def test_poly_pow_work_cap_refuses_before_multiplying(monkeypatch):
+    f = SparsePoly(field(2), 3, {u: 1 for u in itertools.product(
+        range(4), repeat=3) if sum(u) <= 3})
+    assert len(f.terms) == 20
+    assert poly_pow(f, 1) == f
+    monkeypatch.setattr(ffzeta.poly, "_MAX_WORK", 20 * 20 - 1)
+    counts = count_calls(monkeypatch, ("_capped_product",))
+    monkeypatch.setattr(SparsePoly, "__mul__", None)   # no product may run
+    with pytest.raises(SizeLimit, match="400 term pairs"):
+        poly_pow(f, 2)
+    assert counts == {"_capped_product": 1}
 
 
 def test_poly_pow_term_cap(monkeypatch):
