@@ -12,9 +12,9 @@ from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
                      LimitError, MultivariateInput,
                      NonIntegralCoefficient, NonIntegralSolution, NotMonic,
                      ParseError, PreconditionError, QTooLarge,
-                     ReducibleModulus, RingNotField, SingularMatrix,
-                     SizeLimit, StabilityViolation, TooLarge,
-                     UnknownVariable, ZetaError, ZeroConstantTerm)
+                     ReducibleModulus, RingNotField, SizeLimit,
+                     StabilityViolation, TooLarge, UnknownVariable,
+                     ZetaError, ZeroConstantTerm)
 from .factor import Factorization, admissible_basis, factorize
 from .fq import make_field, make_galois_ring, split_prime_power
 from .hyper import (TruncatedSeries, hyper_matrix_mod_p, hyper_matrix_mod_pm,
@@ -24,8 +24,7 @@ from .oracle import (count_points, count_vector, irreducibles_up_to,
                      trial_factorize, zeta_coeffs_exact)
 from .poly import SparsePoly, render_poly
 from .zerodim import (FactoredZeta, OperatorKind, congruence_charpoly,
-                      degree_profile, distinct_factor_count,
-                      multiplication_matrix, op_matrix, zerodim_zeta)
+                      degree_profile, op_matrix, zerodim_zeta)
 
 __version__ = "0.1.0"
 
@@ -37,14 +36,13 @@ __all__ = [
     "NonIntegralCoefficient", "NonIntegralSolution", "NotMonic",
     "OperatorKind", "ParseError",
     "PreconditionError", "QTooLarge", "ReducibleModulus", "RingNotField",
-    "SingularMatrix", "SizeLimit", "SparsePoly", "SquareMatrix",
+    "SizeLimit", "SparsePoly", "SquareMatrix",
     "StabilityViolation", "TooLarge", "TruncatedSeries", "UnknownVariable",
     "ZeroConstantTerm", "ZetaError", "admissible_basis", "charpoly_reverse",
     "congruence_charpoly", "count_points", "count_vector", "degree_profile",
-    "distinct_factor_count", "factorize", "hyper_matrix_mod_p",
-    "hyper_matrix_mod_pm", "irreducibles_up_to", "kernel_basis", "make_field",
-    "make_galois_ring", "multiplication_matrix", "op_matrix", "rd_basis",
-    "render_poly", "rmd_basis", "split_prime_power", "torus_zeta",
-    "trial_factorize", "zerodim_zeta", "zeta_coeffs_exact", "zeta_mod_p",
-    "zeta_mod_pm", "__version__",
+    "factorize", "hyper_matrix_mod_p", "hyper_matrix_mod_pm",
+    "irreducibles_up_to", "kernel_basis", "make_field", "make_galois_ring",
+    "op_matrix", "rd_basis", "render_poly", "rmd_basis", "split_prime_power",
+    "torus_zeta", "trial_factorize", "zerodim_zeta", "zeta_coeffs_exact",
+    "zeta_mod_p", "zeta_mod_pm", "__version__",
 ]

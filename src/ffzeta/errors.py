@@ -71,10 +71,6 @@ class EmptyBasis(PreconditionError):
     pass
 
 
-class SingularMatrix(PreconditionError):
-    pass
-
-
 # -- size caps (exit 4) --
 
 class SizeLimit(LimitError):

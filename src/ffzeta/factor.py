@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, InvariantViolation, QTooLarge
 from .linalg import SquareMatrix, kernel_basis
-from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mod, dense_mul,
+from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
                    render_poly, squarefree_part)
 from .zerodim import OperatorKind, op_matrix
 
@@ -50,10 +50,6 @@ class Factorization:
         for g, mult in self.factors:
             out = out * g ** mult
         return out.scale(self.unit)
-
-    @property
-    def degree(self):
-        return sum(mult * g.degree() for g, mult in self.factors)
 
     def __str__(self):
         if not self.factors:
@@ -126,11 +122,10 @@ def _coprime_split(ctx, g, h):
 
 
 def _refine(ctx, g, basis):
-    """First successful coprime cut of g from pairs (b_1, b_j) of the
-    basis, restrictions taken mod g; None when every pair stalls."""
-    rests = [dense_mod(ctx, h, g) for h in basis]
-    h1 = rests[0] if rests else []
-    for h2 in rests[1:]:
+    """First successful coprime cut of g from pairs (b_1, b_j) of its
+    fixed-space basis; None when every pair stalls."""
+    h1 = basis[0] if basis else []
+    for h2 in basis[1:]:
         if _dependent(ctx, h1, h2):
             continue
         for c in range(ctx.q):
@@ -147,40 +142,31 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     """Complete factorization of monic univariate f into irreducibles,
     driven by the fixed space of the chosen operator.
 
-    Components carry a basis inherited from an ancestor as long as its
-    pairs keep cutting; a component that stalls gets its own fixed space
-    computed, which either certifies it as a prime power (dimension one)
-    or is guaranteed to cut it further.
+    Each component gets its own fixed space, which either certifies it as
+    a prime power (dimension one) or is guaranteed to cut it further.
     """
     ctx = f.ctx
     if ctx.q > _MAX_FACTOR_Q:
         raise QTooLarge("scalar enumeration over %d elements exceeds the "
                         "cap %d" % (ctx.q, _MAX_FACTOR_Q))
-    basis = [h.to_dense() for h in admissible_basis(f, kind)]
-    queue = [(f.to_dense(), basis, True)]
+    queue = [f]
     terminal = []
     while queue:
-        g, basis, owned = queue.pop()
-        if owned and len(basis) == 1:
+        g = queue.pop()
+        basis = [h.to_dense() for h in admissible_basis(g, kind)]
+        if len(basis) == 1:
             terminal.append(g)
             continue
-        cut = _refine(ctx, g, basis)
+        cut = _refine(ctx, g.to_dense(), basis)
         if cut is None:
-            if owned:
-                raise InternalCheckError(
-                    "component with several factors resisted every "
-                    "splitting pair from its own fixed space")
-            gp = SparsePoly.from_dense(ctx, g)
-            basis = [h.to_dense() for h in admissible_basis(gp, kind)]
-            queue.append((g, basis, True))
-            continue
-        s, t = cut
-        queue.append((s, basis, False))
-        queue.append((t, basis, False))
+            raise InternalCheckError(
+                "component with several factors resisted every "
+                "splitting pair from its own fixed space")
+        queue.extend(SparsePoly.from_dense(ctx, h) for h in cut)
     factors = []
     for g in terminal:
-        root = squarefree_part(SparsePoly.from_dense(ctx, g))
-        mult, r = divmod(len(g) - 1, root.degree())
+        root = squarefree_part(g)
+        mult, r = divmod(g.degree(), root.degree())
         if r:
             raise InvariantViolation("root degree does not divide degree")
         factors.append((root, mult))

@@ -3,7 +3,7 @@
 Elements are plain ints ("codes").  A field element a_0 + a_1*t + ... +
 a_{e-1}*t^{e-1} is encoded as the integer a_0 + a_1*p + ... + a_{e-1}*p^{e-1};
 ring elements use base p^m digits instead.  Keeping elements as ints makes
-them hashable, comparable and cheap, and lets hot paths run on flat lookup
+them hashable, comparable and cheap, and lets hot paths run on lookup
 tables or numpy arrays of codes.
 
 For p = 2 the code is the bit-packed coefficient vector, so addition is XOR
@@ -12,8 +12,8 @@ set of 1-D tables (a VectorKit: discrete log / antilog, and for odd p a
 carry-free digit packing for addition); up to q = 2^14 it does so at
 construction and scalar ops read list copies, above that on the first
 vector_kit() call, for the brute-force point counter.  Galois rings Z/p^m
-use integer arithmetic; other small rings keep flat tables.  Past the caps
-both run the same generic digit arithmetic.
+use integer arithmetic; other Galois rings, and fields past the caps, run
+the generic digit arithmetic.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
 (Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
@@ -46,7 +46,6 @@ from .poly import dense_is_irreducible
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
 _ODD_VECTOR_CAP = 3000          # and fields with odd p up to this one
 _LIST_CAP = 1 << 14             # up to here at construction, with list copies
-_RING_TABLE_CAP = 1024          # flat tables for Galois rings with e > 1
 
 
 # Miller-Rabin with these bases is exact below _MR_BOUND, the least strong
@@ -176,9 +175,10 @@ def _digit_product(ctx, x, y):
 class _DigitArithmetic:
     """Codes with `digits` digits in base `pm` (p for a field, p^m for a
     Galois ring), multiplied modulo the monic `modulus`.  The generic
-    arithmetic of both contexts: what they use above their table caps, and
-    the reference their tables are tested against; and the digit planes
-    that vectorised products run on."""
+    arithmetic of both contexts: what fields use above their table caps
+    and Galois rings with e > 1 use throughout, and the reference the
+    field tables are tested against; and the digit planes that vectorised
+    products run on."""
 
     _mod_int = None                 # the modulus as a bit mask, base 2 only
 
@@ -505,9 +505,6 @@ class GaloisRing(_DigitArithmetic):
         self.q = field.q
         self._set_modulus(field.modulus, field.p ** m)
         self.size = self.pm ** field.e
-        self._mul_table = self._add_table = self._neg_table = None
-        if self.e > 1 and self.size <= _RING_TABLE_CAP:
-            self._build_tables()
         self._sigma_powers = None       # sigma(t)^i, i < e, on first frob
 
     def __repr__(self):
@@ -535,40 +532,20 @@ class GaloisRing(_DigitArithmetic):
     def is_unit(self, a):
         return self.to_field(a) != 0
 
-    def _build_tables(self):
-        """Flat size x size tables, a block of rows at a time."""
-        n, pm = self.size, self.pm
-        codes = np.arange(n, dtype=np.int64)
-        digits = self._to_planes(codes, 1)
-        self._mul_table, self._add_table = [], []
-        for lo in range(0, n, 64):
-            rows = slice(lo, lo + 64)
-            self._mul_table += _digit_product(
-                self, codes[rows], codes).ravel().tolist()
-            sums = (digits[:, rows, None] + digits[:, None]) % pm
-            self._add_table += self._from_planes(sums).ravel().tolist()
-        self._neg_table = self._from_planes(-digits % pm).tolist()
-
     def add(self, a, b):
         if self.e == 1:
             return (a + b) % self.pm
-        if self._add_table is None:
-            return self._add_generic(a, b)
-        return self._add_table[a * self.size + b]
+        return self._add_generic(a, b)
 
     def neg(self, a):
         if self.e == 1:
             return -a % self.pm
-        if self._neg_table is None:
-            return self._neg_generic(a)
-        return self._neg_table[a]
+        return self._neg_generic(a)
 
     def mul(self, a, b):
         if self.e == 1:
             return a * b % self.pm
-        if self._mul_table is None:
-            return self._mul_generic(a, b)
-        return self._mul_table[a * self.size + b]
+        return self._mul_generic(a, b)
 
     def inv(self, a):
         """Inverse of a unit, by lifting the residue-field inverse."""

@@ -13,14 +13,14 @@ similarity stays integral (Caruso, Roe and Vaccon, "Characteristic
 polynomials of p-adic matrices", ISSAC 2017); one code path serves fields
 and rings.  Each of its plane products sums at most n digit products per
 plane pair, the bound `_dtype_ok(n)` already covers for the matrix's
-planes.  Kernels and inverses require a field.
+planes.  Kernels require a field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation, RingNotField, SingularMatrix
+from .errors import InvariantViolation, RingNotField
 
 
 class SquareMatrix:
@@ -60,10 +60,6 @@ class SquareMatrix:
         return (isinstance(other, SquareMatrix) and self.ctx == other.ctx
                 and self.n == other.n
                 and np.array_equal(self.planes, other.planes))
-
-    def __add__(self, other):
-        return SquareMatrix(self.ctx, self.n,
-                            (self.planes + other.planes) % self.ctx.pm)
 
     def __sub__(self, other):
         return SquareMatrix(self.ctx, self.n,
@@ -146,14 +142,17 @@ def charpoly_reverse(M):
     return out
 
 
-def _reduce_rows(ctx, rows, ncols):
-    """Gauss-Jordan over a field: bring the first ncols columns of the row
-    lists to reduced row echelon form in place; returns the pivot
-    columns, one per leading row."""
-    n = len(rows)
+def kernel_basis(M):
+    """Basis of ker(M) over a field, from the reduced row echelon form by
+    Gauss-Jordan elimination; vectors are ordered by their free column."""
+    ctx = M.ctx
+    if ctx.m != 1:
+        raise RingNotField("kernels need field coefficients")
+    n = M.n
+    rows = M.to_rows()
     pivots = []
     r = 0
-    for col in range(ncols):
+    for col in range(n):
         for sel in range(r, n):
             if rows[sel][col]:
                 break
@@ -171,18 +170,6 @@ def _reduce_rows(ctx, rows, ncols):
         r += 1
         if r == n:
             break
-    return pivots
-
-
-def kernel_basis(M):
-    """Basis of ker(M) over a field, from the reduced row echelon form;
-    vectors are ordered by their free column."""
-    ctx = M.ctx
-    if ctx.m != 1:
-        raise RingNotField("kernels need field coefficients")
-    n = M.n
-    rows = M.to_rows()
-    pivots = _reduce_rows(ctx, rows, n)
     pivot_set = set(pivots)
     basis = []
     for col in range(n):
@@ -194,17 +181,3 @@ def kernel_basis(M):
             v[pc] = ctx.neg(rows[rr][col])
         basis.append(v)
     return basis
-
-
-def invert(M):
-    """Inverse of a matrix over a field; raises SingularMatrix."""
-    ctx = M.ctx
-    if ctx.m != 1:
-        raise RingNotField("inversion implemented over fields only")
-    n = M.n
-    rows = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(M.to_rows())]
-    if len(_reduce_rows(ctx, rows, n)) < n:
-        raise SingularMatrix("matrix is singular")
-    return SquareMatrix.from_rows(ctx, [row[n:] for row in rows])
-

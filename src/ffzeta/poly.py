@@ -17,7 +17,6 @@ from __future__ import annotations
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      SizeLimit)
 
-_MAX_TERMS = 10 ** 7    # most terms a fully expanded power may reach
 _MAX_WORK = 15 * 10 ** 5  # most term pairs one product of a power may take
 
 
@@ -345,21 +344,17 @@ def dense_translate(ctx, a, c):
 
 def _capped_product(a, b):
     """a * b, refused before it starts when its work, the number of term
-    pairs, passes _MAX_WORK, and after it ends when the result passes
-    _MAX_TERMS."""
+    pairs, passes _MAX_WORK, which also bounds its number of terms."""
     work = len(a.terms) * len(b.terms)
     if work > _MAX_WORK:
         raise SizeLimit("a product of %d term pairs exceeds the cap %d"
                         % (work, _MAX_WORK))
-    out = a * b
-    if len(out.terms) > _MAX_TERMS:
-        raise SizeLimit("expansion exceeds %d terms" % _MAX_TERMS)
-    return out
+    return a * b
 
 
 def poly_pow(f, k):
     """f**k by repeated squaring with full expansion; SizeLimit guards the
-    work of each product and the term count."""
+    work of each product."""
     if k < 0:
         raise ValueError("negative power of a polynomial")
     out = SparsePoly.one(f.ctx, f.nvars)

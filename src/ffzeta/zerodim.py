@@ -86,27 +86,6 @@ def op_matrix(f, kind):
     return SquareMatrix.from_columns(ctx, cols)
 
 
-def multiplication_matrix(f, g):
-    """Matrix of multiplication by g on F_q[x]/(f)."""
-    _check_zerodim_input(f)
-    ctx = f.ctx
-    fd = f.to_dense()
-    d = len(fd) - 1
-    gd = dense_mod(ctx, g.to_dense(), fd)
-    cols = []
-    for j in range(d):
-        h = dense_mod(ctx, [0] * j + gd, fd)
-        cols.append(h + [0] * (d - len(h)))
-    return SquareMatrix.from_columns(ctx, cols)
-
-
-def distinct_factor_count(f, kind=OperatorKind.FROBENIUS):
-    """Dimension of the fixed space of the operator, which equals the
-    number of distinct monic irreducible factors of f."""
-    M = op_matrix(f, kind)
-    return len(kernel_basis(M - SquareMatrix.identity(f.ctx, M.n)))
-
-
 def degree_profile(f):
     """Vector s with s[i-1] = number of distinct irreducible factors of
     degree i, recovered from fixed-space dimensions of Frobenius powers."""

@@ -4,8 +4,8 @@ import random
 import sys
 from itertools import product
 
-from ffzeta import make_field, split_prime_power
-from ffzeta.poly import SparsePoly
+from ffzeta import SquareMatrix, make_field, split_prime_power
+from ffzeta.poly import SparsePoly, dense_mod
 
 
 def field(q):
@@ -39,6 +39,19 @@ def rand_poly_mv(ctx, rng, nvars, d, density=0.6):
                     terms[u] = c
         if terms:
             return SparsePoly(ctx, nvars, terms)
+
+
+def mul_by_x_matrix(f):
+    """Matrix of multiplication by x on F_q[x]/(f): column j is
+    x^(j+1) mod f."""
+    ctx = f.ctx
+    fd = f.to_dense()
+    d = len(fd) - 1
+    cols = []
+    for j in range(d):
+        h = dense_mod(ctx, [0] * (j + 1) + [1], fd)
+        cols.append(h + [0] * (d - len(h)))
+    return SquareMatrix.from_columns(ctx, cols)
 
 
 def count_calls(monkeypatch, names):

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import field, rand_monic
-from ffzeta import (Factorization, OperatorKind, QTooLarge, ZeroConstantTerm,
-                    admissible_basis, distinct_factor_count, factorize,
-                    irreducibles_up_to, trial_factorize)
+from ffzeta import (Factorization, OperatorKind, QTooLarge, SquareMatrix,
+                    ZeroConstantTerm, admissible_basis, factorize,
+                    irreducibles_up_to, kernel_basis, op_matrix,
+                    trial_factorize)
 from ffzeta.factor import _refine
 from ffzeta.poly import SparsePoly, dense_gcd, dense_mul
 
@@ -110,7 +111,9 @@ def test_outputs_certified_irreducible(q):
     for _ in range(30):
         f = rand_monic(ctx, rng, rng.randrange(2, 7), nonzero_const=True)
         for g, _ in factorize(f).factors:
-            assert distinct_factor_count(g) == 1
+            fixed = (op_matrix(g, OperatorKind.FROBENIUS)
+                     - SquareMatrix.identity(ctx, g.degree()))
+            assert len(kernel_basis(fixed)) == 1
             if sieve is None:
                 sieve = {tuple(h.to_dense())
                          for h in irreducibles_up_to(ctx, 6)}

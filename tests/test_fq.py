@@ -306,7 +306,38 @@ def test_field_tables_nondefault_modulus():
 def test_ring_tables_match_generic_arithmetic(p, e, m):
     ring = make_galois_ring(make_field(p, e), m)
     assert ring.size <= 256
-    _check_exhaustive(ring)
+    if e == 1:
+        _check_exhaustive(ring)
+        return
+    # e > 1 runs the generic arithmetic itself: check it against the plane
+    # product and the digit planes, which share none of its scalar code
+    codes = np.arange(ring.size, dtype=np.int64)
+    digits = ring._to_planes(codes, 1)
+    products = fq._digit_product(ring, codes, codes).tolist()
+    sums = ring._from_planes((digits[:, :, None] + digits[:, None])
+                             % ring.pm).tolist()
+    negatives = ring._from_planes(-digits % ring.pm).tolist()
+    els = range(ring.size)
+    for a in els:
+        assert [ring.mul(a, b) for b in els] == products[a]
+        assert [ring.add(a, b) for b in els] == sums[a]
+        assert ring.neg(a) == negatives[a]
+        _check_element(ring, a, (0, 1, 2, 3, ring.size - 1, ring.size + 1))
+
+
+def test_galois_rings_of_625_and_1024_elements_build_fast(monkeypatch):
+    # GR(5^2, 2) and GR(2^5, 2): construction does no work quadratic in
+    # the ring's size; best of three builds from emptied caches
+    for p, e in ((2, 5), (5, 2)):
+        best = float("inf")
+        for _ in range(3):
+            monkeypatch.setattr(fq, "_FIELD_CACHE", {})
+            monkeypatch.setattr(fq, "_RING_CACHE", {})
+            start = time.perf_counter()
+            ring = make_galois_ring(make_field(p, e), 2)
+            best = min(best, time.perf_counter() - start)
+        assert ring.size == p ** (2 * e)
+        assert best < 0.02, (p, e, best)
 
 
 @pytest.mark.parametrize("p,e", [(2, 10), (3, 6), (5, 4), (3, 7), (2, 14)])

@@ -324,6 +324,21 @@ def test_zeta_mod_pm_matches_torus_oracle_small(p, m, q, n, dmax, cases):
         assert list(got.coeffs) == exact_series_mod(f, 4, pm, "torus")
 
 
+@pytest.mark.parametrize("q,n,dmax,B", [(32, 1, 4, 3), (25, 1, 3, 2),
+                                         (25, 2, 2, 2)])
+def test_zeta_mod_p2_over_rings_of_625_and_1024_elements(q, n, dmax, B):
+    # GR(2^5, 2) and GR(5^2, 2) run the generic digit arithmetic; B is
+    # small enough that the oracle stays cheap over F_{q^B}
+    ctx = field(q)
+    rng = random.Random(q * 10 + n)
+    for _ in range(4):
+        f = rand_poly_mv(ctx, rng, n, rng.randrange(1, dmax + 1),
+                         density=1.0)
+        got = zeta_mod_pm(f, 2, B)
+        assert list(got.coeffs) == exact_series_mod(f, B, ctx.p ** 2,
+                                                    "torus")
+
+
 def test_zeta_mod_pm_worked_cases():
     ctx = field(2)
     f = SparsePoly.from_dense(ctx, [1, 1])  # single torus point x = 1

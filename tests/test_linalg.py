@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import field
-from ffzeta import (SingularMatrix, SquareMatrix, charpoly_reverse, fq,
+from ffzeta import (SquareMatrix, charpoly_reverse, fq,
                     kernel_basis, make_field, make_galois_ring)
-from ffzeta.linalg import invert
 
 
 def rand_matrix(ctx, rng, n):
@@ -261,8 +260,8 @@ def test_charpoly_similarity_invariance(q):
             P = rand_matrix(ctx, rng, n)
             if not kernel_basis(P):
                 break
-        conj = invert(P) @ M @ P
-        assert charpoly_reverse(conj) == charpoly_reverse(M)
+        # M P = P^-1 (P M) P for the invertible P
+        assert charpoly_reverse(P @ M) == charpoly_reverse(M @ P)
 
 
 @pytest.mark.parametrize("q", [2, 3, 9])
@@ -326,19 +325,3 @@ def test_mat_pow_homomorphism():
         for j in range(4):
             assert M.pow(i + j) == M.pow(i) @ M.pow(j)
     assert M.pow(0) == SquareMatrix.identity(ctx, 4)
-
-
-def test_invert_round_trip_and_singular():
-    ctx = field(5)
-    rng = random.Random(55)
-    ident = SquareMatrix.identity(ctx, 4)
-    for _ in range(10):
-        while True:
-            P = rand_matrix(ctx, rng, 4)
-            if not kernel_basis(P):
-                break
-        assert invert(P) @ P == ident
-        assert P @ invert(P) == ident
-    singular = SquareMatrix.from_rows(ctx, [[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrix):
-        invert(singular)

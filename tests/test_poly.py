@@ -155,15 +155,6 @@ def test_poly_pow_work_cap_refuses_before_multiplying(monkeypatch):
     assert counts == {"_capped_product": 1}
 
 
-def test_poly_pow_term_cap(monkeypatch):
-    # a real 10^7-term expansion is too slow for a unit test
-    monkeypatch.setattr(ffzeta.poly, "_MAX_TERMS", 50)
-    ctx = field(2)
-    f = rand_poly_mv(ctx, random.Random(1), 3, 3, density=1.0)
-    with pytest.raises(SizeLimit):
-        poly_pow(f, 40)
-
-
 def reduce_mod_p(f):
     """A polynomial over a Galois ring, reduced termwise to its field."""
     ring = f.ctx

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import ffzeta
@@ -54,23 +55,30 @@ def test_only_fq_reads_the_digit_encoding():
     assert found == []
 
 
+def _names_used(top):
+    used = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def test_private_helpers_are_used():
     # a private function or class that nothing in the package refers to
     # is dead code
     trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
     defined, used = {}, set()
     for path, tree in zip(SOURCES, trees):
+        used |= _names_used(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 name = node.name
                 if name.startswith("_") and not name.endswith("__"):
                     defined[name] = "%s:%d" % (path.name, node.lineno)
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
     assert len(defined) > 10
     assert sorted(loc for name, loc in defined.items()
                   if name not in used) == []
@@ -109,4 +117,35 @@ def test_plane_products_go_through_mul_planes():
                   and any(a.name in PLANE_PRODUCTS for a in node.names)):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(SOURCES) > 1
+    assert found == []
+
+
+REPO = Path(ffzeta.__file__).parents[2]
+
+
+def test_public_names_have_a_caller():
+    # a public module-level function or class that no module of the
+    # package (its own def and __init__ aside) and no benchmark refers to,
+    # and that the README does not document as API, serves only the tests
+    modules = {path: ast.parse(path.read_text(), str(path))
+               for path in SOURCES if path.name != "__init__.py"}
+    bench = "\n".join(path.read_text()
+                      for path in sorted(REPO.glob("perfbench/*.py")))
+    readme = (REPO / "README.md").read_text()
+    # listing a name as removed does not document it
+    readme = re.sub(r"Removed names:.*?\n\n", "", readme, flags=re.S)
+    refs = [(top, _names_used(top))
+            for tree in modules.values() for top in tree.body]
+    found = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            word = re.compile(r"\b%s\b" % node.name)
+            if not (any(node.name in used
+                        for top, used in refs if top is not node)
+                    or word.search(bench) or word.search(readme)):
+                found.append("%s:%s" % (path.name, node.name))
+    assert len(modules) > 1
     assert found == []
