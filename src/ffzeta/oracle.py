@@ -8,12 +8,15 @@ of irreducibles plus trial division.  None of it shares code with the
 operator path beyond field construction and arithmetic; the tests check
 the irreducibility test that certifies a field's modulus against the sieve.
 
-Enumeration is vectorized when the extension field is small enough to carry
-the field's 1-D tables (log/antilog, and for odd p the carry-free addition
-of fq.VectorKit), one Horner pass over every value of the last variable per
-point of the others; otherwise a plain odometer loop runs.  Exponents
-are first folded below q^k, since x^(q^k) = x on F_{q^k}.  Either way the
-work is q^(k*n) point evaluations, capped by _MAX_ENUM.  The sieve
+Enumeration is vectorized when the extension field F_Q, Q = q^k, is small
+enough to carry the field's 1-D tables (log/antilog, and for odd p the
+carry-free addition of fq.VectorKit); otherwise a plain odometer loop runs.
+The vectorized count takes the grid of the first n-1 coordinates in chunks
+of rows: the coefficients of the last variable become (rows, 1) columns,
+built from the logs of each row's outer monomials, and one Horner pass
+over a (rows x Q) array evaluates every value of the last variable at
+once.  Exponents are first folded below Q, since x^Q = x on F_Q.  Either
+way the work is Q^n point evaluations, capped by _MAX_ENUM.  The sieve
 and trial division run on the same tables over extension fields and on
 int64 arithmetic mod p over prime fields.
 """
@@ -28,10 +31,11 @@ import numpy as np
 from .errors import NonIntegralCoefficient, TooLarge
 from .factor import Factorization, factor_sort_key
 from .fq import make_field, split_prime_power
-from .poly import SparsePoly, dense_divmod, dense_monic, dense_trim
+from .poly import SparsePoly, dense_divmod, dense_monic
 
 _MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
+_CHUNK = 1 << 16        # entries of one (outer points x Q) Horner array
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -123,13 +127,13 @@ def _group_terms(terms, n):
 
 
 def _horner_vec(kit, dense, xlog):
-    """Values of a dense polynomial at the points whose logs are xlog."""
-    if not dense:
-        return np.zeros(len(xlog), dtype=np.int64)
-    y = np.full(len(xlog), dense[-1], dtype=np.int64)
+    """Values of a dense polynomial at the points whose logs are xlog.  A
+    coefficient is a scalar or a (rows, 1) column of codes; with columns,
+    row r of the (rows, len(xlog)) result uses entry r of each column."""
+    y = np.broadcast_to(dense[-1], np.shape(dense[-1])[:1] + xlog.shape)
     for c in reversed(dense[:-1]):
         y = kit.exp[kit.log[y] + xlog]
-        if c:
+        if np.ndim(c) or c:
             y = kit.add(y, c)
     return y
 
@@ -173,34 +177,39 @@ def _count_vectorized(big, kit, terms, n, domain):
     lo = 0 if domain == "affine" else 1
     xlog = kit.log[lo:Q]
     groups = _group_terms(terms, n)
-    maxdeg = [0] * (n - 1)
-    for outer, _ in groups:
-        for i, e in enumerate(outer):
-            maxdeg[i] = max(maxdeg[i], e)
+    if n == 1:
+        y = _horner_vec(kit, groups[0][1], xlog)
+        return int(np.count_nonzero(y == 0))
+    side = Q - lo
+    outer = side ** (n - 1)
+    rows = max(1, _CHUNK // side)
+    width = max(len(d) for _, d in groups)
     count = 0
-    mul = big.mul
-    add = big.add
-    for point in itertools.product(range(lo, Q), repeat=n - 1):
-        pows = []
-        for i, v in enumerate(point):
-            row = [1] * (maxdeg[i] + 1)
-            for j in range(1, maxdeg[i] + 1):
-                row[j] = mul(row[j - 1], v)
-            pows.append(row)
-        dense = [0] * (max(len(d) for _, d in groups))
-        for outer, dvec in groups:
-            w = 1
-            for i, e in enumerate(outer):
+    for start in range(0, outer, rows):
+        # one row per outer point, the last coordinate running fastest
+        idx = np.arange(start, min(start + rows, outer), dtype=np.int64)
+        vals = [idx // side ** (n - 2 - i) % side + lo for i in range(n - 1)]
+        # log x_i mod (Q-1), so log 0 = 2(Q-1) reads as 0 and x_i = 0 is
+        # flagged apart
+        logs = [kit.log[v].astype(np.int64) % (Q - 1) for v in vals]
+        cols = [0] * width
+        for exps, dvec in groups:
+            # log of the outer monomial; each term is at most (Q-1)^2, and
+            # later table indices at most 4(Q-1), so _MAX_ENUM and the table
+            # caps keep (n-1)(Q-1)^2 + 4(Q-1) below 2^63
+            w = np.zeros(len(idx), dtype=np.int64)
+            dead = np.zeros(len(idx), dtype=bool)
+            for e, lg, v in zip(exps, logs, vals):
                 if e:
-                    w = mul(w, pows[i][e])
-                    if not w:
-                        break
-            if not w:
-                continue
+                    w += e * lg
+                    dead |= v == 0
+            w %= Q - 1
+            w[dead] = 2 * (Q - 1)
+            w = w[:, None]
             for j, c in enumerate(dvec):
                 if c:
-                    dense[j] = add(dense[j], mul(w, c))
-        y = _horner_vec(kit, dense_trim(dense), xlog)
+                    cols[j] = kit.add(cols[j], kit.exp[w + kit.log[c]])
+        y = _horner_vec(kit, cols, xlog)
         count += int(np.count_nonzero(y == 0))
     return count
 
@@ -241,8 +250,8 @@ def count_vector(f, K, domain="affine"):
 
 def zeta_coeffs_exact(counts, B):
     """Series coefficients of exp(sum N_k T^k / k) through T^B, computed
-    exactly; the result provably has nonnegative integer entries and that
-    is asserted."""
+    exactly; the result provably has nonnegative integer entries, and a
+    coefficient that is not one raises NonIntegralCoefficient."""
     if isinstance(counts, CountVector):
         counts = counts.counts
     if len(counts) < B:

@@ -303,7 +303,7 @@ def test_field_tables_nondefault_modulus():
 @pytest.mark.parametrize("p,e,m", [(2, 2, 2), (2, 2, 3), (2, 2, 4),
                                    (2, 3, 2), (2, 4, 2), (3, 2, 2),
                                    (2, 1, 5), (3, 1, 3), (5, 1, 2)])
-def test_ring_tables_match_generic_arithmetic(p, e, m):
+def test_ring_arithmetic_matches_digit_planes(p, e, m):
     ring = make_galois_ring(make_field(p, e), m)
     assert ring.size <= 256
     if e == 1:

@@ -1,14 +1,16 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import (count_scalar_reference, field, rand_monic,
-                      rand_poly_mv)
+from conftest import (count_calls, count_scalar_reference, field,
+                      rand_monic, rand_poly_mv)
 from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
                     count_vector, degree_profile, irreducibles_up_to,
                     trial_factorize, zeta_coeffs_exact, zerodim_zeta)
+from ffzeta import fq, oracle
 from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
 from ffzeta.poly import SparsePoly
 
@@ -87,6 +89,80 @@ def test_exponents_fold_below_the_field_order(q):
             count = count_points(f, k, domain)
             assert count == count_scalar_reference(f, k, domain)
             assert count_points(g, k, domain) == count
+
+
+def _grid_cases(ctx, rng, n, Q):
+    """Polynomials in n >= 2 variables that stress the outer grid over F_Q:
+    no last-variable term, only last-variable terms, outer monomials that
+    vanish where a coordinate is 0, terms that cancel once exponents fold
+    below Q, and a random one."""
+    def c():
+        return rng.randrange(1, ctx.q)
+    zero = (0,) * (n - 1)
+    first, last = (1,) + zero[1:], zero[1:] + (1,)
+    no_last = {(1,) * (n - 1) + (0,): c(), (2,) + zero: c(), zero + (0,): c()}
+    only_last = {zero + (j,): c() for j in (0, 1, 3)}
+    vanish = {first + (2,): c(), last + (1,): c(),
+              (2,) * (n - 1) + (0,): c(), zero + (0,): c()}
+    # x_1^Q x_2..x_n folds onto x_1..x_n, and x_n^(Q+1) onto x_n^2
+    cancel = dict(rand_poly_mv(ctx, rng, n, 2).terms)
+    for u, v in (((1,) * n, (Q,) + (1,) * (n - 1)),
+                 (zero + (2,), zero + (Q + 1,))):
+        a = c()
+        cancel[u], cancel[v] = a, ctx.neg(a)
+    return [SparsePoly(ctx, n, t) for t in (no_last, only_last, vanish,
+                                            cancel)] + \
+        [rand_poly_mv(ctx, rng, n, 3)]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 2, 3), (2, 3, 2), (2, 3, 3),
+                                   (3, 2, 2), (3, 3, 2), (4, 2, 2),
+                                   (4, 3, 2), (9, 2, 2)])
+def test_grid_counts_match_scalar_reference(q, n, k, monkeypatch):
+    # k >= 2, so over F_4 and F_9 the F_16 and F_81 embeddings run; the
+    # second pass cuts the outer grid into chunks of a row count that does
+    # not divide it
+    ctx = field(q)
+    Q = q ** k
+    rng = random.Random(q * 100 + n * 10 + k)
+    for f in _grid_cases(ctx, rng, n, Q):
+        for domain in ("affine", "torus"):
+            want = count_scalar_reference(f, k, domain)
+            assert count_points(f, k, domain) == want
+            side = Q if domain == "affine" else Q - 1
+            rows = next(r for r in itertools.count(2)
+                        if side ** (n - 1) % r)
+            assert rows < side ** (n - 1)
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_CHUNK", rows * side)
+                assert count_points(f, k, domain) == want
+
+
+def test_grid_runs_one_horner_pass_per_chunk(monkeypatch):
+    # a cubic over F_2 in three variables at k = 7: 2^14 outer points
+    ctx = field(2)
+    f = SparsePoly(ctx, 3, {(3, 0, 0): 1, (1, 1, 1): 1, (0, 2, 1): 1,
+                            (0, 0, 3): 1, (0, 1, 0): 1, (0, 0, 0): 1})
+    calls = count_calls(monkeypatch, ["_horner_vec"])
+    count_points(f, 7)
+    rows = oracle._CHUNK // 2 ** 7
+    assert 0 < calls["_horner_vec"] <= math.ceil(2 ** 14 / rows)
+
+
+def test_log_weight_sums_fit_int64():
+    # the grid sums n-1 products e_i * log x_i, each at most (Q-1)^2, then
+    # indexes the tables at up to 4(Q-1); every Q a tabulated field could
+    # have, and every n >= 2 the enumeration cap allows with it
+    cells = 0
+    for Q in range(2, math.isqrt(oracle._MAX_ENUM) + 1):
+        if Q > (fq._P2_VECTOR_CAP if Q % 2 == 0 else fq._ODD_VECTOR_CAP):
+            continue
+        n = 2
+        while Q ** n <= oracle._MAX_ENUM:
+            assert (n - 1) * (Q - 1) ** 2 + 4 * (Q - 1) < 2 ** 63
+            cells += 1
+            n += 1
+    assert cells > 3000
 
 
 def test_worked_counts():
