@@ -303,15 +303,19 @@ class _DigitArithmetic:
 
     def _mul_planes(self, op, A, B):
         """The plane stack of the product of A and B, where op multiplies
-        one plane of A by one plane of B over the integers."""
+        one plane of A by one plane of B over the integers.  The first
+        product seeds the buffer, so with one plane the whole product is
+        one op and one reduction."""
         L = self.digits
-        conv = None
+        prod = op(A[0], B[0])
+        conv = prod[None]
+        if L > 1:
+            conv = np.zeros((2 * L - 1,) + prod.shape, prod.dtype)
+            conv[0] = prod
         for c1 in range(L):
             for c2 in range(L):
-                prod = op(A[c1], B[c2])
-                if conv is None:
-                    conv = np.zeros((2 * L - 1,) + prod.shape, prod.dtype)
-                conv[c1 + c2] += prod
+                if c1 or c2:
+                    conv[c1 + c2] += op(A[c1], B[c2])
         return self._fold(conv)
 
 

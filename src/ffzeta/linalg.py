@@ -4,16 +4,26 @@ A SquareMatrix stores its entries as the context's digit planes, an
 (L, n, n) array (see `fq`); a matrix product is the context's plane
 product with np.matmul.
 
-charpoly_reverse returns det(I - M*T) in O(n^3): a Hessenberg reduction
-(Cohen, A Course in Computational Algebraic Number Theory, 2.2.9) followed
-by the Hessenberg recurrence for the characteristic polynomial, both on
-the planes.  Over a Galois ring each column pivots on its entry of least
+charpoly_reverse returns det(I - M*T).  Read as a directed graph, the
+support of M (the nonzeros of any plane) splits into strongly connected
+components; permuted to their order M is block triangular, so det(I - M*T)
+is the product over the diagonal blocks, exactly over any commutative
+ring.  A one-node block with diagonal entry a contributes 1 - a*T, so a
+transient node, one no cycle passes through, drops out.  The components
+come from the reachability matrix, found by repeated squaring.
+
+Each block of size k >= 2 costs O(k^3): a Hessenberg reduction (Cohen, A
+Course in Computational Algebraic Number Theory, 2.2.9) followed by the
+Hessenberg recurrence for the characteristic polynomial, both on the
+planes.  Over a Galois ring each column pivots on its entry of least
 p-adic valuation, so every multiplier is an exact quotient and the
 similarity stays integral (Caruso, Roe and Vaccon, "Characteristic
 polynomials of p-adic matrices", ISSAC 2017); one code path serves fields
-and rings.  Each of its plane products sums at most n digit products per
-plane pair, the bound `_dtype_ok(n)` already covers for the matrix's
-planes.  Kernels require a field.
+and rings.  Each of its plane products sums at most k <= n digit products
+per plane pair, and so does the convolution of the block charpolys, at
+most min(k, n - k) + 1 <= n: the bound `_dtype_ok(n)` that sizes the
+matrix's planes, int64 or Python integers, covers both.  Kernels require
+a field.
 """
 
 from __future__ import annotations
@@ -86,17 +96,70 @@ class SquareMatrix:
 
 
 def charpoly_reverse(M):
-    """Coefficients c_0..c_n of det(I - M*T), c_0 = 1: a Hessenberg
-    reduction, then the Hessenberg recurrence for det(xI - H), reversed.
+    """Coefficients c_0..c_n of det(I - M*T), c_0 = 1, as the product of
+    det(I - M_bb*T) over the diagonal blocks of M: one block per strongly
+    connected component of its support.  A one-node block with diagonal
+    entry a contributes 1 - a*T, folded in with scalar ring arithmetic
+    (so 1 when a = 0); larger blocks run the Hessenberg charpoly and are
+    multiplied together with the plane product."""
+    ctx = M.ctx
+    n = M.n
+    planes = M.planes
+    label = _components((planes != 0).any(axis=0)) if n > 1 else None
+    if label is None or not label.any():
+        # one component, or none: no split
+        out = _coefficients(ctx, _charpoly_hessenberg(ctx, planes.copy()))
+    else:
+        sizes = np.bincount(label, minlength=n)
+        chi = None
+        for root in np.flatnonzero(sizes > 1):
+            block = np.flatnonzero(label == root)
+            part = _charpoly_hessenberg(ctx, planes[:, block[:, None], block])
+            chi = part if chi is None else ctx._mul_planes(np.convolve, chi,
+                                                           part)
+        out = [1] if chi is None else _coefficients(ctx, chi)
+        ones = np.flatnonzero(sizes[label] == 1)
+        for a in ctx._from_planes(planes[:, ones, ones]).tolist():
+            if a:
+                out = [ctx.sub(c, ctx.mul(a, b))
+                       for c, b in zip(out + [0], [0] + out)]
+        out += [0] * (n + 1 - len(out))
+    if out[0] != 1:
+        raise InvariantViolation("det(I - M*T) has constant term %d"
+                                 % out[0])
+    return out
+
+
+def _components(support):
+    """A label per node of the directed graph with boolean adjacency
+    matrix `support`, n >= 2 nodes, equal for two nodes exactly when they
+    lie in one strongly connected component: the least node of the
+    component.  The reachability matrix R is I + support squared until it
+    covers paths of length n - 1, in float32, which is exact since every
+    entry of R @ R is at most n < 2^24."""
+    n = len(support)
+    R = (support | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range((n - 2).bit_length()):
+        R = np.minimum(R @ R, 1)
+    reach = R > 0
+    return (reach & reach.T).argmax(axis=1)
+
+
+def _coefficients(ctx, chi):
+    return [int(v) for v in ctx._from_planes(chi)]
+
+
+def _charpoly_hessenberg(ctx, H):
+    """The (L, k+1) planes of det(I - H*T) for the (L, k, k) planes H,
+    which it overwrites: a Hessenberg reduction, then the Hessenberg
+    recurrence for det(xI - H), reversed.
 
     Column k pivots on the entry of least p-adic valuation v below the
     diagonal and clears the rest with c = (entries / p^v) * unit^-1, which
     is exact in a chain ring; the similarity is a permutation and a
     unit-triangular matrix, so no precision is lost over Z/p^m either."""
-    ctx = M.ctx
-    n = M.n
+    n = H.shape[1]
     mod = ctx.pm
-    H = M.planes.copy()
     for k in range(n - 2):
         # the valuation of an entry, capped at m, is the number of s <= m
         # with every digit divisible by p^s
@@ -135,11 +198,7 @@ def charpoly_reverse(M):
             Y[:, :k, :k] = ctx._mul_planes(np.multiply, Y[:, :k, :k],
                                            H[:, k, k - 1, None, None])
             Y[:, k] = chi
-    out = [int(v) for v in ctx._from_planes(chi[:, ::-1])]
-    if out[0] != 1:
-        raise InvariantViolation("det(I - M*T) has constant term %d"
-                                 % out[0])
-    return out
+    return chi[:, ::-1]
 
 
 def kernel_basis(M):

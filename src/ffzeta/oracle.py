@@ -16,9 +16,10 @@ of rows: the coefficients of the last variable become (rows, 1) columns,
 built from the logs of each row's outer monomials, and one Horner pass
 over a (rows x Q) array evaluates every value of the last variable at
 once.  Exponents are first folded below Q, since x^Q = x on F_Q.  Either
-way the work is Q^n point evaluations, capped by _MAX_ENUM.  The sieve
-and trial division run on the same tables over extension fields and on
-int64 arithmetic mod p over prime fields.
+way the work is Q^n point evaluations, capped by _MAX_ENUM, and by the
+far smaller _MAX_SCALAR for the odometer loop.  The sieve and trial
+division run on the same tables over extension fields and on int64
+arithmetic mod p over prime fields.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .poly import SparsePoly, dense_divmod, dense_monic
 _MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
 _CHUNK = 1 << 16        # entries of one (outer points x Q) Horner array
+_MAX_SCALAR = 10 ** 5   # most points the scalar enumeration visits
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -216,6 +218,10 @@ def _count_vectorized(big, kit, terms, n, domain):
 
 def _count_scalar(big, terms, n, domain):
     Q = big.q
+    if Q ** n > _MAX_SCALAR:
+        # a field past the table caps takes tens of microseconds a point
+        raise TooLarge("Q^n = %d exceeds the cap of %d points counted "
+                       "without field tables" % (Q ** n, _MAX_SCALAR))
     lo = 0 if domain == "affine" else 1
     count = 0
     mul = big.mul

@@ -277,6 +277,19 @@ def test_large_q_operator_ends_within_ten_seconds(argv, code):
     assert "Traceback" not in run.stdout + run.stderr
 
 
+def test_count_past_the_table_caps_exits_four_within_ten_seconds():
+    # F_6561 carries no tables, and its 4.3 * 10^7 points would take the
+    # scalar enumeration about half an hour
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "3", "-n", "2",
+         "-k", "8", "--poly", "x^3+x*y+1"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+
+
 def test_size_caps_are_not_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",

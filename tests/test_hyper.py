@@ -161,6 +161,43 @@ def test_frobenius_twists_equal_the_full_power_assembly(case):
     assert got.to_rows() == _per_column_matrix(ctx, power, basis)
 
 
+def _monomial(draw, n, k):
+    """An exponent vector in n variables of degree exactly k."""
+    u = []
+    for _ in range(n - 1):
+        u.append(draw(st.integers(0, k)))
+        k -= u[-1]
+    return tuple(u + [k])
+
+
+@st.composite
+def degree_d_case(draw):
+    q = draw(st.sampled_from([2, 3, 4, 9]))
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(n + 1, n + 3))    # d = n leaves no lower monomial
+    # one term of degree exactly d, so deg f = d, and terms below it
+    terms = {_monomial(draw, n, d): draw(st.integers(1, q - 1))}
+    for _ in range(draw(st.integers(0, 8))):
+        u = _monomial(draw, n, draw(st.integers(0, d - 1)))
+        terms[u] = draw(st.integers(1, q - 1))
+    return SparsePoly(field(q), n, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree_d_case())
+def test_monomials_below_the_degree_span_a_stable_subspace(f):
+    # the image of x^u has degree at most (|u| + (q-1)d)/q < d when
+    # |u| < d, so no entry of M takes a monomial of degree below d to one
+    # of degree d, and det(I - MT) splits over that subspace
+    d = f.degree()
+    basis = rd_basis(f.nvars, d)
+    rows = hyper_matrix_mod_p(f).to_rows()
+    top = [i for i, w in enumerate(basis) if sum(w) == d]
+    for j, u in enumerate(basis):       # column j is the image of x^u
+        if sum(u) < d:
+            assert [rows[i][j] for i in top] == [0] * len(top)
+
+
 # -- truncated series -------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import bisect
 import random
 from itertools import permutations
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import field
-from ffzeta import (SquareMatrix, charpoly_reverse, fq,
-                    kernel_basis, make_field, make_galois_ring)
+from ffzeta import (SquareMatrix, charpoly_reverse, fq, kernel_basis,
+                    linalg, make_field, make_galois_ring)
 
 
 def rand_matrix(ctx, rng, n):
@@ -94,7 +95,8 @@ CHARPOLY_CONTEXTS = [(2, 1, 1, range(8)), (3, 2, 1, range(8)),
                      (3, 2, 2, range(8)), (32749, 1, 2, (4, 5)),
                      (2147483647, 1, 1, range(7))]
 MATRIX_KINDS = ["random", "zero", "identity", "nilpotent", "p-multiple",
-                "mixed-valuation", "block-triangular", "hessenberg"]
+                "mixed-valuation", "block-triangular", "hessenberg",
+                "many-blocks"]
 
 
 def structured_rows(ctx, rng, n, kind):
@@ -120,6 +122,17 @@ def structured_rows(ctx, rng, n, kind):
         cut = rng.randrange(n + 1)
         return [[rows[i][j] if perm[i] >= cut or perm[j] < cut else 0
                  for j in range(n)] for i in range(n)]
+    if kind == "many-blocks":
+        # 3 to 6 sparse diagonal blocks at random cuts, block upper
+        # triangular, permuted; a one-node block is transient or live as
+        # its diagonal entry is zero or not
+        k = min(n, rng.randint(3, 6))
+        cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
+        block = [bisect.bisect_right(cuts, perm[i]) for i in range(n)]
+        keep = {True: 0.8, False: 0.3}     # inside a block, above it
+        return [[rows[i][j] if block[i] <= block[j]
+                 and rng.random() < keep[block[i] == block[j]] else 0
+                 for j in range(n)] for i in range(n)]
     if kind == "hessenberg":
         # already zero below the subdiagonal: a column with a zero
         # subdiagonal entry is skipped, the others clear nothing
@@ -134,6 +147,68 @@ def check_charpoly_against_berkowitz(ctx, rows):
     assert got == charpoly_berkowitz(M)
     assert len(got) == M.n + 1
     assert M.to_rows() == rows          # the input is left untouched
+
+
+def _mutual_reachability(support):
+    """Label per node, the least node reachable from it and back, by a
+    depth-first search from every node."""
+    n = len(support)
+    reach = []
+    for s in range(n):
+        seen = {s}
+        stack = [s]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if support[i][j] and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    return [min(j for j in reach[i] if i in reach[j]) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_are_mutual_reachability_classes(seed):
+    rng = random.Random(seed)
+    for n in range(1, 30):
+        density = rng.choice([0.02, 0.05, 0.1, 0.3])
+        support = [[rng.random() < density for _ in range(n)]
+                   for _ in range(n)]
+        got = linalg._components(np.array(support))
+        assert got.tolist() == _mutual_reachability(support)
+
+
+def test_components_of_a_dense_support():
+    # path counts through a complete block outgrow float32 unless each
+    # squaring clips them back to 0 and 1
+    n = 100
+    support = np.zeros((n, n), dtype=bool)
+    support[:60, :60] = True
+    support[59, 60] = True
+    for i in range(60, n - 1):
+        support[i, i + 1] = True    # a path leaving the block
+    support[n - 1, 70] = True       # and a cycle on its last 30 nodes
+    assert linalg._components(support).tolist() == \
+        _mutual_reachability(support.tolist())
+
+
+@pytest.mark.parametrize("p,e,m", [(101, 2, 4), (32749, 1, 2)])
+def test_block_product_on_object_planes_matches_berkowitz(p, e, m):
+    # the product of the block charpolys runs on Python integers when the
+    # matrix's planes do
+    ring = make_galois_ring(make_field(p, e), m)
+    rng = random.Random(p)
+    products = 0
+    for n in (6, 8, 10):
+        for _ in range(4):
+            rows = structured_rows(ring, rng, n, "many-blocks")
+            M = SquareMatrix.from_rows(ring, rows)
+            assert M.planes.dtype == object
+            label = linalg._components((M.planes != 0).any(axis=0))
+            sizes = np.bincount(label)
+            products += np.count_nonzero(sizes > 1) > 1
+            check_charpoly_against_berkowitz(ring, rows)
+    assert products >= 3        # matrices with two blocks past one node
 
 
 def test_charpoly_contexts_cover_both_plane_dtypes():
