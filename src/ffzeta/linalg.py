@@ -10,7 +10,9 @@ components; permuted to their order M is block triangular, so det(I - M*T)
 is the product over the diagonal blocks, exactly over any commutative
 ring.  A one-node block with diagonal entry a contributes 1 - a*T, so a
 transient node, one no cycle passes through, drops out.  The components
-come from the reachability matrix, found by repeated squaring.
+come from the reachability matrix, found by Warshall's algorithm on the
+boolean support: O(n^3) bit operations in numpy, with no float product,
+so no BLAS call and no thread beyond the caller's.
 
 Each block of size k >= 2 costs O(k^3): a Hessenberg reduction (Cohen, A
 Course in Computational Algebraic Number Theory, 2.2.9) followed by the
@@ -97,33 +99,29 @@ class SquareMatrix:
 
 def charpoly_reverse(M):
     """Coefficients c_0..c_n of det(I - M*T), c_0 = 1, as the product of
-    det(I - M_bb*T) over the diagonal blocks of M: one block per strongly
-    connected component of its support.  A one-node block with diagonal
-    entry a contributes 1 - a*T, folded in with scalar ring arithmetic
-    (so 1 when a = 0); larger blocks run the Hessenberg charpoly and are
-    multiplied together with the plane product."""
+    det(I - M_bb*T) over the diagonal blocks of M, one block per strongly
+    connected component of its support, multiplied with the plane
+    product.  A one-node block with diagonal entry a contributes 1 - a*T,
+    nothing when a = 0; a larger block runs the Hessenberg charpoly."""
     ctx = M.ctx
     n = M.n
     planes = M.planes
-    label = _components((planes != 0).any(axis=0)) if n > 1 else None
-    if label is None or not label.any():
-        # one component, or none: no split
-        out = _coefficients(ctx, _charpoly_hessenberg(ctx, planes.copy()))
-    else:
-        sizes = np.bincount(label, minlength=n)
-        chi = None
-        for root in np.flatnonzero(sizes > 1):
+    label = _components((planes != 0).any(axis=0))
+    sizes = np.bincount(label, minlength=n)
+    chi = None
+    for root in np.flatnonzero(sizes):
+        if sizes[root] > 1:
             block = np.flatnonzero(label == root)
             part = _charpoly_hessenberg(ctx, planes[:, block[:, None], block])
-            chi = part if chi is None else ctx._mul_planes(np.convolve, chi,
-                                                           part)
-        out = [1] if chi is None else _coefficients(ctx, chi)
-        ones = np.flatnonzero(sizes[label] == 1)
-        for a in ctx._from_planes(planes[:, ones, ones]).tolist():
-            if a:
-                out = [ctx.sub(c, ctx.mul(a, b))
-                       for c, b in zip(out + [0], [0] + out)]
-        out += [0] * (n + 1 - len(out))
+        elif planes[:, root, root].any():
+            part = np.zeros((ctx.digits, 2), dtype=planes.dtype)
+            part[0, 0] = 1
+            part[:, 1] = -planes[:, root, root] % ctx.pm
+        else:
+            continue                    # a transient node
+        chi = part if chi is None else ctx._mul_planes(np.convolve, chi, part)
+    out = [1] if chi is None else _coefficients(ctx, chi)
+    out += [0] * (n + 1 - len(out))
     if out[0] != 1:
         raise InvariantViolation("det(I - M*T) has constant term %d"
                                  % out[0])
@@ -132,17 +130,18 @@ def charpoly_reverse(M):
 
 def _components(support):
     """A label per node of the directed graph with boolean adjacency
-    matrix `support`, n >= 2 nodes, equal for two nodes exactly when they
-    lie in one strongly connected component: the least node of the
-    component.  The reachability matrix R is I + support squared until it
-    covers paths of length n - 1, in float32, which is exact since every
-    entry of R @ R is at most n < 2^24."""
+    matrix `support`, equal for two nodes exactly when they lie in one
+    strongly connected component: the least node of the component.  The
+    reachability matrix comes from Warshall's algorithm on boolean arrays,
+    which, unlike a float matrix product, calls no BLAS and so starts no
+    threads."""
     n = len(support)
-    R = (support | np.eye(n, dtype=bool)).astype(np.float32)
-    for _ in range((n - 2).bit_length()):
-        R = np.minimum(R @ R, 1)
-    reach = R > 0
-    return (reach & reach.T).argmax(axis=1)
+    reach = support | np.eye(n, dtype=bool)
+    for k in range(n):
+        # paths through nodes < k, then through node k as well
+        reach |= reach[:, k, None] & reach[k]
+    mutual = reach & reach.T
+    return mutual.argmax(axis=1) if n else np.zeros(0, dtype=np.intp)
 
 
 def _coefficients(ctx, chi):

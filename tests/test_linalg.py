@@ -179,8 +179,7 @@ def test_components_are_mutual_reachability_classes(seed):
 
 
 def test_components_of_a_dense_support():
-    # path counts through a complete block outgrow float32 unless each
-    # squaring clips them back to 0 and 1
+    # a complete block, a path leaving it and a cycle at the path's end
     n = 100
     support = np.zeros((n, n), dtype=bool)
     support[:60, :60] = True
