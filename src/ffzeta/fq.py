@@ -29,6 +29,11 @@ high ones back through the modulus, which keeps the heavy loops inside
 numpy while staying exact.  When a product or its fold could exceed int64,
 the planes hold Python integers instead.
 
+The Frobenius sigma (a -> a^p on a field, its lift fixing Z/p^m on a
+Galois ring) is linear over Z/p^m on the digits: sigma(sum a_i t^i) =
+sum a_i sigma(t)^i.  So both contexts apply it as one (L, L) digit matrix,
+built once from sigma(t), to a single code or to a whole plane stack.
+
 A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
 the same `m`, `pm`, `to_field`, `from_field` surface, so code written
 against the ring protocol runs unchanged on fields; `pm` is also the base
@@ -181,6 +186,7 @@ class _DigitArithmetic:
     products run on."""
 
     _mod_int = None                 # the modulus as a bit mask, base 2 only
+    _sigma = None                   # the digit matrix of the Frobenius
 
     def _set_modulus(self, modulus, pm):
         self.modulus = tuple(c % pm for c in modulus)
@@ -262,6 +268,60 @@ class _DigitArithmetic:
             a = self.mul(a, a)
             n >>= 1
         return r
+
+    # -- Frobenius ---------------------------------------------------------
+
+    def _frobenius_matrix(self):
+        """The (L, L) digit matrix S of the Frobenius sigma, built on first
+        use: column i holds the digits of sigma(t)^i, so S times the digits
+        of a are those of sigma(a) = sum a_i sigma(t)^i.  sigma(t) is the
+        root of the modulus H that reduces to t^p mod p, a simple root
+        since H mod p is separable; Newton's iteration from t^p doubles its
+        p-adic precision at each step, and over a field t^p is the root."""
+        if self._sigma is not None:
+            return self._sigma
+
+        def value(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = self.add(self.mul(acc, x), c)
+            return acc
+
+        powers = [1]
+        if self.digits > 1:
+            H = self.modulus
+            dH = [i * c % self.pm for i, c in enumerate(H)][1:]
+            x = self.pow(self.pm, self.p)   # the code pm is t
+            prec = 1
+            while prec < self.m:
+                x = self.sub(x, self.mul(value(H, x),
+                                         self.inv(value(dH, x))))
+                prec *= 2
+            if value(H, x) != 0:
+                raise InvariantViolation("sigma(t) = %d is not a root of "
+                                         "the modulus of %r" % (x, self))
+            for _ in range(self.digits - 1):
+                powers.append(self.mul(powers[-1], x))
+        self._sigma = np.array([self.coeffs(s) for s in powers],
+                               dtype=np.int64).T
+        return self._sigma
+
+    def _frob_planes(self, planes):
+        """sigma on every element of a plane stack: one sum of L digit
+        products per plane, which the planes' own dtype bound covers."""
+        return np.tensordot(self._frobenius_matrix(), planes, 1) % self.pm
+
+    def frob(self, a):
+        """sigma(a): a -> a^p on a field, and on a Galois ring the lift of
+        that map which fixes Z/p^m."""
+        planes = self._frob_planes(self._to_planes([a], 1))
+        return int(self._from_planes(planes)[0])
+
+    def pth_root(self, a):
+        """The inverse of frob, sigma^(e-1); on a field a -> a^(p^(e-1))."""
+        for _ in range(self.digits - 1):
+            a = self.frob(a)
+        return a
 
     # -- digit planes ------------------------------------------------------
 
@@ -427,18 +487,6 @@ class FiniteField(_DigitArithmetic):
             return self.pow(a, self.q - 2)
         return self._exp[self.q - 1 - self._log[a]]
 
-    def frob(self, a):
-        """a -> a^p, the absolute Frobenius."""
-        if self._log is None or a == 0:
-            return self.pow(a, self.p)
-        return self._exp[self._log[a] * self.p % (self.q - 1)]
-
-    def pth_root(self, a):
-        """Inverse of frob; a -> a^(p^(e-1))."""
-        for _ in range(self.e - 1):
-            a = self.frob(a)
-        return a
-
     # -- tables ------------------------------------------------------------
 
     def vector_kit(self):
@@ -509,7 +557,6 @@ class GaloisRing(_DigitArithmetic):
         self.q = field.q
         self._set_modulus(field.modulus, field.p ** m)
         self.size = self.pm ** field.e
-        self._sigma_powers = None       # sigma(t)^i, i < e, on first frob
 
     def __repr__(self):
         return "GR(%d^%d, %d)" % (self.p, self.m, self.e)
@@ -562,45 +609,6 @@ class GaloisRing(_DigitArithmetic):
             x = self.mul(x, self.sub(two, self.mul(a, x)))
             prec *= 2
         return x
-
-    def frob(self, a):
-        """sigma(a) for the Frobenius automorphism sigma of the ring, the
-        lift of a -> a^p that fixes Z/p^m: sigma(sum a_i t^i) is
-        sum a_i sigma(t)^i."""
-        if self.e == 1:
-            return a
-        if self._sigma_powers is None:
-            self._sigma_powers = self._frobenius_powers()
-        out = 0
-        for c, s in zip(self.coeffs(a), self._sigma_powers):
-            if c:
-                out = self.add(out, self.mul(c, s))
-        return out
-
-    def _frobenius_powers(self):
-        """sigma(t)^i for i < e.  sigma(t) is the root of H that reduces to
-        t^p, a simple root since H mod p is separable; Newton's iteration
-        from the lift of t^p doubles its p-adic precision at each step."""
-        def value(coeffs, x):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self.add(self.mul(acc, x), c)
-            return acc
-
-        H = self.modulus
-        dH = [i * c % self.pm for i, c in enumerate(H)][1:]
-        x = self.from_field(self.field.frob(self.p))   # the code p is t
-        prec = 1
-        while prec < self.m:
-            x = self.sub(x, self.mul(value(H, x), self.inv(value(dH, x))))
-            prec *= 2
-        if value(H, x) != 0:
-            raise InvariantViolation("sigma(t) = %d is not a root of the "
-                                     "modulus of %r" % (x, self))
-        powers = [1]
-        for _ in range(self.e - 1):
-            powers.append(self.mul(powers[-1], x))
-        return powers
 
 
 _FIELD_CACHE = {}

@@ -22,11 +22,13 @@ Frobenius, as in Lauder and Wan, "Counting points on varieties over
 finite fields of small characteristic", 2008), and the expanded power
 has degree (p-1)p^{m-1}d, not (q-1)p^{m-1}d.
 
-The mod-p determinant and the mod-p^m series provably land in the prime
-subring even though the matrices live over F_q or its Galois-ring
-extension; that containment is checked, never assumed.  Series
-arithmetic is written once, over any context with add/mul/neg/inv:
-Galois-ring codes, or Z/N for TruncatedSeries.
+P(T) provably lands in the prime subring Z/p^m even though M lives over
+F_q or its Galois-ring extension: sigma(M) = A M' and M = M' A, for
+M' = sigma^{e-1}(A) ... sigma(A), have one characteristic polynomial, so
+sigma fixes its coefficients.  That containment is checked, never
+assumed, before any series work, and every series is then a
+TruncatedSeries over Z/p^m: a product of powers of polynomials in T, with
+one division at the end (_product_series).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (EmptyBasis, InvariantViolation, RingNotField,
                      SizeLimit, StabilityViolation)
@@ -49,69 +49,6 @@ _MAX_NVARS = 6          # most variables the hypersurface routines accept
 
 # ---------------------------------------------------------------------------
 # truncated power series
-
-
-def _series_mul(ctx, a, b):
-    """Product of two coefficient lists of equal length, truncated to it,
-    over any context with add/mul/neg/inv."""
-    B = len(a) - 1
-    out = [0] * (B + 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(B + 1 - i):
-            y = b[j]
-            if y:
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
-
-
-def _series_inv(ctx, a):
-    B = len(a) - 1
-    b0 = ctx.inv(a[0])
-    out = [b0] + [0] * B
-    for k in range(1, B + 1):
-        s = 0
-        for j in range(1, k + 1):
-            if a[j] and out[k - j]:
-                s = ctx.add(s, ctx.mul(a[j], out[k - j]))
-        out[k] = ctx.neg(ctx.mul(b0, s))
-    return out
-
-
-def _series_pow(ctx, a, k):
-    base = a if k >= 0 else _series_inv(ctx, a)
-    k = abs(k)
-    out = [1] + [0] * (len(a) - 1)
-    while k:
-        if k & 1:
-            out = _series_mul(ctx, out, base)
-        base = _series_mul(ctx, base, base)
-        k >>= 1
-    return out
-
-
-class _Residues:
-    """Z/N with the add/mul/neg/inv of a field or Galois-ring context, so
-    TruncatedSeries shares the series code; N need not be a prime power,
-    and inv raises ValueError on a non-unit."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self.n = n
-
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def mul(self, a, b):
-        return a * b % self.n
-
-    def neg(self, a):
-        return -a % self.n
-
-    def inv(self, a):
-        return pow(a, -1, self.n)
 
 
 @dataclass(frozen=True)
@@ -144,20 +81,53 @@ class TruncatedSeries:
             raise ValueError("series moduli or truncation orders differ")
 
     def __mul__(self, other):
+        """The product, looping over the nonzero terms of the sparser
+        factor only, each against the other up to its last nonzero term:
+        two polynomials of degrees D and E cost O(D*E), not O(B^2)."""
         self._compat(other)
-        ctx = _Residues(self.modulus)
-        return TruncatedSeries(
-            self.modulus, tuple(_series_mul(ctx, self.coeffs, other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        if sum(map(bool, a)) > sum(map(bool, b)):
+            a, b = b, a
+        out = [0] * len(b)
+        b = b[:1 + max((j for j, c in enumerate(b) if c), default=-1)]
+        for i, x in enumerate(a):
+            if x:
+                end = i + len(b)
+                out[i:end] = [u + x * v for u, v in zip(out[i:end], b)]
+        return TruncatedSeries(self.modulus, tuple(out))
+
+    def __truediv__(self, other):
+        """The quotient by a series with a unit constant term (ValueError
+        otherwise), from the recurrence sum_j other_j out_{k-j} = self_k;
+        it reads the nonzero terms of `other` only, so dividing by a
+        polynomial of degree D costs O(B*D)."""
+        self._compat(other)
+        N, a = self.modulus, other.coeffs
+        b0 = pow(a[0], -1, N)
+        terms = [(j, c) for j, c in enumerate(a) if j and c]
+        out = []
+        for k, y in enumerate(self.coeffs):
+            s = sum(c * out[k - j] for j, c in terms if j <= k)
+            out.append(b0 * (y - s) % N)
+        return TruncatedSeries(N, tuple(out))
 
     def inverse(self):
-        ctx = _Residues(self.modulus)
-        return TruncatedSeries(
-            self.modulus, tuple(_series_inv(ctx, self.coeffs)))
+        return TruncatedSeries.one(self.modulus, self.order) / self
 
     def pow(self, k):
-        ctx = _Residues(self.modulus)
-        return TruncatedSeries(
-            self.modulus, tuple(_series_pow(ctx, self.coeffs, k)))
+        """a^k by repeated squaring; a^-k is the inverse of a^k, so a
+        polynomial is raised to its power before the one inversion."""
+        if k < 0:
+            return self.pow(-k).inverse()
+        out = TruncatedSeries.one(self.modulus, self.order)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def __str__(self):
         parts = []
@@ -171,6 +141,22 @@ class TruncatedSeries:
             else:
                 parts.append("T^%d" % k if c == 1 else "%d*T^%d" % (c, k))
         return " + ".join(parts)
+
+
+def _product_series(modulus, B, factors):
+    """The product of a(T)^k over the (k, a) pairs of `factors`, where each
+    a is a coefficient list with a unit constant term, mod `modulus` and
+    truncated at T^B.  The factors with k > 0 multiply into a numerator and the rest
+    into a denominator, which divides once at the end, so for polynomial
+    factors no two dense series are ever multiplied."""
+    num = den = TruncatedSeries.one(modulus, B)
+    for k, a in factors:
+        part = TruncatedSeries.from_list(modulus, a, B).pow(abs(k))
+        if k > 0:
+            num = num * part
+        else:
+            den = den * part
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +253,10 @@ def _operator_matrix(ctx, power, basis, p):
 def _frobenius_product(A):
     """sigma^{e-1}(A) ... sigma(A) A, where sigma is the Frobenius of A's
     context acting on every entry."""
-    ctx, n = A.ctx, A.n
-    if ctx.e == 1:
-        return A
-    codes, at = np.unique(np.array(A.to_rows()).ravel(), return_inverse=True)
-    M = A
+    ctx, planes, M = A.ctx, A.planes, A
     for _ in range(ctx.e - 1):
-        codes = np.array([ctx.frob(int(c)) for c in codes], codes.dtype)
-        M = SquareMatrix.from_rows(ctx, codes[at].reshape(n, n)) @ M
+        planes = ctx._frob_planes(planes)
+        M = SquareMatrix(ctx, A.n, planes) @ M
     return M
 
 
@@ -337,14 +319,11 @@ def _zeta_mod_p_parts(f, n, B, d):
     M = hyper_matrix_mod_p(f, n, d)
     if n is None:
         n = f.nvars
-    P = charpoly_reverse(M)
-    vals = f.ctx.prime_subring(P, "determinant")
+    P = f.ctx.prime_subring(charpoly_reverse(M), "determinant")
     if B is None:
         B = M.n
-    series = TruncatedSeries.from_list(f.ctx.p, vals, B)
-    if n % 2:
-        return M, [(-1, vals)], series.inverse()
-    return M, [(1, vals)], series
+    factors = [((-1) ** n, P)]
+    return M, factors, _product_series(f.ctx.p, B, factors)
 
 
 def zeta_mod_p(f, n=None, B=None, d=None):
@@ -363,17 +342,19 @@ def torus_zeta(n, q, B, pm):
         raise ValueError("truncation order must be >= 1")
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
-    out = TruncatedSeries.one(pm, B)
-    if n == 0:
-        return out
+    return _product_series(pm, B, _torus_factors(n, q, pm) if n else [])
+
+
+def _torus_factors(n, q, pm):
+    """The factors of torus_zeta as (exponent, coefficients) pairs, up to
+    the first i with q^i = 0 mod pm."""
+    factors = []
     for i in range(n + 1):
         qi = pow(q, i, pm)
         if qi == 0:
             break
-        expo = math.comb(n, i) * (-1) ** (n - i + 1)
-        base = TruncatedSeries.from_list(pm, [1, -qi], B)
-        out = out * base.pow(expo)
-    return out
+        factors.append((math.comb(n, i) * (-1) ** (n - i + 1), [1, -qi]))
+    return factors
 
 
 def _zeta_mod_pm_parts(f, m, B, d):
@@ -401,20 +382,17 @@ def _zeta_mod_pm_parts(f, m, B, d):
     pm = ring.pm
     q = ring.q
     # det(I - c M T) = P(cT) for P(T) = det(I - M T), so one charpoly
-    # gives every factor
-    P = charpoly_reverse(M)
-    factors = []
-    acc = [1] + [0] * B
-    for i in range(n + 1):
-        det = [ring.mul(pow(q, i * k, pm), c) for k, c in enumerate(P)]
-        expo = math.comb(n, i) * (-1) ** (n + i)
-        factors.append((expo, det))
-        det = (det + [0] * B)[:B + 1]
-        acc = _series_mul(ring, acc, _series_pow(ring, det, expo))
-    vals = ring.prime_subring(acc, "zeta")
-    relative = TruncatedSeries.from_list(pm, vals, B)
+    # gives every factor; P lies in Z/p^m, as sigma(M) = A M' and
+    # M = M' A have one charpoly for M' = sigma^{e-1}(A) ... sigma(A)
+    P = ring.prime_subring(charpoly_reverse(M), "determinant")
+    factors = [(math.comb(n, i) * (-1) ** (n + i),
+                [pow(q, i * k, pm) * c % pm for k, c in enumerate(P)])
+               for i in range(n + 1)]
     torus = torus_zeta(n, q, B, pm)
-    return M, factors, torus, torus * relative
+    # the zeta is the torus zeta times the det factors, taken as one
+    # product so that its dense inverse meets only polynomials
+    series = _product_series(pm, B, factors + _torus_factors(n, q, pm))
+    return M, factors, torus, series
 
 
 def zeta_mod_pm(f, m=None, B=None, d=None):

@@ -149,9 +149,12 @@ def count_points(f, k=1, domain="affine"):
     if ctx.m != 1:
         raise ValueError("point counting needs field coefficients")
     n = f.nvars
-    if ctx.q ** (k * n) > _MAX_ENUM:
-        raise TooLarge("q^(k*n) = %d exceeds the enumeration cap"
-                       % ctx.q ** (k * n))
+    # q >= 2, so k*n past the cap's bit length decides before q^(k*n),
+    # which could be huge, is formed
+    if (k * n >= _MAX_ENUM.bit_length()
+            or ctx.q ** (k * n) > _MAX_ENUM):
+        raise TooLarge("q^(k*n) for q = %d, k = %d, n = %d exceeds the "
+                       "enumeration cap %d" % (ctx.q, k, n, _MAX_ENUM))
     big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
     rpows = _embedding(ctx, big)
     terms = {}

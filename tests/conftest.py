@@ -12,6 +12,16 @@ def field(q):
     return make_field(*split_prime_power(q))
 
 
+# (p, e, m, sizes): F_2, F_9, F_{2^10}, Z/8, Z/25, GR(4, 2), GR(9, 2);
+# Z/32749^2 on int64 planes at n = 4 and on Python integers at n = 5; and
+# F_p with p = 2^31 - 1
+CHARPOLY_CONTEXTS = [(2, 1, 1, range(8)), (3, 2, 1, range(8)),
+                     (2, 10, 1, range(8)), (2, 1, 3, range(8)),
+                     (5, 1, 2, range(8)), (2, 2, 2, range(8)),
+                     (3, 2, 2, range(8)), (32749, 1, 2, (4, 5)),
+                     (2147483647, 1, 1, range(7))]
+
+
 def rand_monic(ctx, rng, d, nonzero_const=False):
     """Random monic univariate of degree d over ctx."""
     coeffs = [rng.randrange(ctx.q) for _ in range(d)] + [1]

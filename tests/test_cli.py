@@ -290,6 +290,39 @@ def test_count_past_the_table_caps_exits_four_within_ten_seconds():
     assert "Traceback" not in run.stdout + run.stderr
 
 
+def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
+    # q^(k*n) = 2^100000 has 30103 digits: the cap refuses k*n >= 30
+    # before the power is formed, and names q, k and n instead
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "2", "-n", "1",
+         "-k", "100000", "--poly", "x+1"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "q = 2, k = 100000, n = 1" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["modp", "--q", "2", "-n", "1", "--poly", "x+1", "-B", "100000"],
+    ["modpm", "--q", "2", "-n", "1", "-m", "2", "--poly", "x+1",
+     "-B", "50000"],
+], ids=["modp", "modpm"])
+def test_long_series_end_within_ten_seconds(argv):
+    # a 1x1 or 3x3 matrix: each series costs O(B) per term of its
+    # polynomial factors, not O(B^2)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv
+                         + ["--json"],
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert len(json.loads(run.stdout)["result"]["series"]) == \
+        int(argv[-1]) + 1
+
+
 def test_size_caps_are_not_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import CHARPOLY_CONTEXTS, count_calls
 from ffzeta import (CoefficientOutsidePrimeField, CompositeP,
                     InvariantViolation, ReducibleModulus, TooLarge, fq,
                     irreducibles_up_to, make_field, make_galois_ring,
@@ -213,12 +213,43 @@ def test_galois_ring_frobenius(p, e, m):
 
 
 def test_galois_ring_frobenius_checks_its_root(monkeypatch):
-    # Newton's iteration from 0 instead of the lift of t^p reaches no root
-    # of t^2 + t + 1 mod 4, and the check raises rather than asserts
-    field = make_field(2, 2)
-    monkeypatch.setattr(field, "frob", lambda a: 0)
+    # Newton's iteration from 0 instead of t^p reaches no root of
+    # t^2 + t + 1 mod 4, and the check raises rather than asserts; the
+    # ring's pow forms only that start
+    ring = fq.GaloisRing(make_field(2, 2), 2)
+    monkeypatch.setattr(ring, "pow", lambda a, n: 0)
     with pytest.raises(InvariantViolation):
-        fq.GaloisRing(field, 2).frob(3)
+        ring.frob(3)
+
+
+# every charpoly context (F_9 among them) and F_16, F_27, as (p, e, m)
+FROBENIUS_CONTEXTS = [c[:3] for c in CHARPOLY_CONTEXTS] + [(2, 4, 1),
+                                                          (3, 3, 1)]
+
+
+@pytest.mark.parametrize("p,e,m", FROBENIUS_CONTEXTS)
+def test_frobenius_on_planes_is_the_scalar_frobenius(p, e, m):
+    # one digit matrix applied to a (L, 10, 20) stack, on int64 and on
+    # Python-integer planes, against frob code by code
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random("%d/%d/%d" % (p, e, m))
+    codes = np.array([[rng.randrange(ctx.size) for _ in range(20)]
+                      for _ in range(10)], dtype=object)
+    want = [[ctx.frob(a) for a in row] for row in codes.tolist()]
+    planes = ctx._to_planes(codes, 1)
+    for stack in (planes, planes.astype(object)):
+        got = ctx._frob_planes(stack)
+        assert got.dtype == stack.dtype
+        assert ctx._from_planes(got).tolist() == want
+
+
+@pytest.mark.parametrize("p,e,m", FROBENIUS_CONTEXTS)
+def test_field_frobenius_is_the_pth_power(p, e, m):
+    field = make_field(p, e)
+    rng = random.Random("%d/%d" % (p, e))
+    for a in [0, 1, p - 1] + [rng.randrange(field.q) for _ in range(100)]:
+        assert field.frob(a) == field.pow(a, p)
+        assert field.pth_root(field.frob(a)) == a
 
 
 @pytest.mark.parametrize("ctx", [make_field(3, 2),

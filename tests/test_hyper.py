@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_calls, field, rand_poly_mv
-from ffzeta import (EmptyBasis, RingNotField, SizeLimit, TruncatedSeries,
-                    count_points, hyper_matrix_mod_p, hyper_matrix_mod_pm,
+from ffzeta import (CoefficientOutsidePrimeField, EmptyBasis, RingNotField,
+                    SizeLimit, TruncatedSeries, count_points, hyper,
+                    hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     make_galois_ring, rd_basis, rmd_basis, torus_zeta,
                     zeta_coeffs_exact, zeta_mod_p, zeta_mod_pm)
 from ffzeta.poly import SparsePoly, poly_pow
@@ -217,6 +218,125 @@ def test_series_inverse_needs_unit_constant():
     s = TruncatedSeries.from_list(4, [2, 1], 3)
     with pytest.raises(ValueError):
         s.inverse()
+
+
+class Residues:
+    """Z/N with the add/mul/neg/inv of a field or Galois-ring context."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def mul(self, a, b):
+        return a * b % self.n
+
+    def neg(self, a):
+        return -a % self.n
+
+    def inv(self, a):
+        return pow(a, -1, self.n)
+
+
+# the O(B^2) series algebra on coefficient lists over any context with
+# add/mul/neg/inv, which the package ran until every series became a
+# TruncatedSeries over Z/p^m; kept as the reference
+
+
+def series_mul_reference(ctx, a, b):
+    B = len(a) - 1
+    out = [0] * (B + 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(B + 1 - i):
+            y = b[j]
+            if y:
+                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return out
+
+
+def series_inv_reference(ctx, a):
+    B = len(a) - 1
+    b0 = ctx.inv(a[0])
+    out = [b0] + [0] * B
+    for k in range(1, B + 1):
+        s = 0
+        for j in range(1, k + 1):
+            if a[j] and out[k - j]:
+                s = ctx.add(s, ctx.mul(a[j], out[k - j]))
+        out[k] = ctx.neg(ctx.mul(b0, s))
+    return out
+
+
+def series_pow_reference(ctx, a, k):
+    base = a if k >= 0 else series_inv_reference(ctx, a)
+    k = abs(k)
+    out = [1] + [0] * (len(a) - 1)
+    while k:
+        if k & 1:
+            out = series_mul_reference(ctx, out, base)
+        base = series_mul_reference(ctx, base, base)
+        k >>= 1
+    return out
+
+
+def product_series_reference(modulus, B, factors):
+    ctx = Residues(modulus)
+    acc = [1] + [0] * B
+    for k, a in factors:
+        a = [c % modulus for c in (list(a) + [0] * B)[:B + 1]]
+        acc = series_mul_reference(ctx, acc,
+                                   series_pow_reference(ctx, a, k))
+    return acc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_product_series_matches_the_ring_list_reference(data):
+    # composite and prime-power moduli; exponents of either sign up to
+    # C(n, i), as the zeta and torus factors carry; sparse factors of
+    # degree up to 2B and dense ones past the truncation order
+    N = data.draw(st.sampled_from([8, 12, 2, 4, 9, 25, 27, 49]), "modulus")
+    B = data.draw(st.integers(1, 12), "B")
+    n = data.draw(st.integers(1, 6), "n")
+    units = [u for u in range(1, N) if math.gcd(u, N) == 1]
+    factors = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        bound = math.comb(n, data.draw(st.integers(0, n)))
+        k = data.draw(st.integers(-bound, bound))
+        a = [data.draw(st.sampled_from(units))]
+        if data.draw(st.booleans()):
+            a += data.draw(st.lists(st.integers(0, N - 1), min_size=B,
+                                    max_size=B + 4))
+        else:
+            a += [0] * data.draw(st.integers(0, 2 * B))
+            for j in data.draw(st.sets(st.integers(1, 2 * B), max_size=2)):
+                if j < len(a):
+                    a[j] = data.draw(st.integers(1, N - 1))
+        factors.append((k, a))
+    got = hyper._product_series(N, B, factors)
+    assert (got.modulus, got.order) == (N, B)
+    assert list(got.coeffs) == product_series_reference(N, B, factors)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_determinant_outside_the_prime_subring_raises(m, monkeypatch):
+    # the code pm is t, in neither F_2 nor Z/4; the check on P runs before
+    # any series is formed
+    ctx = field(4)
+    pm = ctx.p ** m
+    f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 2})      # x*y + t
+    monkeypatch.setattr(hyper, "charpoly_reverse",
+                        lambda M: [1, pm] + [0] * (M.n - 1))
+    counts = count_calls(monkeypatch, ("_product_series",))
+    with pytest.raises(CoefficientOutsidePrimeField):
+        if m == 1:
+            zeta_mod_p(f, B=3)
+        else:
+            zeta_mod_pm(f, m, 3)
+    assert counts == {"_product_series": 0}
 
 
 # -- operator matrices ------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field
+from conftest import CHARPOLY_CONTEXTS, field
 from ffzeta import (SquareMatrix, charpoly_reverse, fq, kernel_basis,
                     linalg, make_field, make_galois_ring)
 
@@ -86,14 +86,6 @@ def det_one_minus_mt_leibniz(ctx, M):
     return out
 
 
-# (p, e, m, sizes): F_2, F_9, F_{2^10}, Z/8, Z/25, GR(4, 2), GR(9, 2);
-# Z/32749^2 on int64 planes at n = 4 and on Python integers at n = 5; and
-# F_p with p = 2^31 - 1
-CHARPOLY_CONTEXTS = [(2, 1, 1, range(8)), (3, 2, 1, range(8)),
-                     (2, 10, 1, range(8)), (2, 1, 3, range(8)),
-                     (5, 1, 2, range(8)), (2, 2, 2, range(8)),
-                     (3, 2, 2, range(8)), (32749, 1, 2, (4, 5)),
-                     (2147483647, 1, 1, range(7))]
 MATRIX_KINDS = ["random", "zero", "identity", "nilpotent", "p-multiple",
                 "mixed-valuation", "block-triangular", "hessenberg",
                 "many-blocks"]
