@@ -196,13 +196,6 @@ def parse_modulus(text, p):
 # invocation plumbing
 
 
-_METHODS = {
-    "frobenius": OperatorKind.FROBENIUS,
-    "niederreiter": OperatorKind.NIEDERREITER,
-    "psi": OperatorKind.PSI_MUL,
-}
-
-
 def _field_from_args(args):
     p, e = split_prime_power(args.q)
     modulus = None
@@ -237,7 +230,7 @@ def _cmd_count(args, ctx):
 
 def _cmd_zerodim(args, ctx):
     g, _ = _shifted_poly(args, ctx)
-    kind = _METHODS[args.method]
+    kind = OperatorKind(args.method)
     frob = op_matrix(g, OperatorKind.FROBENIUS)
     prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
@@ -258,7 +251,7 @@ def _cmd_zerodim(args, ctx):
 
 def _cmd_factor(args, ctx):
     g, shift = _shifted_poly(args, ctx)
-    fac = factorize(g, _METHODS[args.method])
+    fac = factorize(g, OperatorKind(args.method))
     if shift is not None:
         back = ctx.neg(shift)
         pulled = [(_shifted(h, back), m) for h, m in fac.factors]
@@ -287,7 +280,7 @@ def _cmd_series(args, ctx):
 def _cmd_verify(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
     if args.mode == "zerodim":
-        lhs = congruence_charpoly(f, _METHODS[args.method])
+        lhs = congruence_charpoly(f, OperatorKind(args.method))
         # 1/Z = prod (1 - T^deg h) over the distinct irreducible factors h
         fac = trial_factorize(f)
         inverse = FactoredZeta(tuple((h.degree(), 1) for h, _ in fac.factors))
@@ -334,6 +327,7 @@ def build_parser():
         description="Zeta functions over finite fields by operator "
                     "congruences, with a built-in brute-force oracle.")
     sub = top.add_subparsers(dest="command", required=True)
+    methods = sorted(kind.value for kind in OperatorKind)
 
     def common(p, poly=True):
         p.add_argument("--q", type=int, required=True,
@@ -358,13 +352,13 @@ def build_parser():
                        help="degree profile, exact zeta, and operator "
                             "characteristic polynomial of univariate f")
     common(p)
-    p.add_argument("--method", choices=sorted(_METHODS), default="frobenius")
+    p.add_argument("--method", choices=methods, default="frobenius")
     p.add_argument("--shift", help="translate x -> x + c first")
     p.add_argument("--dump-matrix", action="store_true")
 
     p = sub.add_parser("factor", help="factor univariate f over F_q")
     common(p)
-    p.add_argument("--method", choices=sorted(_METHODS), default="frobenius")
+    p.add_argument("--method", choices=methods, default="frobenius")
     p.add_argument("--shift", help="translate x -> x + c first; factors "
                    "are translated back")
 
@@ -389,7 +383,7 @@ def build_parser():
     p.add_argument("-m", type=int, default=2)
     p.add_argument("-B", type=int, help="truncation order (default 4)")
     p.add_argument("-d", type=int, help="degree bound")
-    p.add_argument("--method", choices=sorted(_METHODS), default="frobenius")
+    p.add_argument("--method", choices=methods, default="frobenius")
 
     p = sub.add_parser("torus-zeta", help="closed-form zeta of the n-torus")
     common(p, poly=False)

@@ -76,16 +76,6 @@ def admissible_basis(f, kind=OperatorKind.FROBENIUS):
     return [SparsePoly.from_dense(f.ctx, v) for v in kernel_basis(fixed)]
 
 
-def _dependent(ctx, a, b):
-    """Whether dense vectors a, b are F_q-linearly dependent."""
-    if not a or not b:
-        return True
-    if len(a) != len(b):
-        return False
-    lam = ctx.mul(a[-1], ctx.inv(b[-1]))
-    return all(x == ctx.mul(lam, y) for x, y in zip(a, b))
-
-
 def _dense_sub_scaled(ctx, a, b, c):
     """a - c*b on dense lists."""
     out = list(a) + [0] * max(0, len(b) - len(a))
@@ -123,11 +113,11 @@ def _coprime_split(ctx, g, h):
 
 def _refine(ctx, g, basis):
     """First successful coprime cut of g from pairs (b_1, b_j) of its
-    fixed-space basis; None when every pair stalls."""
-    h1 = basis[0] if basis else []
+    fixed-space basis, at least two vectors; None when every pair stalls.
+    kernel_basis gives each vector its own degree (its free column), so
+    no two are dependent."""
+    h1 = basis[0]
     for h2 in basis[1:]:
-        if _dependent(ctx, h1, h2):
-            continue
         for c in range(ctx.q):
             cut = _coprime_split(ctx, g, _dense_sub_scaled(ctx, h1, h2, c))
             if cut:

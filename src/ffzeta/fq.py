@@ -442,9 +442,6 @@ class FiniteField(_DigitArithmetic):
 
     # -- element codecs ----------------------------------------------------
 
-    def elements(self):
-        return range(self.q)
-
     def is_unit(self, a):
         return a != 0
 
@@ -567,9 +564,6 @@ class GaloisRing(_DigitArithmetic):
 
     def __hash__(self):
         return hash((self.p, self.m, self.modulus))
-
-    def elements(self):
-        return range(self.size)
 
     def to_field(self, a):
         """Reduction mod p onto the residue field."""

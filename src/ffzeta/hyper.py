@@ -289,21 +289,17 @@ def hyper_matrix_mod_p(f, n=None, d=None):
     return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
 
 
-def hyper_matrix_mod_pm(f_lift, n=None, d=None, m=None):
+def hyper_matrix_mod_pm(f_lift, n=None, d=None):
     """Matrix of h -> psi_q(f_lift^{(q-1)p^{m-1}} h) on all monomials of
     degree <= d*p^{m-1}, over the Galois ring Z_p^m extension, as the
     product of the e Frobenius twists of the matrix of
     h -> psi_p(f_lift^{(p-1)p^{m-1}} h)."""
     ctx = f_lift.ctx
-    if m is None:
-        m = ctx.m
-    elif m != ctx.m:
-        raise ValueError("lift lives mod p^%d, not p^%d" % (ctx.m, m))
     n, d = _shape(f_lift, n, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
-    basis = rmd_basis(n, d, ctx.p, m)
-    power = poly_pow(f_lift, (ctx.p - 1) * ctx.p ** (m - 1))
+    basis = rmd_basis(n, d, ctx.p, ctx.m)
+    power = poly_pow(f_lift, (ctx.p - 1) * ctx.p ** (ctx.m - 1))
     return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
 
 
@@ -335,14 +331,12 @@ def zeta_mod_p(f, n=None, B=None, d=None):
 def torus_zeta(n, q, B, pm):
     """Zeta function of the n-torus (all coordinates nonzero), mod pm,
     truncated at order B: prod_{i=0..n} (1 - q^i T)^{(-1)^(n-i+1) C(n,i)}.
-    Once q^i = 0 mod pm, every later factor is exactly 1 and is skipped.
-
-    n = 0 returns the constant series 1 (empty product convention)."""
+    Once q^i = 0 mod pm, every later factor is exactly 1 and is skipped."""
     if B < 1:
         raise ValueError("truncation order must be >= 1")
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
-    return _product_series(pm, B, _torus_factors(n, q, pm) if n else [])
+    return _product_series(pm, B, _torus_factors(n, q, pm))
 
 
 def _torus_factors(n, q, pm):
@@ -376,7 +370,7 @@ def _zeta_mod_pm_parts(f, m, B, d):
         raise ValueError("polynomial precision p^%d does not match m=%d"
                          % (ctx.m, m))
     n = f.nvars
-    M = hyper_matrix_mod_pm(flift, n, d, m)
+    M = hyper_matrix_mod_pm(flift, n, d)
     if B is None:
         B = M.n
     pm = ring.pm

@@ -55,11 +55,6 @@ class SquareMatrix:
         return M
 
     @classmethod
-    def from_rows(cls, ctx, rows):
-        n = len(rows)
-        return cls(ctx, n, ctx._to_planes(np.array(rows).reshape(n, n), n))
-
-    @classmethod
     def from_columns(cls, ctx, cols):
         n = len(cols)
         codes = np.array(cols).T.reshape(n, n)
@@ -80,18 +75,6 @@ class SquareMatrix:
     def __matmul__(self, other):
         return SquareMatrix(self.ctx, self.n, self.ctx._mul_planes(
             np.matmul, self.planes, other.planes))
-
-    def pow(self, j):
-        if j < 0:
-            raise ValueError("negative matrix power")
-        out = SquareMatrix.identity(self.ctx, self.n)
-        base = self
-        while j:
-            if j & 1:
-                out = out @ base
-            base = base @ base if j > 1 else base
-            j >>= 1
-        return out
 
     def __repr__(self):
         return "SquareMatrix(%r, %s)" % (self.ctx, self.to_rows())

@@ -10,28 +10,29 @@ the irreducibility test that certifies a field's modulus against the sieve.
 
 Enumeration is vectorized when the extension field F_Q, Q = q^k, is small
 enough to carry the field's 1-D tables (log/antilog, and for odd p the
-carry-free addition of fq.VectorKit); otherwise a plain odometer loop runs.
-The vectorized count takes the grid of the first n-1 coordinates in chunks
-of rows: the coefficients of the last variable become (rows, 1) columns,
-built from the logs of each row's outer monomials, and one Horner pass
-over a (rows x Q) array evaluates every value of the last variable at
-once.  Exponents are first folded below Q, since x^Q = x on F_Q.  Either
-way the work is Q^n point evaluations, capped by _MAX_ENUM, and by the
-far smaller _MAX_SCALAR for the odometer loop.  The sieve and trial
-division run on the same tables over extension fields and on int64
-arithmetic mod p over prime fields.
+carry-free addition of fq.VectorKit); otherwise a scalar Horner scan runs
+over the codes of F_Q.  The vectorized count takes the grid of the first
+n-1 coordinates in chunks of rows: the coefficients of the last variable
+become (rows, 1) columns, built from the logs of each row's outer
+monomials, and one Horner pass over a (rows x Q) array evaluates every
+value of the last variable at once.  Exponents are first folded below Q,
+since x^Q = x on F_Q.  Either way the work is Q^n point evaluations,
+capped by _MAX_ENUM, and by the far smaller _MAX_SCALAR for the scalar
+scan; a field without tables has Q^2 > _MAX_SCALAR, so that scan only
+ever counts one variable, and it also finds the root that embeds F_q in
+F_Q.  The sieve and trial division run on the same tables over extension
+fields and on int64 arithmetic mod p over prime fields.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonIntegralCoefficient, TooLarge
 from .factor import Factorization, factor_sort_key
-from .fq import make_field, split_prime_power
+from .fq import make_field
 from .poly import SparsePoly, dense_divmod, dense_monic
 
 _MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
@@ -50,18 +51,15 @@ _SIEVE_CACHE = {}
 def _find_root(big, int_coeffs):
     """Least root in `big` of a polynomial with prime-subfield coefficients."""
     kit = big.vector_kit()
-    if kit is not None:
-        roots = np.nonzero(_horner_vec(kit, int_coeffs, kit.log) == 0)[0]
-        if len(roots):
-            return int(roots[0])
+    if kit is None:
+        roots = _scalar_roots(big, int_coeffs, 0)
     else:
-        for x in big.elements():
-            acc = 0
-            for c in reversed(int_coeffs):
-                acc = big.add(big.mul(acc, x), c)
-            if acc == 0:
-                return x
-    raise ValueError("modulus has no root in the extension")
+        values = _horner_vec(kit, int_coeffs, kit.log)
+        roots = iter(np.flatnonzero(values == 0))
+    root = next(roots, None)
+    if root is None:
+        raise ValueError("modulus has no root in the extension")
+    return int(root)
 
 
 def _embedding(small, big):
@@ -156,13 +154,12 @@ def count_points(f, k=1, domain="affine"):
         raise TooLarge("q^(k*n) for q = %d, k = %d, n = %d exceeds the "
                        "enumeration cap %d" % (ctx.q, k, n, _MAX_ENUM))
     big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
-    rpows = _embedding(ctx, big)
     terms = {}
     for u, c in f.terms.items():
         # x^u = x^((u-1) mod (Q-1) + 1) on F_Q for u >= 1, so the work
         # depends on Q and not on the degree
         v = tuple((e - 1) % (big.q - 1) + 1 if e else 0 for e in u)
-        terms[v] = big.add(terms.get(v, 0), _embed_coeff(ctx, big, rpows, c))
+        terms[v] = ctx.add(terms.get(v, 0), c)
     terms = {u: c for u, c in terms.items() if c}
     if not terms:
         # f is zero as a function on F_Q^n (x^2 + x on F_2, say)
@@ -172,14 +169,25 @@ def count_points(f, k=1, domain="affine"):
         # the one point is the empty tuple, where a nonzero constant is not 0
         return 0
     kit = big.vector_kit()
-    if kit is not None:
-        return _count_vectorized(big, kit, terms, n, domain)
-    return _count_scalar(big, terms, n, domain)
-
-
-def _count_vectorized(big, kit, terms, n, domain):
-    Q = big.q
+    if kit is None and big.q ** n > _MAX_SCALAR:
+        # refused before the embedding's root search, which scans F_Q as
+        # well; past the table caps a point takes tens of microseconds
+        raise TooLarge("Q^n = %d exceeds the cap of %d points counted "
+                       "without field tables" % (big.q ** n, _MAX_SCALAR))
+    # the embedding is additive, so the folded sums embed term by term
+    rpows = _embedding(ctx, big)
+    terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
     lo = 0 if domain == "affine" else 1
+    if kit is not None:
+        return _count_vectorized(big, kit, terms, n, lo)
+    # F_Q has no tables only past the table caps, where Q^2 > _MAX_SCALAR,
+    # so here n = 1
+    ((_, dense),) = _group_terms(terms, 1)
+    return sum(1 for _ in _scalar_roots(big, dense, lo))
+
+
+def _count_vectorized(big, kit, terms, n, lo):
+    Q = big.q
     xlog = kit.log[lo:Q]
     groups = _group_terms(terms, n)
     if n == 1:
@@ -219,37 +227,16 @@ def _count_vectorized(big, kit, terms, n, domain):
     return count
 
 
-def _count_scalar(big, terms, n, domain):
-    Q = big.q
-    if Q ** n > _MAX_SCALAR:
-        # a field past the table caps takes tens of microseconds a point
-        raise TooLarge("Q^n = %d exceeds the cap of %d points counted "
-                       "without field tables" % (Q ** n, _MAX_SCALAR))
-    lo = 0 if domain == "affine" else 1
-    count = 0
-    mul = big.mul
-    add = big.add
-    groups = _group_terms(terms, n)
-    for point in itertools.product(range(lo, Q), repeat=n - 1):
-        dense = {}
-        for outer, dvec in groups:
-            w = 1
-            for i, e in enumerate(outer):
-                for _ in range(e):
-                    w = mul(w, point[i])
-            if not w:
-                continue
-            for j, c in enumerate(dvec):
-                if c:
-                    dense[j] = add(dense.get(j, 0), mul(w, c))
-        dvals = [dense.get(j, 0) for j in range(max(dense, default=0) + 1)]
-        for x in range(lo, Q):
-            acc = 0
-            for c in reversed(dvals):
-                acc = add(mul(acc, x), c)
-            if acc == 0:
-                count += 1
-    return count
+def _scalar_roots(big, dense, lo):
+    """The codes x = lo..Q-1 at which the dense polynomial vanishes, in
+    increasing order, by scalar Horner evaluation."""
+    mul, add = big.mul, big.add
+    for x in range(lo, big.q):
+        acc = 0
+        for c in reversed(dense):
+            acc = add(mul(acc, x), c)
+        if acc == 0:
+            yield x
 
 
 def count_vector(f, K, domain="affine"):
@@ -335,8 +322,7 @@ def _sieve(ctx, D):
     """The field's tables (None below degree 1) and the per-degree sorted
     irreducible coefficient rows, up to degree D."""
     kit = _field_tables(ctx) if D >= 1 else None
-    key = ctx
-    built, data = _SIEVE_CACHE.get(key, (0, {}))
+    built, data = _SIEVE_CACHE.get(ctx, (0, {}))
     if built >= D:
         return kit, data
     q = ctx.q
@@ -345,42 +331,32 @@ def _sieve(ctx, D):
             continue
         comp = np.zeros(q ** d, dtype=bool)
         for ell in range(1, d // 2 + 1):
-            irr = data[ell]
-            r = d - ell
-            monics = _monic_digit_rows(q, r)
-            if len(irr) <= q ** r:
-                for row in irr:
-                    prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
-                    comp[_row_indices(q, prod, d)] = True
-            else:
-                for mrow in monics:
-                    prod = _batch_mul_fixed(ctx, kit, irr, mrow.tolist())
-                    comp[_row_indices(q, prod, d)] = True
+            # d - ell >= ell, so the irreducibles of degree ell, fewer
+            # than q^ell, are the shorter of the two lists to loop over
+            monics = _monic_digit_rows(q, d - ell)
+            for row in data[ell]:
+                prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
+                comp[_row_indices(q, prod, d)] = True
         rows = _monic_digit_rows(q, d)[~comp]
         # the index weights c_{d-1} most, matching the tuple order
         # (c_{d-1}, ..., c_0) of the sort
         order = np.argsort(_row_indices(q, rows, d), kind="stable")
         data[d] = rows[order]
-    _SIEVE_CACHE[key] = (max(built, D), data)
+    _SIEVE_CACHE[ctx] = (max(built, D), data)
     return kit, data
 
 
 def irreducibles_up_to(field, D):
     """All monic irreducibles of degree <= D over the field, sorted by
     degree then by coefficient tuple (c_{d-1}, ..., c_0)."""
-    ctx = field if not isinstance(field, int) else _field_from_order(field)
-    if ctx.q ** D > _MAX_SIEVE:
-        raise TooLarge("sieve size q^D = %d over cap" % ctx.q ** D)
-    _, data = _sieve(ctx, D)
+    if field.q ** D > _MAX_SIEVE:
+        raise TooLarge("sieve size q^D = %d over cap" % field.q ** D)
+    _, data = _sieve(field, D)
     out = []
     for d in range(1, D + 1):
         for row in data[d]:
-            out.append(SparsePoly.from_dense(ctx, [int(v) for v in row]))
+            out.append(SparsePoly.from_dense(field, [int(v) for v in row]))
     return out
-
-
-def _field_from_order(q):
-    return make_field(*split_prime_power(q))
 
 
 def _batch_remainders(ctx, kit, a, rows, ell):

@@ -51,6 +51,11 @@ def rand_poly_mv(ctx, rng, nvars, d, density=0.6):
             return SparsePoly(ctx, nvars, terms)
 
 
+def matrix_from_rows(ctx, rows):
+    """The SquareMatrix with the given row lists of codes."""
+    return SquareMatrix.from_columns(ctx, [list(col) for col in zip(*rows)])
+
+
 def mul_by_x_matrix(f):
     """Matrix of multiplication by x on F_q[x]/(f): column j is
     x^(j+1) mod f."""

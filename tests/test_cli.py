@@ -290,6 +290,20 @@ def test_count_past_the_table_caps_exits_four_within_ten_seconds():
     assert "Traceback" not in run.stdout + run.stderr
 
 
+def test_count_past_the_scalar_cap_exits_before_the_root_search():
+    # F_(2^24) carries no tables and its 2^24 points are over the scalar
+    # cap; a scalar search of it for a root of F_16's modulus, to embed
+    # F_16, would take minutes, so the cap is checked first
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "16", "-n",
+         "1", "-k", "6", "--poly", "x"],
+        capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+
+
 def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
     # q^(k*n) = 2^100000 has 30103 digits: the cap refuses k*n >= 30
     # before the power is formed, and names q, k and n instead

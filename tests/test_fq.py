@@ -124,7 +124,7 @@ def test_large_fields_build_in_under_a_second(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
 def test_fermat_and_inverses(q):
     ctx = make_field(*split_prime_power(q))
-    for a in ctx.elements():
+    for a in range(ctx.size):
         assert ctx.pow(a, q) == a
         if a:
             assert ctx.mul(a, ctx.inv(a)) == 1
@@ -172,7 +172,7 @@ def test_galois_ring_reduction_homomorphism(q, m):
 def test_galois_ring_units(q, m):
     ctx = make_field(*split_prime_power(q))
     ring = make_galois_ring(ctx, m)
-    for a in ring.elements():
+    for a in range(ring.size):
         unit = ring.to_field(a) != 0
         assert ring.is_unit(a) == unit
         if unit:
@@ -182,7 +182,7 @@ def test_galois_ring_units(q, m):
 def test_galois_ring_lift_roundtrip():
     ctx = make_field(2, 2)
     ring = make_galois_ring(ctx, 3)
-    for a in ctx.elements():
+    for a in range(ctx.size):
         assert ring.to_field(ring.from_field(a)) == a
 
 
@@ -206,7 +206,7 @@ def test_galois_ring_frobenius(p, e, m):
         assert x == a
         if e == 1:
             assert fa == a
-    for a in field.elements():
+    for a in range(field.size):
         assert ring.to_field(ring.frob(ring.from_field(a))) == field.frob(a)
     for c in range(ring.pm):
         assert ring.frob(c) == c

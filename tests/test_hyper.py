@@ -429,12 +429,12 @@ def test_zeta_mod_p_prime_subfield_output():
 def test_torus_zeta_worked_cases():
     assert list(torus_zeta(1, 2, 2, 4).coeffs) == [1, 1, 2]
     assert list(torus_zeta(1, 2, 3, 2).coeffs) == [1, 1, 0, 0]
-    assert list(torus_zeta(0, 5, 3, 25).coeffs) == [1, 0, 0, 0]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_torus_zeta_matches_exponential_series(n, q):
+    # the 0-torus is one point, so its zeta is 1/(1 - T)
     for mod in (4, 8, 9, 27):
         got = torus_zeta(n, q, 6, mod)
         assert list(got.coeffs) == torus_series_reference(n, q, 6, mod)
@@ -636,7 +636,7 @@ def test_zeta_mod_pm_lift_independence():
     for q, nvars, d in ((2, 2, 2), (3, 2, 1), (4, 1, 3)):
         ctx = field(q)
         ring = make_galois_ring(ctx, 2)
-        units = [r for r in ring.elements() if ring.is_unit(r)]
+        units = [r for r in range(ring.size) if ring.is_unit(r)]
         for _ in range(2):
             f = rand_poly_mv(ctx, rng, nvars, d)
             lift = SparsePoly(ring, nvars, {

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHARPOLY_CONTEXTS, field
+from conftest import CHARPOLY_CONTEXTS, field, matrix_from_rows
 from ffzeta import (SquareMatrix, charpoly_reverse, fq, kernel_basis,
                     linalg, make_field, make_galois_ring)
 
 
 def rand_matrix(ctx, rng, n):
-    return SquareMatrix.from_rows(
+    return matrix_from_rows(
         ctx, [[rng.randrange(ctx.size) for _ in range(n)] for _ in range(n)])
 
 
@@ -134,7 +134,7 @@ def structured_rows(ctx, rng, n, kind):
 
 
 def check_charpoly_against_berkowitz(ctx, rows):
-    M = SquareMatrix.from_rows(ctx, rows)
+    M = matrix_from_rows(ctx, rows)
     got = charpoly_reverse(M)
     assert got == charpoly_berkowitz(M)
     assert len(got) == M.n + 1
@@ -193,7 +193,7 @@ def test_block_product_on_object_planes_matches_berkowitz(p, e, m):
     for n in (6, 8, 10):
         for _ in range(4):
             rows = structured_rows(ring, rng, n, "many-blocks")
-            M = SquareMatrix.from_rows(ring, rows)
+            M = matrix_from_rows(ring, rows)
             assert M.planes.dtype == object
             label = linalg._components((M.planes != 0).any(axis=0))
             sizes = np.bincount(label)
@@ -261,7 +261,7 @@ def test_matmul_reduction_past_int64_matches_scalar_ring():
     ring = make_galois_ring(make_field(101, 2), 4)
     rng = random.Random(0)
     rows = [[rng.randrange(ring.size) for _ in range(6)] for _ in range(6)]
-    A = SquareMatrix.from_rows(ring, rows)
+    A = matrix_from_rows(ring, rows)
     assert (A @ A).to_rows() == matmul_scalar(ring, rows, rows)
 
 
@@ -276,8 +276,8 @@ def test_matmul_and_charpoly_match_scalar_ring(p, e, m):
     ring = make_galois_ring(make_field(p, e), m)
     rng = random.Random(p + e + m)
     top = [[ring.size - 1] * 6 for _ in range(6)]  # every digit maximal
-    assert SquareMatrix.from_rows(ring, top).pow(2).to_rows() == \
-        matmul_scalar(ring, top, top)
+    T = matrix_from_rows(ring, top)
+    assert (T @ T).to_rows() == matmul_scalar(ring, top, top)
     for n in (2, 5):
         A = rand_matrix(ring, rng, n)
         B = rand_matrix(ring, rng, n)
@@ -311,7 +311,7 @@ def test_charpoly_reduction_compatibility(q, m):
     for n in (2, 4, 5):
         M = rand_matrix(ring, rng, n)
         over_ring = [ring.to_field(c) for c in charpoly_reverse(M)]
-        over_field = charpoly_reverse(SquareMatrix.from_rows(
+        over_field = charpoly_reverse(matrix_from_rows(
             ctx, [[ring.to_field(c) for c in row] for row in M.to_rows()]))
         assert over_ring == over_field
 
@@ -377,17 +377,7 @@ def _rank_reference(ctx, M):
 
 def test_kernel_basis_deterministic_and_echelon():
     ctx = field(2)
-    M = SquareMatrix.from_rows(ctx, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
+    M = matrix_from_rows(ctx, [[1, 1, 0], [0, 0, 0], [1, 1, 0]])
     ker = kernel_basis(M)
     assert ker == kernel_basis(M)
     assert len(ker) == 2
-
-
-def test_mat_pow_homomorphism():
-    ctx = field(4)
-    rng = random.Random(44)
-    M = rand_matrix(ctx, rng, 4)
-    for i in range(4):
-        for j in range(4):
-            assert M.pow(i + j) == M.pow(i) @ M.pow(j)
-    assert M.pow(0) == SquareMatrix.identity(ctx, 4)

@@ -12,7 +12,7 @@ from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
                     trial_factorize, zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
 from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
-from ffzeta.poly import SparsePoly
+from ffzeta.poly import SparsePoly, dense_mul
 
 
 def mobius(n):
@@ -163,6 +163,41 @@ def test_log_weight_sums_fit_int64():
             cells += 1
             n += 1
     assert cells > 3000
+
+
+@pytest.mark.parametrize("q,k", [(3001, 1), (3 ** 8, 1), (5 ** 5, 1),
+                                 (9, 4)])
+def test_counts_past_the_table_caps_match_scalar_reference(q, k,
+                                                            monkeypatch):
+    # F_Q carries no tables, so the scalar scan counts; over F_9 at k = 4
+    # it also finds the root that embeds F_9 in F_6561
+    ctx = field(q)
+    big = field(q ** k)
+    assert big.vector_kit() is None
+    monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
+    calls = count_calls(monkeypatch, ["_scalar_roots"])
+    rng = random.Random(q + k)
+    # a product of linear factors, so that there are roots to count
+    split = [1]
+    for _ in range(3):
+        split = dense_mul(ctx, split, [rng.randrange(ctx.q), 1])
+    polys = [SparsePoly.from_dense(ctx, split)] + \
+        [rand_poly_mv(ctx, rng, 1, rng.randrange(1, 5)) for _ in range(2)]
+    for f in polys:
+        for domain in ("affine", "torus"):
+            assert count_points(f, k, domain) == \
+                count_scalar_reference(f, k, domain)
+    assert calls["_scalar_roots"] == 2 * len(polys) + (k > 1)
+
+
+def test_fields_without_tables_count_one_variable():
+    # a field past the table caps has Q^2 > _MAX_SCALAR, and with p = 2
+    # even Q > _MAX_SCALAR, so the scalar scan never meets n >= 2
+    assert fq._ODD_VECTOR_CAP ** 2 > oracle._MAX_SCALAR
+    assert fq._P2_VECTOR_CAP > oracle._MAX_SCALAR
+    f = SparsePoly(field(3001), 2, {(1, 1): 1, (0, 0): 1})
+    with pytest.raises(TooLarge):
+        count_points(f)
 
 
 def test_worked_counts():

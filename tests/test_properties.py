@@ -3,10 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field
-from ffzeta import (OperatorKind, SquareMatrix, TruncatedSeries,
-                    charpoly_reverse, congruence_charpoly, make_field,
-                    make_galois_ring, trial_factorize)
+from conftest import field, matrix_from_rows
+from ffzeta import (OperatorKind, TruncatedSeries, charpoly_reverse,
+                    congruence_charpoly, make_field, make_galois_ring,
+                    trial_factorize)
 from ffzeta.cli import parse_modulus, parse_poly
 from ffzeta.errors import ParseError
 from ffzeta.poly import SparsePoly, render_poly
@@ -107,10 +107,10 @@ def test_charpoly_of_scaled_matrix_is_charpoly_at_scaled_argument(rm, data):
     # det(I - cMT) = P(cT) for P(T) = det(I - MT), with c*M built here
     ring, rows = rm
     c = data.draw(st.integers(0, ring.size - 1))
-    P = charpoly_reverse(SquareMatrix.from_rows(ring, rows))
+    P = charpoly_reverse(matrix_from_rows(ring, rows))
     scaled = [[ring.mul(c, x) for x in row] for row in rows]
     want = [ring.mul(ring.pow(c, k), a) for k, a in enumerate(P)]
-    assert charpoly_reverse(SquareMatrix.from_rows(ring, scaled)) == want
+    assert charpoly_reverse(matrix_from_rows(ring, scaled)) == want
 
 
 @settings(max_examples=50, deadline=None)

@@ -123,20 +123,32 @@ def test_plane_products_go_through_mul_planes():
 REPO = Path(ffzeta.__file__).parents[2]
 
 
+def _attributes(node):
+    return {sub.attr for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute)}
+
+
 def test_public_names_have_a_caller():
     # a public module-level function or class that no module of the
     # package (its own def and __init__ aside) and no benchmark refers to,
-    # and that the README does not document as API, serves only the tests
+    # and that the README does not document as API, serves only the tests;
+    # so does a public method whose name no other code of the package and
+    # no benchmark reads as an attribute, and that the README does not name
     modules = {path: ast.parse(path.read_text(), str(path))
                for path in SOURCES if path.name != "__init__.py"}
-    bench = "\n".join(path.read_text()
-                      for path in sorted(REPO.glob("perfbench/*.py")))
+    scripts = sorted(REPO.glob("perfbench/*.py"))
+    bench = "\n".join(path.read_text() for path in scripts)
+    bench_attrs = set().union(*(_attributes(ast.parse(path.read_text()))
+                                for path in scripts))
     readme = (REPO / "README.md").read_text()
     # listing a name as removed does not document it
     readme = re.sub(r"Removed names:.*?\n\n", "", readme, flags=re.S)
     refs = [(top, _names_used(top))
             for tree in modules.values() for top in tree.body]
+    attrs = [(top, _attributes(top))
+             for tree in modules.values() for top in tree.body]
     found = []
+    methods = 0
     for path, tree in modules.items():
         for node in tree.body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -147,5 +159,24 @@ def test_public_names_have_a_caller():
                         for top, used in refs if top is not node)
                     or word.search(bench) or word.search(readme)):
                 found.append("%s:%s" % (path.name, node.name))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members = [(sib, _attributes(sib)) for sib in cls.body]
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("_")):
+                    continue
+                methods += 1
+                word = re.compile(r"\b%s\b" % node.name)
+                if not (any(node.name in used
+                            for top, used in attrs if top is not cls)
+                        or any(node.name in used
+                               for sib, used in members if sib is not node)
+                        or node.name in bench_attrs
+                        or word.search(readme)):
+                    found.append("%s:%s.%s" % (path.name, cls.name,
+                                               node.name))
     assert len(modules) > 1
+    assert methods > 20
     assert found == []
