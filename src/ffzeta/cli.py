@@ -73,33 +73,23 @@ def _tokenize(text):
     return out
 
 
-def _product(a, b):
-    out = {}
-    for u, c in a.items():
-        for v, d in b.items():
-            w = tuple(x + y for x, y in zip(u, v))
-            out[w] = out.get(w, 0) + c * d
-    return out
-
-
-def _read_sum(toks, i, end, slot, width, group):
+def _read_sum(toks, i, end, one, power, group):
     """Read a signed sum of `*`-products ending at the token kind `end`;
-    returns ({exponent tuple: int}, index past `end`).  `slot(name, pos)`
-    gives a name's place in the exponent tuple; `group(toks, i)` reads a
-    parenthesised factor after its `(`, and parentheses are a ParseError
-    where it is None."""
-    one = (0,) * width
-    total = {}
+    returns (SparsePoly, index past `end`).  Values are polynomials like
+    `one`: an integer is its residue mod p, `power(name, k, pos)` is the
+    value of name^k, and `group(toks, i)` reads a parenthesised factor
+    after its `(`; parentheses are a ParseError where it is None."""
+    total = SparsePoly.zero(one.ctx, one.nvars)
     while True:
         kind = toks[i][0]
-        term = {one: -1 if kind == _MINUS else 1}
+        term = -one if kind == _MINUS else one
         if kind in (_PLUS, _MINUS):
             i += 1
         while True:
             kind, value, pos = toks[i]
             i += 1
             if kind == _NUM:
-                factor = {one: value}
+                factor = one.scale(value % one.ctx.p)
             elif kind == _NAME:
                 k = 1
                 if toks[i][0] == _CARET:
@@ -108,19 +98,16 @@ def _read_sum(toks, i, end, slot, width, group):
                                          toks[i + 1][2])
                     k = toks[i + 1][1]
                     i += 2
-                u = [0] * width
-                u[slot(value, pos)] = k
-                factor = {tuple(u): 1}
+                factor = power(value, k, pos)
             elif kind == _OPEN and group is not None:
                 factor, i = group(toks, i)
             else:
                 raise ParseError("expected a factor", pos)
-            term = _product(term, factor)
+            term = term * factor
             if toks[i][0] != _STAR:
                 break
             i += 1
-        for u, c in term.items():
-            total[u] = total.get(u, 0) + c
+        total = total + term
         kind, _, pos = toks[i]
         if kind == end:
             return total, i + 1
@@ -138,58 +125,48 @@ def parse_poly(text, ctx, nvars):
     names = {"x%d" % (k + 1): k for k in range(nvars)}
     if nvars <= 3:
         names.update((alias, k) for k, alias in enumerate(var_names(nvars)))
-    one = (0,) * nvars
+    one = SparsePoly.one(ctx, nvars)
 
-    def slot(name, pos):
+    def power(name, k, pos):
         if name == "t":
             if ctx.e == 1:
                 raise ParseError("coefficient uses t but the field is prime",
                                  pos)
-            return nvars
+            # the code p is t, a unit of order dividing q - 1
+            return one.scale(ctx.pow(ctx.p, k % (ctx.q - 1)))
         if name not in names:
             raise UnknownVariable("unknown variable %r" % name, pos)
-        return names[name]
+        u = [0] * nvars
+        u[names[name]] = k
+        return SparsePoly(ctx, nvars, {tuple(u): 1})
 
-    def t_only(name, pos):
+    def constant(name, k, pos):
         if name != "t":
             raise ParseError("only integers and t may appear inside "
                              "parentheses", pos)
-        return slot(name, pos)
+        return power(name, k, pos)
 
     def group(toks, i):
-        # the digits of the group's field element, so that a product of
-        # groups stays as small as the field
-        raw, i = _read_sum(toks, i, _CLOSE, t_only, nvars + 1, None)
-        a = to_field(raw).get(one, 0)
-        return {one + (j,): d for j, d in enumerate(ctx.coeffs(a))}, i
+        return _read_sum(toks, i, _CLOSE, one, constant, None)
 
-    def to_field(raw):
-        terms = {}
-        for u, c in raw.items():
-            val = ctx.mul(c % ctx.p, ctx.pow(ctx.p, u[-1]))
-            terms[u[:-1]] = ctx.add(terms.get(u[:-1], 0), val)
-        return terms
-
-    raw, _ = _read_sum(_tokenize(text), 0, _END, slot, nvars + 1, group)
-    return SparsePoly(ctx, nvars, to_field(raw))
+    return _read_sum(_tokenize(text), 0, _END, one, power, group)[0]
 
 
 def parse_modulus(text, p):
-    """Monic t-polynomial with integer coefficients, little-endian list."""
-    def t_only(name, pos):
+    """The t-polynomial over F_p, little-endian list of its coefficients
+    mod p."""
+    one = SparsePoly.one(make_field(p))
+
+    def power(name, k, pos):
         if name != "t":
             raise UnknownVariable("modulus variable must be t", pos)
-        return 0
+        return SparsePoly(one.ctx, 1, {(k,): 1})
 
-    raw, _ = _read_sum(_tokenize(text), 0, _END, t_only, 1, None)
-    top = max(k for (k,) in raw)
-    if top > _MAX_MODULUS_DEGREE:
+    f, _ = _read_sum(_tokenize(text), 0, _END, one, power, None)
+    if f.degree() > _MAX_MODULUS_DEGREE:
         raise ParseError("modulus degree %d is above %d"
-                         % (top, _MAX_MODULUS_DEGREE))
-    coeffs = [0] * (top + 1)
-    for (k,), c in raw.items():
-        coeffs[k] = c % p
-    return coeffs
+                         % (f.degree(), _MAX_MODULUS_DEGREE))
+    return f.to_dense()
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +244,8 @@ def _cmd_series(args, ctx):
     if args.command == "modp":
         M, dets, series = _zeta_mod_p_parts(f, args.nvars, args.B, args.d)
     else:
-        M, dets, torus, series = _zeta_mod_pm_parts(f, args.m, args.B,
-                                                    args.d)
+        M, dets, series = _zeta_mod_pm_parts(f, args.m, args.B, args.d)
+        torus = torus_zeta(args.nvars, ctx.q, series.order, series.modulus)
         result["torus"] = list(torus.coeffs)
     result.update(modulus=series.modulus, series=list(series.coeffs),
                   det_factors=[[expo, det] for expo, det in dets])
@@ -332,9 +309,9 @@ def build_parser():
     def common(p, poly=True):
         p.add_argument("--q", type=int, required=True,
                        help="field size, a prime power")
-        p.add_argument("--modulus", help="defining t-polynomial of the "
-                       "extension (default: least monic irreducible)")
         if poly:
+            p.add_argument("--modulus", help="defining t-polynomial of the "
+                           "extension (default: least monic irreducible)")
             p.add_argument("--poly", required=True,
                            help="polynomial text, e.g. 'x^2+x+1'")
         p.add_argument("--json", action="store_true",

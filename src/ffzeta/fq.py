@@ -35,9 +35,9 @@ sum a_i sigma(t)^i.  So both contexts apply it as one (L, L) digit matrix,
 built once from sigma(t), to a single code or to a whole plane stack.
 
 A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
-the same `m`, `pm`, `to_field`, `from_field` surface, so code written
-against the ring protocol runs unchanged on fields; `pm` is also the base
-of the digits.
+the same `m`, `pm` and `from_field` surface, so code written against the
+ring protocol runs unchanged on fields; `pm` is also the base of the
+digits.
 """
 
 from __future__ import annotations
@@ -441,12 +441,6 @@ class FiniteField(_DigitArithmetic):
         return hash((self.p, self.modulus))
 
     # -- element codecs ----------------------------------------------------
-
-    def is_unit(self, a):
-        return a != 0
-
-    def to_field(self, a):
-        return a
 
     def from_field(self, a):
         return a

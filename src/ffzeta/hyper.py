@@ -353,8 +353,8 @@ def _torus_factors(n, q, pm):
 
 def _zeta_mod_pm_parts(f, m, B, d):
     """zeta_mod_pm with its working: the operator matrix M, the det
-    factors det(I - q^i M T) as (exponent, coefficients) pairs, the torus
-    zeta and the series."""
+    factors det(I - q^i M T) as (exponent, coefficients) pairs, and the
+    series."""
     if B is not None and B < 1:  # checked before any matrix is built
         raise ValueError("truncation order must be >= 1")
     ctx = f.ctx
@@ -382,11 +382,10 @@ def _zeta_mod_pm_parts(f, m, B, d):
     factors = [(math.comb(n, i) * (-1) ** (n + i),
                 [pow(q, i * k, pm) * c % pm for k, c in enumerate(P)])
                for i in range(n + 1)]
-    torus = torus_zeta(n, q, B, pm)
     # the zeta is the torus zeta times the det factors, taken as one
     # product so that its dense inverse meets only polynomials
     series = _product_series(pm, B, factors + _torus_factors(n, q, pm))
-    return M, factors, torus, series
+    return M, factors, series
 
 
 def zeta_mod_pm(f, m=None, B=None, d=None):
@@ -397,4 +396,4 @@ def zeta_mod_pm(f, m=None, B=None, d=None):
     Galois ring, in which case it is itself taken as the lift and m must
     agree with the ring precision.
     """
-    return _zeta_mod_pm_parts(f, m, B, d)[3]
+    return _zeta_mod_pm_parts(f, m, B, d)[2]

@@ -46,12 +46,6 @@ class SparsePoly:
         return cls.constant(ctx, 1, nvars)
 
     @classmethod
-    def variable(cls, ctx, i=0, nvars=1):
-        u = [0] * nvars
-        u[i] = 1
-        return cls(ctx, nvars, {tuple(u): 1})
-
-    @classmethod
     def from_dense(cls, ctx, coeffs):
         """Univariate polynomial from a little-endian coefficient list."""
         return cls(ctx, 1, {(i,): c for i, c in enumerate(coeffs) if c})

@@ -149,6 +149,70 @@ def test_parse_guards_against_huge_values():
     assert len(parse_poly(text, field(9), 1).terms) == 1
 
 
+PARSE_ERRORS = [
+    # (text, q, nvars; nvars None for a modulus over F_q), exception, str
+    ("x ? 1", 2, 1, ParseError, "unexpected character '?' (at position 2)"),
+    ("9" * 5000 + "*x", 2, 1, ParseError,
+     "integer has too many digits (at position 0)"),
+    ("x^y", 2, 1, ParseError, "expected an integer exponent (at position 2)"),
+    ("x +", 2, 1, ParseError, "expected a factor (at position 3)"),
+    ("()", 9, 1, ParseError, "expected a factor (at position 1)"),
+    ("((t))*x", 9, 2, ParseError, "expected a factor (at position 1)"),
+    ("x^2 + (t+)*x", 9, 1, ParseError, "expected a factor (at position 9)"),
+    ("x*(t+1", 9, 1, ParseError, "unclosed parenthesis (at position 6)"),
+    ("2x", 9, 1, ParseError, "expected *, + or - (at position 1)"),
+    ("(t 2)", 9, 1, ParseError, "expected *, + or - (at position 3)"),
+    ("(t^2)*x)", 4, 1, ParseError, "expected *, + or - (at position 7)"),
+    ("x + w", 2, 1, UnknownVariable, "unknown variable 'w' (at position 4)"),
+    ("x*y", 3, 1, UnknownVariable, "unknown variable 'y' (at position 2)"),
+    ("t*x", 2, 1, ParseError,
+     "coefficient uses t but the field is prime (at position 0)"),
+    ("(2)*(t)", 3, 1, ParseError,
+     "coefficient uses t but the field is prime (at position 5)"),
+    ("(x+1", 9, 1, ParseError,
+     "only integers and t may appear inside parentheses (at position 1)"),
+    ("(y)", 9, 2, ParseError,
+     "only integers and t may appear inside parentheses (at position 1)"),
+    ("x^2+1", 2, None, UnknownVariable,
+     "modulus variable must be t (at position 0)"),
+    ("t^2+s", 3, None, UnknownVariable,
+     "modulus variable must be t (at position 4)"),
+    ("(t+1)*t", 3, None, ParseError, "expected a factor (at position 0)"),
+    ("t^2 - ", 3, None, ParseError, "expected a factor (at position 6)"),
+    ("t^", 5, None, ParseError, "expected an integer exponent (at position 2)"),
+    ("t^2+2t+1", 3, None, ParseError, "expected *, + or - (at position 5)"),
+    ("t^99999999999+1", 2, None, ParseError,
+     "modulus degree 99999999999 is above 1024"),
+    ("t^600*t^600", 2, None, ParseError, "modulus degree 1200 is above 1024"),
+]
+
+
+@pytest.mark.parametrize("text,q,nvars,error,message", PARSE_ERRORS,
+                         ids=range(len(PARSE_ERRORS)))
+def test_parse_error_messages_and_positions(text, q, nvars, error, message):
+    with pytest.raises(ParseError) as exc:
+        if nvars is None:
+            parse_modulus(text, q)
+        else:
+            parse_poly(text, field(q), nvars)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_modulus_degree_is_checked_before_the_list_is_built():
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_modulus("t^100000000", 2)
+    assert time.perf_counter() - start < 1
+
+
+def test_modulus_is_read_by_its_true_degree():
+    # terms above the degree cap that cancel, or vanish mod p, are absent
+    assert parse_modulus("t^2000 - t^2000 + t^2+t+1", 2) == [1, 1, 1]
+    assert parse_modulus("3*t^2000 + t^2+t+1", 3) == [1, 1, 1]
+    assert parse_modulus("3*t^2 + t + 1", 3) == [1, 1]
+
+
 def test_modulus_render_parse_round_trip():
     rng = random.Random(5)
     for p in (2, 3, 5, 7):
@@ -341,6 +405,14 @@ def test_size_caps_are_not_flags():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1", "-k", "2",
               "--max-enum", "10"])
+    assert exc.value.code == 2
+
+
+def test_torus_zeta_takes_no_modulus():
+    # the torus zeta reads only p and q, so a modulus could not change it
+    with pytest.raises(SystemExit) as exc:
+        main(["torus-zeta", "--q", "4", "--modulus", "t^2+t+1", "-n", "1",
+              "-B", "2"])
     assert exc.value.code == 2
 
 

@@ -123,26 +123,37 @@ def test_plane_products_go_through_mul_planes():
 REPO = Path(ffzeta.__file__).parents[2]
 
 
-def _attributes(node):
+def _attributes(node, own=False):
+    """Attribute names read under node; `self.<name>` reads only when own,
+    as they count only for the class that makes them."""
     return {sub.attr for sub in ast.walk(node)
-            if isinstance(sub, ast.Attribute)}
+            if isinstance(sub, ast.Attribute)
+            and (own or not (isinstance(sub.value, ast.Name)
+                             and sub.value.id == "self"))}
+
+
+def _readme_code():
+    """The README's fenced blocks and code spans; a name listed as removed
+    is not documented by it."""
+    readme = (REPO / "README.md").read_text()
+    readme = re.sub(r"Removed names:.*?\n\n", "", readme, flags=re.S)
+    return "\n".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
 
 
 def test_public_names_have_a_caller():
     # a public module-level function or class that no module of the
     # package (its own def and __init__ aside) and no benchmark refers to,
-    # and that the README does not document as API, serves only the tests;
+    # and that the README does not show in code, serves only the tests;
     # so does a public method whose name no other code of the package and
-    # no benchmark reads as an attribute, and that the README does not name
+    # no benchmark reads as an attribute, and that the README does not
+    # show in code; a `self.<name>` read counts only for its own class
     modules = {path: ast.parse(path.read_text(), str(path))
                for path in SOURCES if path.name != "__init__.py"}
     scripts = sorted(REPO.glob("perfbench/*.py"))
     bench = "\n".join(path.read_text() for path in scripts)
     bench_attrs = set().union(*(_attributes(ast.parse(path.read_text()))
                                 for path in scripts))
-    readme = (REPO / "README.md").read_text()
-    # listing a name as removed does not document it
-    readme = re.sub(r"Removed names:.*?\n\n", "", readme, flags=re.S)
+    readme = _readme_code()
     refs = [(top, _names_used(top))
             for tree in modules.values() for top in tree.body]
     attrs = [(top, _attributes(top))
@@ -162,7 +173,8 @@ def test_public_names_have_a_caller():
         for cls in tree.body:
             if not isinstance(cls, ast.ClassDef):
                 continue
-            members = [(sib, _attributes(sib)) for sib in cls.body]
+            members = [(sib, _attributes(sib, own=True))
+                       for sib in cls.body]
             for node in cls.body:
                 if (not isinstance(node, ast.FunctionDef)
                         or node.name.startswith("_")):
