@@ -11,9 +11,9 @@ at any size.  A field tabulates itself once, in O(q) numpy work, with one
 set of 1-D tables (a VectorKit: discrete log / antilog, and for odd p a
 carry-free digit packing for addition); up to q = 2^14 it does so at
 construction and scalar ops read list copies, above that on the first
-vector_kit() call, for the brute-force point counter.  Galois rings Z/p^m
-use integer arithmetic; other Galois rings, and fields past the caps, run
-the generic digit arithmetic.
+vector_kit() call, for the brute-force point counter.  Without tables,
+Z/p^m and prime fields use integer arithmetic, and the rest the generic
+digit arithmetic.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
 (Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
@@ -34,10 +34,11 @@ Galois ring) is linear over Z/p^m on the digits: sigma(sum a_i t^i) =
 sum a_i sigma(t)^i.  So both contexts apply it as one (L, L) digit matrix,
 built once from sigma(t), to a single code or to a whole plane stack.
 
-A field behaves as the m = 1 degenerate case of a Galois ring: it exposes
-the same `m`, `pm` and `from_field` surface, so code written against the
-ring protocol runs unchanged on fields; `pm` is also the base of the
-digits.
+A field is the Galois ring with m = 1: FiniteField subclasses GaloisRing,
+is its own residue field, and adds only its tables and their fast paths,
+each falling back to GaloisRing's arithmetic.  So code written against
+the ring runs unchanged on fields; `pm` is the base of the digits and `e`
+their number in either.
 """
 
 from __future__ import annotations
@@ -177,25 +178,45 @@ def _digit_product(ctx, x, y):
     return ctx._from_planes(planes)
 
 
-class _DigitArithmetic:
-    """Codes with `digits` digits in base `pm` (p for a field, p^m for a
-    Galois ring), multiplied modulo the monic `modulus`.  The generic
-    arithmetic of both contexts: what fields use above their table caps
-    and Galois rings with e > 1 use throughout, and the reference the
-    field tables are tested against; and the digit planes that vectorised
-    products run on."""
+class GaloisRing:
+    """Context for (Z/p^m)[t]/(H(t)), H the trivial lift of the modulus of
+    the residue field `field`: q^m elements, whose codes have e digits in
+    base pm = p^m, multiplied modulo H.  The one generic context for every
+    m >= 1, with integer arithmetic for e = 1 and digit arithmetic
+    otherwise, which fields run past their table caps and are tested
+    against, and the digit planes that vectorised products run on.
+    Construct through make_galois_ring; a field is the subclass
+    FiniteField, the case m = 1, which is its own residue field."""
 
     _mod_int = None                 # the modulus as a bit mask, base 2 only
     _sigma = None                   # the digit matrix of the Frobenius
 
-    def _set_modulus(self, modulus, pm):
-        self.modulus = tuple(c % pm for c in modulus)
-        self.digits = len(modulus) - 1
-        self.pm = pm
-        self.reduction = _reduction_rows(self.modulus, self.digits, pm)
-        self._bpow = [pm ** i for i in range(self.digits)]
+    def __init__(self, field, m):
+        self.field = field
+        self.p, self.e, self.q, self.m = field.p, field.e, field.q, m
+        self.pm = pm = field.p ** m
+        self.size = pm ** field.e
+        self.modulus = tuple(c % pm for c in field.modulus)
+        self.reduction = _reduction_rows(self.modulus, self.e, pm)
+        self._bpow = [pm ** i for i in range(self.e)]
         if pm == 2:
             self._mod_int = sum(b << i for i, b in enumerate(self.modulus))
+
+    # -- identity ----------------------------------------------------------
+
+    def __repr__(self):
+        if self.m == 1:
+            return "GF(%d)" % self.q
+        return "GR(%d^%d, %d)" % (self.p, self.m, self.e)
+
+    def __eq__(self, other):
+        return (isinstance(other, GaloisRing) and other.p == self.p
+                and other.m == self.m and other.modulus == self.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.modulus))
+
+    # -- element codecs ----------------------------------------------------
 
     def encode(self, coeffs):
         code = 0
@@ -218,27 +239,46 @@ class _DigitArithmetic:
                     % (what, c))
         return vals
 
-    def _add_generic(self, a, b):
+    def to_field(self, a):
+        """Reduction mod p onto the residue field."""
+        return self.field.encode(c % self.p for c in self.coeffs(a))
+
+    def from_field(self, a):
+        """Trivial (digit-preserving) lift."""
+        return self.encode(self.field.coeffs(a))
+
+    def is_unit(self, a):
+        return self.to_field(a) != 0
+
+    # -- scalar arithmetic -------------------------------------------------
+
+    def add(self, a, b):
         pm = self.pm
+        if self.e == 1:
+            return (a + b) % pm
         code = 0
         for bp in self._bpow:
             code += (((a // bp) + (b // bp)) % pm) * bp
         return code
 
-    def _neg_generic(self, a):
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def neg(self, a):
         pm = self.pm
+        if self.e == 1:
+            return -a % pm
         code = 0
         for bp in self._bpow:
             code += ((-(a // bp)) % pm) * bp
         return code
 
-    def _mul_generic(self, a, b):
-        L = self.digits
+    def mul(self, a, b):
+        L, pm = self.e, self.pm
         if L == 1:
-            return a * b % self.pm
-        if self.pm == 2:
+            return a * b % pm
+        if pm == 2:
             return _gf2_mul_int(a, b, self._mod_int, L)
-        pm = self.pm
         da = self.coeffs(a)
         db = self.coeffs(b)
         conv = [0] * (2 * L - 1)
@@ -255,8 +295,19 @@ class _DigitArithmetic:
                     out[i] = (out[i] + top * row[i]) % pm
         return self.encode(out)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+    def inv(self, a):
+        """Inverse of a unit: the residue-field inverse a^(q-2), lifted by
+        Newton's iteration x -> x(2 - ax), which doubles its p-adic
+        precision."""
+        if not self.is_unit(a):
+            raise ZeroDivisionError("%d is not a unit in %r" % (a, self))
+        x = self.from_field(self.field.pow(self.to_field(a), self.q - 2))
+        two = 2 % self.pm
+        prec = 1
+        while prec < self.m:
+            x = self.mul(x, self.sub(two, self.mul(a, x)))
+            prec *= 2
+        return x
 
     def pow(self, a, n):
         if n < 0:
@@ -288,7 +339,7 @@ class _DigitArithmetic:
             return acc
 
         powers = [1]
-        if self.digits > 1:
+        if self.e > 1:
             H = self.modulus
             dH = [i * c % self.pm for i, c in enumerate(H)][1:]
             x = self.pow(self.pm, self.p)   # the code pm is t
@@ -300,7 +351,7 @@ class _DigitArithmetic:
             if value(H, x) != 0:
                 raise InvariantViolation("sigma(t) = %d is not a root of "
                                          "the modulus of %r" % (x, self))
-            for _ in range(self.digits - 1):
+            for _ in range(self.e - 1):
                 powers.append(self.mul(powers[-1], x))
         self._sigma = np.array([self.coeffs(s) for s in powers],
                                dtype=np.int64).T
@@ -319,7 +370,7 @@ class _DigitArithmetic:
 
     def pth_root(self, a):
         """The inverse of frob, sigma^(e-1); on a field a -> a^(p^(e-1))."""
-        for _ in range(self.digits - 1):
+        for _ in range(self.e - 1):
             a = self.frob(a)
         return a
 
@@ -331,7 +382,7 @@ class _DigitArithmetic:
         size for n x n matrices).  A product plane sums at most L*n
         products of digits below pm, and _fold adds to it up to L-1 high
         planes times reduction-row entries below pm."""
-        L = self.digits
+        L = self.e
         high = L * max(n, 1) * (self.pm - 1) ** 2
         return high * (1 + (L - 1) * (self.pm - 1)) < 2 ** 62
 
@@ -344,14 +395,14 @@ class _DigitArithmetic:
 
     def _from_planes(self, planes):
         acc = np.zeros_like(planes[0])
-        for c in range(self.digits - 1, -1, -1):
+        for c in range(self.e - 1, -1, -1):
             acc = acc * self.pm + planes[c]
         return acc
 
     def _fold(self, conv):
         """Reduce a (2L-1, ...) plane stack through the modulus to its
         first L planes, in place."""
-        L = self.digits
+        L = self.e
         for j in range(L, conv.shape[0]):
             row = self.reduction[j - L]
             for i in range(L):
@@ -366,7 +417,7 @@ class _DigitArithmetic:
         one plane of A by one plane of B over the integers.  The first
         product seeds the buffer, so with one plane the whole product is
         one op and one reduction."""
-        L = self.digits
+        L = self.e
         prod = op(A[0], B[0])
         conv = prod[None]
         if L > 1:
@@ -403,17 +454,14 @@ class VectorKit:
         return self.red[self.wide[a] + self.wide[self.neg[b]]]
 
 
-class FiniteField(_DigitArithmetic):
-    """Context for F_q, q = p^e.  Construct through make_field."""
-
-    m = 1
+class FiniteField(GaloisRing):
+    """Context for F_q, q = p^e: the Galois ring with m = 1, its own
+    residue field, whose scalar ops read table copies where it has them and
+    GaloisRing's arithmetic elsewhere.  Construct through make_field."""
 
     def __init__(self, p, e, modulus):
-        self.p = p
-        self.e = e
-        self.q = p ** e
-        self.size = self.q
-        self._set_modulus(modulus, p)
+        self.p, self.e, self.q, self.modulus = p, e, p ** e, modulus
+        super().__init__(self, 1)
         self._kit = None
         # the kit's tables as Python lists, which scalar ops read
         self._exp = self._log = self._neg = self._wide = self._red = None
@@ -428,54 +476,37 @@ class FiniteField(_DigitArithmetic):
                 self._wide = kit.wide.tolist()
                 self._red = kit.red.tolist()
 
-    # -- identity ----------------------------------------------------------
-
-    def __repr__(self):
-        return "GF(%d)" % self.q if self.e > 1 else "GF(%d)" % self.p
-
-    def __eq__(self, other):
-        return (isinstance(other, FiniteField)
-                and other.p == self.p and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.modulus))
-
-    # -- element codecs ----------------------------------------------------
-
-    def from_field(self, a):
-        return a
-
-    # -- scalar arithmetic -------------------------------------------------
+    # -- scalar arithmetic on the tables -----------------------------------
 
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
         if self._red is None:
-            return self._add_generic(a, b)
+            return super().add(a, b)
         return self._red[self._wide[a] + self._wide[b]]
 
     def sub(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        if self._red is None:
+            return super().sub(a, b)
+        return self._red[self._wide[a] + self._wide[self._neg[b]]]
 
     def neg(self, a):
         if self.p == 2:
             return a
         if self._neg is None:
-            return self._neg_generic(a)
+            return super().neg(a)
         return self._neg[a]
 
     def mul(self, a, b):
         if self._log is None:
-            return self._mul_generic(a, b)
+            return super().mul(a, b)
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in %r" % self)
-        if self._log is None:
-            return self.pow(a, self.q - 2)
+        if self._log is None or a == 0:
+            return super().inv(a)
         return self._exp[self.q - 1 - self._log[a]]
 
     # -- tables ------------------------------------------------------------
@@ -499,7 +530,7 @@ class FiniteField(_DigitArithmetic):
         while n < q - 1:
             # g^(i+n) = g^i * g^n doubles the known powers
             k = min(n, q - 1 - n)
-            step = self._mul_generic(int(exp[n - 1]), g)
+            step = super().mul(int(exp[n - 1]), g)
             head = exp[:k].astype(np.int64)
             if p == 2:
                 exp[n:n + k] = _gf2_mul_vec(head, step, self._mod_int, e)
@@ -534,69 +565,6 @@ class FiniteField(_DigitArithmetic):
             if all(self.pow(g, (q - 1) // ell) != 1 for ell in primes):
                 return g
         raise RuntimeError("no generator found for %r" % self)
-
-
-class GaloisRing(_DigitArithmetic):
-    """Context for (Z/p^m)[t]/(H(t)) where H is the trivial lift of the
-    field modulus.  q^m elements; codes use base p^m digits."""
-
-    def __init__(self, field, m):
-        self.field = field
-        self.p = field.p
-        self.e = field.e
-        self.m = m
-        self.q = field.q
-        self._set_modulus(field.modulus, field.p ** m)
-        self.size = self.pm ** field.e
-
-    def __repr__(self):
-        return "GR(%d^%d, %d)" % (self.p, self.m, self.e)
-
-    def __eq__(self, other):
-        return (isinstance(other, GaloisRing) and other.p == self.p
-                and other.m == self.m and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def to_field(self, a):
-        """Reduction mod p onto the residue field."""
-        f = self.field
-        return f.encode(c % self.p for c in self.coeffs(a))
-
-    def from_field(self, a):
-        """Trivial (digit-preserving) lift."""
-        return self.encode(self.field.coeffs(a))
-
-    def is_unit(self, a):
-        return self.to_field(a) != 0
-
-    def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.pm
-        return self._add_generic(a, b)
-
-    def neg(self, a):
-        if self.e == 1:
-            return -a % self.pm
-        return self._neg_generic(a)
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return a * b % self.pm
-        return self._mul_generic(a, b)
-
-    def inv(self, a):
-        """Inverse of a unit, by lifting the residue-field inverse."""
-        if not self.is_unit(a):
-            raise ZeroDivisionError("%d is not a unit in %r" % (a, self))
-        x = self.from_field(self.field.inv(self.to_field(a)))
-        two = 2 % self.pm
-        prec = 1
-        while prec < self.m:
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-            prec *= 2
-        return x
 
 
 _FIELD_CACHE = {}
@@ -650,7 +618,7 @@ def make_field(p, e=1, modulus=None):
 
 def make_galois_ring(field, m):
     """Galois ring over `field` with precision m.  m = 1 returns the field
-    itself (the degenerate case)."""
+    itself, a FiniteField and so a GaloisRing."""
     if m < 1:
         raise ValueError("precision must be >= 1")
     if m == 1:

@@ -228,10 +228,15 @@ def rmd_basis(n, d, p, m):
 # operator matrices
 
 
-def _operator_matrix(ctx, power, basis, p):
-    """Matrix of h -> psi_p(power * h) on the basis, column convention.
-    Column u reads only the terms x^v of the power with v = -u mod p, the
-    ones whose product with x^u psi_p keeps."""
+def _operator(f, basis):
+    """M = sigma^{e-1}(A) ... sigma(A) A, for A the matrix of
+    h -> psi_p(G h) on the basis, G = f^{(p-1)p^{m-1}}, and sigma the
+    Frobenius of f's context acting on every entry; column convention.
+    Column u of A reads only the terms x^v of G with v = -u mod p, the ones
+    whose product with x^u psi_p keeps."""
+    ctx = f.ctx
+    p = ctx.p
+    power = poly_pow(f, (p - 1) * p ** (ctx.m - 1))
     index = {u: i for i, u in enumerate(basis)}
     classes = {}
     for v, c in power.terms.items():
@@ -247,79 +252,79 @@ def _operator_matrix(ctx, power, basis, p):
                     "image monomial %r escaped the span" % (w,))
             col[at] = c
         cols.append(col)
-    return SquareMatrix.from_columns(ctx, cols)
-
-
-def _frobenius_product(A):
-    """sigma^{e-1}(A) ... sigma(A) A, where sigma is the Frobenius of A's
-    context acting on every entry."""
-    ctx, planes, M = A.ctx, A.planes, A
+    A = M = SquareMatrix.from_columns(ctx, cols)
+    planes = A.planes
     for _ in range(ctx.e - 1):
         planes = ctx._frob_planes(planes)
         M = SquareMatrix(ctx, A.n, planes) @ M
     return M
 
 
-def _shape(f, n, d):
-    """The number of variables n and the degree bound d of an operator
-    matrix, each defaulting to f's and checked against it."""
-    if n is None:
-        n = f.nvars
-    elif n != f.nvars:
-        raise ValueError("polynomial has %d variables, not %d"
-                         % (f.nvars, n))
+def _degree_bound(f, d):
+    """The degree bound d of an operator matrix, defaulting to deg f and
+    checked against it."""
     deg = f.degree()
     if d is None:
         d = deg
     if d < deg:
         raise ValueError("degree bound %d is below deg f = %d" % (d, deg))
-    return n, d
+    return d
 
 
-def hyper_matrix_mod_p(f, n=None, d=None):
+def hyper_matrix_mod_p(f, d=None):
     """Matrix of h -> psi_q(f^{q-1} h) on the all-variables-divide basis
     of degree <= d, over F_q, as the product of the e Frobenius twists of
     the matrix of h -> psi_p(f^{p-1} h)."""
-    ctx = f.ctx
-    if ctx.m != 1:
+    if f.ctx.m != 1:
         raise RingNotField("the mod-p operator works over a field")
-    n, d = _shape(f, n, d)
-    basis = rd_basis(n, d)
-    power = poly_pow(f, ctx.p - 1)
-    return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
+    return _operator(f, rd_basis(f.nvars, _degree_bound(f, d)))
 
 
-def hyper_matrix_mod_pm(f_lift, n=None, d=None):
+def hyper_matrix_mod_pm(f_lift, d=None):
     """Matrix of h -> psi_q(f_lift^{(q-1)p^{m-1}} h) on all monomials of
     degree <= d*p^{m-1}, over the Galois ring Z_p^m extension, as the
     product of the e Frobenius twists of the matrix of
     h -> psi_p(f_lift^{(p-1)p^{m-1}} h)."""
     ctx = f_lift.ctx
-    n, d = _shape(f_lift, n, d)
+    d = _degree_bound(f_lift, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
-    basis = rmd_basis(n, d, ctx.p, ctx.m)
-    power = poly_pow(f_lift, (ctx.p - 1) * ctx.p ** (ctx.m - 1))
-    return _frobenius_product(_operator_matrix(ctx, power, basis, ctx.p))
+    return _operator(f_lift, rmd_basis(f_lift.nvars, d, ctx.p, ctx.m))
 
 
 # ---------------------------------------------------------------------------
 # zeta series
 
 
+def _zeta_parts(M, ring, n, B, twists, extra):
+    """The operator matrix M, the det factors det(I - q^i M T) = P(q^i T)
+    for P(T) = det(I - M T) and i < twists, each to the power
+    C(n, i)(-1)^{n+i}, as (exponent, coefficients) pairs, and the series of
+    their product with the `extra` factors, truncated at B (M.n when None).
+    P lies in Z/p^m, as sigma(M) = A M' and M = M' A have one charpoly for
+    M' = sigma^{e-1}(A) ... sigma(A); that is checked before any series
+    work."""
+    pm, q = ring.pm, ring.q
+    P = ring.prime_subring(charpoly_reverse(M), "determinant")
+    factors = [(math.comb(n, i) * (-1) ** (n + i),
+                [pow(q, i * k, pm) * c % pm for k, c in enumerate(P)])
+               for i in range(twists)]
+    # taken as one product, so that its dense inverse meets only
+    # polynomials
+    series = _product_series(pm, M.n if B is None else B, factors + extra)
+    return M, factors, series
+
+
 def _zeta_mod_p_parts(f, n, B, d):
-    """zeta_mod_p with its working: the operator matrix M, the det
-    factors as (exponent, coefficients) pairs, and the series."""
+    """zeta_mod_p with its working: the affine zeta is P(T)^{(-1)^n}, the
+    one factor of i = 0 with no torus factors."""
     if B is not None and B < 1:  # checked before any matrix is built
         raise ValueError("truncation order must be >= 1")
-    M = hyper_matrix_mod_p(f, n, d)
-    if n is None:
-        n = f.nvars
-    P = f.ctx.prime_subring(charpoly_reverse(M), "determinant")
-    if B is None:
-        B = M.n
-    factors = [((-1) ** n, P)]
-    return M, factors, _product_series(f.ctx.p, B, factors)
+    if n is not None and n != f.nvars:
+        raise ValueError("polynomial has %d variables, not %d"
+                         % (f.nvars, n))
+    M = hyper_matrix_mod_p(f, d)
+    return _zeta_parts(M, f.ctx, f.nvars, B, 1, [])
 
 
 def zeta_mod_p(f, n=None, B=None, d=None):
@@ -352,40 +357,24 @@ def _torus_factors(n, q, pm):
 
 
 def _zeta_mod_pm_parts(f, m, B, d):
-    """zeta_mod_pm with its working: the operator matrix M, the det
-    factors det(I - q^i M T) as (exponent, coefficients) pairs, and the
-    series."""
+    """zeta_mod_pm with its working: the torus part is the product of the
+    n + 1 factors P(q^i T) and the torus zeta."""
     if B is not None and B < 1:  # checked before any matrix is built
         raise ValueError("truncation order must be >= 1")
     ctx = f.ctx
     if m is None:
         m = ctx.m
     if ctx.m == m:
-        ring = ctx
         flift = f
     elif ctx.m == 1:
-        ring = make_galois_ring(ctx, m)
-        flift = f.lift_to(ring)
+        flift = f.lift_to(make_galois_ring(ctx, m))
     else:
         raise ValueError("polynomial precision p^%d does not match m=%d"
                          % (ctx.m, m))
-    n = f.nvars
-    M = hyper_matrix_mod_pm(flift, n, d)
-    if B is None:
-        B = M.n
-    pm = ring.pm
-    q = ring.q
-    # det(I - c M T) = P(cT) for P(T) = det(I - M T), so one charpoly
-    # gives every factor; P lies in Z/p^m, as sigma(M) = A M' and
-    # M = M' A have one charpoly for M' = sigma^{e-1}(A) ... sigma(A)
-    P = ring.prime_subring(charpoly_reverse(M), "determinant")
-    factors = [(math.comb(n, i) * (-1) ** (n + i),
-                [pow(q, i * k, pm) * c % pm for k, c in enumerate(P)])
-               for i in range(n + 1)]
-    # the zeta is the torus zeta times the det factors, taken as one
-    # product so that its dense inverse meets only polynomials
-    series = _product_series(pm, B, factors + _torus_factors(n, q, pm))
-    return M, factors, series
+    ring, n = flift.ctx, f.nvars
+    M = hyper_matrix_mod_pm(flift, d)
+    return _zeta_parts(M, ring, n, B, n + 1,
+                       _torus_factors(n, ring.q, ring.pm))
 
 
 def zeta_mod_pm(f, m=None, B=None, d=None):

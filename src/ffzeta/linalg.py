@@ -46,7 +46,7 @@ class SquareMatrix:
     @classmethod
     def zeros(cls, ctx, n):
         dt = np.int64 if ctx._dtype_ok(n) else object
-        return cls(ctx, n, np.zeros((ctx.digits, n, n), dtype=dt))
+        return cls(ctx, n, np.zeros((ctx.e, n, n), dtype=dt))
 
     @classmethod
     def identity(cls, ctx, n):
@@ -97,7 +97,7 @@ def charpoly_reverse(M):
             block = np.flatnonzero(label == root)
             part = _charpoly_hessenberg(ctx, planes[:, block[:, None], block])
         elif planes[:, root, root].any():
-            part = np.zeros((ctx.digits, 2), dtype=planes.dtype)
+            part = np.zeros((ctx.e, 2), dtype=planes.dtype)
             part[0, 0] = 1
             part[:, 1] = -planes[:, root, root] % ctx.pm
         else:
@@ -168,7 +168,7 @@ def _charpoly_hessenberg(ctx, H):
     #   - sum_{i<k} h_{i,k-1} h_{i+1,i} ... h_{k-1,k-2} chi_i;
     # at step k row i of Y holds chi_i times that product of subdiagonal
     # entries, which is empty for i = k-1
-    Y = np.zeros((ctx.digits, n + 1, n + 1), dtype=H.dtype)
+    Y = np.zeros((ctx.e, n + 1, n + 1), dtype=H.dtype)
     Y[0, 0, 0] = 1
     chi = Y[:, 0].copy()
     for k in range(1, n + 1):

@@ -17,11 +17,12 @@ become (rows, 1) columns, built from the logs of each row's outer
 monomials, and one Horner pass over a (rows x Q) array evaluates every
 value of the last variable at once.  Exponents are first folded below Q,
 since x^Q = x on F_Q.  Either way the work is Q^n point evaluations,
-capped by _MAX_ENUM, and by the far smaller _MAX_SCALAR for the scalar
-scan; a field without tables has Q^2 > _MAX_SCALAR, so that scan only
-ever counts one variable, and it also finds the root that embeds F_q in
-F_Q.  The sieve and trial division run on the same tables over extension
-fields and on int64 arithmetic mod p over prime fields.
+capped by _MAX_ENUM.  The scalar scan is capped by the far smaller
+_MAX_SCALAR on its Horner steps, Q^n (deg + 1), plus those of the same
+scan finding the root that embeds F_q in F_Q; a field without tables has
+Q^2 > _MAX_SCALAR, so that scan only ever counts one variable.  The sieve
+and trial division run on the same tables over extension fields and on
+int64 arithmetic mod p over prime fields.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIntegralCoefficient, TooLarge
+from .errors import NonIntegralCoefficient, RingNotField, TooLarge
 from .factor import Factorization, factor_sort_key
 from .fq import make_field
 from .poly import SparsePoly, dense_divmod, dense_monic
@@ -38,7 +39,7 @@ from .poly import SparsePoly, dense_divmod, dense_monic
 _MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
 _CHUNK = 1 << 16        # entries of one (outer points x Q) Horner array
-_MAX_SCALAR = 10 ** 5   # most points the scalar enumeration visits
+_MAX_SCALAR = 10 ** 5   # most Horner steps a count without tables takes
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -145,7 +146,7 @@ def count_points(f, k=1, domain="affine"):
         raise ValueError("domain must be 'affine' or 'torus'")
     ctx = f.ctx
     if ctx.m != 1:
-        raise ValueError("point counting needs field coefficients")
+        raise RingNotField("point counting needs field coefficients")
     n = f.nvars
     # q >= 2, so k*n past the cap's bit length decides before q^(k*n),
     # which could be huge, is formed
@@ -169,11 +170,18 @@ def count_points(f, k=1, domain="affine"):
         # the one point is the empty tuple, where a nonzero constant is not 0
         return 0
     kit = big.vector_kit()
-    if kit is None and big.q ** n > _MAX_SCALAR:
-        # refused before the embedding's root search, which scans F_Q as
-        # well; past the table caps a point takes tens of microseconds
-        raise TooLarge("Q^n = %d exceeds the cap of %d points counted "
-                       "without field tables" % (big.q ** n, _MAX_SCALAR))
+    if kit is None:
+        # a scalar scan takes one Horner step per point and coefficient,
+        # up to tens of microseconds each past the table caps; the root
+        # search that embeds F_q scans F_Q as well, and comes after this
+        # check
+        steps = big.q ** n * (max(map(sum, terms)) + 1)
+        if ctx.e > 1 and big is not ctx:
+            steps += big.q * (ctx.e + 1)
+        if steps > _MAX_SCALAR:
+            raise TooLarge("counting over F_%d without field tables takes "
+                           "%d Horner steps, past the cap %d"
+                           % (big.q, steps, _MAX_SCALAR))
     # the embedding is additive, so the folded sums embed term by term
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
@@ -190,9 +198,6 @@ def _count_vectorized(big, kit, terms, n, lo):
     Q = big.q
     xlog = kit.log[lo:Q]
     groups = _group_terms(terms, n)
-    if n == 1:
-        y = _horner_vec(kit, groups[0][1], xlog)
-        return int(np.count_nonzero(y == 0))
     side = Q - lo
     outer = side ** (n - 1)
     rows = max(1, _CHUNK // side)
@@ -382,7 +387,7 @@ def trial_factorize(f):
     if f.nvars != 1:
         raise ValueError("trial factorization needs univariate input")
     if f.ctx.m != 1:
-        raise ValueError("trial factorization needs a field")
+        raise RingNotField("trial factorization needs a field")
     ctx = f.ctx
     dense = f.to_dense()
     if len(dense) <= 1:

@@ -171,7 +171,7 @@ def var_names(nvars):
 
 def _render_coeff(ctx, code):
     """Text of one coefficient; (needs_parens, text)."""
-    if ctx.digits == 1:
+    if ctx.e == 1:
         return False, str(code)
     cs = ctx.coeffs(code)
     parts = []

@@ -34,7 +34,7 @@ from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      NonIntegralSolution, NotMonic, RingNotField,
                      ZeroConstantTerm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
-from .poly import dense_mod, dense_mul, dense_mulmod, dense_powmod
+from .poly import dense_divmod, dense_mod, dense_mulmod, dense_powmod
 
 
 class OperatorKind(enum.Enum):
@@ -75,9 +75,13 @@ def op_matrix(f, kind):
                 col = dense_mulmod(ctx, col, xq, fd)
             cols.append(col + [0] * (d - len(col)))
     else:
-        fq1 = [1]
-        for _ in range(q - 1):
-            fq1 = dense_mul(ctx, fq1, fd)
+        # every coefficient c has c^q = c, so f^q = f(x^q), and f^(q-1) is
+        # one exact division by f
+        fxq = [0] * (q * d + 1)
+        fxq[::q] = fd
+        fq1, rem = dense_divmod(ctx, fxq, fd)
+        if rem:
+            raise InvariantViolation("f does not divide f(x^q)")
         # Lucas: C(qk+q-1, q-1) = 1 mod p, so psi_q(hasse_{q-1}(g)) = g[q-1::q]
         start = q - 1 if kind == OperatorKind.NIEDERREITER else 0
         for j in range(d):

@@ -268,7 +268,7 @@ def test_field_cache_returns_same_context():
     assert make_field(5) is make_field(5, 1)
 
 
-# -- tables against the generic digit arithmetic -----------------------------
+# -- tables against GaloisRing's arithmetic ----------------------------------
 
 def _prime_powers(limit):
     out = []
@@ -280,28 +280,33 @@ def _prime_powers(limit):
     return out
 
 
+# the reference: GaloisRing's own arithmetic, which FiniteField's table
+# paths override
+ADD, NEG, MUL = fq.GaloisRing.add, fq.GaloisRing.neg, fq.GaloisRing.mul
+
+
 def _generic_pow(ctx, a, n):
     r = 1
     while n:
         if n & 1:
-            r = ctx._mul_generic(r, a)
-        a = ctx._mul_generic(a, a)
+            r = MUL(ctx, r, a)
+        a = MUL(ctx, a, a)
         n >>= 1
     return r
 
 
 def _check_pair(ctx, a, b):
-    assert ctx.add(a, b) == ctx._add_generic(a, b)
-    assert ctx.sub(a, b) == ctx._add_generic(a, ctx._neg_generic(b))
-    assert ctx.mul(a, b) == ctx._mul_generic(a, b)
+    assert ctx.add(a, b) == ADD(ctx, a, b)
+    assert ctx.sub(a, b) == ADD(ctx, a, NEG(ctx, b))
+    assert ctx.mul(a, b) == MUL(ctx, a, b)
 
 
 def _check_element(ctx, a, exponents):
-    assert ctx.neg(a) == ctx._neg_generic(a)
+    assert ctx.neg(a) == NEG(ctx, a)
     for n in exponents:
         assert ctx.pow(a, n) == _generic_pow(ctx, a, n)
-    if (a != 0 if ctx.m == 1 else ctx.is_unit(a)):
-        assert ctx._mul_generic(a, ctx.inv(a)) == 1
+    if ctx.is_unit(a):
+        assert MUL(ctx, a, ctx.inv(a)) == 1
         assert ctx.pow(a, -1) == ctx.inv(a)
     if ctx.m == 1:
         assert ctx.frob(a) == _generic_pow(ctx, a, ctx.p)
@@ -311,12 +316,10 @@ def _check_element(ctx, a, exponents):
 def _check_exhaustive(ctx):
     els = range(ctx.size)
     for a in els:
-        assert [ctx.add(a, b) for b in els] == \
-            [ctx._add_generic(a, b) for b in els]
+        assert [ctx.add(a, b) for b in els] == [ADD(ctx, a, b) for b in els]
         assert [ctx.sub(a, b) for b in els] == \
-            [ctx._add_generic(a, ctx._neg_generic(b)) for b in els]
-        assert [ctx.mul(a, b) for b in els] == \
-            [ctx._mul_generic(a, b) for b in els]
+            [ADD(ctx, a, NEG(ctx, b)) for b in els]
+        assert [ctx.mul(a, b) for b in els] == [MUL(ctx, a, b) for b in els]
         _check_element(ctx, a, (0, 1, 2, 3, ctx.size - 1, ctx.size + 1))
 
 
@@ -335,13 +338,11 @@ def test_field_tables_nondefault_modulus():
                                    (2, 3, 2), (2, 4, 2), (3, 2, 2),
                                    (2, 1, 5), (3, 1, 3), (5, 1, 2)])
 def test_ring_arithmetic_matches_digit_planes(p, e, m):
+    # a ring runs GaloisRing's arithmetic itself: check it against the
+    # plane product and the digit planes, which share none of its scalar
+    # code
     ring = make_galois_ring(make_field(p, e), m)
     assert ring.size <= 256
-    if e == 1:
-        _check_exhaustive(ring)
-        return
-    # e > 1 runs the generic arithmetic itself: check it against the plane
-    # product and the digit planes, which share none of its scalar code
     codes = np.arange(ring.size, dtype=np.int64)
     digits = ring._to_planes(codes, 1)
     products = fq._digit_product(ring, codes, codes).tolist()
@@ -354,6 +355,41 @@ def test_ring_arithmetic_matches_digit_planes(p, e, m):
         assert [ring.add(a, b) for b in els] == sums[a]
         assert ring.neg(a) == negatives[a]
         _check_element(ring, a, (0, 1, 2, 3, ring.size - 1, ring.size + 1))
+
+
+def test_a_field_is_the_galois_ring_with_m_1():
+    # make_galois_ring(F, 1) is F itself, with the ring's surface: F is
+    # its own residue field, so the reduction and the lift are the
+    # identity, and the units are the nonzero elements
+    for F in (make_field(2), make_field(3, 2), make_field(2, 15),
+              make_field(3001)):
+        assert make_galois_ring(F, 1) is F
+        assert isinstance(F, fq.GaloisRing)
+        assert (F.m, F.pm, F.field) == (1, F.p, F)
+        for a in [0, 1, F.q - 1] + list(range(2, F.q, F.q // 50 + 1)):
+            assert F.to_field(a) == a
+            assert F.from_field(a) == a
+            assert F.is_unit(a) == (a != 0)
+
+
+def test_prime_field_past_the_tables_is_integer_arithmetic():
+    # F_3001 has no tables, so its scalar ops are GaloisRing's integer path
+    F = make_field(3001)
+    p = F.p
+    assert F.vector_kit() is None
+    rng = random.Random(3001)
+    pairs = [(0, 0), (0, p - 1), (p - 1, p - 1), (1, p - 1)] + \
+        [(rng.randrange(p), rng.randrange(p)) for _ in range(2000)]
+    for a, b in pairs:
+        assert F.add(a, b) == (a + b) % p
+        assert F.sub(a, b) == (a - b) % p
+        assert F.neg(a) == -a % p
+        assert F.mul(a, b) == a * b % p
+        assert F.pow(a, b) == pow(a, b, p)
+        if a:
+            assert F.inv(a) == pow(a, -1, p)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 def test_galois_rings_of_625_and_1024_elements_build_fast(monkeypatch):

@@ -109,12 +109,12 @@ def test_operator_matrix_matches_per_column_assembly(q, m, n, d):
     for _ in range(3):
         f = rand_poly_mv(ctx, rng, n, d)
         if m == 1:
-            got = hyper_matrix_mod_p(f, n, d)
+            got = hyper_matrix_mod_p(f, d)
             basis = rd_basis(n, d)
         else:
             ring = make_galois_ring(ctx, m)
             f = f.lift_to(ring)
-            got = hyper_matrix_mod_pm(f, n, d)
+            got = hyper_matrix_mod_pm(f, d)
             basis = rmd_basis(n, d, ring.p, m)
         power = poly_pow(f, (ctx.q - 1) * ctx.p ** (m - 1))
         assert got.to_rows() == _per_column_matrix(f.ctx, power, basis)
@@ -153,10 +153,10 @@ def test_frobenius_twists_equal_the_full_power_assembly(case):
     f, d = case
     ctx, n = f.ctx, f.nvars
     if ctx.m == 1:
-        got = hyper_matrix_mod_p(f, n, d)
+        got = hyper_matrix_mod_p(f, d)
         basis = rd_basis(n, d)
     else:
-        got = hyper_matrix_mod_pm(f, n, d)
+        got = hyper_matrix_mod_pm(f, d)
         basis = rmd_basis(n, d, ctx.p, ctx.m)
     power = poly_pow(f, (ctx.q - 1) * ctx.p ** (ctx.m - 1))
     assert got.to_rows() == _per_column_matrix(ctx, power, basis)
@@ -372,6 +372,17 @@ def test_degree_bound_validation():
         hyper_matrix_mod_p(f, d=1)
     with pytest.raises(ValueError):
         zeta_mod_p(f, B=0)
+
+
+def test_zeta_mod_p_checks_its_variable_count_before_any_work(monkeypatch):
+    # the operator matrices read n from f; zeta_mod_p keeps n and refuses
+    # a mismatch before a matrix is built
+    f = SparsePoly(field(2), 2, {(1, 1): 1, (0, 0): 1})
+    counts = count_calls(monkeypatch, ("hyper_matrix_mod_p", "poly_pow"))
+    with pytest.raises(ValueError, match="2 variables, not 3"):
+        zeta_mod_p(f, 3, 4)
+    assert counts == {"hyper_matrix_mod_p": 0, "poly_pow": 0}
+    assert zeta_mod_p(f, 2, 3).coeffs == (1, 1, 0, 0)
 
 
 # -- mod p zeta -------------------------------------------------------------

@@ -37,7 +37,7 @@ def charpoly_berkowitz(M):
     if n == 0:
         return [1]
     A = M.planes
-    L = ctx.digits
+    L = ctx.e
     mod = ctx.pm
     cur = np.zeros((L, 2), dtype=A.dtype)
     cur[0, 0] = 1

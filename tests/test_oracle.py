@@ -7,9 +7,10 @@ import pytest
 
 from conftest import (count_calls, count_scalar_reference, field,
                       rand_monic, rand_poly_mv)
-from ffzeta import (NonIntegralCoefficient, TooLarge, count_points,
-                    count_vector, degree_profile, irreducibles_up_to,
-                    trial_factorize, zeta_coeffs_exact, zerodim_zeta)
+from ffzeta import (NonIntegralCoefficient, RingNotField, TooLarge,
+                    count_points, count_vector, degree_profile,
+                    irreducibles_up_to, make_galois_ring, trial_factorize,
+                    zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
 from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
 from ffzeta.poly import SparsePoly, dense_mul
@@ -198,6 +199,30 @@ def test_fields_without_tables_count_one_variable():
     f = SparsePoly(field(3001), 2, {(1, 1): 1, (0, 0): 1})
     with pytest.raises(TooLarge):
         count_points(f)
+
+
+def test_scalar_cap_bounds_horner_steps(monkeypatch):
+    # past the table caps a Horner step takes up to tens of microseconds,
+    # so the cap bounds Q^n (deg + 1) steps, plus Q (e + 1) for the root
+    # search that embeds F_q; each is refused before any scan
+    calls = count_calls(monkeypatch, ["_scalar_roots"])
+    F5 = field(5)
+    for dense in ([1, 1], [1, 1] + [0] * 8 + [1]):   # over F_78125
+        with pytest.raises(TooLarge, match="Horner steps"):
+            count_points(SparsePoly.from_dense(F5, dense), 7)
+    # x^3 + x + 1 over F_19683: 4 steps a point, and 4 to find the root
+    # of F_27's modulus
+    with pytest.raises(TooLarge, match="157464 Horner steps"):
+        count_points(SparsePoly.from_dense(field(27), [1, 1, 0, 1]), 3)
+    assert calls["_scalar_roots"] == 0
+
+
+@pytest.mark.parametrize("fn", [count_points, trial_factorize])
+def test_ring_input_is_refused_as_ring_not_field(fn):
+    ring = make_galois_ring(field(3), 2)
+    f = SparsePoly.from_dense(field(3), [1, 0, 1]).lift_to(ring)
+    with pytest.raises(RingNotField):
+        fn(f)
 
 
 def test_worked_counts():

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from conftest import field, mul_by_x_matrix, rand_monic
-from ffzeta import (ConstantInput, MultivariateInput, NonIntegralSolution,
-                    NotMonic, OperatorKind, RingNotField, SquareMatrix,
-                    ZeroConstantTerm,
+from ffzeta import (ConstantInput, InvariantViolation, MultivariateInput,
+                    NonIntegralSolution, NotMonic, OperatorKind,
+                    RingNotField, SquareMatrix, ZeroConstantTerm,
                     charpoly_reverse, congruence_charpoly, count_points,
                     degree_profile, kernel_basis, make_galois_ring,
-                    op_matrix, trial_factorize, zerodim_zeta,
+                    op_matrix, trial_factorize, zerodim, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
 from ffzeta.zerodim import _solve_gcd_system
@@ -261,3 +261,15 @@ def test_input_validation():
     with pytest.raises(ZeroConstantTerm):
         op_matrix(SparsePoly.from_dense(ctx, [0, 1, 1]),
                   OperatorKind.PSI_MUL)
+
+
+def test_op_matrix_checks_its_division_of_f_x_q_by_f(monkeypatch):
+    # f^(q-1) is formed as f(x^q) / f; a remainder would mean f^q is not
+    # f(x^q), and raises rather than build a wrong operator
+    f = SparsePoly.from_dense(field(4), [1, 2, 1])
+    exact = zerodim.dense_divmod
+    monkeypatch.setattr(zerodim, "dense_divmod",
+                        lambda ctx, a, b: (exact(ctx, a, b)[0], [1]))
+    for kind in (OperatorKind.NIEDERREITER, OperatorKind.PSI_MUL):
+        with pytest.raises(InvariantViolation):
+            op_matrix(f, kind)
