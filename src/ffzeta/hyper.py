@@ -29,6 +29,9 @@ sigma fixes its coefficients.  That containment is checked, never
 assumed, before any series work, and every series is then a
 TruncatedSeries over Z/p^m: a product of powers of polynomials in T, with
 one division at the end (_product_series).
+
+zeta_mod_p and zeta_mod_pm read P only to T^B, which for small B comes
+from traces (see `linalg`); the working the CLI prints keeps all of P.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from .fq import make_galois_ring
 from .linalg import charpoly_reverse, SquareMatrix
 from .poly import poly_pow
 
-_MAX_BASIS = 10 ** 5    # largest monomial basis an operator matrix may use
+_MAX_BASIS = 10 ** 5    # largest monomial basis rd_basis and rmd_basis list
+_MAX_OPERATOR = 600     # largest dimension of an operator matrix
 _MAX_NVARS = 6          # most variables the hypersurface routines accept
 
 
@@ -260,6 +264,15 @@ def _operator(f, basis):
     return M
 
 
+def _operator_cap(size):
+    """Refuse an operator of dimension `size` before its basis is listed:
+    assembly, Warshall and Hessenberg cost O(size^3), near the cap 2.4 s
+    over F_3 and 4.5 s over F_4 for a dense f, growing as e^2 in F_(p^e)."""
+    if size > _MAX_OPERATOR:
+        raise SizeLimit("operator dimension %d exceeds the cap %d"
+                        % (size, _MAX_OPERATOR))
+
+
 def _degree_bound(f, d):
     """The degree bound d of an operator matrix, defaulting to deg f and
     checked against it."""
@@ -277,7 +290,9 @@ def hyper_matrix_mod_p(f, d=None):
     the matrix of h -> psi_p(f^{p-1} h)."""
     if f.ctx.m != 1:
         raise RingNotField("the mod-p operator works over a field")
-    return _operator(f, rd_basis(f.nvars, _degree_bound(f, d)))
+    d = _degree_bound(f, d)
+    _operator_cap(math.comb(d, f.nvars))
+    return _operator(f, rd_basis(f.nvars, d))
 
 
 def hyper_matrix_mod_pm(f_lift, d=None):
@@ -289,6 +304,8 @@ def hyper_matrix_mod_pm(f_lift, d=None):
     d = _degree_bound(f_lift, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
+    _operator_cap(math.comb(d * ctx.p ** (ctx.m - 1) + f_lift.nvars,
+                            f_lift.nvars))
     return _operator(f_lift, rmd_basis(f_lift.nvars, d, ctx.p, ctx.m))
 
 
@@ -296,16 +313,17 @@ def hyper_matrix_mod_pm(f_lift, d=None):
 # zeta series
 
 
-def _zeta_parts(M, ring, n, B, twists, extra):
+def _zeta_parts(M, ring, n, B, twists, extra, full):
     """The operator matrix M, the det factors det(I - q^i M T) = P(q^i T)
     for P(T) = det(I - M T) and i < twists, each to the power
     C(n, i)(-1)^{n+i}, as (exponent, coefficients) pairs, and the series of
     their product with the `extra` factors, truncated at B (M.n when None).
-    P lies in Z/p^m, as sigma(M) = A M' and M = M' A have one charpoly for
-    M' = sigma^{e-1}(A) ... sigma(A); that is checked before any series
-    work."""
+    P stops at T^B unless `full`.  P lies in Z/p^m, as sigma(M) = A M' and
+    M = M' A have one charpoly for M' = sigma^{e-1}(A) ... sigma(A); that
+    is checked before any series work."""
     pm, q = ring.pm, ring.q
-    P = ring.prime_subring(charpoly_reverse(M), "determinant")
+    P = ring.prime_subring(charpoly_reverse(M, None if full else B),
+                           "determinant")
     factors = [(math.comb(n, i) * (-1) ** (n + i),
                 [pow(q, i * k, pm) * c % pm for k, c in enumerate(P)])
                for i in range(twists)]
@@ -315,7 +333,7 @@ def _zeta_parts(M, ring, n, B, twists, extra):
     return M, factors, series
 
 
-def _zeta_mod_p_parts(f, n, B, d):
+def _zeta_mod_p_parts(f, n, B, d, full=True):
     """zeta_mod_p with its working: the affine zeta is P(T)^{(-1)^n}, the
     one factor of i = 0 with no torus factors."""
     if B is not None and B < 1:  # checked before any matrix is built
@@ -324,13 +342,13 @@ def _zeta_mod_p_parts(f, n, B, d):
         raise ValueError("polynomial has %d variables, not %d"
                          % (f.nvars, n))
     M = hyper_matrix_mod_p(f, d)
-    return _zeta_parts(M, f.ctx, f.nvars, B, 1, [])
+    return _zeta_parts(M, f.ctx, f.nvars, B, 1, [], full)
 
 
 def zeta_mod_p(f, n=None, B=None, d=None):
     """Zeta function of the affine hypersurface f = 0, reduced mod p and
     truncated at order B."""
-    return _zeta_mod_p_parts(f, n, B, d)[2]
+    return _zeta_mod_p_parts(f, n, B, d, full=False)[2]
 
 
 def torus_zeta(n, q, B, pm):
@@ -356,7 +374,7 @@ def _torus_factors(n, q, pm):
     return factors
 
 
-def _zeta_mod_pm_parts(f, m, B, d):
+def _zeta_mod_pm_parts(f, m, B, d, full=True):
     """zeta_mod_pm with its working: the torus part is the product of the
     n + 1 factors P(q^i T) and the torus zeta."""
     if B is not None and B < 1:  # checked before any matrix is built
@@ -374,7 +392,7 @@ def _zeta_mod_pm_parts(f, m, B, d):
     ring, n = flift.ctx, f.nvars
     M = hyper_matrix_mod_pm(flift, d)
     return _zeta_parts(M, ring, n, B, n + 1,
-                       _torus_factors(n, ring.q, ring.pm))
+                       _torus_factors(n, ring.q, ring.pm), full)
 
 
 def zeta_mod_pm(f, m=None, B=None, d=None):
@@ -385,4 +403,4 @@ def zeta_mod_pm(f, m=None, B=None, d=None):
     Galois ring, in which case it is itself taken as the lift and m must
     agree with the ring precision.
     """
-    return _zeta_mod_pm_parts(f, m, B, d)[2]
+    return _zeta_mod_pm_parts(f, m, B, d, full=False)[2]

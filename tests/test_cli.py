@@ -341,6 +341,24 @@ def test_large_q_operator_ends_within_ten_seconds(argv, code):
     assert "Traceback" not in run.stdout + run.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    # C(400, 2) = 79,800 monomials: a dense operator of 6.4 * 10^9 entries
+    ["modp", "--q", "2", "-n", "2", "--poly", "x*y+1", "-d", "400"],
+    # C(30, 3) = 4,060 monomials, whose Warshall closure ran for minutes
+    ["modpm", "--q", "3", "-n", "3", "-m", "3", "--poly", "x*y*z+x+y+z+1",
+     "-B", "2"],
+], ids=["modp", "modpm"])
+def test_operator_past_the_dimension_cap_exits_four_within_ten_seconds(
+        argv):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "operator dimension" in run.stderr
+
+
 def test_count_past_the_table_caps_exits_four_within_ten_seconds():
     # F_6561 carries no tables, and its 4.3 * 10^7 points would take the
     # scalar enumeration about half an hour

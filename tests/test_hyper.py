@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, field, rand_poly_mv
 from ffzeta import (CoefficientOutsidePrimeField, EmptyBasis, RingNotField,
-                    SizeLimit, TruncatedSeries, count_points, hyper,
+                    SizeLimit, TruncatedSeries, count_points, hyper, linalg,
                     hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     make_galois_ring, rd_basis, rmd_basis, torus_zeta,
                     zeta_coeffs_exact, zeta_mod_p, zeta_mod_pm)
@@ -82,6 +82,21 @@ def test_basis_caps():
         rd_basis(7, 9)
     with pytest.raises(SizeLimit):
         rd_basis(4, 60)  # C(60, 4) = 487,635 monomials
+
+
+def test_operator_dimension_cap_is_checked_before_the_basis(monkeypatch):
+    # C(35, 2) = 595 is accepted, C(36, 2) = 630 and the all-monomial
+    # basis C(2*18 + 2, 2) = 703 mod 4 are refused before any basis is
+    # listed, though each is far below the basis cap
+    counts = count_calls(monkeypatch, ("rd_basis", "rmd_basis"))
+    ctx = field(2)
+    f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 1})      # x*y + 1
+    assert hyper_matrix_mod_p(f, 35).n == 595 <= hyper._MAX_OPERATOR
+    with pytest.raises(SizeLimit):
+        hyper_matrix_mod_p(f, 36)
+    with pytest.raises(SizeLimit):
+        hyper_matrix_mod_pm(f.lift_to(make_galois_ring(ctx, 2)), 18)
+    assert counts == {"rd_basis": 1, "rmd_basis": 0}
 
 
 def _per_column_matrix(ctx, power, basis):
@@ -329,7 +344,7 @@ def test_a_determinant_outside_the_prime_subring_raises(m, monkeypatch):
     pm = ctx.p ** m
     f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 2})      # x*y + t
     monkeypatch.setattr(hyper, "charpoly_reverse",
-                        lambda M: [1, pm] + [0] * (M.n - 1))
+                        lambda M, B=None: [1, pm] + [0] * (M.n - 1))
     counts = count_calls(monkeypatch, ("_product_series",))
     with pytest.raises(CoefficientOutsidePrimeField):
         if m == 1:
@@ -337,6 +352,54 @@ def test_a_determinant_outside_the_prime_subring_raises(m, monkeypatch):
         else:
             zeta_mod_pm(f, m, 3)
     assert counts == {"_product_series": 0}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_truncated_determinant_outside_the_prime_subring_raises(
+        m, monkeypatch):
+    # B = 2 is below the dimension (10 mod p, 15 mod p^2), so P comes from
+    # the trace path, and meets the same check before any series
+    ctx = field(4)
+    pm = ctx.p ** m
+    f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 2})      # x*y + t
+    calls = []
+
+    def traces(M, ring, B):
+        calls.append((M.n, B))
+        return [1, pm] + [0] * (B - 1)
+    monkeypatch.setattr(linalg, "_charpoly_traces", traces)
+    counts = count_calls(monkeypatch, ("_product_series",))
+    with pytest.raises(CoefficientOutsidePrimeField):
+        if m == 1:
+            zeta_mod_p(f, B=2, d=5)
+        else:
+            zeta_mod_pm(f, m, 2)
+    assert counts == {"_product_series": 0}
+    assert calls == [(10 if m == 1 else 15, 2)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_truncated_zeta_equals_the_series_of_the_full_determinant(q):
+    # zeta_mod_p and zeta_mod_pm read P only to T^B; the CLI's parts keep
+    # all of it, and the two series agree, at B = p and 2p, where Newton's
+    # identities divide by p, and on Z/4 input
+    ctx = field(q)
+    rng = random.Random(q + 300)
+    orders = sorted({1, 3, ctx.p, 2 * ctx.p})
+    for _ in range(3):
+        f = rand_poly_mv(ctx, rng, 2, 3)
+        d = max(f.degree(), 5)                    # C(d, 2) >= 10 > B
+        lifts = [(f, 2)]
+        if q == 2:
+            lifts.append((f.lift_to(make_galois_ring(ctx, 2)), None))
+        for B in orders:
+            M, dets, want = hyper._zeta_mod_p_parts(f, 2, B, d)
+            assert len(dets[0][1]) == M.n + 1 > B + 1
+            assert zeta_mod_p(f, 2, B, d) == want
+            for g, m in lifts:
+                M, dets, want = hyper._zeta_mod_pm_parts(g, m, B, None)
+                assert len(dets[0][1]) == M.n + 1 > B + 1
+                assert zeta_mod_pm(g, m, B) == want
 
 
 # -- operator matrices ------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CHARPOLY_CONTEXTS, field, matrix_from_rows
+from conftest import (CHARPOLY_CONTEXTS, count_calls, field,
+                      matrix_from_rows)
 from ffzeta import (SquareMatrix, charpoly_reverse, fq, kernel_basis,
                     linalg, make_field, make_galois_ring)
 
@@ -228,6 +229,50 @@ def test_charpoly_matches_berkowitz(context, kind, data):
     n = data.draw(st.sampled_from(sizes))
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     check_charpoly_against_berkowitz(ctx, structured_rows(ctx, rng, n, kind))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CHARPOLY_CONTEXTS), st.sampled_from(MATRIX_KINDS),
+       st.data())
+def test_truncated_charpoly_is_the_prefix_of_the_full_one(context, kind,
+                                                          data):
+    # B past p makes Newton's identities divide by p; B >= n takes the
+    # full path, as do the contexts on Python-integer planes
+    p, e, m, sizes = context
+    ctx = make_galois_ring(make_field(p, e), m)
+    n = data.draw(st.sampled_from(sizes))
+    B = data.draw(st.integers(0, n + 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    rows = structured_rows(ctx, rng, n, kind)
+    M = matrix_from_rows(ctx, rows)
+    assert charpoly_reverse(M, B) == charpoly_reverse(M)[:B + 1]
+    assert M.to_rows() == rows
+
+
+@pytest.mark.parametrize("p,e,m,n", [
+    *((p, e, m, max(sizes)) for p, e, m, sizes in CHARPOLY_CONTEXTS),
+    (2, 1, 28, 8),        # int64 planes mod 2^28, but not mod 2^31
+])
+def test_truncated_charpoly_takes_traces_only_on_int64(p, e, m, n,
+                                                       monkeypatch):
+    # the trace path runs for B < n when the ring lifted to precision
+    # m + v_p(B!) keeps int64 planes; every other case falls back
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random("%d/%d/%d" % (p, e, m))
+    counts = count_calls(monkeypatch, ("_charpoly_traces",))
+    for kind in ("random", "zero", "mixed-valuation"):
+        M = matrix_from_rows(ctx, structured_rows(ctx, rng, n, kind))
+        for B in sorted({0, 1, 4, p, 2 * p, n - 1, n, n + 3}):
+            before = counts["_charpoly_traces"]
+            assert charpoly_reverse(M, B) == charpoly_reverse(M)[:B + 1]
+            v = sum(B // p ** i for i in range(1, B.bit_length() + 1))
+            lifted = make_galois_ring(ctx.field, m + v)
+            assert (counts["_charpoly_traces"] > before) == \
+                (B < n and lifted._dtype_ok(n))
+    if M.planes.dtype == object:
+        assert counts["_charpoly_traces"] == 0
+    with pytest.raises(ValueError):
+        charpoly_reverse(M, -1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
