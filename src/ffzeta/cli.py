@@ -34,7 +34,7 @@ from .factor import Factorization, factor_sort_key, factorize
 from .fq import make_field, split_prime_power
 from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
-from .linalg import charpoly_reverse
+from .linalg import _operator_cap, charpoly_reverse
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
 from .zerodim import (FactoredZeta, OperatorKind, _profile,
@@ -196,6 +196,9 @@ def _shifted_poly(args, ctx):
     if not c.is_constant():
         raise ParseError("--shift must be a constant")
     c = c.constant_term()
+    # the shift builds f's dense list, so the operator's dimension, deg f,
+    # is checked first
+    _operator_cap(f.degree())
     return _shifted(f, c), c
 
 
@@ -269,7 +272,8 @@ def _cmd_verify(args, ctx):
         else:
             series = zeta_mod_pm(f, args.m, B, args.d)
         domain = "affine" if args.mode == "modp" else "torus"
-        counts = [count_points(f, k, domain) for k in range(1, B + 1)]
+        # the largest field first, so that a refused count fails at once
+        counts = [count_points(f, k, domain) for k in range(B, 0, -1)][::-1]
         lhs = list(series.coeffs)
         rhs = [c % series.modulus for c in zeta_coeffs_exact(counts, B)]
     match = lhs == rhs

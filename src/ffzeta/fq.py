@@ -11,9 +11,11 @@ at any size.  A field tabulates itself once, in O(q) numpy work, with one
 set of 1-D tables (a VectorKit: discrete log / antilog, and for odd p a
 carry-free digit packing for addition); up to q = 2^14 it does so at
 construction and scalar ops read list copies, above that on the first
-vector_kit() call, for the brute-force point counter.  Without tables,
-Z/p^m and prime fields use integer arithmetic, and the rest the generic
-digit arithmetic.
+vector_kit() call, for the brute-force oracle.  The caps below are the
+one place that decides which fields carry tables: the oracle asks
+vector_kit() and refuses what gets None.  Without tables, Z/p^m and
+prime fields use integer arithmetic, and the rest the generic digit
+arithmetic.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
 (Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
@@ -50,7 +52,7 @@ from .errors import (CoefficientOutsidePrimeField, CompositeP,
 from .poly import dense_is_irreducible
 
 _P2_VECTOR_CAP = 1 << 22        # tabulate fields with p = 2 up to this order
-_ODD_VECTOR_CAP = 3000          # and fields with odd p up to this one
+_ODD_VECTOR_CAP = 5 * 10 ** 4   # and fields with odd p up to this one
 _LIST_CAP = 1 << 14             # up to here at construction, with list copies
 
 
@@ -463,10 +465,11 @@ class FiniteField(GaloisRing):
         self.p, self.e, self.q, self.modulus = p, e, p ** e, modulus
         super().__init__(self, 1)
         self._kit = None
-        # the kit's tables as Python lists, which scalar ops read
+        # the kit's tables as Python lists, which scalar ops read; every
+        # field up to _LIST_CAP is under both table caps
         self._exp = self._log = self._neg = self._wide = self._red = None
-        if self.q <= _LIST_CAP and self.vector_kit() is not None:
-            kit = self._kit
+        if self.q <= _LIST_CAP:
+            kit = self.vector_kit()
             cycle = kit.exp[:self.q - 1].tolist()
             # doubled by concatenation, so both halves share the ints
             self._exp = cycle + cycle + [0] * (2 * self.q - 1)
@@ -552,8 +555,11 @@ class FiniteField(GaloisRing):
             sums = np.arange((2 * p - 1) ** e)
             kit.neg = self._from_planes(-digits % p)
             kit.wide = wbase @ digits
-            kit.red = self._from_planes(sums // wbase[:, None] % (2 * p - 1)
-                                        % p)
+            # one digit at a time: a stack of all e digits of every sum
+            # would take e times the memory of the table
+            kit.red = np.zeros_like(sums)
+            for w, b in zip(wbase.tolist(), self._bpow):
+                kit.red += sums // w % (2 * p - 1) % p * b
         return kit
 
     def _find_generator(self):

@@ -43,11 +43,10 @@ from dataclasses import dataclass
 from .errors import (EmptyBasis, InvariantViolation, RingNotField,
                      SizeLimit, StabilityViolation)
 from .fq import make_galois_ring
-from .linalg import charpoly_reverse, SquareMatrix
+from .linalg import _operator_cap, charpoly_reverse, SquareMatrix
 from .poly import poly_pow
 
 _MAX_BASIS = 10 ** 5    # largest monomial basis rd_basis and rmd_basis list
-_MAX_OPERATOR = 600     # largest dimension of an operator matrix
 _MAX_NVARS = 6          # most variables the hypersurface routines accept
 
 
@@ -262,15 +261,6 @@ def _operator(f, basis):
         planes = ctx._frob_planes(planes)
         M = SquareMatrix(ctx, A.n, planes) @ M
     return M
-
-
-def _operator_cap(size):
-    """Refuse an operator of dimension `size` before its basis is listed:
-    assembly, Warshall and Hessenberg cost O(size^3), near the cap 2.4 s
-    over F_3 and 4.5 s over F_4 for a dense f, growing as e^2 in F_(p^e)."""
-    if size > _MAX_OPERATOR:
-        raise SizeLimit("operator dimension %d exceeds the cap %d"
-                        % (size, _MAX_OPERATOR))
 
 
 def _degree_bound(f, d):

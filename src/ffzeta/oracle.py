@@ -8,21 +8,19 @@ of irreducibles plus trial division.  None of it shares code with the
 operator path beyond field construction and arithmetic; the tests check
 the irreducibility test that certifies a field's modulus against the sieve.
 
-Enumeration is vectorized when the extension field F_Q, Q = q^k, is small
-enough to carry the field's 1-D tables (log/antilog, and for odd p the
-carry-free addition of fq.VectorKit); otherwise a scalar Horner scan runs
-over the codes of F_Q.  The vectorized count takes the grid of the first
-n-1 coordinates in chunks of rows: the coefficients of the last variable
-become (rows, 1) columns, built from the logs of each row's outer
-monomials, and one Horner pass over a (rows x Q) array evaluates every
-value of the last variable at once.  Exponents are first folded below Q,
-since x^Q = x on F_Q.  Either way the work is Q^n point evaluations,
-capped by _MAX_ENUM.  The scalar scan is capped by the far smaller
-_MAX_SCALAR on its Horner steps, Q^n (deg + 1), plus those of the same
-scan finding the root that embeds F_q in F_Q; a field without tables has
-Q^2 > _MAX_SCALAR, so that scan only ever counts one variable.  The sieve
-and trial division run on the same tables over extension fields and on
-int64 arithmetic mod p over prime fields.
+Enumeration runs on the 1-D tables of the extension field F_Q, Q = q^k
+(log/antilog, and for odd p the carry-free addition of fq.VectorKit);
+`fq` alone decides which fields carry them, and a count over a field
+without them is refused before any work.  The count takes the grid of the
+first n-1 coordinates in chunks of rows: the coefficients of the last
+variable become (rows, 1) columns, built from the logs of each row's
+outer monomials, and one Horner pass over a (rows x Q) array evaluates
+every value of the last variable at once.  Exponents are first folded
+below Q, since x^Q = x on F_Q, and a polynomial that folds to a constant
+is answered without enumeration.  The work is Q^n point evaluations,
+capped by _MAX_ENUM.  The sieve and trial division run on the same
+tables over extension fields and on int64 arithmetic mod p over prime
+fields, with their own division.
 """
 
 from __future__ import annotations
@@ -34,12 +32,11 @@ import numpy as np
 from .errors import NonIntegralCoefficient, RingNotField, TooLarge
 from .factor import Factorization, factor_sort_key
 from .fq import make_field
-from .poly import SparsePoly, dense_divmod, dense_monic
+from .poly import SparsePoly
 
 _MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
 _CHUNK = 1 << 16        # entries of one (outer points x Q) Horner array
-_MAX_SCALAR = 10 ** 5   # most Horner steps a count without tables takes
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -49,18 +46,13 @@ _SIEVE_CACHE = {}
 # embeddings F_q -> F_{q^k}
 
 
-def _find_root(big, int_coeffs):
-    """Least root in `big` of a polynomial with prime-subfield coefficients."""
-    kit = big.vector_kit()
-    if kit is None:
-        roots = _scalar_roots(big, int_coeffs, 0)
-    else:
-        values = _horner_vec(kit, int_coeffs, kit.log)
-        roots = iter(np.flatnonzero(values == 0))
-    root = next(roots, None)
-    if root is None:
+def _find_root(kit, int_coeffs):
+    """Least root, in the field of `kit`, of a polynomial with
+    prime-subfield coefficients."""
+    roots = np.flatnonzero(_horner_vec(kit, int_coeffs, kit.log) == 0)
+    if not len(roots):
         raise ValueError("modulus has no root in the extension")
-    return int(root)
+    return int(roots[0])
 
 
 def _embedding(small, big):
@@ -71,7 +63,8 @@ def _embedding(small, big):
     key = (small, big)
     hit = _EMBED_CACHE.get(key)
     if hit is None:
-        root = _find_root(big, [int(c) for c in small.modulus])
+        root = _find_root(big.vector_kit(),
+                          [int(c) for c in small.modulus])
         hit = [1]
         for _ in range(small.e - 1):
             hit.append(big.mul(hit[-1], root))
@@ -166,32 +159,18 @@ def count_points(f, k=1, domain="affine"):
         # f is zero as a function on F_Q^n (x^2 + x on F_2, say)
         total = big.q ** n if domain == "affine" else (big.q - 1) ** n
         return total
-    if n == 0:
-        # the one point is the empty tuple, where a nonzero constant is not 0
+    if list(terms) == [(0,) * n]:
+        # a nonzero constant function vanishes nowhere, also at the one
+        # point of F_Q^0, the empty tuple
         return 0
     kit = big.vector_kit()
     if kit is None:
-        # a scalar scan takes one Horner step per point and coefficient,
-        # up to tens of microseconds each past the table caps; the root
-        # search that embeds F_q scans F_Q as well, and comes after this
-        # check
-        steps = big.q ** n * (max(map(sum, terms)) + 1)
-        if ctx.e > 1 and big is not ctx:
-            steps += big.q * (ctx.e + 1)
-        if steps > _MAX_SCALAR:
-            raise TooLarge("counting over F_%d without field tables takes "
-                           "%d Horner steps, past the cap %d"
-                           % (big.q, steps, _MAX_SCALAR))
+        raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
     # the embedding is additive, so the folded sums embed term by term
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
     lo = 0 if domain == "affine" else 1
-    if kit is not None:
-        return _count_vectorized(big, kit, terms, n, lo)
-    # F_Q has no tables only past the table caps, where Q^2 > _MAX_SCALAR,
-    # so here n = 1
-    ((_, dense),) = _group_terms(terms, 1)
-    return sum(1 for _ in _scalar_roots(big, dense, lo))
+    return _count_vectorized(big, kit, terms, n, lo)
 
 
 def _count_vectorized(big, kit, terms, n, lo):
@@ -230,18 +209,6 @@ def _count_vectorized(big, kit, terms, n, lo):
         y = _horner_vec(kit, cols, xlog)
         count += int(np.count_nonzero(y == 0))
     return count
-
-
-def _scalar_roots(big, dense, lo):
-    """The codes x = lo..Q-1 at which the dense polynomial vanishes, in
-    increasing order, by scalar Horner evaluation."""
-    mul, add = big.mul, big.add
-    for x in range(lo, big.q):
-        acc = 0
-        for c in reversed(dense):
-            acc = add(mul(acc, x), c)
-        if acc == 0:
-            yield x
 
 
 def count_vector(f, K, domain="affine"):
@@ -365,20 +332,23 @@ def irreducibles_up_to(field, D):
 
 
 def _batch_remainders(ctx, kit, a, rows, ell):
-    """Remainder of the fixed polynomial `a` modulo every monic row of
-    degree ell; returns a divisibility mask.  kit is _field_tables(ctx)."""
-    rem = np.tile(np.array(a, dtype=np.int64), (len(rows), 1))
-    low = rows[:, :ell]
+    """Division of the fixed polynomial `a` by every monic row of degree
+    ell: a divisibility mask, and one quotient row per divisor.  kit is
+    _field_tables(ctx)."""
+    # column r divides by row r, so that each step reads one whole row
+    rem = np.repeat(np.array(a, dtype=np.int64)[:, None], len(rows), axis=1)
+    low = rows[:, :ell].T
     logs = None if kit is None else kit.log[low]
     for i in range(len(a) - 1, ell - 1, -1):
-        acc = rem[:, i - ell:i]
+        # the divisor is monic, so row i, which no later step touches, is
+        # the quotient's coefficient of x^(i - ell)
+        acc = rem[i - ell:i]
         if kit is None:
-            acc -= rem[:, i, None] * low
+            acc -= rem[i] * low
             acc %= ctx.p
         else:
-            acc[:] = kit.sub(acc, kit.exp[kit.log[rem[:, i, None]] + logs])
-        rem[:, i] = 0
-    return np.all(rem[:, :ell] == 0, axis=1)
+            acc[:] = kit.sub(acc, kit.exp[kit.log[rem[i]] + logs])
+    return ~rem[:ell].any(axis=0), rem[ell:].T
 
 
 def trial_factorize(f):
@@ -393,7 +363,8 @@ def trial_factorize(f):
     if len(dense) <= 1:
         raise ValueError("cannot factor a constant")
     unit = dense[-1]
-    rem = dense_monic(ctx, dense)
+    inv = ctx.inv(unit)
+    rem = [ctx.mul(c, inv) for c in dense]
     half = (len(rem) - 1) // 2
     if half >= 1 and ctx.q ** half > _MAX_SIEVE:
         raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
@@ -402,20 +373,21 @@ def trial_factorize(f):
     for ell in range(1, half + 1):
         if 2 * ell > len(rem) - 1:
             break
-        mask = _batch_remainders(ctx, kit, rem, data[ell], ell)
-        if not mask.any():
-            continue
-        for row in data[ell][mask]:
-            div = [int(v) for v in row]
-            mult = 0
-            while True:
-                quo, r = dense_divmod(ctx, rem, div)
-                if r:
-                    break
-                rem = quo
-                mult += 1
-            if mult:
-                factors.append((SparsePoly.from_dense(ctx, div), mult))
+        divides, quo = _batch_remainders(ctx, kit, rem, data[ell], ell)
+        rows, quo = data[ell][divides], quo[divides]
+        # distinct irreducibles, so each row divides what is left once the
+        # rows before it are divided out: one batch division of each
+        # quotient by the rows not yet done gives the next quotient
+        mult = 0
+        while len(rows):
+            rem = quo[0].tolist()
+            mult += 1
+            divides, quo = _batch_remainders(ctx, kit, rem, rows, ell)
+            if not divides[0]:
+                factors.append((SparsePoly.from_dense(ctx, rows[0].tolist()),
+                                mult))
+                mult = 0
+                rows, quo = rows[1:], quo[1:]
     if len(rem) > 1:
         factors.append((SparsePoly.from_dense(ctx, rem), 1))
     factors.sort(key=factor_sort_key)

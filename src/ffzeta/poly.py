@@ -77,9 +77,12 @@ class SparsePoly:
         return out
 
     def lead_uni(self):
-        """Leading coefficient of a univariate polynomial."""
-        dense = self.to_dense()
-        return dense[-1] if dense else 0
+        """Leading coefficient of a univariate polynomial, read from its
+        top term."""
+        if self.nvars != 1:
+            raise MultivariateInput("leading coefficient needs a univariate "
+                                    "input")
+        return self.terms.get((self.degree(),), 0)
 
     def is_monic_uni(self):
         return self.lead_uni() == 1

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      NonIntegralSolution, NotMonic, RingNotField,
                      ZeroConstantTerm)
-from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
+from .linalg import (SquareMatrix, _operator_cap, charpoly_reverse,
+                     kernel_basis)
 from .poly import dense_divmod, dense_mod, dense_mulmod, dense_powmod
 
 
@@ -51,6 +52,8 @@ def _check_zerodim_input(f):
         raise RingNotField("zero-dimensional routines need a field")
     if f.degree() < 1:
         raise ConstantInput("f must be nonconstant")
+    # R = F_q[x]/(f) has dimension deg f
+    _operator_cap(f.degree())
     if not f.is_monic_uni():
         raise NotMonic("f must be monic")
 

@@ -360,22 +360,21 @@ def test_operator_past_the_dimension_cap_exits_four_within_ten_seconds(
 
 
 def test_count_past_the_table_caps_exits_four_within_ten_seconds():
-    # F_6561 carries no tables, and its 4.3 * 10^7 points would take the
-    # scalar enumeration about half an hour
+    # F_59049 carries no tables, so even one variable is refused
     env = dict(os.environ,
                PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     run = subprocess.run(
-        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "3", "-n", "2",
-         "-k", "8", "--poly", "x^3+x*y+1"],
+        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "3", "-n", "1",
+         "-k", "10", "--poly", "x^3+x+1"],
         capture_output=True, text=True, timeout=10, env=env)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
+    assert "F_59049 is too large to tabulate" in run.stderr
 
 
 def test_count_past_the_scalar_cap_exits_before_the_root_search():
-    # F_(2^24) carries no tables and its 2^24 points are over the scalar
-    # cap; a scalar search of it for a root of F_16's modulus, to embed
-    # F_16, would take minutes, so the cap is checked first
+    # F_(2^24) carries no tables, and the root of F_16's modulus that
+    # embeds F_16 is searched for on them, so the count is refused first
     env = dict(os.environ,
                PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     run = subprocess.run(
@@ -417,6 +416,39 @@ def test_long_series_end_within_ten_seconds(argv):
     assert "Traceback" not in run.stdout + run.stderr
     assert len(json.loads(run.stdout)["result"]["series"]) == \
         int(argv[-1]) + 1
+
+
+HUGE = "x^99999999999999999999+1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zerodim", "--q", "2", "--poly", HUGE],
+    ["factor", "--q", "3", "--poly", HUGE],
+    ["verify", "--mode", "zerodim", "--q", "2", "--poly", HUGE],
+    ["zerodim", "--q", "2", "--poly", HUGE, "--shift", "1"],
+    ["factor", "--q", "2", "--poly", "x^601+x+1", "--shift", "1"],
+], ids=["zerodim", "factor", "verify", "zerodim-shift", "factor-shift"])
+def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
+        argv):
+    # the operators act on F_q[x]/(f), of dimension deg f; it is checked
+    # before any dense list of f is built, on the --shift path too
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "operator dimension" in run.stderr
+
+
+def test_verify_refuses_the_largest_count_first(capsys):
+    # N_10 is over F_59049, which has no tables; it is counted first, so
+    # N_1..N_9 are never built
+    start = time.perf_counter()
+    assert main(["verify", "--mode", "modp", "--q", "3", "-n", "1",
+                 "--poly", "x^4+x+2", "-B", "10"]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert "F_59049" in capsys.readouterr().err
 
 
 def test_size_caps_are_not_flags():

@@ -373,11 +373,11 @@ def test_a_field_is_the_galois_ring_with_m_1():
 
 
 def test_prime_field_past_the_tables_is_integer_arithmetic():
-    # F_3001 has no tables, so its scalar ops are GaloisRing's integer path
-    F = make_field(3001)
+    # F_50021 has no tables, so its scalar ops are GaloisRing's integer path
+    F = make_field(50021)
     p = F.p
     assert F.vector_kit() is None
-    rng = random.Random(3001)
+    rng = random.Random(50021)
     pairs = [(0, 0), (0, p - 1), (p - 1, p - 1), (1, p - 1)] + \
         [(rng.randrange(p), rng.randrange(p)) for _ in range(2000)]
     for a, b in pairs:
@@ -419,7 +419,7 @@ def test_large_field_arithmetic_random_pairs(p, e):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4),
                                  (5, 2), (3, 3), (2, 8), (3, 5), (3, 7),
-                                 (2999, 1), (2, 15)])
+                                 (2999, 1), (2, 15), (7, 5), (3, 9)])
 def test_vector_kit_matches_scalar_ops(p, e):
     ctx = make_field(p, e)
     kit = ctx.vector_kit()
@@ -440,8 +440,13 @@ def test_vector_kit_matches_scalar_ops(p, e):
 
 
 def test_vector_kit_absent_above_the_caps():
-    assert make_field(3, 8).vector_kit() is None
-    assert make_field(3001).vector_kit() is None
+    # the caps are 2^22 for p = 2 and 5 * 10^4 for odd p, both above the
+    # order up to which a field keeps list copies of its tables
+    assert fq._LIST_CAP <= min(fq._P2_VECTOR_CAP, fq._ODD_VECTOR_CAP)
+    for p, e in ((3, 10), (5, 7), (2, 24), (50021, 1)):
+        assert make_field(p, e).vector_kit() is None
+    for p, e in ((3, 9), (5, 6), (7, 5), (49999, 1), (2, 22)):
+        assert make_field(p, e).vector_kit() is not None
 
 
 def test_contexts_build_in_well_under_a_second(monkeypatch):

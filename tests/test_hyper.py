@@ -91,7 +91,7 @@ def test_operator_dimension_cap_is_checked_before_the_basis(monkeypatch):
     counts = count_calls(monkeypatch, ("rd_basis", "rmd_basis"))
     ctx = field(2)
     f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 1})      # x*y + 1
-    assert hyper_matrix_mod_p(f, 35).n == 595 <= hyper._MAX_OPERATOR
+    assert hyper_matrix_mod_p(f, 35).n == 595 <= linalg._MAX_OPERATOR
     with pytest.raises(SizeLimit):
         hyper_matrix_mod_p(f, 36)
     with pytest.raises(SizeLimit):

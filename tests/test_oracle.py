@@ -167,54 +167,83 @@ def test_log_weight_sums_fit_int64():
 
 
 @pytest.mark.parametrize("q,k", [(3001, 1), (3 ** 8, 1), (5 ** 5, 1),
-                                 (9, 4)])
-def test_counts_past_the_table_caps_match_scalar_reference(q, k,
-                                                            monkeypatch):
-    # F_Q carries no tables, so the scalar scan counts; over F_9 at k = 4
-    # it also finds the root that embeds F_9 in F_6561
+                                 (9, 4), (3 ** 9, 1)])
+def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
+                                                             monkeypatch):
+    # large odd fields, counted on their tables: over F_9 at k = 4 the
+    # tables also find the root that embeds F_9 in F_6561, and F_19683 is
+    # the largest odd extension field that has them
     ctx = field(q)
-    big = field(q ** k)
-    assert big.vector_kit() is None
+    assert field(q ** k).vector_kit() is not None
     monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
-    calls = count_calls(monkeypatch, ["_scalar_roots"])
+    calls = count_calls(monkeypatch, ["_count_vectorized", "_find_root"])
     rng = random.Random(q + k)
-    # a product of linear factors, so that there are roots to count
-    split = [1]
-    for _ in range(3):
-        split = dense_mul(ctx, split, [rng.randrange(ctx.q), 1])
-    polys = [SparsePoly.from_dense(ctx, split)] + \
-        [rand_poly_mv(ctx, rng, 1, rng.randrange(1, 5)) for _ in range(2)]
+    # x^4 - a^4 has the roots +-a; past 2^14 elements the reference runs
+    # the generic digit arithmetic, so there only this sparse quartic is
+    # counted
+    a = rng.randrange(1, ctx.q)
+    polys = [SparsePoly(ctx, 1, {(4,): 1, (0,): ctx.neg(ctx.pow(a, 4))})]
+    if q ** k <= 2 ** 14:
+        # a product of linear factors, so that there are roots to count
+        split = [1]
+        for _ in range(3):
+            split = dense_mul(ctx, split, [rng.randrange(ctx.q), 1])
+        polys += [SparsePoly.from_dense(ctx, split)] + \
+            [rand_poly_mv(ctx, rng, 1, rng.randrange(1, 5))
+             for _ in range(2)]
     for f in polys:
         for domain in ("affine", "torus"):
             assert count_points(f, k, domain) == \
                 count_scalar_reference(f, k, domain)
-    assert calls["_scalar_roots"] == 2 * len(polys) + (k > 1)
+    # a constant needs no enumeration
+    counted = sum(not f.is_constant() for f in polys)
+    assert calls == {"_count_vectorized": 2 * counted,
+                     "_find_root": int(k > 1)}
 
 
 def test_fields_without_tables_count_one_variable():
-    # a field past the table caps has Q^2 > _MAX_SCALAR, and with p = 2
-    # even Q > _MAX_SCALAR, so the scalar scan never meets n >= 2
-    assert fq._ODD_VECTOR_CAP ** 2 > oracle._MAX_SCALAR
-    assert fq._P2_VECTOR_CAP > oracle._MAX_SCALAR
-    f = SparsePoly(field(3001), 2, {(1, 1): 1, (0, 0): 1})
-    with pytest.raises(TooLarge):
-        count_points(f)
+    # with no tables a count is refused, for one variable too, unless f
+    # folds to a constant, which needs no enumeration; these are the first
+    # fields past the caps with p = 3, 5 and 2
+    for p, e in ((3, 10), (5, 7), (2, 24)):
+        F = field(p ** e)
+        assert F.vector_kit() is None
+        with pytest.raises(TooLarge, match="too large to tabulate"):
+            count_points(SparsePoly.from_dense(F, [1, 1]))
+        # x^Q = x on F_Q, so x^Q - x + 1 is the constant 1
+        f = SparsePoly(F, 1, {(F.q,): 1, (1,): F.neg(1), (0,): 1})
+        assert count_points(f) == count_points(f, 1, "torus") == 0
 
 
 def test_scalar_cap_bounds_horner_steps(monkeypatch):
-    # past the table caps a Horner step takes up to tens of microseconds,
-    # so the cap bounds Q^n (deg + 1) steps, plus Q (e + 1) for the root
-    # search that embeds F_q; each is refused before any scan
-    calls = count_calls(monkeypatch, ["_scalar_roots"])
-    F5 = field(5)
-    for dense in ([1, 1], [1, 1] + [0] * 8 + [1]):   # over F_78125
-        with pytest.raises(TooLarge, match="Horner steps"):
-            count_points(SparsePoly.from_dense(F5, dense), 7)
-    # x^3 + x + 1 over F_19683: 4 steps a point, and 4 to find the root
-    # of F_27's modulus
-    with pytest.raises(TooLarge, match="157464 Horner steps"):
-        count_points(SparsePoly.from_dense(field(27), [1, 1, 0, 1]), 3)
-    assert calls["_scalar_roots"] == 0
+    # every Horner step runs on tables, so past the table caps none runs:
+    # a count is refused before the root search that embeds F_q in F_Q
+    # and before any enumeration
+    calls = count_calls(monkeypatch, ["_find_root", "_horner_vec"])
+    monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
+    for q, k in ((9, 5), (25, 4), (5, 7), (16, 6), (4, 12)):
+        f = SparsePoly.from_dense(field(q), [1, 1, 0, 1])
+        assert field(q ** k).vector_kit() is None
+        with pytest.raises(TooLarge, match="too large to tabulate"):
+            count_points(f, k)
+    assert calls == {"_find_root": 0, "_horner_vec": 0}
+
+
+@pytest.mark.parametrize("q,k", [(9, 1), (3, 4), (3, 10), (9, 5)])
+def test_a_nonzero_constant_counts_zero(q, k):
+    # F_9 and F_81 have tables and F_59049 has none; either way a nonzero
+    # constant vanishes nowhere, in no variables as well
+    ctx = field(q)
+    for n in (0, 1, 2):
+        f = SparsePoly.constant(ctx, ctx.q - 1, n)
+        for domain in ("affine", "torus"):
+            if q ** (k * n) > oracle._MAX_ENUM:
+                # Q^2 > 10^9 points: the enumeration cap refuses before
+                # f is read
+                with pytest.raises(TooLarge, match="enumeration cap"):
+                    count_points(f, k, domain)
+            else:
+                assert count_points(f, k, domain) == 0
 
 
 @pytest.mark.parametrize("fn", [count_points, trial_factorize])
@@ -344,12 +373,13 @@ def test_trial_factorize_past_the_old_table_order():
 
 
 def test_sieve_over_a_prime_field_past_the_table_cap():
-    # F_3001 carries no field tables; prime fields sieve with int64 % p
-    assert len(irreducibles_up_to(field(3001), 1)) == 3001
+    # F_50021 carries no field tables; prime fields sieve with int64 % p
+    assert field(50021).vector_kit() is None
+    assert len(irreducibles_up_to(field(50021), 1)) == 50021
 
 
 def test_trial_factorize_over_a_prime_field_past_the_table_cap():
-    ctx = field(3001)
+    ctx = field(50021)
     f = SparsePoly.from_dense(ctx, [6, 11, 6, 1])  # (x+1)(x+2)(x+3)
     fac = trial_factorize(f)
     assert [(g.to_dense(), m) for g, m in fac.factors] == [
@@ -370,15 +400,16 @@ def test_prime_field_sieve_arithmetic_near_the_int64_bound():
             for j, b in enumerate(fixed):
                 want[i + j] = (want[i + j] + a * b) % p
         assert out == want
-    mask = _batch_remainders(ctx, None, got[0].tolist(), rows, 2)
+    mask, quo = _batch_remainders(ctx, None, got[0].tolist(), rows, 2)
     assert mask.tolist() == [True] + [False] * 19
+    assert quo[0].tolist() == fixed
     assert _field_tables(ctx) is None
     with pytest.raises(TooLarge):  # p^2 would pass int64
         _field_tables(field(2 ** 31 + 11))
 
 
 def test_sieve_needs_tables_for_extension_fields():
-    ctx = field(3 ** 8)  # 6561 > 3000, the odd-p table cap
+    ctx = field(3 ** 10)  # 59049 > 5 * 10^4, the odd-p table cap
     with pytest.raises(TooLarge):  # degree 1 needs the tables too
         irreducibles_up_to(ctx, 1)
     for dense in ([6, 11, 6, 1], [2, 0, 1]):

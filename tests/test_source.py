@@ -55,6 +55,26 @@ def test_only_fq_reads_the_digit_encoding():
     assert found == []
 
 
+def test_only_fq_knows_which_fields_carry_tables():
+    # other modules ask a field for its tables and get None past the caps
+    caps = re.compile(r"_P2_VECTOR_CAP|_ODD_VECTOR_CAP|_LIST_CAP")
+    found = [path.name for path in SOURCES
+             if path.name != "fq.py" and caps.search(path.read_text())]
+    assert len(SOURCES) > 1
+    assert found == []
+
+
+def test_oracle_shares_no_polynomial_arithmetic():
+    # the oracle checks the pipelines, so of `poly` it takes only the
+    # polynomial type; its division is its own
+    path = Path(ffzeta.__file__).parent / "oracle.py"
+    imported = [alias.name
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "poly"
+                for alias in node.names]
+    assert imported == ["SparsePoly"]
+
+
 def _names_used(top):
     used = set()
     for node in ast.walk(top):
