@@ -24,6 +24,7 @@ parentheses: integers and t, no parentheses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -302,7 +303,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process; each parse_args
+    call returns a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="ffzeta",
         description="Zeta functions over finite fields by operator "

@@ -390,13 +390,16 @@ class GaloisRing:
 
     def _to_planes(self, codes, n):
         """The (L, ...) planes of an array of codes, int64 when _dtype_ok(n)
-        and Python integers otherwise."""
+        and Python integers otherwise; codes past int64 split as Python
+        integers."""
         dt = np.int64 if self._dtype_ok(n) else object
-        arr = np.asarray(codes, dtype=dt)
-        return np.stack([arr // b % self.pm for b in self._bpow])
+        arr = np.asarray(codes, dtype=dt if self.size <= 2 ** 63 else object)
+        return np.stack([arr // b % self.pm for b in self._bpow]).astype(
+            dt, copy=False)
 
     def _from_planes(self, planes):
-        acc = np.zeros_like(planes[0])
+        acc = np.zeros(planes.shape[1:], dtype=planes.dtype
+                       if self.size <= 2 ** 63 else object)
         for c in range(self.e - 1, -1, -1):
             acc = acc * self.pm + planes[c]
         return acc

@@ -22,6 +22,11 @@ Frobenius, as in Lauder and Wan, "Counting points on varieties over
 finite fields of small characteristic", 2008), and the expanded power
 has degree (p-1)p^{m-1}d, not (q-1)p^{m-1}d.
 
+A is assembled on arrays, by residue class: column u meets only the terms
+x^v of G with v = -u mod p, at row (v + u)/p, so the term-column pairs of
+every class are formed at once, their rows found by a sorted search among
+the packed basis monomials, and all digit planes written in one scatter.
+
 P(T) provably lands in the prime subring Z/p^m even though M lives over
 F_q or its Galois-ring extension: sigma(M) = A M' and M = M' A, for
 M' = sigma^{e-1}(A) ... sigma(A), have one characteristic polynomial, so
@@ -40,11 +45,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (EmptyBasis, InvariantViolation, RingNotField,
                      SizeLimit, StabilityViolation)
 from .fq import make_galois_ring
 from .linalg import _operator_cap, charpoly_reverse, SquareMatrix
-from .poly import poly_pow
+from .poly import _pack, poly_pow
 
 _MAX_BASIS = 10 ** 5    # largest monomial basis rd_basis and rmd_basis list
 _MAX_NVARS = 6          # most variables the hypersurface routines accept
@@ -236,26 +243,46 @@ def _operator(f, basis):
     h -> psi_p(G h) on the basis, G = f^{(p-1)p^{m-1}}, and sigma the
     Frobenius of f's context acting on every entry; column convention.
     Column u of A reads only the terms x^v of G with v = -u mod p, the ones
-    whose product with x^u psi_p keeps."""
+    whose product with x^u psi_p keeps, at row w = (v + u) / p.  With the
+    columns sorted by the class of -u, each term meets the run of its own
+    class; the rows of all those pairs are found among the sorted basis
+    keys, and as v = p w - u no entry gets two terms, so one scatter
+    writes every plane.  An image outside the basis raises, naming the
+    least one of the first column that has one."""
     ctx = f.ctx
-    p = ctx.p
+    p, N, n = ctx.p, len(basis), f.nvars
     power = poly_pow(f, (p - 1) * p ** (ctx.m - 1))
-    index = {u: i for i, u in enumerate(basis)}
-    classes = {}
-    for v, c in power.terms.items():
-        classes.setdefault(tuple(x % p for x in v), []).append((v, c))
-    cols = []
-    for u in basis:
-        col = [0] * len(basis)
-        for v, c in classes.get(tuple(-x % p for x in u), ()):
-            w = tuple((a + b) // p for a, b in zip(v, u))
-            at = index.get(w)
-            if at is None:
-                raise StabilityViolation(
-                    "image monomial %r escaped the span" % (w,))
-            col[at] = c
-        cols.append(col)
-    A = M = SquareMatrix.from_columns(ctx, cols)
+    # every v + u stays below 2^63 on int64; past it (a power of a
+    # monomial over a huge prime field) exponents are Python integers
+    top = (max(map(max, power.terms), default=0)
+           + max(map(max, basis), default=0))
+    dt = np.int64 if top < 2 ** 63 else object
+    V = np.array(list(power.terms), dtype=dt).reshape(-1, n)
+    U = np.array(basis, dtype=dt).reshape(N, n)
+    vclass = _pack(V % p, [p] * n)
+    uclass = _pack(-U % p, [p] * n)
+    by_class = np.argsort(uclass)
+    runs = uclass[by_class]
+    lo = np.searchsorted(runs, vclass, "left")
+    count = np.searchsorted(runs, vclass, "right") - lo
+    # pair i of term t, the i-th of its run, takes column by_class[lo_t + i]
+    term = np.repeat(np.arange(len(V)), count)
+    col = by_class[np.repeat(lo + count - np.cumsum(count), count)
+                   + np.arange(len(term))]
+    W = (V[term] + U[col]) // p
+    radix = (np.maximum(U.max(axis=0, initial=0), W.max(axis=0, initial=0))
+             + 1).tolist()
+    keys, wkeys = _pack(U, radix), _pack(W, radix)
+    order = np.argsort(keys)
+    row = order[np.minimum(np.searchsorted(keys[order], wkeys), N - 1)]
+    miss = np.flatnonzero(keys[row] != wkeys)
+    if len(miss):
+        first = miss[np.argmin(col[miss])]
+        raise StabilityViolation("image monomial %r escaped the span"
+                                 % (tuple(W[first].tolist()),))
+    coeffs = ctx._to_planes(list(power.terms.values()), N)
+    A = M = SquareMatrix.zeros(ctx, N)
+    A.planes[:, row, col] = coeffs[:, term]
     planes = A.planes
     for _ in range(ctx.e - 1):
         planes = ctx._frob_planes(planes)

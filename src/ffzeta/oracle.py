@@ -368,11 +368,12 @@ def trial_factorize(f):
     half = (len(rem) - 1) // 2
     if half >= 1 and ctx.q ** half > _MAX_SIEVE:
         raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
-    kit, data = _sieve(ctx, half)
     factors = []
     for ell in range(1, half + 1):
         if 2 * ell > len(rem) - 1:
             break
+        # the sieve grows one degree at a time, only as far as rem needs
+        kit, data = _sieve(ctx, ell)
         divides, quo = _batch_remainders(ctx, kit, rem, data[ell], ell)
         rows, quo = data[ell][divides], quo[divides]
         # distinct irreducibles, so each row divides what is left once the

@@ -3,16 +3,27 @@ ring context.
 
 Terms are a dict mapping exponent tuples to nonzero coefficient codes, so a
 polynomial in n variables over F_q costs O(#terms) regardless of degree.
-Next to the sparse type live its rendering, powering with full expansion,
-squarefree parts, and the package's one univariate polynomial
+Next to the sparse type live its rendering, powering, squarefree parts,
+and the package's one univariate polynomial
 arithmetic: dense kernels on little-endian code lists (products, division,
 gcd, modular powers, the irreducibility test) that the factorization and
 zero-dimensional pipelines run on, and that `fq` runs to certify a field's
 modulus.  The univariate psi_q acts on dense lists in `zerodim`; the
 multivariate psi_q is applied inside `hyper`'s operator matrix.
+
+A power f^k runs on arrays: each exponent vector is packed into one
+mixed-radix key, variable i in radix k deg_{x_i} f + 1, which no exponent
+of any f^j with j <= k reaches, so adding keys multiplies monomials; the
+coefficients are the context's digit planes.  A product of two such
+polynomials is an outer sum of keys, one plane product, a sort of the keys
+and a sum over each run of equal keys.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      SizeLimit)
@@ -339,30 +350,75 @@ def dense_translate(ctx, a, c):
 # powering and squarefree parts
 
 
-def _capped_product(a, b):
-    """a * b, refused before it starts when its work, the number of term
-    pairs, passes _MAX_WORK, which also bounds its number of terms."""
-    work = len(a.terms) * len(b.terms)
+def _pack(rows, radix):
+    """The mixed-radix keys of exponent vectors whose entry i lies below
+    radix[i], the first variable weighing most: int64 while the radix
+    product stays below 2^63, so that no key or exponent can wrap, and
+    Python integers past it."""
+    dt = np.int64 if math.prod(radix) < 2 ** 63 else object
+    exps = np.array(rows, dtype=dt).reshape(len(rows), len(radix))
+    keys = np.zeros(len(rows), dtype=dt)
+    for i, r in enumerate(radix):
+        keys = keys * r + exps[:, i]
+    return keys
+
+
+def _capped_product(ctx, a, b):
+    """The product of two polynomials held as (keys, planes),
+    refused before it starts when its work, the number of term pairs,
+    passes _MAX_WORK, which also bounds its number of terms and its
+    transient arrays (work keys and work entries per plane)."""
+    (ka, pa), (kb, pb) = a, b
+    work = len(ka) * len(kb)
     if work > _MAX_WORK:
         raise SizeLimit("a product of %d term pairs exceeds the cap %d"
                         % (work, _MAX_WORK))
-    return a * b
+    if not work:
+        return ka[:0], pa[:, :0]
+    keys = (ka[:, None] + kb[None, :]).ravel()
+    planes = ctx._mul_planes(np.multiply, pa[:, :, None], pb[:, None, :])
+    # a run's exact sum does not depend on its order, so no stable sort
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    # a key sums at most min(|a|, |b|) reduced products, one per term of
+    # the shorter factor, each below pm; int64 planes have (pm - 1)^2 <
+    # 2^62 (_dtype_ok(1)), so such a sum stays below 2^62 for factors of
+    # fewer than 2^31 terms, far past _MAX_WORK
+    sums = np.add.reduceat(planes.reshape(ctx.e, work)[:, order], starts,
+                           axis=1) % ctx.pm
+    keep = (sums != 0).any(axis=0)
+    return keys[starts][keep], sums[:, keep]
 
 
 def poly_pow(f, k):
-    """f**k by repeated squaring with full expansion; SizeLimit guards the
-    work of each product."""
+    """f**k by repeated squaring on packed keys (see the module
+    docstring); SizeLimit guards the work of each product."""
     if k < 0:
         raise ValueError("negative power of a polynomial")
-    out = SparsePoly.one(f.ctx, f.nvars)
-    base = f
+    ctx, n = f.ctx, f.nvars
+    if not k:
+        return SparsePoly.one(ctx, n)
+    degs = map(max, zip(*f.terms)) if f.terms else [0] * n
+    radix = [k * deg + 1 for deg in degs]
+    base = (_pack(list(f.terms), radix),
+            ctx._to_planes(list(f.terms.values()), 1))
+    out = _pack([(0,) * n], radix), ctx._to_planes([1], 1)
     while k:
         if k & 1:
-            out = _capped_product(out, base)
+            out = _capped_product(ctx, out, base)
         k >>= 1
         if k:
-            base = _capped_product(base, base)
-    return out
+            base = _capped_product(ctx, base, base)
+    keys, planes = out
+    exps = np.empty((len(keys), n), dtype=keys.dtype)
+    for i in range(n - 1, -1, -1):
+        exps[:, i] = keys % radix[i]
+        keys = keys // radix[i]
+    result = SparsePoly(ctx, n)
+    result.terms = dict(zip(map(tuple, exps.tolist()),
+                            ctx._from_planes(planes).tolist()))
+    return result
 
 
 def _dense_pth_root(ctx, a):

@@ -51,6 +51,33 @@ def rand_poly_mv(ctx, rng, nvars, d, density=0.6):
             return SparsePoly(ctx, nvars, terms)
 
 
+def poly_pow_reference(f, k):
+    """f**k by repeated squaring, each product a loop over term pairs on a
+    dict: the reference for the packed-key power."""
+    ctx = f.ctx
+
+    def product(a, b):
+        terms = {}
+        for u, cu in a.items():
+            for v, cv in b.items():
+                w = tuple(x + y for x, y in zip(u, v))
+                s = ctx.add(terms.get(w, 0), ctx.mul(cu, cv))
+                if s:
+                    terms[w] = s
+                else:
+                    terms.pop(w, None)
+        return terms
+
+    out, base = {(0,) * f.nvars: 1}, dict(f.terms)
+    while k:
+        if k & 1:
+            out = product(out, base)
+        k >>= 1
+        if k:
+            base = product(base, base)
+    return SparsePoly(ctx, f.nvars, out)
+
+
 def matrix_from_rows(ctx, rows):
     """The SquareMatrix with the given row lists of codes."""
     return SquareMatrix.from_columns(ctx, [list(col) for col in zip(*rows)])

@@ -10,7 +10,7 @@ import pytest
 
 import ffzeta
 from conftest import count_calls, field, rand_poly_mv
-from ffzeta.cli import main, parse_modulus, parse_poly
+from ffzeta.cli import build_parser, main, parse_modulus, parse_poly
 from ffzeta.errors import ParseError, UnknownVariable
 from ffzeta.poly import SparsePoly, render_poly
 
@@ -288,6 +288,36 @@ def test_exit_code_limits(capsys):
                  "-k", "11"]) == 4
     assert "limit" in capsys.readouterr().err
     assert main(["factor", "--q", "128", "--poly", "x^2+x"]) == 4
+
+
+def test_a_power_past_the_work_cap_exits_four(capsys):
+    # the power f^42 over Z/49 meets a product past the cap
+    assert main(["modpm", "--q", "7", "-n", "2", "-m", "2", "--poly",
+                 "x^3+y^3+x^2*y+x*y^2+x^2+y^2+x*y+x+y+1", "-B", "3"]) == 4
+    assert ("a product of 2183221 term pairs exceeds the cap 1500000"
+            in capsys.readouterr().err)
+
+
+def test_one_parser_serves_calls_in_turn(capsys):
+    # the parser is built once per process, and each parse starts from a
+    # fresh namespace, so no option of one call leaks into the next
+    calls = [["count", "--q", "3", "-n", "2", "--poly", "x*y+1", "-k", "2",
+              "--domain", "torus", "--json"],
+             ["modpm", "--q", "2", "-n", "2", "-m", "2", "--poly", "x*y+1",
+              "-B", "4", "--json"],
+             ["count", "--q", "3", "-n", "2", "--poly", "x*y+1"]]
+    in_turn = []
+    for argv in calls:
+        assert main(argv) == 0
+        in_turn.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        fresh.append(capsys.readouterr().out)
+    assert in_turn == fresh
+    assert in_turn[0] != in_turn[2]
 
 
 def test_large_prime_q_reaches_the_enumeration_cap_quickly(capsys):

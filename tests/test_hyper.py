@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import count_calls, field, rand_poly_mv
 from ffzeta import (CoefficientOutsidePrimeField, EmptyBasis, RingNotField,
-                    SizeLimit, TruncatedSeries, count_points, hyper, linalg,
+                    SizeLimit, StabilityViolation, TruncatedSeries,
+                    count_points, hyper, linalg,
                     hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     make_galois_ring, rd_basis, rmd_basis, torus_zeta,
                     zeta_coeffs_exact, zeta_mod_p, zeta_mod_pm)
@@ -133,6 +135,20 @@ def test_operator_matrix_matches_per_column_assembly(q, m, n, d):
             basis = rmd_basis(n, d, ring.p, m)
         power = poly_pow(f, (ctx.q - 1) * ctx.p ** (m - 1))
         assert got.to_rows() == _per_column_matrix(f.ctx, power, basis)
+
+
+@pytest.mark.parametrize("p,terms,d", [
+    (10 ** 20 + 39, {(1,): 1}, 1), (2 ** 63 - 25, {(1, 2): 3}, 5),
+    (2 ** 63 - 25, {(2,): 1}, 5), (2 ** 63 - 25, {(1,): 1}, 40),
+])
+def test_operator_exponents_past_int64(p, terms, d):
+    # a power of a monomial over a huge prime field has exponents at or
+    # past 2^63, and the images v + u of its pairs must not wrap
+    f = SparsePoly(field(p), len(next(iter(terms))), terms)
+    power = poly_pow(f, p - 1)
+    basis = rd_basis(f.nvars, d)
+    assert hyper_matrix_mod_p(f, d).to_rows() == _per_column_matrix(
+        f.ctx, power, basis)
 
 
 # (q, m, n, d): the contexts F_4 .. F_27 mod p and GR(2^2, 2), GR(3^2, 2),
@@ -418,6 +434,28 @@ def test_hyper_matrix_mod4_worked_case():
     f = SparsePoly.from_dense(ctx, [1, 1]).lift_to(ring)
     M = hyper_matrix_mod_pm(f)
     assert M.to_rows() == [[1, 0, 0], [1, 2, 1], [0, 0, 1]]
+
+
+def test_a_basis_missing_an_image_raises_naming_it():
+    f = SparsePoly.from_dense(field(2), [1, 1, 1])
+    # column x^2 reads psi_2(x^2 + x^3 + x^4) = x + x^2, and x is missing
+    with pytest.raises(StabilityViolation, match=r"\(1,\) escaped"):
+        hyper._operator(f, ((2,),))
+    # x^4 reads x^2 + x^3 and x^5 reads x^3, none of them in the basis:
+    # the least image of the first column is named
+    with pytest.raises(StabilityViolation, match=r"\(2,\) escaped"):
+        hyper._operator(f, ((4,), (5,)))
+    for q, n, d in ((2, 2, 5), (3, 2, 4), (4, 3, 5)):
+        ctx = field(q)
+        f = rand_poly_mv(ctx, random.Random(q + n + d), n, d)
+        basis = rd_basis(n, d)
+        rows = hyper._operator(f, basis).to_rows()
+        # a row the image of some other column hits
+        i = next(i for i, row in enumerate(rows)
+                 if any(c for j, c in enumerate(row) if j != i))
+        with pytest.raises(StabilityViolation,
+                           match=re.escape("%r escaped" % (basis[i],))):
+            hyper._operator(f, basis[:i] + basis[i + 1:])
 
 
 def test_hyper_matrix_rejects_ring_input():

@@ -13,7 +13,7 @@ from ffzeta import (NonIntegralCoefficient, RingNotField, TooLarge,
                     zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
 from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
-from ffzeta.poly import SparsePoly, dense_mul
+from ffzeta.poly import SparsePoly, dense_is_irreducible, dense_mul
 
 
 def mobius(n):
@@ -359,6 +359,26 @@ def test_sieve_cap():
     ctx = field(3)
     with pytest.raises(TooLarge):
         irreducibles_up_to(ctx, 15)  # 3^15, refused before any sieving
+
+
+def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads(
+        monkeypatch):
+    # once the degree-4 factor is out, what is left has degree 10, so the
+    # loop stops after degree 5: degrees 6 and 7 (9^7 rows) are never built
+    ctx = field(9)
+    rng = random.Random(14)
+
+    def irreducible(d):
+        while True:
+            c = [rng.randrange(9) for _ in range(d)] + [1]
+            if dense_is_irreducible(ctx, c):
+                return c
+
+    g, h = irreducible(4), irreducible(10)
+    monkeypatch.setattr(oracle, "_SIEVE_CACHE", {})
+    fac = trial_factorize(SparsePoly.from_dense(ctx, dense_mul(ctx, g, h)))
+    assert [(u.to_dense(), m) for u, m in fac.factors] == [(g, 1), (h, 1)]
+    assert sorted(oracle._SIEVE_CACHE[ctx][1]) == [1, 2, 3, 4, 5]
 
 
 def test_trial_factorize_past_the_old_table_order():

@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ffzeta.poly
-from conftest import (count_calls, field, rand_monic, rand_poly_mv,
-                      rand_poly_uni)
-from ffzeta import SizeLimit, make_galois_ring
+from conftest import (count_calls, field, poly_pow_reference, rand_monic,
+                      rand_poly_mv, rand_poly_uni)
+from ffzeta import SizeLimit, make_field, make_galois_ring
 from ffzeta.poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
                          dense_powmod, dense_translate, dense_trim, poly_pow,
                          squarefree_part)
@@ -153,6 +156,53 @@ def test_poly_pow_work_cap_refuses_before_multiplying(monkeypatch):
     with pytest.raises(SizeLimit, match="400 term pairs"):
         poly_pow(f, 2)
     assert counts == {"_capped_product": 1}
+
+
+# (q, m): F_2, F_3, F_4, F_9, Z/4, Z/27 and GR(2^2, 2)
+POW_CONTEXTS = [(2, 1), (3, 1), (4, 1), (9, 1), (2, 2), (3, 3), (4, 2)]
+
+
+@st.composite
+def pow_case(draw):
+    q, m = draw(st.sampled_from(POW_CONTEXTS))
+    ctx = make_galois_ring(field(q), m)
+    n = draw(st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        u = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        terms[u] = draw(st.integers(0, ctx.size - 1))
+    return SparsePoly(ctx, n, terms), draw(st.integers(0, 9))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pow_case())
+def test_poly_pow_matches_the_dict_loop_reference(case):
+    f, k = case
+    assert poly_pow(f, k) == poly_pow_reference(f, k)
+
+
+def test_poly_pow_past_int64_keys():
+    # radix (6049, 6049, 1009, 1009, 1009, 1009) multiplies to about
+    # 3.8 * 10^19 > 2^63: the keys are Python integers; (a + b)^(p - 1) =
+    # sum_j (-1)^j a^j b^(p-1-j) mod p, as C(p - 1, j) = (-1)^j mod p
+    ctx = field(1009)
+    a, b = (6, 1, 1, 1, 1, 1), (1, 6, 1, 1, 1, 1)
+    f = SparsePoly(ctx, 6, {a: 1, b: 1})
+    radix = [1008 * max(col) + 1 for col in zip(a, b)]
+    assert math.prod(radix) >= 2 ** 63
+    assert ffzeta.poly._pack([a, b], radix).dtype == object
+    want = {tuple(j * x + (1008 - j) * y for x, y in zip(a, b)): (-1) ** j % 1009
+            for j in range(1009)}
+    assert poly_pow(f, 1008).terms == want
+
+
+def test_poly_pow_over_a_field_with_codes_past_int64():
+    # F_(2^64) keeps int64 digit planes, but its codes reach 2^64 - 1
+    ctx = make_field(2, 64)
+    rng = random.Random(5)
+    f = SparsePoly(ctx, 2, {(rng.randrange(4), rng.randrange(4)):
+                            rng.randrange(2 ** 63, 2 ** 64) for _ in range(5)})
+    assert poly_pow(f, 3) == poly_pow_reference(f, 3)
 
 
 def reduce_mod_p(f):
