@@ -18,7 +18,9 @@ A product needs its `*` (2*t, not 2t).  Names are the variables x1..xN
 (x, y, z when N <= 3) and t, the root of the field modulus, which a prime
 field refuses.  Inside parentheses only integers and t may appear, and
 parentheses do not nest.  --modulus is read like the inside of
-parentheses: integers and t, no parentheses.
+parentheses: integers and t, no parentheses.  So every term is a code
+times a monomial: the reader sums codes into one dict keyed by exponents
+and runs no polynomial product.
 """
 
 from __future__ import annotations
@@ -74,23 +76,24 @@ def _tokenize(text):
     return out
 
 
-def _read_sum(toks, i, end, one, power, group):
+def _read_sum(toks, i, end, ctx, u0, power, group):
     """Read a signed sum of `*`-products ending at the token kind `end`;
-    returns (SparsePoly, index past `end`).  Values are polynomials like
-    `one`: an integer is its residue mod p, `power(name, k, pos)` is the
+    returns (SparsePoly, index past `end`).  A factor is a (code,
+    exponents) pair, u0 = (0, ..., 0) the exponents of a constant: an
+    integer is its residue mod p times x^u0, `power(name, k, pos)` is the
     value of name^k, and `group(toks, i)` reads a parenthesised factor
     after its `(`; parentheses are a ParseError where it is None."""
-    total = SparsePoly.zero(one.ctx, one.nvars)
+    total = {}
     while True:
         kind = toks[i][0]
-        term = -one if kind == _MINUS else one
+        code, u = (ctx.neg(1) if kind == _MINUS else 1), u0
         if kind in (_PLUS, _MINUS):
             i += 1
         while True:
             kind, value, pos = toks[i]
             i += 1
             if kind == _NUM:
-                factor = one.scale(value % one.ctx.p)
+                c, v = value % ctx.p, u0
             elif kind == _NAME:
                 k = 1
                 if toks[i][0] == _CARET:
@@ -99,19 +102,20 @@ def _read_sum(toks, i, end, one, power, group):
                                          toks[i + 1][2])
                     k = toks[i + 1][1]
                     i += 2
-                factor = power(value, k, pos)
+                c, v = power(value, k, pos)
             elif kind == _OPEN and group is not None:
-                factor, i = group(toks, i)
+                (c, v), i = group(toks, i)
             else:
                 raise ParseError("expected a factor", pos)
-            term = term * factor
+            code = ctx.mul(code, c)
+            u = tuple(a + b for a, b in zip(u, v))
             if toks[i][0] != _STAR:
                 break
             i += 1
-        total = total + term
+        total[u] = ctx.add(total.get(u, 0), code)
         kind, _, pos = toks[i]
         if kind == end:
-            return total, i + 1
+            return SparsePoly(ctx, len(u0), total), i + 1
         if kind == _END:
             raise ParseError("unclosed parenthesis", pos)
         if kind not in (_PLUS, _MINUS):
@@ -126,7 +130,7 @@ def parse_poly(text, ctx, nvars):
     names = {"x%d" % (k + 1): k for k in range(nvars)}
     if nvars <= 3:
         names.update((alias, k) for k, alias in enumerate(var_names(nvars)))
-    one = SparsePoly.one(ctx, nvars)
+    u0 = (0,) * nvars
 
     def power(name, k, pos):
         if name == "t":
@@ -134,12 +138,12 @@ def parse_poly(text, ctx, nvars):
                 raise ParseError("coefficient uses t but the field is prime",
                                  pos)
             # the code p is t, a unit of order dividing q - 1
-            return one.scale(ctx.pow(ctx.p, k % (ctx.q - 1)))
+            return ctx.pow(ctx.p, k % (ctx.q - 1)), u0
         if name not in names:
             raise UnknownVariable("unknown variable %r" % name, pos)
         u = [0] * nvars
         u[names[name]] = k
-        return SparsePoly(ctx, nvars, {tuple(u): 1})
+        return 1, tuple(u)
 
     def constant(name, k, pos):
         if name != "t":
@@ -148,22 +152,23 @@ def parse_poly(text, ctx, nvars):
         return power(name, k, pos)
 
     def group(toks, i):
-        return _read_sum(toks, i, _CLOSE, one, constant, None)
+        c, i = _read_sum(toks, i, _CLOSE, ctx, u0, constant, None)
+        return (c.constant_term(), u0), i
 
-    return _read_sum(_tokenize(text), 0, _END, one, power, group)[0]
+    return _read_sum(_tokenize(text), 0, _END, ctx, u0, power, group)[0]
 
 
 def parse_modulus(text, p):
     """The t-polynomial over F_p, little-endian list of its coefficients
     mod p."""
-    one = SparsePoly.one(make_field(p))
+    ctx = make_field(p)
 
     def power(name, k, pos):
         if name != "t":
             raise UnknownVariable("modulus variable must be t", pos)
-        return SparsePoly(one.ctx, 1, {(k,): 1})
+        return 1, (k,)
 
-    f, _ = _read_sum(_tokenize(text), 0, _END, one, power, None)
+    f, _ = _read_sum(_tokenize(text), 0, _END, ctx, (0,), power, None)
     if f.degree() > _MAX_MODULUS_DEGREE:
         raise ParseError("modulus degree %d is above %d"
                          % (f.degree(), _MAX_MODULUS_DEGREE))

@@ -4,8 +4,8 @@ Each of the three operators built in `zerodim` fixes a subspace of
 F_q[x]/(f) whose dimension is the number of distinct irreducible factors
 of f, and any two independent fixed vectors separate at least two of those
 factors through gcds.  The worklist here refines f into primary components
-(prime powers) using such gcds, then strips multiplicities with one
-squarefree pass per component.
+(prime powers) using such gcds, then takes each component's root: p-th
+roots while its derivative vanishes, then one division by gcd(g, g').
 
 The gcd of f with a fixed vector need not be a clean cut when f has
 repeated factors: for the differential operators every bucket gcd picks up
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError, InvariantViolation, QTooLarge
 from .linalg import SquareMatrix, kernel_basis
-from .poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
-                   render_poly, squarefree_part)
+from .poly import (SparsePoly, dense_deriv, dense_divmod, dense_gcd,
+                   dense_mul, render_poly)
 from .zerodim import OperatorKind, op_matrix
 
 # largest field order accepted, since splitting loops over all of F_q
@@ -128,6 +128,18 @@ def _refine(ctx, g, basis):
     return None
 
 
+def _prime_power_root(ctx, g):
+    """The monic irreducible h of a monic g = h^k: while g' = 0, g is a
+    p-th power; then p does not divide k, and as gcd(h, h') = 1,
+    gcd(g, g') = h^(k-1)."""
+    while not dense_deriv(ctx, g):
+        g = [ctx.pth_root(c) for c in g[::ctx.p]]
+    h, rem = dense_divmod(ctx, g, dense_gcd(ctx, g, dense_deriv(ctx, g)))
+    if rem:
+        raise InvariantViolation("gcd(g, g') does not divide g")
+    return h
+
+
 def factorize(f, kind=OperatorKind.FROBENIUS):
     """Complete factorization of monic univariate f into irreducibles,
     driven by the fixed space of the chosen operator.
@@ -155,10 +167,10 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
         queue.extend(SparsePoly.from_dense(ctx, h) for h in cut)
     factors = []
     for g in terminal:
-        root = squarefree_part(g)
-        mult, r = divmod(g.degree(), root.degree())
+        root = _prime_power_root(ctx, g.to_dense())
+        mult, r = divmod(g.degree(), len(root) - 1)
         if r:
             raise InvariantViolation("root degree does not divide degree")
-        factors.append((root, mult))
+        factors.append((SparsePoly.from_dense(ctx, root), mult))
     factors.sort(key=factor_sort_key)
     return Factorization(1, tuple(factors))

@@ -22,6 +22,10 @@ Frobenius, as in Lauder and Wan, "Counting points on varieties over
 finite fields of small characteristic", 2008), and the expanded power
 has degree (p-1)p^{m-1}d, not (q-1)p^{m-1}d.
 
+A basis is an (N, n) int64 array of exponent vectors in graded-lex order,
+cut from the box [0, bound]^n by one sort once its size N, the operator
+dimension, has passed the operator cap.
+
 A is assembled on arrays, by residue class: column u meets only the terms
 x^v of G with v = -u mod p, at row (v + u)/p, so the term-column pairs of
 every class are formed at once, their rows found by a sorted search among
@@ -41,7 +45,6 @@ from traces (see `linalg`); the working the CLI prints keeps all of P.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +56,6 @@ from .fq import make_galois_ring
 from .linalg import _operator_cap, charpoly_reverse, SquareMatrix
 from .poly import _pack, poly_pow
 
-_MAX_BASIS = 10 ** 5    # largest monomial basis rd_basis and rmd_basis list
 _MAX_NVARS = 6          # most variables the hypersurface routines accept
 
 
@@ -173,52 +175,43 @@ def _product_series(modulus, B, factors):
 # monomial bases
 
 
-def _graded_lex(vectors):
-    return sorted(vectors, key=lambda u: (sum(u), tuple(-x for x in u)))
-
-
-def _basis_caps(n, size):
+def _monomial_rows(n, bound):
+    """The (N, n) int64 array of the exponent vectors of all monomials in
+    n variables of total degree <= bound, graded lex: by degree, then the
+    first exponent largest first, and so on.  The caps are checked before
+    any row is listed; the rows are cut from the box [0, bound]^n, which
+    under the operator cap holds at most 6^6 of them."""
     if n > _MAX_NVARS:
         raise SizeLimit("%d variables exceeds the cap %d" % (n, _MAX_NVARS))
-    if size > _MAX_BASIS:
-        raise SizeLimit("basis of size %d exceeds the cap %d"
-                        % (size, _MAX_BASIS))
-
-
-def _monomials(n, bound):
-    """Exponent vectors of all monomials in n variables of total degree
-    <= bound, graded lex."""
-    vecs = []
-    # u_1 + 1, u_1 + u_2 + 2, ... are n distinct values in 1..bound+n, and
-    # every such choice arises exactly once
-    for stops in itertools.combinations(range(1, bound + n + 1), n):
-        u = [stops[0] - 1]
-        for a, b in zip(stops, stops[1:]):
-            u.append(b - a - 1)
-        vecs.append(tuple(u))
-    return _graded_lex(vecs)
+    size = math.comb(bound + n, n)
+    _operator_cap(size)
+    box = np.indices((bound + 1,) * n, dtype=np.int64).reshape(n, -1).T
+    rows = box[box.sum(axis=1) <= bound]
+    # np.lexsort's last key is its first: degree, then -u_1, -u_2, ...
+    rows = rows[np.lexsort(np.vstack((-rows[:, ::-1].T, rows.sum(axis=1))))]
+    if len(rows) != size:
+        raise InvariantViolation("basis size is not C(%d, %d)"
+                                 % (bound + n, n))
+    return rows
 
 
 def rd_basis(n, d):
-    """The graded-lex tuple of exponent vectors u with all u_i >= 1 and
-    total degree <= d; there are C(d, n) of them."""
+    """The graded-lex (N, n) int64 array of exponent vectors u with all
+    u_i >= 1 and total degree <= d; there are N = C(d, n) of them."""
     if n < 1:
         raise ValueError("need at least one variable")
     if d < n:
         raise EmptyBasis("no monomial of degree <= %d is divisible by all "
                          "%d variables" % (d, n))
-    _basis_caps(n, math.comb(d, n))
     # x^u is x_1...x_n times a monomial of degree <= d - n; the shift keeps
     # the graded-lex order
-    basis = tuple(tuple(x + 1 for x in u) for u in _monomials(n, d - n))
-    if len(basis) != math.comb(d, n):
-        raise InvariantViolation("basis size is not C(%d, %d)" % (d, n))
-    return basis
+    return _monomial_rows(n, d - n) + 1
 
 
 def rmd_basis(n, d, p, m):
-    """The graded-lex tuple of exponent vectors of all monomials of total
-    degree <= d*p^(m-1); there are C(d*p^(m-1) + n, n) of them."""
+    """The graded-lex (N, n) int64 array of exponent vectors of all
+    monomials of total degree <= d*p^(m-1); there are
+    N = C(d*p^(m-1) + n, n) of them."""
     if n < 1:
         raise ValueError("need at least one variable")
     if m < 1:
@@ -226,12 +219,7 @@ def rmd_basis(n, d, p, m):
     bound = d * p ** (m - 1)
     if bound < 0:
         raise EmptyBasis("negative degree bound")
-    _basis_caps(n, math.comb(bound + n, n))
-    basis = tuple(_monomials(n, bound))
-    if len(basis) != math.comb(bound + n, n):
-        raise InvariantViolation("basis size is not C(%d, %d)"
-                                 % (bound + n, n))
-    return basis
+    return _monomial_rows(n, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +228,9 @@ def rmd_basis(n, d, p, m):
 
 def _operator(f, basis):
     """M = sigma^{e-1}(A) ... sigma(A) A, for A the matrix of
-    h -> psi_p(G h) on the basis, G = f^{(p-1)p^{m-1}}, and sigma the
-    Frobenius of f's context acting on every entry; column convention.
+    h -> psi_p(G h) on the basis, an (N, n) array of exponents,
+    G = f^{(p-1)p^{m-1}}, and sigma the Frobenius of f's context acting
+    on every entry; column convention.
     Column u of A reads only the terms x^v of G with v = -u mod p, the ones
     whose product with x^u psi_p keeps, at row w = (v + u) / p.  With the
     columns sorted by the class of -u, each term meets the run of its own
@@ -250,15 +239,14 @@ def _operator(f, basis):
     writes every plane.  An image outside the basis raises, naming the
     least one of the first column that has one."""
     ctx = f.ctx
-    p, N, n = ctx.p, len(basis), f.nvars
+    p, (N, n) = ctx.p, basis.shape
     power = poly_pow(f, (p - 1) * p ** (ctx.m - 1))
     # every v + u stays below 2^63 on int64; past it (a power of a
     # monomial over a huge prime field) exponents are Python integers
-    top = (max(map(max, power.terms), default=0)
-           + max(map(max, basis), default=0))
+    top = max(map(max, power.terms), default=0) + int(basis.max())
     dt = np.int64 if top < 2 ** 63 else object
     V = np.array(list(power.terms), dtype=dt).reshape(-1, n)
-    U = np.array(basis, dtype=dt).reshape(N, n)
+    U = basis.astype(dt)
     vclass = _pack(V % p, [p] * n)
     uclass = _pack(-U % p, [p] * n)
     by_class = np.argsort(uclass)
@@ -308,7 +296,6 @@ def hyper_matrix_mod_p(f, d=None):
     if f.ctx.m != 1:
         raise RingNotField("the mod-p operator works over a field")
     d = _degree_bound(f, d)
-    _operator_cap(math.comb(d, f.nvars))
     return _operator(f, rd_basis(f.nvars, d))
 
 
@@ -321,8 +308,6 @@ def hyper_matrix_mod_pm(f_lift, d=None):
     d = _degree_bound(f_lift, d)
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
-    _operator_cap(math.comb(d * ctx.p ** (ctx.m - 1) + f_lift.nvars,
-                            f_lift.nvars))
     return _operator(f_lift, rmd_basis(f_lift.nvars, d, ctx.p, ctx.m))
 
 

@@ -3,20 +3,21 @@ ring context.
 
 Terms are a dict mapping exponent tuples to nonzero coefficient codes, so a
 polynomial in n variables over F_q costs O(#terms) regardless of degree.
-Next to the sparse type live its rendering, powering, squarefree parts,
-and the package's one univariate polynomial
+Next to the sparse type live its rendering, its one product and its
+powers, and the package's one univariate polynomial
 arithmetic: dense kernels on little-endian code lists (products, division,
 gcd, modular powers, the irreducibility test) that the factorization and
 zero-dimensional pipelines run on, and that `fq` runs to certify a field's
 modulus.  The univariate psi_q acts on dense lists in `zerodim`; the
 multivariate psi_q is applied inside `hyper`'s operator matrix.
 
-A power f^k runs on arrays: each exponent vector is packed into one
-mixed-radix key, variable i in radix k deg_{x_i} f + 1, which no exponent
-of any f^j with j <= k reaches, so adding keys multiplies monomials; the
-coefficients are the context's digit planes.  A product of two such
-polynomials is an outer sum of keys, one plane product, a sort of the keys
-and a sum over each run of equal keys.
+The sparse product runs on arrays: each exponent vector is packed into one
+mixed-radix key, variable i in a radix that no exponent of the result
+reaches (deg_{x_i} a + deg_{x_i} b + 1 for a * b, k deg_{x_i} f + 1 for
+every f^j, j <= k, of a power), so adding keys multiplies monomials; the
+coefficients are the context's digit planes.  A product is an outer sum of
+keys, one plane product, a sort of the keys and a sum over each run of
+equal keys; `*` and the squarings of f^k share it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ import math
 
 import numpy as np
 
-from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
-                     SizeLimit)
+from .errors import MultivariateInput, SizeLimit
 
-_MAX_WORK = 15 * 10 ** 5  # most term pairs one product of a power may take
+_MAX_WORK = 15 * 10 ** 5  # most term pairs one sparse product may take
 
 
 class SparsePoly:
@@ -43,10 +43,6 @@ class SparsePoly:
             self.terms = {}
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx, nvars=1):
-        return cls(ctx, nvars)
 
     @classmethod
     def constant(cls, ctx, c, nvars=1):
@@ -104,45 +100,14 @@ class SparsePoly:
         if self.ctx != other.ctx or self.nvars != other.nvars:
             raise ValueError("mixed polynomial contexts")
 
-    def __add__(self, other):
-        self._check(other)
-        ctx = self.ctx
-        terms = dict(self.terms)
-        for u, c in other.terms.items():
-            v = ctx.add(terms.get(u, 0), c)
-            if v:
-                terms[u] = v
-            else:
-                terms.pop(u, None)
-        out = SparsePoly(self.ctx, self.nvars)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        neg = self.ctx.neg
-        out = SparsePoly(self.ctx, self.nvars)
-        out.terms = {u: neg(c) for u, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
+        """The product on packed keys, variable i in radix
+        deg_{x_i} self + deg_{x_i} other + 1, which no exponent of the
+        product reaches; SizeLimit guards its work."""
         self._check(other)
-        ctx = self.ctx
-        mul, add = ctx.mul, ctx.add
-        terms = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = tuple(a + b for a, b in zip(u, v))
-                s = add(terms.get(w, 0), mul(cu, cv))
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-        out = SparsePoly(self.ctx, self.nvars)
-        out.terms = terms
-        return out
+        radix = [a + b + 1 for a, b in zip(_degrees(self), _degrees(other))]
+        return _unpack(self.ctx, self.nvars, radix, _capped_product(
+            self.ctx, _packed(self, radix), _packed(other, radix)))
 
     def scale(self, c):
         mul = self.ctx.mul
@@ -347,7 +312,13 @@ def dense_translate(ctx, a, c):
 
 
 # ---------------------------------------------------------------------------
-# powering and squarefree parts
+# products and powers on packed keys
+
+
+def _degrees(f):
+    """The largest exponent of each variable in f, 0 for the zero
+    polynomial."""
+    return [max(col) for col in zip(*f.terms)] if f.terms else [0] * f.nvars
 
 
 def _pack(rows, radix):
@@ -361,6 +332,27 @@ def _pack(rows, radix):
     for i, r in enumerate(radix):
         keys = keys * r + exps[:, i]
     return keys
+
+
+def _packed(f, radix):
+    """f as (keys, planes): its packed exponents and its coefficients'
+    digit planes."""
+    return (_pack(list(f.terms), radix),
+            f.ctx._to_planes(list(f.terms.values()), 1))
+
+
+def _unpack(ctx, n, radix, packed):
+    """The SparsePoly in n variables of a (keys, planes) pair packed in
+    `radix`."""
+    keys, planes = packed
+    exps = np.empty((len(keys), n), dtype=keys.dtype)
+    for i in range(n - 1, -1, -1):
+        exps[:, i] = keys % radix[i]
+        keys = keys // radix[i]
+    out = SparsePoly(ctx, n)
+    out.terms = dict(zip(map(tuple, exps.tolist()),
+                         ctx._from_planes(planes).tolist()))
+    return out
 
 
 def _capped_product(ctx, a, b):
@@ -399,10 +391,8 @@ def poly_pow(f, k):
     ctx, n = f.ctx, f.nvars
     if not k:
         return SparsePoly.one(ctx, n)
-    degs = map(max, zip(*f.terms)) if f.terms else [0] * n
-    radix = [k * deg + 1 for deg in degs]
-    base = (_pack(list(f.terms), radix),
-            ctx._to_planes(list(f.terms.values()), 1))
+    radix = [k * deg + 1 for deg in _degrees(f)]
+    base = _packed(f, radix)
     out = _pack([(0,) * n], radix), ctx._to_planes([1], 1)
     while k:
         if k & 1:
@@ -410,57 +400,4 @@ def poly_pow(f, k):
         k >>= 1
         if k:
             base = _capped_product(ctx, base, base)
-    keys, planes = out
-    exps = np.empty((len(keys), n), dtype=keys.dtype)
-    for i in range(n - 1, -1, -1):
-        exps[:, i] = keys % radix[i]
-        keys = keys // radix[i]
-    result = SparsePoly(ctx, n)
-    result.terms = dict(zip(map(tuple, exps.tolist()),
-                            ctx._from_planes(planes).tolist()))
-    return result
-
-
-def _dense_pth_root(ctx, a):
-    """Exact p-th root of a dense polynomial whose derivative vanishes."""
-    p = ctx.p
-    root = [0] * ((len(a) - 1) // p + 1)
-    for i in range(0, len(a), p):
-        root[i // p] = ctx.pth_root(a[i])
-    return root
-
-
-def _dense_squarefree(ctx, f):
-    deriv = dense_deriv(ctx, f)
-    if not deriv:
-        return _dense_squarefree(ctx, _dense_pth_root(ctx, f))
-    g = dense_gcd(ctx, f, deriv)
-    if len(g) == 1:
-        return dense_monic(ctx, f)
-    w, rem = dense_divmod(ctx, f, g)
-    if rem:
-        raise InvariantViolation("gcd(f, f') does not divide f")
-    # w carries the factors of multiplicity prime to p exactly once; strip
-    # them from g, whose leftover is a p-th power
-    c = g
-    while True:
-        h = dense_gcd(ctx, c, w)
-        if len(h) == 1:
-            break
-        c, rem = dense_divmod(ctx, c, h)
-        if rem:
-            raise InvariantViolation("gcd does not divide its argument")
-    if len(c) == 1:
-        return dense_monic(ctx, w)
-    return dense_mul(ctx, dense_monic(ctx, w),
-                     _dense_squarefree(ctx, _dense_pth_root(ctx, c)))
-
-
-def squarefree_part(f):
-    """Product of the distinct monic irreducible factors of f."""
-    if f.nvars != 1:
-        raise MultivariateInput("squarefree_part needs a univariate input")
-    if f.is_constant():
-        raise ConstantInput("squarefree part of a constant")
-    return SparsePoly.from_dense(
-        f.ctx, _dense_squarefree(f.ctx, f.to_dense()))
+    return _unpack(ctx, n, radix, out)

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import product
+from itertools import combinations, product
 
 from ffzeta import SquareMatrix, make_field, split_prime_power
 from ffzeta.poly import SparsePoly, dense_mod
@@ -51,31 +51,48 @@ def rand_poly_mv(ctx, rng, nvars, d, density=0.6):
             return SparsePoly(ctx, nvars, terms)
 
 
+def product_reference(ctx, a, b):
+    """The product of two term dicts over ctx, a loop over their term
+    pairs: the reference for the product on packed keys."""
+    terms = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            s = ctx.add(terms.get(w, 0), ctx.mul(cu, cv))
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+    return terms
+
+
 def poly_pow_reference(f, k):
-    """f**k by repeated squaring, each product a loop over term pairs on a
-    dict: the reference for the packed-key power."""
+    """f**k by repeated squaring, each product a product_reference: the
+    reference for the packed-key power."""
     ctx = f.ctx
-
-    def product(a, b):
-        terms = {}
-        for u, cu in a.items():
-            for v, cv in b.items():
-                w = tuple(x + y for x, y in zip(u, v))
-                s = ctx.add(terms.get(w, 0), ctx.mul(cu, cv))
-                if s:
-                    terms[w] = s
-                else:
-                    terms.pop(w, None)
-        return terms
-
     out, base = {(0,) * f.nvars: 1}, dict(f.terms)
     while k:
         if k & 1:
-            out = product(out, base)
+            out = product_reference(ctx, out, base)
         k >>= 1
         if k:
-            base = product(base, base)
+            base = product_reference(ctx, base, base)
     return SparsePoly(ctx, f.nvars, out)
+
+
+def monomials_reference(n, bound):
+    """Exponent vectors of all monomials in n variables of total degree
+    <= bound, graded lex, listed as combinations and sorted by
+    (degree, -u): the reference for the basis builder."""
+    vecs = []
+    # u_1 + 1, u_1 + u_2 + 2, ... are n distinct values in 1..bound+n, and
+    # every such choice arises exactly once
+    for stops in combinations(range(1, bound + n + 1), n):
+        u = [stops[0] - 1]
+        for a, b in zip(stops, stops[1:]):
+            u.append(b - a - 1)
+        vecs.append(tuple(u))
+    return sorted(vecs, key=lambda u: (sum(u), tuple(-x for x in u)))
 
 
 def matrix_from_rows(ctx, rows):

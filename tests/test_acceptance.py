@@ -181,7 +181,7 @@ def test_criterion_7_micro_goldens_reestablished():
 
     assert list(torus_zeta(1, 2, 2, 4).coeffs) == [1, 1, 2]
     # oracle: torus point counts of the full 1-torus over F_2
-    full = SparsePoly.zero(ctx, 1)
+    full = SparsePoly(ctx, 1)
     torus_counts = [count_points(full, k, "torus") for k in (1, 2)]
     assert torus_counts == [1, 3]
     assert [c % 4 for c in zeta_coeffs_exact(torus_counts, 2)] == [1, 1, 2]

@@ -199,6 +199,40 @@ def test_parse_error_messages_and_positions(text, q, nvars, error, message):
     assert str(exc.value) == message
 
 
+def test_a_long_sum_parses_in_linear_time():
+    # x^0 + x^1 + ... + x^39999: each term is added into one dict, where
+    # adding polynomials copied the running sum once per term
+    text = " + ".join("x^%d" % k for k in range(40000))
+    start = time.perf_counter()
+    f = parse_poly(text, field(2), 1)
+    assert time.perf_counter() - start < 2
+    assert f.to_dense() == [1] * 40000
+
+
+def test_the_reader_runs_no_polynomial_product(monkeypatch):
+    polys = []
+    for argv in GOLDEN_INVOCATIONS.values():
+        if "--poly" in argv:
+            opt = dict(zip(argv, argv[1:]))
+            polys.append((opt["--poly"], int(opt["--q"]),
+                          int(opt.get("-n", 1))))
+    want = [parse_poly(text, field(q), n) for text, q, n in polys]
+    monkeypatch.setattr(SparsePoly, "__mul__", None)
+    monkeypatch.setattr(ffzeta.poly, "_capped_product", None)
+    assert [parse_poly(text, field(q), n) for text, q, n in polys] == want
+    assert [render_poly(f) for f in want] == [
+        "x^2 + x + 1", "x^2 + x + 1", "x^2 + 2", "x*y + 1", "x*y + 1",
+        "x^3 + x + 1"]
+    for text, q, nvars, error, message in PARSE_ERRORS:
+        with pytest.raises(ParseError) as exc:
+            if nvars is None:
+                parse_modulus(text, q)
+            else:
+                parse_poly(text, field(q), nvars)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+
 def test_modulus_degree_is_checked_before_the_list_is_built():
     start = time.perf_counter()
     with pytest.raises(ParseError):

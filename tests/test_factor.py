@@ -7,8 +7,8 @@ from ffzeta import (Factorization, OperatorKind, QTooLarge, SquareMatrix,
                     ZeroConstantTerm, admissible_basis, factorize,
                     irreducibles_up_to, kernel_basis, op_matrix,
                     trial_factorize)
-from ffzeta.factor import _refine
-from ffzeta.poly import SparsePoly, dense_gcd, dense_mul
+from ffzeta.factor import _prime_power_root, _refine
+from ffzeta.poly import SparsePoly, dense_gcd, dense_is_irreducible, dense_mul
 
 
 def dense_factors(fac):
@@ -120,12 +120,29 @@ def test_outputs_certified_irreducible(q):
             assert tuple(g.to_dense()) in sieve
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_prime_power_root_of_irreducible_powers(q):
+    # k in {1, 2, p, 2p, p^2} takes both branches: p | k needs p-th roots
+    # first, p does not divide k divides by gcd(g, g') at once
+    ctx = field(q)
+    p = ctx.p
+    rng = random.Random(q + 3)
+    for deg in (1, 2, 3):
+        h = rand_monic(ctx, rng, deg).to_dense()
+        while not dense_is_irreducible(ctx, h):
+            h = rand_monic(ctx, rng, deg).to_dense()
+        for k in (1, 2, p, 2 * p, p * p):
+            g = [1]
+            for _ in range(k):
+                g = dense_mul(ctx, g, h)
+            assert _prime_power_root(ctx, g) == h
+
+
 def test_high_multiplicity_and_repeated_blocks():
     ctx = field(2)
-    x = SparsePoly.from_dense(ctx, [0, 1])
-    one = SparsePoly.one(ctx)
+    lin = SparsePoly.from_dense(ctx, [1, 1])
     quad = SparsePoly.from_dense(ctx, [1, 1, 1])
-    f = (x + one) ** 5 * quad ** 3
+    f = lin ** 5 * quad ** 3
     for kind in (OperatorKind.FROBENIUS, OperatorKind.NIEDERREITER,
                  OperatorKind.PSI_MUL):
         fac = factorize(f, kind)
@@ -162,8 +179,7 @@ def test_sorted_output_order():
     ctx = field(2)
     # x^6+...: product of x+1, x, x^2+x+1, sorted by (degree, coeffs)
     x = SparsePoly.from_dense(ctx, [0, 1])
-    one = SparsePoly.one(ctx)
     quad = SparsePoly.from_dense(ctx, [1, 1, 1])
-    f = quad * x * (x + one)
+    f = quad * x * SparsePoly.from_dense(ctx, [1, 1])
     fac = factorize(f)
     assert dense_factors(fac) == [([0, 1], 1), ([1, 1], 1), ([1, 1, 1], 1)]

@@ -4,11 +4,12 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, field, rand_poly_mv
+from conftest import count_calls, field, monomials_reference, rand_poly_mv
 from ffzeta import (CoefficientOutsidePrimeField, EmptyBasis, RingNotField,
                     SizeLimit, StabilityViolation, TruncatedSeries,
                     count_points, hyper, linalg,
@@ -42,8 +43,23 @@ def torus_series_reference(n, q, B, mod):
 
 def test_rd_basis_worked_case():
     basis = rd_basis(2, 3)
-    assert list(basis) == [(1, 1), (2, 1), (1, 2)]
+    assert basis.dtype == np.int64 and basis.shape == (3, 2)
+    assert basis.tolist() == [[1, 1], [2, 1], [1, 2]]
     assert len(basis) == math.comb(3, 2)
+
+
+def test_bases_match_the_listed_and_sorted_reference():
+    # every n <= 6 and every degree bound whose basis passes the cap
+    for n in range(1, 7):
+        bound = 0
+        while math.comb(bound + n, n) <= linalg._MAX_OPERATOR:
+            got = rmd_basis(n, bound, 2, 1)
+            assert got.dtype == np.int64
+            assert got.tolist() == [list(u) for u in
+                                    monomials_reference(n, bound)]
+            bound += 1
+        with pytest.raises(SizeLimit):
+            rmd_basis(n, bound, 2, 1)
 
 
 @pytest.mark.parametrize("n,d", [(1, 4), (2, 5), (3, 6), (2, 2)])
@@ -71,12 +87,18 @@ def test_rmd_basis_size(n, d, p, m):
 
 def test_rd_basis_is_the_shifted_rmd_basis():
     # x^u with every u_i >= 1 is x_1...x_n times a monomial of degree
-    # <= d - n, in the same graded-lex order
+    # <= d - n, in the same graded-lex order; past the operator cap both
+    # are refused
     for n in range(1, 5):
         for d in range(n, 14):
-            shifted = [tuple(x + 1 for x in u)
-                       for u in rmd_basis(n, d - n, 2, 1)]
-            assert list(rd_basis(n, d)) == shifted
+            if math.comb(d, n) > linalg._MAX_OPERATOR:
+                for build in (lambda: rd_basis(n, d),
+                              lambda: rmd_basis(n, d - n, 2, 1)):
+                    with pytest.raises(SizeLimit):
+                        build()
+                continue
+            shifted = rmd_basis(n, d - n, 2, 1) + 1
+            assert rd_basis(n, d).tolist() == shifted.tolist()
 
 
 def test_basis_caps():
@@ -88,17 +110,24 @@ def test_basis_caps():
 
 def test_operator_dimension_cap_is_checked_before_the_basis(monkeypatch):
     # C(35, 2) = 595 is accepted, C(36, 2) = 630 and the all-monomial
-    # basis C(2*18 + 2, 2) = 703 mod 4 are refused before any basis is
-    # listed, though each is far below the basis cap
-    counts = count_calls(monkeypatch, ("rd_basis", "rmd_basis"))
+    # basis C(2*18 + 2, 2) = 703 mod 4 are refused before the box of
+    # candidate rows is listed
+    boxes = []
+    indices = np.indices
+
+    def counted(*args, **kwargs):
+        boxes.append(args[0])
+        return indices(*args, **kwargs)
+    monkeypatch.setattr(np, "indices", counted)
     ctx = field(2)
     f = SparsePoly(ctx, 2, {(1, 1): 1, (0, 0): 1})      # x*y + 1
     assert hyper_matrix_mod_p(f, 35).n == 595 <= linalg._MAX_OPERATOR
-    with pytest.raises(SizeLimit):
+    assert boxes == [(34, 34)]
+    with pytest.raises(SizeLimit, match="dimension 630"):
         hyper_matrix_mod_p(f, 36)
-    with pytest.raises(SizeLimit):
+    with pytest.raises(SizeLimit, match="dimension 703"):
         hyper_matrix_mod_pm(f.lift_to(make_galois_ring(ctx, 2)), 18)
-    assert counts == {"rd_basis": 1, "rmd_basis": 0}
+    assert boxes == [(34, 34)]
 
 
 def _per_column_matrix(ctx, power, basis):
@@ -106,6 +135,7 @@ def _per_column_matrix(ctx, power, basis):
     column from every term of x^u * power: the reference for the
     assembly by residue class."""
     q = ctx.q
+    basis = list(map(tuple, basis.tolist()))
     index = {u: i for i, u in enumerate(basis)}
     rows = [[0] * len(basis) for _ in basis]
     for j, u in enumerate(basis):
@@ -440,11 +470,11 @@ def test_a_basis_missing_an_image_raises_naming_it():
     f = SparsePoly.from_dense(field(2), [1, 1, 1])
     # column x^2 reads psi_2(x^2 + x^3 + x^4) = x + x^2, and x is missing
     with pytest.raises(StabilityViolation, match=r"\(1,\) escaped"):
-        hyper._operator(f, ((2,),))
+        hyper._operator(f, np.array([[2]]))
     # x^4 reads x^2 + x^3 and x^5 reads x^3, none of them in the basis:
     # the least image of the first column is named
     with pytest.raises(StabilityViolation, match=r"\(2,\) escaped"):
-        hyper._operator(f, ((4,), (5,)))
+        hyper._operator(f, np.array([[4], [5]]))
     for q, n, d in ((2, 2, 5), (3, 2, 4), (4, 3, 5)):
         ctx = field(q)
         f = rand_poly_mv(ctx, random.Random(q + n + d), n, d)
@@ -454,8 +484,9 @@ def test_a_basis_missing_an_image_raises_naming_it():
         i = next(i for i, row in enumerate(rows)
                  if any(c for j, c in enumerate(row) if j != i))
         with pytest.raises(StabilityViolation,
-                           match=re.escape("%r escaped" % (basis[i],))):
-            hyper._operator(f, basis[:i] + basis[i + 1:])
+                           match=re.escape("%r escaped"
+                                           % (tuple(basis[i].tolist()),))):
+            hyper._operator(f, np.delete(basis, i, axis=0))
 
 
 def test_hyper_matrix_rejects_ring_input():

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ffzeta.poly
-from conftest import (count_calls, field, poly_pow_reference, rand_monic,
-                      rand_poly_mv, rand_poly_uni)
+from conftest import (count_calls, field, poly_pow_reference,
+                      product_reference, rand_poly_mv, rand_poly_uni)
 from ffzeta import SizeLimit, make_field, make_galois_ring
+from ffzeta.fq import GaloisRing
 from ffzeta.poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
-                         dense_powmod, dense_translate, dense_trim, poly_pow,
-                         squarefree_part)
+                         dense_powmod, dense_translate, dense_trim, poly_pow)
 
 
 def horner(ctx, a, x):
@@ -35,11 +35,7 @@ def test_canonical_form_no_zero_terms():
     for _ in range(100):
         f = rand_poly_mv(ctx, rng, 2, 3)
         g = rand_poly_mv(ctx, rng, 2, 3)
-        for h in (f + g, f - g, f * g, f + (-g)):
-            assert all(c != 0 for c in h.terms.values())
-    f = SparsePoly(ctx, 1, {(1,): 1})
-    assert (f - f).terms == {}
-    assert (f - f).is_zero()
+        assert all(c != 0 for c in (f * g).terms.values())
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -52,6 +48,14 @@ def test_degree_multiplicative_over_field(q):
         assert (f * g).degree() == f.degree() + g.degree()
 
 
+def plus(f, g):
+    """f + g, term by term."""
+    terms = dict(f.terms)
+    for u, c in g.terms.items():
+        terms[u] = f.ctx.add(terms.get(u, 0), c)
+    return SparsePoly(f.ctx, f.nvars, terms)
+
+
 def test_ring_arithmetic_small_identities():
     ctx = field(5)
     rng = random.Random(5)
@@ -60,7 +64,7 @@ def test_ring_arithmetic_small_identities():
         g = rand_poly_mv(ctx, rng, 2, 2)
         h = rand_poly_mv(ctx, rng, 2, 2)
         assert f * g == g * f
-        assert (f + g) * h == f * h + g * h
+        assert plus(f, g) * h == plus(f * h, g * h)
         assert f * (g * h) == (f * g) * h
 
 
@@ -82,24 +86,6 @@ def test_psi_commutes_past_qth_powers(q):
         h = rand_poly_uni(ctx, rng, 2 * q).to_dense()
         fqh = dense_mul(ctx, dense_power(ctx, f, q), h)
         assert dense_trim(fqh[::q]) == dense_mul(ctx, f, h[::q])
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-def test_squarefree_reconstruction(q):
-    # peeling the radical off f repeatedly must multiply back to f
-    ctx = field(q)
-    rng = random.Random(q + 3)
-    for _ in range(60):
-        f = rand_monic(ctx, rng, rng.randrange(2, 9))
-        rem = f.to_dense()
-        prod = SparsePoly.one(ctx)
-        while len(rem) > 1:
-            rad = squarefree_part(SparsePoly.from_dense(ctx, rem))
-            assert rad.is_monic_uni()
-            prod = prod * rad
-            rem, r = dense_divmod(ctx, rem, rad.to_dense())
-            assert r == []
-        assert prod == f
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -156,6 +142,68 @@ def test_poly_pow_work_cap_refuses_before_multiplying(monkeypatch):
     with pytest.raises(SizeLimit, match="400 term pairs"):
         poly_pow(f, 2)
     assert counts == {"_capped_product": 1}
+
+
+# (p, e, m): F_2, F_9, GR(2^2, 2), and Z/32749^3, whose elementwise plane
+# products pass int64 and so run on Python integers
+PRODUCT_CONTEXTS = [(2, 1, 1), (3, 2, 1), (2, 2, 2), (32749, 1, 3)]
+
+
+@pytest.mark.parametrize("p,e,m", PRODUCT_CONTEXTS)
+def test_product_matches_the_term_pair_loop(p, e, m):
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random(p * 100 + e * 10 + m)
+    for _ in range(40):
+        n = rng.randrange(0, 4)
+        f, g = ({tuple(rng.randrange(4) for _ in range(n)):
+                 rng.randrange(ctx.size) for _ in range(rng.randrange(7))}
+                for _ in range(2))
+        got = SparsePoly(ctx, n, f) * SparsePoly(ctx, n, g)
+        assert got == SparsePoly(ctx, n, product_reference(ctx, f, g))
+
+
+def test_products_that_cancel_to_zero():
+    # over Z/8: 4x * 2y is 8xy = 0, and (2 + 2x)(4 + 4x) = 8(1 + x)^2 = 0;
+    # no zero term is kept
+    ring = make_galois_ring(field(2), 3)
+    assert (SparsePoly(ring, 2, {(1, 0): 4})
+            * SparsePoly(ring, 2, {(0, 1): 2})).is_zero()
+    a = SparsePoly.from_dense(ring, [2, 2])
+    assert (a * SparsePoly.from_dense(ring, [4, 4])).terms == {}
+    # and in no variables, 2 * 4 over Z/8
+    assert (SparsePoly.constant(ring, 2, 0)
+            * SparsePoly.constant(ring, 4, 0)).terms == {}
+
+
+def test_product_past_int64_keys():
+    # radix 2 * 1000 + 1 in each of six variables multiplies to about
+    # 6.4 * 10^19 > 2^63: the keys are Python integers
+    ctx = field(3)
+    rng = random.Random(63)
+    f, g = ({tuple(rng.choice((0, 1, 999, 1000)) for _ in range(6)):
+             rng.randrange(1, 3) for _ in range(8)} for _ in range(2))
+    f[(1000,) * 6] = g[(1000,) * 6] = 1
+    assert math.prod([2001] * 6) >= 2 ** 63
+    got = SparsePoly(ctx, 6, f) * SparsePoly(ctx, 6, g)
+    assert got.terms == product_reference(ctx, f, g)
+    assert max(map(max, got.terms)) == 2000
+
+
+def test_product_work_cap_refuses_before_any_plane_product(monkeypatch):
+    f = SparsePoly(field(2), 3, {u: 1 for u in itertools.product(
+        range(4), repeat=3) if sum(u) <= 3})
+    calls = []
+    mul_planes = GaloisRing._mul_planes
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return mul_planes(self, *args)
+    monkeypatch.setattr(GaloisRing, "_mul_planes", counted)
+    assert len((f * f).terms) > 0 and len(calls) == 1
+    monkeypatch.setattr(ffzeta.poly, "_MAX_WORK", 20 * 20 - 1)
+    with pytest.raises(SizeLimit, match="400 term pairs"):
+        f * f
+    assert len(calls) == 1
 
 
 # (q, m): F_2, F_3, F_4, F_9, Z/4, Z/27 and GR(2^2, 2)
@@ -228,5 +276,5 @@ def test_lift_and_reduce_round_trip():
 
 def test_degree_of_zero_poly():
     ctx = field(2)
-    assert SparsePoly.zero(ctx).degree() == -1
+    assert SparsePoly(ctx, 1).degree() == -1
     assert SparsePoly.one(ctx).degree() == 0
