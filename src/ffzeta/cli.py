@@ -217,10 +217,12 @@ def _cmd_count(args, ctx):
 def _cmd_zerodim(args, ctx):
     g, _ = _shifted_poly(args, ctx)
     kind = OperatorKind(args.method)
-    frob = op_matrix(g, OperatorKind.FROBENIUS)
+    # the chosen operator first, so that its size cap refuses at once
+    M = op_matrix(g, kind)
+    frob = M if kind == OperatorKind.FROBENIUS else \
+        op_matrix(g, OperatorKind.FROBENIUS)
     prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
-    M = frob if kind == OperatorKind.FROBENIUS else op_matrix(g, kind)
     cp = ctx.prime_subring(charpoly_reverse(M), "charpoly")
     result = {
         "s": list(prof),

@@ -35,9 +35,9 @@ P(T) provably lands in the prime subring Z/p^m even though M lives over
 F_q or its Galois-ring extension: sigma(M) = A M' and M = M' A, for
 M' = sigma^{e-1}(A) ... sigma(A), have one characteristic polynomial, so
 sigma fixes its coefficients.  That containment is checked, never
-assumed, before any series work, and every series is then a
-TruncatedSeries over Z/p^m: a product of powers of polynomials in T, with
-one division at the end (_product_series).
+assumed, before any series work.  Every series, these and the exact
+zero-dimensional zeta, is a product of powers of polynomials in T with
+one division at the end, expanded on lists by _product_series.
 
 zeta_mod_p and zeta_mod_pm read P only to T^B, which for small B comes
 from traces (see `linalg`); the working the CLI prints keeps all of P.
@@ -74,72 +74,9 @@ class TruncatedSeries:
         object.__setattr__(
             self, "coeffs", tuple(c % self.modulus for c in self.coeffs))
 
-    @classmethod
-    def from_list(cls, modulus, coeffs, order):
-        c = list(coeffs[:order + 1])
-        c += [0] * (order + 1 - len(c))
-        return cls(modulus, tuple(c))
-
-    @classmethod
-    def one(cls, modulus, order):
-        return cls.from_list(modulus, [1], order)
-
     @property
     def order(self):
         return len(self.coeffs) - 1
-
-    def _compat(self, other):
-        if self.modulus != other.modulus or self.order != other.order:
-            raise ValueError("series moduli or truncation orders differ")
-
-    def __mul__(self, other):
-        """The product, looping over the nonzero terms of the sparser
-        factor only, each against the other up to its last nonzero term:
-        two polynomials of degrees D and E cost O(D*E), not O(B^2)."""
-        self._compat(other)
-        a, b = self.coeffs, other.coeffs
-        if sum(map(bool, a)) > sum(map(bool, b)):
-            a, b = b, a
-        out = [0] * len(b)
-        b = b[:1 + max((j for j, c in enumerate(b) if c), default=-1)]
-        for i, x in enumerate(a):
-            if x:
-                end = i + len(b)
-                out[i:end] = [u + x * v for u, v in zip(out[i:end], b)]
-        return TruncatedSeries(self.modulus, tuple(out))
-
-    def __truediv__(self, other):
-        """The quotient by a series with a unit constant term (ValueError
-        otherwise), from the recurrence sum_j other_j out_{k-j} = self_k;
-        it reads the nonzero terms of `other` only, so dividing by a
-        polynomial of degree D costs O(B*D)."""
-        self._compat(other)
-        N, a = self.modulus, other.coeffs
-        b0 = pow(a[0], -1, N)
-        terms = [(j, c) for j, c in enumerate(a) if j and c]
-        out = []
-        for k, y in enumerate(self.coeffs):
-            s = sum(c * out[k - j] for j, c in terms if j <= k)
-            out.append(b0 * (y - s) % N)
-        return TruncatedSeries(N, tuple(out))
-
-    def inverse(self):
-        return TruncatedSeries.one(self.modulus, self.order) / self
-
-    def pow(self, k):
-        """a^k by repeated squaring; a^-k is the inverse of a^k, so a
-        polynomial is raised to its power before the one inversion."""
-        if k < 0:
-            return self.pow(-k).inverse()
-        out = TruncatedSeries.one(self.modulus, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
 
     def __str__(self):
         parts = []
@@ -156,19 +93,50 @@ class TruncatedSeries:
 
 
 def _product_series(modulus, B, factors):
-    """The product of a(T)^k over the (k, a) pairs of `factors`, where each
-    a is a coefficient list with a unit constant term, mod `modulus` and
-    truncated at T^B.  The factors with k > 0 multiply into a numerator and the rest
-    into a denominator, which divides once at the end, so for polynomial
-    factors no two dense series are ever multiplied."""
-    num = den = TruncatedSeries.one(modulus, B)
+    """c_0..c_B of the product of a(T)^k over the (k, a) pairs of
+    `factors`, a a coefficient list, as a list mod `modulus`, or exact when
+    it is None, where every constant term must be 1.  Powers come by
+    repeated squaring on lists cut at T^B, and a product reads the nonzero
+    terms of its sparser side only, so polynomials of degrees D and E cost
+    O(D*E).  The k > 0 factors form a numerator, the rest a denominator,
+    which divides once, at the end, by its nonzero terms; its constant term
+    must be a unit (ValueError otherwise)."""
+    def cut(a):     # reduced, cut at T^B, without trailing zeros
+        a = [c if modulus is None else c % modulus for c in a[:B + 1]]
+        while len(a) > 1 and not a[-1]:
+            a.pop()
+        return a
+
+    def mul(a, b):
+        if sum(map(bool, a)) > sum(map(bool, b)):
+            a, b = b, a
+        out = [0] * min(len(a) + len(b) - 1, B + 1)
+        for i, x in enumerate(a):
+            if x:
+                end = i + len(b)
+                out[i:end] = [u + x * v for u, v in zip(out[i:end], b)]
+        return cut(out)
+
+    num = den = [1]
     for k, a in factors:
-        part = TruncatedSeries.from_list(modulus, a, B).pow(abs(k))
+        if modulus is None and a[0] != 1:
+            raise ValueError("an exact series needs constant terms 1")
+        a, part = cut(a), [1]
+        for bit in bin(abs(k))[2:]:      # left to right
+            part = mul(part, part)
+            if bit == "1":
+                part = mul(part, a)
         if k > 0:
-            num = num * part
+            num = mul(num, part)
         else:
-            den = den * part
-    return num / den
+            den = mul(den, part)
+    inv = 1 if modulus is None else pow(den[0], -1, modulus)
+    terms = [(j, c) for j, c in enumerate(den) if j and c]
+    out = []
+    for k, y in enumerate(num + [0] * (B + 1 - len(num))):
+        x = inv * (y - sum(c * out[k - j] for j, c in terms if j <= k))
+        out.append(x if modulus is None else x % modulus)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +300,7 @@ def _zeta_parts(M, ring, n, B, twists, extra, full):
     # taken as one product, so that its dense inverse meets only
     # polynomials
     series = _product_series(pm, M.n if B is None else B, factors + extra)
-    return M, factors, series
+    return M, factors, TruncatedSeries(pm, tuple(series))
 
 
 def _zeta_mod_p_parts(f, n, B, d, full=True):
@@ -361,7 +329,8 @@ def torus_zeta(n, q, B, pm):
         raise ValueError("truncation order must be >= 1")
     if n < 0:
         raise ValueError("torus dimension must be >= 0")
-    return _product_series(pm, B, _torus_factors(n, q, pm))
+    return TruncatedSeries(pm, tuple(_product_series(
+        pm, B, _torus_factors(n, q, pm))))
 
 
 def _torus_factors(n, q, pm):

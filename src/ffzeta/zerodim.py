@@ -16,6 +16,9 @@ of distinct irreducible factors.  Counting fixed points of Frobenius powers
 pins down the whole degree profile of f, hence the exact zeta function,
 without ever factoring f.
 
+Niederreiter and PsiMul divide f(x^q) by f in about q*d*(d+1) field steps,
+which a cap bounds before f(x^q) is listed; Frobenius takes log q squarings.
+
 The profile comes out of a closed-form inverse.  With s_i distinct
 irreducible factors of degree i, the fixed space of the j-th Frobenius
 power has dimension k_j = sum_i gcd(i, j) s_i.  Since gcd(i, j) =
@@ -31,11 +34,14 @@ import enum
 from dataclasses import dataclass
 
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
-                     NonIntegralSolution, NotMonic, RingNotField,
+                     NonIntegralSolution, NotMonic, RingNotField, SizeLimit,
                      ZeroConstantTerm)
+from .hyper import _product_series
 from .linalg import (SquareMatrix, _operator_cap, charpoly_reverse,
                      kernel_basis)
 from .poly import dense_divmod, dense_mod, dense_mulmod, dense_powmod
+
+_MAX_DIVISION_STEPS = 10 ** 5   # most steps q*d*(d+1) of f(x^q) / f
 
 
 class OperatorKind(enum.Enum):
@@ -79,7 +85,11 @@ def op_matrix(f, kind):
             cols.append(col + [0] * (d - len(col)))
     else:
         # every coefficient c has c^q = c, so f^q = f(x^q), and f^(q-1) is
-        # one exact division by f
+        # one exact division by f, of q*d*(d+1) steps under the cap
+        if q * d * (d + 1) > _MAX_DIVISION_STEPS:
+            raise SizeLimit("f(x^q)/f over F_%d, deg f = %d, takes %d steps, "
+                            "past the cap %d" % (q, d, q * d * (d + 1),
+                                                 _MAX_DIVISION_STEPS))
         fxq = [0] * (q * d + 1)
         fxq[::q] = fd
         fq1, rem = dense_divmod(ctx, fxq, fd)
@@ -152,24 +162,16 @@ def _solve_gcd_system(ks):
 
 @dataclass(frozen=True)
 class FactoredZeta:
-    """Zeta function of V(f) as a finite product of (1 - T^i)^e factors;
-    e = -s_i < 0, one factor per irreducible degree present in f."""
+    """(1 - T^i)^e factors as (i, e) pairs.  The zeta of V(f) has
+    e = -s_i < 0, one per irreducible degree in f, and prints as 1/(...);
+    its inverse, with every e > 0, is only expanded."""
 
     factors: tuple
 
     def expand(self, B):
         """Exact integer series coefficients c_0..c_B."""
-        out = [0] * (B + 1)
-        out[0] = 1
-        for period, expo in self.factors:
-            for _ in range(-expo):
-                # divide by (1 - T^period): prefix sums with stride
-                for k in range(period, B + 1):
-                    out[k] += out[k - period]
-            for _ in range(max(expo, 0)):
-                for k in range(B, period - 1, -1):
-                    out[k] -= out[k - period]
-        return out
+        return _product_series(None, B, [(e, [1] + [0] * (i - 1) + [-1])
+                                         for i, e in self.factors])
 
     def __str__(self):
         if not self.factors:

@@ -286,6 +286,10 @@ def test_exit_code_parse_error(capsys):
     assert "parse error" in capsys.readouterr().err
     assert main(["count", "--q", "6", "-n", "1", "--poly", "x"]) == 2
     assert main(["zerodim", "--q", "2", "--poly", "x+w"]) == 2
+    capsys.readouterr()
+    assert main(["zerodim", "--q", "3", "--poly", "x^2+1", "--shift",
+                 "x"]) == 2
+    assert "--shift must be a constant" in capsys.readouterr().err
 
 
 def test_exit_code_for_malformed_groups_and_moduli(capsys):
@@ -503,6 +507,24 @@ def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "operator dimension" in run.stderr
+
+
+@pytest.mark.parametrize("method", ["psi", "niederreiter"])
+@pytest.mark.parametrize("q", [10 ** 9 + 7, 10 ** 6 + 3])
+@pytest.mark.parametrize("command", [["zerodim"], ["verify", "--mode",
+                                                   "zerodim"]])
+def test_operators_past_the_division_cap_exit_four_within_ten_seconds(
+        command, q, method):
+    # f^(q-1) = f(x^q)/f takes q*d*(d+1) steps, bounded before f(x^q) is
+    # listed and, for zerodim, before the profile's Frobenius matrix
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    argv = command + ["--q", str(q), "--poly", "x^3+x+1", "--method", method]
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "F_%d, deg f = 3" % q in run.stderr
 
 
 def test_verify_refuses_the_largest_count_first(capsys):

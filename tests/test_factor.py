@@ -25,6 +25,7 @@ def test_worked_factorizations():
     fac2 = factorize(g)
     assert dense_factors(fac2) == [([0, 1], 1), ([1, 1], 2)]
     assert str(fac2) == "(x) * (x + 1)^2"
+    assert str(Factorization(1, ())) == "1"
 
 
 def test_irreducible_input_returns_itself():

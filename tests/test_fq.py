@@ -74,6 +74,15 @@ def test_characteristic_checked_before_a_supplied_modulus(p):
         make_field(p, 1, [1, 1])
 
 
+@pytest.mark.parametrize("fn,args", [
+    (make_field, (2, 0)),
+    (make_galois_ring, (make_field(2), 0)),
+], ids=["extension-degree-0", "precision-0"])
+def test_argument_checks(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_reducible_modulus_rejected():
     # t^2 + 1 = (t+1)^2 over F_2
     with pytest.raises(ReducibleModulus):

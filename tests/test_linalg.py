@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (CHARPOLY_CONTEXTS, count_calls, field,
                       matrix_from_rows)
-from ffzeta import (SquareMatrix, charpoly_reverse, fq, kernel_basis,
-                    linalg, make_field, make_galois_ring)
+from ffzeta import (RingNotField, SquareMatrix, charpoly_reverse, fq,
+                    kernel_basis, linalg, make_field, make_galois_ring)
 
 
 def rand_matrix(ctx, rng, n):
@@ -418,6 +418,12 @@ def _rank_reference(ctx, M):
         rank += 1
         col += 1
     return rank
+
+
+def test_kernel_basis_needs_a_field():
+    ring = make_galois_ring(field(2), 2)
+    with pytest.raises(RingNotField):
+        kernel_basis(SquareMatrix.identity(ring, 2))
 
 
 def test_kernel_basis_deterministic_and_echelon():

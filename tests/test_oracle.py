@@ -12,7 +12,8 @@ from ffzeta import (NonIntegralCoefficient, RingNotField, TooLarge,
                     irreducibles_up_to, make_galois_ring, trial_factorize,
                     zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
-from ffzeta.oracle import _batch_mul_fixed, _batch_remainders, _field_tables
+from ffzeta.oracle import (CountVector, _batch_mul_fixed, _batch_remainders,
+                           _field_tables)
 from ffzeta.poly import SparsePoly, dense_is_irreducible, dense_mul
 
 
@@ -252,6 +253,28 @@ def test_ring_input_is_refused_as_ring_not_field(fn):
     f = SparsePoly.from_dense(field(3), [1, 0, 1]).lift_to(ring)
     with pytest.raises(RingNotField):
         fn(f)
+
+
+@pytest.mark.parametrize("fn,args,error", [
+    (count_points, (SparsePoly.from_dense(field(2), [0, 1]), 1,
+                    "projective"), ValueError),
+    (zeta_coeffs_exact, ([1], 2), ValueError),
+    (CountVector, (2, 1, "affine", (5,)), ValueError),
+    (trial_factorize, (SparsePoly(field(2), 2, {(1, 1): 1}),), ValueError),
+    (trial_factorize, (SparsePoly.from_dense(field(2), [1]),), ValueError),
+    (trial_factorize,
+     (SparsePoly.from_dense(field(49), [1] + [0] * 13 + [1]),), TooLarge),
+], ids=["projective", "short-counts", "impossible-count", "bivariate",
+        "constant", "sieve-past-cap"])
+def test_argument_checks(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+
+
+def test_exact_series_of_a_count_vector():
+    # x over F_2: one point over every extension, Z = 1/(1 - T)
+    assert zeta_coeffs_exact(CountVector(2, 1, "affine", (1, 1)), 2) == \
+        [1, 1, 1]
 
 
 def test_worked_counts():

@@ -9,10 +9,29 @@ from hypothesis import strategies as st
 import ffzeta.poly
 from conftest import (count_calls, field, poly_pow_reference,
                       product_reference, rand_poly_mv, rand_poly_uni)
-from ffzeta import SizeLimit, make_field, make_galois_ring
+from ffzeta import MultivariateInput, SizeLimit, make_field, make_galois_ring
 from ffzeta.fq import GaloisRing
 from ffzeta.poly import (SparsePoly, dense_divmod, dense_gcd, dense_mul,
-                         dense_powmod, dense_translate, dense_trim, poly_pow)
+                         dense_powmod, dense_translate, dense_trim, poly_pow,
+                         render_poly, var_names)
+
+
+@pytest.mark.parametrize("fn,args,error", [
+    (poly_pow, (SparsePoly.from_dense(field(2), [0, 1]), -1), ValueError),
+    (SparsePoly.to_dense, (SparsePoly(field(2), 2, {(1, 1): 1}),),
+     MultivariateInput),
+    (SparsePoly.lead_uni, (SparsePoly(field(2), 2, {(1, 1): 1}),),
+     MultivariateInput),
+    (dense_divmod, (field(2), [1, 1], []), ZeroDivisionError),
+], ids=["negative-power", "to-dense", "lead-uni", "division-by-zero"])
+def test_argument_checks(fn, args, error):
+    with pytest.raises(error):
+        fn(*args)
+
+
+def test_renderings_of_zero_and_many_variables():
+    assert render_poly(SparsePoly(field(2), 2)) == "0"
+    assert var_names(4) == ["x1", "x2", "x3", "x4"]
 
 
 def horner(ctx, a, x):

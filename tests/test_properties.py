@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import field, matrix_from_rows
-from ffzeta import (OperatorKind, TruncatedSeries, charpoly_reverse,
-                    congruence_charpoly, make_field, make_galois_ring,
-                    trial_factorize)
+from ffzeta import (OperatorKind, charpoly_reverse, congruence_charpoly,
+                    make_field, make_galois_ring, trial_factorize)
 from ffzeta.cli import parse_modulus, parse_poly
 from ffzeta.errors import ParseError
+from ffzeta.hyper import _product_series
 from ffzeta.poly import SparsePoly, render_poly
 
 
@@ -114,13 +114,19 @@ def test_charpoly_of_scaled_matrix_is_charpoly_at_scaled_argument(rm, data):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=6),
-       st.lists(st.integers(0, 7), min_size=1, max_size=6))
-def test_series_ring_laws(a, b):
+@given(st.lists(st.tuples(st.integers(-6, 6),
+                          st.lists(st.integers(0, 7), max_size=6)),
+                min_size=1, max_size=4), st.data())
+def test_series_ring_laws(factors, data):
+    # mod 8, every constant term 1: the order of the factors does not
+    # change the product, a^k a^-k is 1, and the exact product reduces
+    # to the one mod 8
     order = 5
-    sa = TruncatedSeries.from_list(8, [1] + a, order)
-    sb = TruncatedSeries.from_list(8, [1] + b, order)
-    assert sa * sb == sb * sa
-    assert (sa * sb) * sa == sa * (sb * sa)
-    assert (sa * sb).inverse() == sb.inverse() * sa.inverse()
-    assert sa * sa.inverse() == TruncatedSeries.one(8, order)
+    factors = [(k, [1] + a) for k, a in factors]
+    want = _product_series(8, order, factors)
+    assert _product_series(8, order, data.draw(st.permutations(factors))) \
+        == want
+    assert [c % 8 for c in _product_series(None, order, factors)] == want
+    for k, a in factors:
+        assert _product_series(8, order, [(k, a), (-k, a)]) == \
+            [1] + [0] * order

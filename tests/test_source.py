@@ -153,11 +153,14 @@ def _attributes(node, own=False):
 
 
 def _readme_code():
-    """The README's fenced blocks and code spans; a name listed as removed
-    is not documented by it."""
+    """The README's fenced blocks, without their `#` comments, and its code
+    spans; a name listed as removed is not documented by it."""
     readme = (REPO / "README.md").read_text()
     readme = re.sub(r"Removed names:.*?\n\n", "", readme, flags=re.S)
-    return "\n".join(re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S))
+    return "\n".join(re.sub(r"#.*", "", code) if code.startswith("```")
+                     else code
+                     for code in re.findall(r"```.*?```|`[^`]+`", readme,
+                                            flags=re.S))
 
 
 def test_public_names_have_a_caller():

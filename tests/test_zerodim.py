@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from conftest import field, mul_by_x_matrix, rand_monic
-from ffzeta import (ConstantInput, InvariantViolation, MultivariateInput,
-                    NonIntegralSolution, NotMonic, OperatorKind,
-                    RingNotField, SquareMatrix, ZeroConstantTerm,
-                    charpoly_reverse, congruence_charpoly, count_points,
-                    degree_profile, kernel_basis, make_galois_ring,
+from conftest import count_calls, field, mul_by_x_matrix, rand_monic
+from ffzeta import (ConstantInput, FactoredZeta, InvariantViolation,
+                    MultivariateInput, NonIntegralSolution, NotMonic,
+                    OperatorKind, RingNotField, SizeLimit, SquareMatrix,
+                    ZeroConstantTerm, charpoly_reverse, congruence_charpoly,
+                    count_points, degree_profile, hyper, kernel_basis,
+                    make_galois_ring,
                     op_matrix, trial_factorize, zerodim, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
@@ -99,6 +100,12 @@ def test_zerodim_zeta_string_and_expansion():
     z2 = zerodim_zeta(SparsePoly.from_dense(ctx, [0, 1, 0, 1]))
     assert str(z2) == "1/((1-T)^2)"
     assert z2.expand(3) == [1, 2, 3, 4]
+    # the inverse, as `verify --mode zerodim` expands it, and a factor
+    # whose constant term is not 1, which no exact series takes
+    assert FactoredZeta(((2, 1),)).expand(4) == [1, 0, -1, 0, 0]
+    assert str(FactoredZeta(())) == "1"
+    with pytest.raises(ValueError):
+        hyper._product_series(None, 4, [(-1, [2, 1])])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -273,3 +280,20 @@ def test_op_matrix_checks_its_division_of_f_x_q_by_f(monkeypatch):
     for kind in (OperatorKind.NIEDERREITER, OperatorKind.PSI_MUL):
         with pytest.raises(InvariantViolation):
             op_matrix(f, kind)
+
+
+@pytest.mark.parametrize("kind", [OperatorKind.PSI_MUL,
+                                  OperatorKind.NIEDERREITER])
+def test_division_cap_admits_its_bound(kind, monkeypatch):
+    # q*d*(d+1) = 99904 at d = 223 over F_2 is under the cap and 100800 at
+    # d = 224 is past it, refused before f(x^q) is divided; Frobenius takes
+    # log q squarings and has no such cap
+    ctx = field(2)
+    f = SparsePoly(ctx, 1, {(223,): 1, (1,): 1, (0,): 1})
+    assert op_matrix(f, kind).n == 223
+    g = SparsePoly(ctx, 1, {(224,): 1, (1,): 1, (0,): 1})
+    assert op_matrix(g, OperatorKind.FROBENIUS).n == 224
+    counts = count_calls(monkeypatch, ("dense_divmod",))
+    with pytest.raises(SizeLimit, match="F_2, deg f = 224"):
+        op_matrix(g, kind)
+    assert counts == {"dense_divmod": 0}
