@@ -40,7 +40,7 @@ from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
 from .linalg import _operator_cap, charpoly_reverse
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (FactoredZeta, OperatorKind, _profile,
+from .zerodim import (FactoredZeta, OperatorKind, _profile, _profile_cap,
                       _zeta_from_profile, congruence_charpoly, op_matrix)
 
 
@@ -204,7 +204,7 @@ def _shifted_poly(args, ctx):
     c = c.constant_term()
     # the shift builds f's dense list, so the operator's dimension, deg f,
     # is checked first
-    _operator_cap(f.degree())
+    _operator_cap(f.degree(), ctx.e)
     return _shifted(f, c), c
 
 
@@ -217,10 +217,14 @@ def _cmd_count(args, ctx):
 def _cmd_zerodim(args, ctx):
     g, _ = _shifted_poly(args, ctx)
     kind = OperatorKind(args.method)
-    # the chosen operator first, so that its size cap refuses at once
-    M = op_matrix(g, kind)
-    frob = M if kind == OperatorKind.FROBENIUS else \
-        op_matrix(g, OperatorKind.FROBENIUS)
+    # the chosen operator first, so that its size cap refuses at once, then
+    # the profile's cap, before the Frobenius matrix is built
+    if kind != OperatorKind.FROBENIUS:
+        M = op_matrix(g, kind)
+    _profile_cap(g)
+    frob = op_matrix(g, OperatorKind.FROBENIUS)
+    if kind == OperatorKind.FROBENIUS:
+        M = frob
     prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
     cp = ctx.prime_subring(charpoly_reverse(M), "charpoly")

@@ -152,7 +152,8 @@ def _monomial_rows(n, bound):
     if n > _MAX_NVARS:
         raise SizeLimit("%d variables exceeds the cap %d" % (n, _MAX_NVARS))
     size = math.comb(bound + n, n)
-    _operator_cap(size)
+    # the dimension alone; _operator bounds it for the field's degree e
+    _operator_cap(size, 1)
     box = np.indices((bound + 1,) * n, dtype=np.int64).reshape(n, -1).T
     rows = box[box.sum(axis=1) <= bound]
     # np.lexsort's last key is its first: degree, then -u_1, -u_2, ...
@@ -208,6 +209,7 @@ def _operator(f, basis):
     least one of the first column that has one."""
     ctx = f.ctx
     p, (N, n) = ctx.p, basis.shape
+    _operator_cap(N, ctx.e)
     power = poly_pow(f, (p - 1) * p ** (ctx.m - 1))
     # every v + u stays below 2^63 on int64; past it (a power of a
     # monomial over a huge prime field) exponents are Python integers

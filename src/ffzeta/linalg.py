@@ -24,8 +24,17 @@ polynomials of p-adic matrices", ISSAC 2017); one code path serves fields
 and rings.  Each of its plane products sums at most k <= n digit products
 per plane pair, and so does the convolution of the block charpolys, at
 most min(k, n - k) + 1 <= n: the bound `_dtype_ok(n)` that sizes the
-matrix's planes, int64 or Python integers, covers both.  Kernels require
-a field.
+matrix's planes, int64 or Python integers, covers both.
+
+Kernels and ranks require a field.  kernel_basis is a scalar Gauss-Jordan
+elimination, which the factorizer runs once per component on small
+matrices.  _stack_ranks finds the ranks of a whole (L, k, n, n) stack of
+matrices in one forward elimination, column by column for all k at once:
+per column one elementwise plane product on the trailing columns of the
+rows below the ranks, about e^2 k n^3 / 3 digit products in all, k scalar
+inverses per column, and a few dozen numpy calls per column whatever k
+is.  Its elementwise products need only `_dtype_ok(1)`, which the stack's
+own dtype implies.
 
 charpoly_reverse(M, B), B < n, returns c_0..c_B only; while B <= 16 it
 reads them from traces (as in Lauder and Wan, MSRI Publ. 44, 2008), which
@@ -49,9 +58,11 @@ import math
 import numpy as np
 
 from .errors import InvariantViolation, RingNotField, SizeLimit
-from .fq import make_galois_ring
+from .fq import _iroot, make_galois_ring
 
-_MAX_OPERATOR = 600     # largest dimension of an operator matrix
+# the operator cap bounds e^2 n^3 by _MAX_OPERATOR^3: dimension n <= 600
+# over a prime field, 377 over F_4 and F_9, 238 over F_16
+_MAX_OPERATOR = 600
 
 # most products, ceil(B/2) - 1, a truncated charpoly takes on traces, so
 # B <= 16: at n = 153 over GF(4) and GR(2^2, 2) that costs 0.6 to 0.9 of
@@ -59,14 +70,17 @@ _MAX_OPERATOR = 600     # largest dimension of an operator matrix
 _MAX_TRACE_PRODUCTS = 7
 
 
-def _operator_cap(size):
-    """Refuse an operator of dimension `size` before it is built: the
-    hypersurface assembly, Warshall and Hessenberg cost O(size^3), near
-    the cap 2.4 s over F_3 and 4.5 s over F_4 for a dense f, growing as
-    e^2 in F_(p^e); a univariate operator has dimension deg f."""
-    if size > _MAX_OPERATOR:
+def _operator_cap(size, e):
+    """Refuse an operator of dimension `size` over F_(p^e), or its Galois
+    ring, before it is built: the hypersurface assembly, Warshall and
+    Hessenberg cost O(size^3) digit-plane work, and each plane product
+    takes e^2 plane pairs, so e^2 size^3 is bounded.  `modp -B 2` on a
+    dense f near the cap takes 0.8 s over F_3 (dimension 595) and 1.3 s
+    over F_4 (351) and F_16 (231); at dimension 561 F_16 took 25 s.  A
+    univariate operator has dimension deg f."""
+    if e * e * size ** 3 > _MAX_OPERATOR ** 3:
         raise SizeLimit("operator dimension %d exceeds the cap %d"
-                        % (size, _MAX_OPERATOR))
+                        % (size, _iroot(_MAX_OPERATOR ** 3 // (e * e), 3)))
 
 
 class SquareMatrix:
@@ -259,6 +273,45 @@ def _charpoly_hessenberg(ctx, H):
                                            H[:, k, k - 1, None, None])
             Y[:, k] = chi
     return chi[:, ::-1]
+
+
+def _stack_ranks(ctx, A):
+    """The rank of every matrix of the (L, k, n, n) plane stack A over a
+    field, by one forward elimination of all k at once, which
+    overwrites the stack.  Column by column each matrix swaps its first row
+    at or below its rank with a nonzero entry there up to its rank, and the
+    rows below lose multiples of it on the trailing columns, through one
+    elementwise plane product; a matrix with no such row keeps its rank."""
+    if ctx.m != 1:
+        raise RingNotField("ranks need field coefficients")
+    k, n = A.shape[1:3]
+    rank = np.zeros(k, dtype=np.intp)
+    mats = np.arange(k)
+    rows = np.arange(n)
+    for col in range(n):
+        top = int(rank.min())
+        if top == n:
+            break
+        # the rows of A[:, :, top:] below each matrix's rank, nonzero at col
+        live = (A[:, :, top:, col] != 0).any(axis=0) \
+            & (rows[top:] >= rank[:, None])
+        has = live.any(axis=1)
+        r = np.minimum(rank, n - 1)     # the pivot row, where there is one
+        rank += has
+        if col == n - 1 or not has.any():
+            continue                    # no trailing columns, or no pivot
+        sel = np.where(has, top + live.argmax(axis=1), r)
+        A[:, mats, r], A[:, mats, sel] = A[:, mats, sel], A[:, mats, r]
+        pivot = ctx._from_planes(A[:, mats, r, col]).tolist()
+        inv = [ctx.inv(a) if h else 0 for a, h in zip(pivot, has.tolist())]
+        # the multipliers of the rows below the pivot, zero elsewhere
+        below = A[:, :, top:, col] * (rows[top:] > r[:, None])
+        c = ctx._mul_planes(np.multiply, below,
+                            ctx._to_planes(inv, 1)[:, :, None])
+        A[:, :, top:, col + 1:] = (A[:, :, top:, col + 1:] - ctx._mul_planes(
+            np.multiply, c[:, :, :, None],
+            A[:, mats, r, None, col + 1:])) % ctx.pm
+    return rank
 
 
 def kernel_basis(M):

@@ -509,6 +509,42 @@ def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
     assert "operator dimension" in run.stderr
 
 
+@pytest.mark.parametrize("degree,method,code", [
+    (120, "frobenius", 0), (121, "frobenius", 4), (121, "psi", 4)])
+def test_profile_at_and_past_its_cap_ends_within_ten_seconds(degree, method,
+                                                             code):
+    # over F_2 the profile's e^2 d^4 cap admits d = 120; x^d + x + 1 has
+    # derivative 1 for even d, so it is squarefree and sum i s_i = d
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    argv = ["zerodim", "--q", "2", "--poly", "x^%d+x+1" % degree,
+            "--method", method, "--json"]
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    if code:
+        assert "deg f = %d over F_2" % degree in run.stderr
+    else:
+        s = json.loads(run.stdout)["result"]["s"]
+        assert sum(i * v for i, v in enumerate(s, 1)) == degree
+
+
+def test_operator_past_the_extension_cap_exits_four_within_ten_seconds():
+    # a dense f of degree 34 in two variables over F_16: dimension 561 is
+    # under 600, but e^2 561^3 is past 600^3, where the cap is 238
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    poly = "+".join("x^%d*y^%d" % (i, j) for i in range(35)
+                    for j in range(35 - i))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "modp", "--q",
+                          "16", "-n", "2", "-B", "2", "--poly", poly],
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "operator dimension 561 exceeds the cap 238" in run.stderr
+
+
 @pytest.mark.parametrize("method", ["psi", "niederreiter"])
 @pytest.mark.parametrize("q", [10 ** 9 + 7, 10 ** 6 + 3])
 @pytest.mark.parametrize("command", [["zerodim"], ["verify", "--mode",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (CHARPOLY_CONTEXTS, count_calls, field,
                       matrix_from_rows)
-from ffzeta import (RingNotField, SquareMatrix, charpoly_reverse, fq,
-                    kernel_basis, linalg, make_field, make_galois_ring)
+from ffzeta import (RingNotField, SizeLimit, SquareMatrix, charpoly_reverse,
+                    fq, kernel_basis, linalg, make_field, make_galois_ring)
 
 
 def rand_matrix(ctx, rng, n):
@@ -432,3 +432,57 @@ def test_kernel_basis_deterministic_and_echelon():
     ker = kernel_basis(M)
     assert ker == kernel_basis(M)
     assert len(ker) == 2
+
+
+RANK_FIELDS = [2, 3, 4, 5, 9, 16, 25]
+
+
+def rank_corpus(ctx, rng, n):
+    """Matrices of every rank r = 0..n, U V for an n x r factor U with the
+    rows of I_r among its rows and an r x n factor V with the columns of
+    I_r among its columns, which otherwise holds random entries; each also
+    with random columns cut to zero, so that pivots skip columns; and the
+    zero matrix and the identity."""
+    out = [SquareMatrix.zeros(ctx, n), SquareMatrix.identity(ctx, n)]
+    for r in range(n + 1):
+        at = dict(zip(rng.sample(range(n), r), range(r)))
+        U = [[int(at[i] == j) if i in at else rng.randrange(ctx.q)
+              for j in range(r)] + [0] * (n - r) for i in range(n)]
+        at = dict(zip(rng.sample(range(n), r), range(r)))
+        V = [[int(at[j] == i) if j in at else rng.randrange(ctx.q)
+              for j in range(n)] for i in range(r)] + [[0] * n] * (n - r)
+        M = matrix_from_rows(ctx, U) @ matrix_from_rows(ctx, V)
+        cut = [[int(i == j and rng.random() < 0.6) for j in range(n)]
+               for i in range(n)]
+        out += [M, M @ matrix_from_rows(ctx, cut)]
+    return out
+
+
+@pytest.mark.parametrize("q", RANK_FIELDS)
+def test_stacked_ranks_match_the_kernels(q):
+    ctx = field(q)
+    rng = random.Random(q + 90)
+    for n in (1, 2, 4, 7):
+        mats = rank_corpus(ctx, rng, n)
+        rng.shuffle(mats)
+        stack = np.stack([M.planes for M in mats], axis=1)
+        ranks = linalg._stack_ranks(ctx, stack).tolist()
+        assert ranks == [n - len(kernel_basis(M)) for M in mats]
+        assert set(ranks) == set(range(n + 1))
+
+
+def test_stacked_ranks_need_a_field():
+    ring = make_galois_ring(field(2), 2)
+    stack = SquareMatrix.identity(ring, 3).planes[:, None]
+    with pytest.raises(RingNotField):
+        linalg._stack_ranks(ring, stack)
+
+
+@pytest.mark.parametrize("e,cap", [(1, 600), (2, 377), (3, 288), (4, 238)])
+def test_operator_cap_bounds_e_squared_dimension_cubed(e, cap):
+    # e^2 n^3 <= 600^3: each plane product of the operator's charpoly and
+    # Frobenius twists takes e^2 plane pairs
+    linalg._operator_cap(cap, e)
+    with pytest.raises(SizeLimit, match="dimension %d exceeds the cap %d"
+                       % (cap + 1, cap)):
+        linalg._operator_cap(cap + 1, e)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from ffzeta import (ConstantInput, FactoredZeta, InvariantViolation,
                     make_galois_ring,
                     op_matrix, trial_factorize, zerodim, zerodim_zeta,
                     zeta_coeffs_exact)
+from ffzeta.cli import main
 from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
 from ffzeta.zerodim import _solve_gcd_system
 
@@ -297,3 +299,60 @@ def test_division_cap_admits_its_bound(kind, monkeypatch):
     with pytest.raises(SizeLimit, match="F_2, deg f = 224"):
         op_matrix(g, kind)
     assert counts == {"dense_divmod": 0}
+
+
+def profile_reference(M):
+    """The degree profile from len(kernel_basis(M^j - I)), j = 1..d, one
+    scalar Gauss-Jordan each: the reference for the stacked ranks."""
+    ident = SquareMatrix.identity(M.ctx, M.n)
+    ks, P = [], ident
+    for _ in range(M.n):
+        P = P @ M
+        ks.append(len(kernel_basis(P - ident)))
+    return tuple(_solve_gcd_system(ks))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16, 25, 10 ** 9 + 7])
+def test_degree_profile_matches_the_kernel_profile(q):
+    # F_(10^9+7) at d = 6 runs on Python-integer planes
+    ctx = field(q)
+    rng = random.Random(q * 61)
+    degrees = [6] if q > 25 else [rng.randrange(1, 24) for _ in range(4)]
+    for d in degrees + [24] * (q <= 25):
+        f = rand_monic(ctx, rng, d)
+        M = op_matrix(f, OperatorKind.FROBENIUS)
+        assert (M.planes.dtype == object) == (q > 25)
+        assert degree_profile(f) == profile_reference(M)
+
+
+def test_degree_profile_runs_no_kernel(monkeypatch, capsys):
+    def refuse(M):
+        raise AssertionError("the degree profile called kernel_basis")
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ffzeta" and "kernel_basis" in vars(mod):
+            monkeypatch.setattr(mod, "kernel_basis", refuse)
+    ctx = field(3)
+    # (x + 1)(x^2 + 1)(x^3 + 2x + 1)^2 has one factor each of degree 1,
+    # 2 and 3
+    f = SparsePoly.from_dense(ctx, dense_mul(ctx, dense_mul(ctx, [1, 1], [
+        1, 0, 1]), dense_mul(ctx, [1, 2, 0, 1], [1, 2, 0, 1])))
+    assert degree_profile(f) == (1, 1, 1) + (0,) * 6
+    assert str(zerodim_zeta(f)) == "1/((1-T)(1-T^2)(1-T^3))"
+    assert main(["zerodim", "--q", "3", "--poly", "x^3+2*x+1"]) == 0
+    assert "s = [0, 0, 1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("q,d", [(2, 120), (4, 84), (16, 60),
+                                 (10 ** 9 + 7, 67)])
+def test_profile_cap_admits_its_bound(q, d, monkeypatch):
+    # e^2 d^4 digit products, ten times that on Python-integer planes, up to
+    # 120^4; past it the profile is refused before its Frobenius matrix
+    ctx = field(q)
+    zerodim._profile_cap(SparsePoly(ctx, 1, {(d,): 1, (1,): 1, (0,): 1}))
+    g = SparsePoly(ctx, 1, {(d + 1,): 1, (1,): 1, (0,): 1})
+    counts = count_calls(monkeypatch, ("op_matrix",))
+    for run in (degree_profile, zerodim_zeta):
+        with pytest.raises(SizeLimit, match="deg f = %d over F_%d"
+                           % (d + 1, q)):
+            run(g)
+    assert counts == {"op_matrix": 0}
