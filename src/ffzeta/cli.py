@@ -40,8 +40,9 @@ from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
 from .linalg import _operator_cap, charpoly_reverse
 from .oracle import count_points, trial_factorize, zeta_coeffs_exact
 from .poly import SparsePoly, dense_translate, render_poly, var_names
-from .zerodim import (FactoredZeta, OperatorKind, _profile, _profile_cap,
-                      _zeta_from_profile, congruence_charpoly, op_matrix)
+from .zerodim import (FactoredZeta, OperatorKind, _check_operator, _profile,
+                      _profile_cap, _zeta_from_profile, congruence_charpoly,
+                      op_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +218,11 @@ def _cmd_count(args, ctx):
 def _cmd_zerodim(args, ctx):
     g, _ = _shifted_poly(args, ctx)
     kind = OperatorKind(args.method)
-    # the chosen operator first, so that its size cap refuses at once, then
-    # the profile's cap, before the Frobenius matrix is built
-    if kind != OperatorKind.FROBENIUS:
-        M = op_matrix(g, kind)
+    # the chosen operator's caps, then the profile's, before any matrix
+    _check_operator(g, kind)
     _profile_cap(g)
     frob = op_matrix(g, OperatorKind.FROBENIUS)
-    if kind == OperatorKind.FROBENIUS:
-        M = frob
+    M = frob if kind == OperatorKind.FROBENIUS else op_matrix(g, kind)
     prof = _profile(frob)
     zeta = _zeta_from_profile(prof)
     cp = ctx.prime_subring(charpoly_reverse(M), "charpoly")
@@ -272,9 +270,12 @@ def _cmd_series(args, ctx):
 def _cmd_verify(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
     if args.mode == "zerodim":
-        lhs = congruence_charpoly(f, OperatorKind(args.method))
-        # 1/Z = prod (1 - T^deg h) over the distinct irreducible factors h
+        kind = OperatorKind(args.method)
+        # the operator's caps, then the sieve's, before any matrix
+        _check_operator(f, kind)
         fac = trial_factorize(f)
+        lhs = congruence_charpoly(f, kind)
+        # 1/Z = prod (1 - T^deg h) over the distinct irreducible factors h
         inverse = FactoredZeta(tuple((h.degree(), 1) for h, _ in fac.factors))
         rhs = [c % ctx.p for c in inverse.expand(len(lhs) - 1)]
     else:

@@ -21,6 +21,15 @@ is answered without enumeration.  The work is Q^n point evaluations,
 capped by _MAX_ENUM.  The sieve and trial division run on the same
 tables over extension fields and on int64 arithmetic mod p over prime
 fields, with their own division.
+
+One variable with deg f <= k is counted from the factors instead: a
+monic irreducible g has deg g roots in F_Q when deg g | k and none
+otherwise, so N_k sums deg g over the distinct factors of f with deg g | k,
+leaving out g = x on the torus.  Trial division then sieves degrees up to
+k/2, fewer than 2 sqrt(Q) rows against the Q points it replaces.  Near
+deg f = 2k the sieve lists about Q rows, each a whole coefficient row, and
+costs more time and memory than enumeration, so past deg f = k the count
+enumerates.  Both routes sit behind the same refusals.
 """
 
 from __future__ import annotations
@@ -133,8 +142,10 @@ def _horner_vec(kit, dense, xlog):
 
 
 def count_points(f, k=1, domain="affine"):
-    """Number of F_{q^k}-rational points of {f = 0}, by enumeration over the
-    affine space or the torus (all coordinates nonzero)."""
+    """Number of F_{q^k}-rational points of {f = 0} in the affine space or
+    the torus (all coordinates nonzero): from the trial factorization of f
+    when f is univariate of degree <= k (after folding exponents below
+    q^k), otherwise by enumeration."""
     if domain not in ("affine", "torus"):
         raise ValueError("domain must be 'affine' or 'torus'")
     ctx = f.ctx
@@ -166,6 +177,13 @@ def count_points(f, k=1, domain="affine"):
     kit = big.vector_kit()
     if kit is None:
         raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
+    if n == 1 and max(terms)[0] <= k:
+        # N_k from the factors (see above); x is the one monic irreducible
+        # with g(0) = 0, and the torus leaves it out
+        fac = trial_factorize(SparsePoly(ctx, 1, terms))
+        return sum(g.degree() for g, _ in fac.factors
+                   if k % g.degree() == 0
+                   and (domain == "affine" or g.constant_term()))
     # the embedding is additive, so the folded sums embed term by term
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}

@@ -80,16 +80,29 @@ def _check_zerodim_input(f):
         raise NotMonic("f must be monic")
 
 
+def _check_operator(f, kind):
+    """Every refusal of op_matrix(f, kind), raised before any of its work."""
+    _check_zerodim_input(f)
+    q, d = f.ctx.q, f.degree()
+    if kind == OperatorKind.PSI_MUL and not f.constant_term():
+        raise ZeroConstantTerm("psi-multiplication operator needs f(0) != 0")
+    # every coefficient c has c^q = c, so f^q = f(x^q), and f^(q-1) is one
+    # exact division by f, of q*d*(d+1) steps
+    if kind != OperatorKind.FROBENIUS and \
+            q * d * (d + 1) > _MAX_DIVISION_STEPS:
+        raise SizeLimit("f(x^q)/f over F_%d, deg f = %d, takes %d steps, "
+                        "past the cap %d" % (q, d, q * d * (d + 1),
+                                             _MAX_DIVISION_STEPS))
+
+
 def op_matrix(f, kind):
     """Matrix of the chosen operator on R = F_q[x]/(f) in the power basis;
     column j is the image of x^j."""
-    _check_zerodim_input(f)
+    _check_operator(f, kind)
     ctx = f.ctx
     q = ctx.q
     fd = f.to_dense()
     d = len(fd) - 1
-    if kind == OperatorKind.PSI_MUL and fd[0] == 0:
-        raise ZeroConstantTerm("psi-multiplication operator needs f(0) != 0")
     cols = []
     if kind == OperatorKind.FROBENIUS:
         # x^(jq) = x^((j-1)q) * x^q, so one modular power serves every column
@@ -100,12 +113,6 @@ def op_matrix(f, kind):
                 col = dense_mulmod(ctx, col, xq, fd)
             cols.append(col + [0] * (d - len(col)))
     else:
-        # every coefficient c has c^q = c, so f^q = f(x^q), and f^(q-1) is
-        # one exact division by f, of q*d*(d+1) steps under the cap
-        if q * d * (d + 1) > _MAX_DIVISION_STEPS:
-            raise SizeLimit("f(x^q)/f over F_%d, deg f = %d, takes %d steps, "
-                            "past the cap %d" % (q, d, q * d * (d + 1),
-                                                 _MAX_DIVISION_STEPS))
         fxq = [0] * (q * d + 1)
         fxq[::q] = fd
         fq1, rem = dense_divmod(ctx, fxq, fd)

@@ -563,6 +563,20 @@ def test_operators_past_the_division_cap_exit_four_within_ten_seconds(
     assert "F_%d, deg f = 3" % q in run.stderr
 
 
+def test_verify_zerodim_checks_the_sieve_cap_before_any_matrix():
+    # deg f = 200 over F_(10^9+7): trial division needs a sieve of degree
+    # 100, refused before the Frobenius matrix and its charpoly are built
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    argv = ["verify", "--mode", "zerodim", "--q", "1000000007", "--poly",
+            "x^200+x+1"]
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "needs a sieve past the cap" in run.stderr
+
+
 def test_verify_refuses_the_largest_count_first(capsys):
     # N_10 is over F_59049, which has no tables; it is counted first, so
     # N_1..N_9 are never built

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -177,7 +178,8 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
     ctx = field(q)
     assert field(q ** k).vector_kit() is not None
     monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
-    calls = count_calls(monkeypatch, ["_count_vectorized", "_find_root"])
+    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized",
+                                      "_find_root"])
     rng = random.Random(q + k)
     # x^4 - a^4 has the roots +-a; past 2^14 elements the reference runs
     # the generic digit arithmetic, so there only this sparse quartic is
@@ -185,9 +187,11 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
     a = rng.randrange(1, ctx.q)
     polys = [SparsePoly(ctx, 1, {(4,): 1, (0,): ctx.neg(ctx.pow(a, 4))})]
     if q ** k <= 2 ** 14:
-        # a product of linear factors, so that there are roots to count
+        # a product of linear factors, so that there are roots to count;
+        # of degree 5, past k, so that over F_9 at k = 4 it is enumerated
+        # and the embedding runs
         split = [1]
-        for _ in range(3):
+        for _ in range(5):
             split = dense_mul(ctx, split, [rng.randrange(ctx.q), 1])
         polys += [SparsePoly.from_dense(ctx, split)] + \
             [rand_poly_mv(ctx, rng, 1, rng.randrange(1, 5))
@@ -196,10 +200,82 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
         for domain in ("affine", "torus"):
             assert count_points(f, k, domain) == \
                 count_scalar_reference(f, k, domain)
-    # a constant needs no enumeration
-    counted = sum(not f.is_constant() for f in polys)
-    assert calls == {"_count_vectorized": 2 * counted,
+    # a constant needs neither route; once per domain, deg f <= k is
+    # counted from the factors and the rest by enumeration
+    factored = sum(1 <= f.degree() <= k for f in polys)
+    enumerated = sum(f.degree() > k for f in polys)
+    assert calls == {"trial_factorize": 2 * factored,
+                     "_count_vectorized": 2 * enumerated,
                      "_find_root": int(k > 1)}
+
+
+def _irreducible(ctx, rng, d):
+    while True:
+        g = [rng.randrange(ctx.q) for _ in range(d)] + [1]
+        if dense_is_irreducible(ctx, g):
+            return g
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_factor_route_matches_scalar_reference(q, monkeypatch):
+    # n = 1 and deg f <= k: x alone, which the torus leaves out, linear f
+    # that need not be monic, the factor x, repeated factors, factors whose
+    # degree does and does not divide k, and x^q - x, which vanishes on
+    # F_q though it is not the zero polynomial
+    ctx = field(q)
+    rng = random.Random(q * 53)
+    x, g2, g3 = [0, 1], _irreducible(ctx, rng, 2), _irreducible(ctx, rng, 3)
+    line = [rng.randrange(q), 1]
+    linear = [rng.randrange(q), rng.randrange(1, q)]
+
+    def prod(*fs):
+        return functools.reduce(lambda a, b: dense_mul(ctx, a, b), fs)
+    cases = [(x, 1), (x, 2), (linear, 1), (linear, 3),
+             (prod(x, g2), 3), (prod(x, g2), 4), (prod(line, line), 2),
+             (prod(x, x, line, line), 4), (prod(g2, g2), 4),
+             (prod(line, g3), 4), (prod(line, g3), 6),
+             ([0, ctx.neg(1)] + [0] * (q - 2) + [1], q)]
+    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized"])
+    counted = 0
+    for dense, k in cases:
+        f = SparsePoly.from_dense(ctx, dense)
+        assert 1 <= f.degree() <= k
+        if field(q ** k).vector_kit() is None:
+            # x^8 - x and x^9 - x at k >= q: past the table caps, refused
+            # as before
+            with pytest.raises(TooLarge, match="too large to tabulate"):
+                count_points(f, k)
+            continue
+        if q ** k > 6561:
+            continue                # past the scalar reference's budget
+        for domain in ("affine", "torus"):
+            assert count_points(f, k, domain) == \
+                count_scalar_reference(f, k, domain)
+            counted += 1
+    assert counted >= 18
+    assert calls == {"trial_factorize": counted, "_count_vectorized": 0}
+
+
+def test_factor_route_needs_deg_f_at_most_k(monkeypatch):
+    ctx = field(2)
+    monkeypatch.setattr(oracle, "_count_vectorized", lambda *args: -1)
+    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized"])
+    # x^41 + x^3 + 1 at k = 21: trial division would sieve every degree up
+    # to 20, about as many rows as the 2^21 points, so it is enumerated
+    # (here by a stand-in that answers -1)
+    irr = [1, 0, 0, 1] + [0] * 37 + [1]
+    assert dense_is_irreducible(ctx, irr)
+    assert count_points(SparsePoly.from_dense(ctx, irr), 21) == -1
+    assert calls == {"trial_factorize": 0, "_count_vectorized": 1}
+    # x (x + 1)^2 (x^3 + x + 1) at k = 6..20, K = 20 as in the benchmark's
+    # sextic: counted from its factors alone
+    f = SparsePoly.from_dense(ctx, dense_mul(ctx, [0, 1, 0, 1],
+                                             [1, 1, 0, 1]))
+    for k in range(6, 21):
+        cubic = 3 * (k % 3 == 0)
+        assert count_points(f, k) == 2 + cubic
+        assert count_points(f, k, "torus") == 1 + cubic
+    assert calls == {"trial_factorize": 30, "_count_vectorized": 1}
 
 
 def test_fields_without_tables_count_one_variable():
