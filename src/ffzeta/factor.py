@@ -1,17 +1,36 @@
 """Univariate factorization over F_q by fixed-space splitting.
 
 Each of the three operators built in `zerodim` fixes a subspace of
-F_q[x]/(f) whose dimension is the number of distinct irreducible factors
-of f, and any two independent fixed vectors separate at least two of those
-factors through gcds.  The worklist here refines f into primary components
-(prime powers) using such gcds, then takes each component's root: p-th
-roots while its derivative vanishes, then one division by gcd(g, g').
+R = F_q[x]/(f) whose dimension r is the number of distinct irreducible
+factors of f.  `factorize` builds one operator matrix and one kernel, for f
+itself, and refines f with them (Berlekamp, Math. Comp. 24, 1970): every
+piece is cut by its gcd with each fixed vector b_1, b_1 - c*b_j and b_j in
+turn, until there are r pieces.  The cuts are coprime and f has r distinct
+irreducibles, so r pieces are exactly its primary components (prime
+powers), and each piece's root is taken at once: p-th roots while its
+derivative vanishes, then one division by gcd(g, g').
 
-The gcd of f with a fixed vector need not be a clean cut when f has
-repeated factors: for the differential operators every bucket gcd picks up
-stray copies of the repeated primes.  `_coprime_split` repairs that by
-saturating, so a successful refinement always cuts the component into two
-exactly complementary monic pieces.
+For Frobenius the refinement always reaches r pieces.  By the Chinese
+remainder theorem R is the product of the rings F_q[x]/(g^e) over the
+primary components g^e of f, and h^q = h there only for constant h, as
+prod_c (h - c) = h^q - h has pairwise coprime factors.  So each fixed
+vector is one constant per component, and any two components differ in
+some b_j.  b_1 is the constant 1, as 1 is fixed and column 0 is free, so
+up to units the splitters are every b_j - a, and b_j - a is divisible by
+exactly the components where b_j is a.
+Niederreiter's operator (AAECC 4, 1993) and the psi operator fix vectors
+that are not constant on the components (for squarefree f, Niederreiter's
+are h = f * sum_i c_i g_i'/g_i), so a cut sees only where a splitter
+vanishes, and the splitters of the pairs (b_1, b_j) can leave two
+components in one piece.  When the refinement stalls below r pieces, each
+piece gets a fixed space of its own and is refined by that, and one that
+resists its own fixed space raises InternalCheckError.
+
+The gcd of a piece with a fixed vector need not be a clean cut when f has
+repeated factors: for the differential operators it can pick up stray
+copies of the repeated primes.  `_coprime_split` repairs that by
+saturating, so every cut splits a piece into two exactly complementary
+monic pieces, each a product of primary components.
 """
 
 from __future__ import annotations
@@ -63,26 +82,34 @@ class Factorization:
         return " * ".join(parts)
 
 
+def _dense_key(dense):
+    """Factors sort by degree, then by coefficients from the top."""
+    return len(dense), dense[::-1]
+
+
 def factor_sort_key(item):
-    dense = item[0].to_dense()
-    return (len(dense), tuple(reversed(dense)))
+    return _dense_key(item[0].to_dense())
+
+
+def _fixed_space(f, kind):
+    """Dense basis, ordered by free column, of the fixed space of the
+    chosen operator on F_q[x]/(f)."""
+    M = op_matrix(f, kind)
+    return kernel_basis(M - SquareMatrix.identity(f.ctx, M.n))
 
 
 def admissible_basis(f, kind=OperatorKind.FROBENIUS):
     """Polynomials of degree < deg f spanning the fixed space of the
     chosen operator on F_q[x]/(f)."""
-    M = op_matrix(f, kind)
-    fixed = M - SquareMatrix.identity(f.ctx, M.n)
-    return [SparsePoly.from_dense(f.ctx, v) for v in kernel_basis(fixed)]
+    return [SparsePoly.from_dense(f.ctx, v) for v in _fixed_space(f, kind)]
 
 
 def _dense_sub_scaled(ctx, a, b, c):
     """a - c*b on dense lists."""
     out = list(a) + [0] * max(0, len(b) - len(a))
-    if c:
-        for i, y in enumerate(b):
-            if y:
-                out[i] = ctx.sub(out[i], ctx.mul(c, y))
+    for i, y in enumerate(b):
+        if y:
+            out[i] = ctx.sub(out[i], ctx.mul(c, y))
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -111,21 +138,34 @@ def _coprime_split(ctx, g, h):
     return s, rem
 
 
-def _refine(ctx, g, basis):
-    """First successful coprime cut of g from pairs (b_1, b_j) of its
-    fixed-space basis, at least two vectors; None when every pair stalls.
-    kernel_basis gives each vector its own degree (its free column), so
-    no two are dependent."""
+def _splitters(ctx, basis):
+    """b_1, then b_1 - c*b_j for c = 1..q-1 and b_j for each later vector
+    b_j of a fixed-space basis.  kernel_basis gives each vector its own
+    degree (its free column), so none of these is zero."""
     h1 = basis[0]
+    yield h1
     for h2 in basis[1:]:
-        for c in range(ctx.q):
-            cut = _coprime_split(ctx, g, _dense_sub_scaled(ctx, h1, h2, c))
-            if cut:
-                return cut
-        cut = _coprime_split(ctx, g, h2)
-        if cut:
-            return cut
-    return None
+        for c in range(1, ctx.q):
+            yield _dense_sub_scaled(ctx, h1, h2, c)
+        yield h2
+
+
+def _refine(ctx, g, basis):
+    """Coprime pieces of monic g: every piece is cut by its gcd with each
+    splitter in turn, until there are as many pieces as basis vectors or
+    the splitters run out."""
+    r = len(basis)
+    pieces = [g]
+    for h in _splitters(ctx, basis):
+        if len(pieces) == r:
+            break
+        pieces = [part for piece in pieces
+                  for part in _coprime_split(ctx, piece, h) or (piece,)]
+        if len(pieces) > r:
+            raise InternalCheckError(
+                "%d coprime pieces from a fixed space of dimension %d"
+                % (len(pieces), r))
+    return pieces
 
 
 def _prime_power_root(ctx, g):
@@ -144,33 +184,44 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     """Complete factorization of monic univariate f into irreducibles,
     driven by the fixed space of the chosen operator.
 
-    Each component gets its own fixed space, which either certifies it as
-    a prime power (dimension one) or is guaranteed to cut it further.
+    One fixed space, of f itself, cuts f into as many pieces as it has
+    dimensions, the number of distinct irreducible factors; each piece is
+    then one primary component, whose root is taken at once.  Frobenius
+    always gets there.  A piece that the Niederreiter or psi fixed space
+    leaves holding several components gets a fixed space of its own.
     """
     ctx = f.ctx
     if ctx.q > _MAX_FACTOR_Q:
         raise QTooLarge("scalar enumeration over %d elements exceeds the "
                         "cap %d" % (ctx.q, _MAX_FACTOR_Q))
-    queue = [f]
+    # the operator refuses f past its caps before any dense list of f
+    basis = _fixed_space(f, kind)
+    r = len(basis)
+    queue = [(f.to_dense(), basis)]
     terminal = []
     while queue:
-        g = queue.pop()
-        basis = [h.to_dense() for h in admissible_basis(g, kind)]
-        if len(basis) == 1:
-            terminal.append(g)
-            continue
-        cut = _refine(ctx, g.to_dense(), basis)
-        if cut is None:
+        g, basis = queue.pop()
+        pieces = _refine(ctx, g, basis)
+        if len(pieces) == len(basis):
+            terminal.extend(pieces)
+        elif len(pieces) == 1:
             raise InternalCheckError(
                 "component with several factors resisted every "
                 "splitting pair from its own fixed space")
-        queue.extend(SparsePoly.from_dense(ctx, h) for h in cut)
+        else:
+            queue.extend((h, _fixed_space(SparsePoly.from_dense(ctx, h),
+                                          kind)) for h in pieces)
     factors = []
     for g in terminal:
-        root = _prime_power_root(ctx, g.to_dense())
-        mult, r = divmod(g.degree(), len(root) - 1)
-        if r:
+        root = _prime_power_root(ctx, g)
+        mult, rem = divmod(len(g) - 1, len(root) - 1)
+        if rem:
             raise InvariantViolation("root degree does not divide degree")
-        factors.append((SparsePoly.from_dense(ctx, root), mult))
-    factors.sort(key=factor_sort_key)
-    return Factorization(1, tuple(factors))
+        factors.append((root, mult))
+    distinct = len({tuple(root) for root, _ in factors})
+    if distinct != r:
+        raise InternalCheckError("%d distinct factors from a fixed space "
+                                 "of dimension %d" % (distinct, r))
+    factors.sort(key=lambda item: _dense_key(item[0]))
+    return Factorization(1, tuple((SparsePoly.from_dense(ctx, root), mult)
+                                  for root, mult in factors))

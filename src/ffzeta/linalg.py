@@ -27,8 +27,8 @@ most min(k, n - k) + 1 <= n: the bound `_dtype_ok(n)` that sizes the
 matrix's planes, int64 or Python integers, covers both.
 
 Kernels and ranks require a field.  kernel_basis is a scalar Gauss-Jordan
-elimination, which the factorizer runs once per component on small
-matrices.  _stack_ranks finds the ranks of a whole (L, k, n, n) stack of
+elimination, which the factorizer runs once on the operator of f, and
+again only on a piece its fixed space leaves merged.  _stack_ranks finds the ranks of a whole (L, k, n, n) stack of
 matrices in one forward elimination, column by column for all k at once:
 per column one elementwise plane product on the trailing columns of the
 rows below the ranks, about e^2 k n^3 / 3 digit products in all, k scalar

@@ -509,6 +509,24 @@ def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
     assert "operator dimension" in run.stderr
 
 
+@pytest.mark.parametrize("q,poly,degree", [
+    ("2", "x^600+x+1", 600), ("3", "x^300+x+2", 300)])
+def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree):
+    # one operator matrix and one kernel for f itself refine it into all
+    # its components; a kernel per component took about 9 s at x^600+x+1
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "factor",
+                          "--q", q, "--poly", poly, "--json"],
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    ctx = field(int(q))
+    factors = json.loads(run.stdout)["result"]["factors"]
+    assert sum(m * parse_poly(g, ctx, 1).degree()
+               for g, m in factors) == degree
+
+
 @pytest.mark.parametrize("degree,method,code", [
     (120, "frobenius", 0), (121, "frobenius", 4), (121, "psi", 4)])
 def test_profile_at_and_past_its_cap_ends_within_ten_seconds(degree, method,

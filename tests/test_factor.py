@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from conftest import field, rand_monic
-from ffzeta import (Factorization, OperatorKind, QTooLarge, SquareMatrix,
-                    ZeroConstantTerm, admissible_basis, factorize,
-                    irreducibles_up_to, kernel_basis, op_matrix,
-                    trial_factorize)
-from ffzeta.factor import _prime_power_root, _refine
+import ffzeta.factor
+from conftest import count_calls, field, rand_monic
+from ffzeta import (Factorization, InternalCheckError, OperatorKind,
+                    QTooLarge, SquareMatrix, ZeroConstantTerm,
+                    admissible_basis, factorize, irreducibles_up_to,
+                    kernel_basis, op_matrix, trial_factorize)
+from ffzeta.factor import _coprime_split, _prime_power_root, _refine
 from ffzeta.poly import SparsePoly, dense_gcd, dense_is_irreducible, dense_mul
 
 
@@ -46,6 +47,8 @@ def test_admissible_basis_dimension_counts_factors():
 
 
 def test_refine_cuts_into_a_coprime_pair():
+    # one Frobenius fixed space cuts f into its primary components, one
+    # piece per basis vector
     ctx = field(3)
     rng = random.Random(33)
     done = 0
@@ -55,11 +58,19 @@ def test_refine_cuts_into_a_coprime_pair():
         if len(basis) < 2:
             continue
         done += 1
-        s, t = _refine(ctx, f.to_dense(), basis)
-        assert 0 < len(s) - 1 < f.degree()
-        assert 0 < len(t) - 1 < f.degree()
-        assert dense_mul(ctx, s, t) == f.to_dense()
-        assert dense_gcd(ctx, s, t) == [1]
+        pieces = _refine(ctx, f.to_dense(), basis)
+        assert len(pieces) == len(basis)
+        prod = [1]
+        for i, s in enumerate(pieces):
+            assert 0 < len(s) - 1 < f.degree()
+            assert all(dense_gcd(ctx, s, t) == [1] for t in pieces[:i])
+            root = _prime_power_root(ctx, s)
+            power = [1]
+            while len(power) < len(s):
+                power = dense_mul(ctx, power, root)
+            assert power == s
+            prod = dense_mul(ctx, prod, s)
+        assert prod == f.to_dense()
 
 
 def test_refine_stalls_on_a_one_dimensional_fixed_space():
@@ -67,7 +78,96 @@ def test_refine_stalls_on_a_one_dimensional_fixed_space():
     f = SparsePoly.from_dense(ctx, [1, 1, 1, 1])  # (x+1)^3 over F_2
     basis = [h.to_dense() for h in admissible_basis(f)]
     assert len(basis) == 1
-    assert _refine(ctx, f.to_dense(), basis) is None
+    assert _refine(ctx, f.to_dense(), basis) == [f.to_dense()]
+
+
+# per field, the largest degree of a random irreducible factor: each input
+# is a product of up to three powers h^k, k <= 3, so deg f <= 24, and
+# trial division sieves at most q^(deg f / 2) <= 10^6 polynomials
+PRODUCT_FIELDS = {2: 8, 3: 6, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2}
+
+
+def _rand_irreducible(ctx, rng, d):
+    while True:
+        h = rand_monic(ctx, rng, d).to_dense()
+        if dense_is_irreducible(ctx, h):
+            return h
+
+
+def _rand_product(ctx, rng):
+    """1-3 random monic irreducibles, each to a power 1-3, kept within
+    the sieve of trial division."""
+    while True:
+        f = [1]
+        for _ in range(rng.randint(1, 3)):
+            h = _rand_irreducible(ctx, rng,
+                                  rng.randint(1, PRODUCT_FIELDS[ctx.q]))
+            for _ in range(rng.randint(1, 3)):
+                f = dense_mul(ctx, f, h)
+        if len(f) <= 25 and ctx.q ** ((len(f) - 1) // 2) <= 10 ** 6:
+            return SparsePoly.from_dense(ctx, f)
+
+
+@pytest.mark.parametrize("q", sorted(PRODUCT_FIELDS))
+def test_products_of_prime_powers_match_trial_division(q, monkeypatch):
+    # Frobenius refines every input from the one fixed space of f; the
+    # differential operators may fall back to one per component
+    ctx = field(q)
+    rng = random.Random("products/%d" % q)
+    counts = count_calls(monkeypatch, ("kernel_basis",))
+    for _ in range(50):
+        f = _rand_product(ctx, rng)
+        want = dense_factors(trial_factorize(f))
+        for kind in OperatorKind:
+            if kind == OperatorKind.PSI_MUL and not f.constant_term():
+                continue
+            counts["kernel_basis"] = 0
+            assert dense_factors(factorize(f, kind)) == want
+            if kind == OperatorKind.FROBENIUS:
+                assert counts["kernel_basis"] == 1
+
+
+def test_psi_falls_back_to_a_fixed_space_per_piece(monkeypatch):
+    # psi's fixed vectors are not constant on the components, and the
+    # pairs (b_1, b_j) of f's own basis leave two of them together here
+    ctx = field(3)
+    f = SparsePoly.from_dense(ctx, [2, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1])
+    want = dense_factors(trial_factorize(f))
+    counts = count_calls(monkeypatch, ("kernel_basis",))
+    for kind in OperatorKind:
+        counts["kernel_basis"] = 0
+        assert dense_factors(factorize(f, kind)) == want
+        fallback = counts["kernel_basis"] > 1
+        assert fallback == (kind == OperatorKind.PSI_MUL)
+
+
+def _same_twice(ctx, g, h):
+    cut = _coprime_split(ctx, g, h)
+    return cut and (cut[0], cut[0])
+
+
+def _whole_twice(ctx, g, h):
+    return _coprime_split(ctx, g, h) and (g, g)
+
+
+@pytest.mark.parametrize("split,coeffs,message", [
+    # x (x+1)^2: two equal pieces, then one distinct factor for r = 2
+    (_same_twice, [0, 1, 0, 1], "1 distinct factors from a fixed space of "
+                                "dimension 2"),
+    # x (x+1) (x^4+x+1): each cut doubles its piece, past r = 3
+    (_whole_twice, [0, 1, 0, 1, 0, 1, 1], "4 coprime pieces from a fixed "
+                                          "space of dimension 3"),
+], ids=["same-twice", "whole-twice"])
+def test_a_broken_cut_trips_the_soundness_checks(split, coeffs, message,
+                                                 monkeypatch):
+    # a cut that does not split its piece into coprime parts leaves the
+    # distinct factors short of the fixed-space dimension, or makes more
+    # pieces than it; either raises, under python -O too
+    ctx = field(2)
+    f = SparsePoly.from_dense(ctx, coeffs)
+    monkeypatch.setattr(ffzeta.factor, "_coprime_split", split)
+    with pytest.raises(InternalCheckError, match=message):
+        factorize(f)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -129,9 +229,7 @@ def test_prime_power_root_of_irreducible_powers(q):
     p = ctx.p
     rng = random.Random(q + 3)
     for deg in (1, 2, 3):
-        h = rand_monic(ctx, rng, deg).to_dense()
-        while not dense_is_irreducible(ctx, h):
-            h = rand_monic(ctx, rng, deg).to_dense()
+        h = _rand_irreducible(ctx, rng, deg)
         for k in (1, 2, p, 2 * p, p * p):
             g = [1]
             for _ in range(k):
