@@ -4,27 +4,33 @@ Each of the three operators built in `zerodim` fixes a subspace of
 R = F_q[x]/(f) whose dimension r is the number of distinct irreducible
 factors of f.  `factorize` builds one operator matrix and one kernel, for f
 itself, and refines f with them (Berlekamp, Math. Comp. 24, 1970): every
-piece is cut by its gcd with each fixed vector b_1, b_1 - c*b_j and b_j in
-turn, until there are r pieces.  The cuts are coprime and f has r distinct
-irreducibles, so r pieces are exactly its primary components (prime
-powers), and each piece's root is taken at once: p-th roots while its
-derivative vanishes, then one division by gcd(g, g').
+piece is cut by its gcd with each splitter in turn, until there are r
+pieces.  For a basis b_1..b_r the splitters are b_1, then b_1 - c*b_j and
+b_j for each j, then b_k - c*b_l for each later pair k < l, with c in
+F_q^*.  The cuts are coprime and f has r distinct irreducibles, so r
+pieces are exactly its primary components (prime powers), and each
+piece's root is taken at once: p-th roots while its derivative vanishes,
+then one division by gcd(g, g').
 
-For Frobenius the refinement always reaches r pieces.  By the Chinese
-remainder theorem R is the product of the rings F_q[x]/(g^e) over the
-primary components g^e of f, and h^q = h there only for constant h, as
-prod_c (h - c) = h^q - h has pairwise coprime factors.  So each fixed
-vector is one constant per component, and any two components differ in
-some b_j.  b_1 is the constant 1, as 1 is fixed and column 0 is free, so
-up to units the splitters are every b_j - a, and b_j - a is divisible by
-exactly the components where b_j is a.
-Niederreiter's operator (AAECC 4, 1993) and the psi operator fix vectors
-that are not constant on the components (for squarefree f, Niederreiter's
-are h = f * sum_i c_i g_i'/g_i), so a cut sees only where a splitter
-vanishes, and the splitters of the pairs (b_1, b_j) can leave two
-components in one piece.  When the refinement stalls below r pieces, each
-piece gets a fixed space of its own and is refined by that, and one that
-resists its own fixed space raises InternalCheckError.
+The refinement reaches r pieces for all three operators and any basis.
+`_coprime_split` cuts a piece by whether the whole primary part g_i^e_i of
+f divides the splitter h, and each fixed space has a basis in which
+g_i^e_i divides h exactly when the i-th coordinate c_i of h is 0:
+- Frobenius: by the Chinese remainder theorem R is the product of the
+  rings F_q[x]/(g_i^e_i), and h^q = h there only for constant h, as
+  prod_c (h - c) = h^q - h has pairwise coprime factors; so h is a
+  constant c_i on the i-th component.
+- Niederreiter's operator (AAECC 4, 1993) fixes the span of the
+  (f/g_i)*g_i' mod f, so h = sum_i c_i (f/g_i) g_i'.  Every term but the
+  i-th is divisible by g_i^e_i, and the i-th, c_i g_i^(e_i-1)
+  (f/g_i^e_i) g_i', is not unless c_i = 0, as g_i' is prime to g_i.
+- psi fixes x times Niederreiter's space, and x is a unit when f(0) != 0.
+The coordinate columns of b_1..b_r are linearly independent, so no two
+components have proportional columns, and for some pair k < l one of b_k,
+b_l or b_k - c*b_l vanishes on one of them and not on the other.  For
+Frobenius kernel_basis makes b_1 = 1, which vanishes nowhere, so the pairs
+with b_1 already suffice; Niederreiter's and psi's b_1 can vanish on some
+components.
 
 The gcd of a piece with a fixed vector need not be a clean cut when f has
 repeated factors: for the differential operators it can pick up stray
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 from .errors import InternalCheckError, InvariantViolation, QTooLarge
 from .linalg import SquareMatrix, kernel_basis
 from .poly import (SparsePoly, dense_deriv, dense_divmod, dense_gcd,
-                   dense_mul, render_poly)
+                   dense_mul, dense_trim, render_poly)
 from .zerodim import OperatorKind, op_matrix
 
 # largest field order accepted, since splitting loops over all of F_q
@@ -110,9 +116,7 @@ def _dense_sub_scaled(ctx, a, b, c):
     for i, y in enumerate(b):
         if y:
             out[i] = ctx.sub(out[i], ctx.mul(c, y))
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return dense_trim(out)
 
 
 def _coprime_split(ctx, g, h):
@@ -140,31 +144,33 @@ def _coprime_split(ctx, g, h):
 
 def _splitters(ctx, basis):
     """b_1, then b_1 - c*b_j for c = 1..q-1 and b_j for each later vector
-    b_j of a fixed-space basis.  kernel_basis gives each vector its own
-    degree (its free column), so none of these is zero."""
-    h1 = basis[0]
-    yield h1
-    for h2 in basis[1:]:
-        for c in range(1, ctx.q):
-            yield _dense_sub_scaled(ctx, h1, h2, c)
-        yield h2
+    b_j of a fixed-space basis, then b_k - c*b_l for each later pair k < l.
+    The basis vectors are linearly independent, so none of these is zero;
+    b_l is not repeated, as a splitter cuts no piece a second time."""
+    yield basis[0]
+    for k, h1 in enumerate(basis):
+        for h2 in basis[k + 1:]:
+            for c in range(1, ctx.q):
+                yield _dense_sub_scaled(ctx, h1, h2, c)
+            if k == 0:
+                yield h2
 
 
 def _refine(ctx, g, basis):
-    """Coprime pieces of monic g: every piece is cut by its gcd with each
-    splitter in turn, until there are as many pieces as basis vectors or
-    the splitters run out."""
+    """The len(basis) coprime pieces of monic g: every piece is cut by its
+    gcd with each splitter in turn, until there are as many pieces as
+    basis vectors; any other count raises."""
     r = len(basis)
     pieces = [g]
     for h in _splitters(ctx, basis):
-        if len(pieces) == r:
+        if len(pieces) >= r:
             break
         pieces = [part for piece in pieces
                   for part in _coprime_split(ctx, piece, h) or (piece,)]
-        if len(pieces) > r:
-            raise InternalCheckError(
-                "%d coprime pieces from a fixed space of dimension %d"
-                % (len(pieces), r))
+    if len(pieces) != r:
+        raise InternalCheckError(
+            "%d coprime pieces from a fixed space of dimension %d"
+            % (len(pieces), r))
     return pieces
 
 
@@ -185,10 +191,9 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     driven by the fixed space of the chosen operator.
 
     One fixed space, of f itself, cuts f into as many pieces as it has
-    dimensions, the number of distinct irreducible factors; each piece is
-    then one primary component, whose root is taken at once.  Frobenius
-    always gets there.  A piece that the Niederreiter or psi fixed space
-    leaves holding several components gets a fixed space of its own.
+    dimensions, the number of distinct irreducible factors, for every
+    kind; each piece is then one primary component, whose root is taken
+    at once.
     """
     ctx = f.ctx
     if ctx.q > _MAX_FACTOR_Q:
@@ -197,22 +202,8 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     # the operator refuses f past its caps before any dense list of f
     basis = _fixed_space(f, kind)
     r = len(basis)
-    queue = [(f.to_dense(), basis)]
-    terminal = []
-    while queue:
-        g, basis = queue.pop()
-        pieces = _refine(ctx, g, basis)
-        if len(pieces) == len(basis):
-            terminal.extend(pieces)
-        elif len(pieces) == 1:
-            raise InternalCheckError(
-                "component with several factors resisted every "
-                "splitting pair from its own fixed space")
-        else:
-            queue.extend((h, _fixed_space(SparsePoly.from_dense(ctx, h),
-                                          kind)) for h in pieces)
     factors = []
-    for g in terminal:
+    for g in _refine(ctx, f.to_dense(), basis):
         root = _prime_power_root(ctx, g)
         mult, rem = divmod(len(g) - 1, len(root) - 1)
         if rem:

@@ -27,14 +27,14 @@ most min(k, n - k) + 1 <= n: the bound `_dtype_ok(n)` that sizes the
 matrix's planes, int64 or Python integers, covers both.
 
 Kernels and ranks require a field.  kernel_basis is a scalar Gauss-Jordan
-elimination, which the factorizer runs once on the operator of f, and
-again only on a piece its fixed space leaves merged.  _stack_ranks finds the ranks of a whole (L, k, n, n) stack of
-matrices in one forward elimination, column by column for all k at once:
-per column one elementwise plane product on the trailing columns of the
-rows below the ranks, about e^2 k n^3 / 3 digit products in all, k scalar
-inverses per column, and a few dozen numpy calls per column whatever k
-is.  Its elementwise products need only `_dtype_ok(1)`, which the stack's
-own dtype implies.
+elimination, which the factorizer runs once, on the operator of f.
+_stack_ranks finds the ranks of a whole (L, k, n, n) stack of matrices in
+one forward elimination, column by column for all k at once: per column
+one elementwise plane product on the trailing columns of the rows below
+the ranks, about e^2 k n^3 / 3 digit products in all, k scalar inverses
+per column, and a few dozen numpy calls per column whatever k is.  Its
+elementwise products need only `_dtype_ok(1)`, which the stack's own
+dtype implies.
 
 charpoly_reverse(M, B), B < n, returns c_0..c_B only; while B <= 16 it
 reads them from traces (as in Lauder and Wan, MSRI Publ. 44, 2008), which

@@ -327,11 +327,9 @@ def _sieve(ctx, D):
             for row in data[ell]:
                 prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
                 comp[_row_indices(q, prod, d)] = True
-        rows = _monic_digit_rows(q, d)[~comp]
-        # the index weights c_{d-1} most, matching the tuple order
-        # (c_{d-1}, ..., c_0) of the sort
-        order = np.argsort(_row_indices(q, rows, d), kind="stable")
-        data[d] = rows[order]
+        # rows come in index order, which weights c_{d-1} most: already
+        # the tuple order (c_{d-1}, ..., c_0) of the sort
+        data[d] = _monic_digit_rows(q, d)[~comp]
     _SIEVE_CACHE[ctx] = (max(built, D), data)
     return kit, data
 

@@ -509,15 +509,26 @@ def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
     assert "operator dimension" in run.stderr
 
 
-@pytest.mark.parametrize("q,poly,degree", [
-    ("2", "x^600+x+1", 600), ("3", "x^300+x+2", 300)])
-def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree):
+@pytest.mark.parametrize("q,poly,degree,method", [
+    ("2", "x^600+x+1", 600, "frobenius"),
+    ("3", "x^300+x+2", 300, "frobenius"),
+    ("2", "x^200+x+1", 200, "niederreiter"),
+    ("3", "x^100+x+2", 100, "niederreiter"),
+    ("2", "x^200+x+1", 200, "psi"),
+    ("3", "x^100+x+2", 100, "psi"),
+], ids=["2-x^600+x+1-600", "3-x^300+x+2-300", "2-niederreiter",
+        "3-niederreiter", "2-psi", "3-psi"])
+def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree,
+                                                        method):
     # one operator matrix and one kernel for f itself refine it into all
-    # its components; a kernel per component took about 9 s at x^600+x+1
+    # its components, for every operator; a kernel per component took
+    # about 9 s at x^600+x+1.  The differential operators' inputs stay
+    # inside the division cap q d (d+1) <= 10^5
     env = dict(os.environ,
                PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "factor",
-                          "--q", q, "--poly", poly, "--json"],
+                          "--q", q, "--poly", poly, "--method", method,
+                          "--json"],
                          capture_output=True, text=True, timeout=10, env=env)
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
@@ -525,6 +536,21 @@ def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree):
     factors = json.loads(run.stdout)["result"]["factors"]
     assert sum(m * parse_poly(g, ctx, 1).degree()
                for g, m in factors) == degree
+
+
+def test_factor_splits_psi_past_its_first_basis_vector():
+    # the splitters from psi's first fixed vector leave two of the three
+    # components in one piece here; a later pair of basis vectors cuts it
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    poly = "x^10+2*x^8+2*x^7+x^5+x^4+2*x^3+x+2"
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "factor",
+                          "--q", "3", "--poly", poly, "--method", "psi",
+                          "--json"],
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["result"]["factors"] == [
+        ["x + 1", 1], ["x + 2", 1], ["x^8 + 2*x^5 + x^2 + 2*x + 1", 1]]
 
 
 @pytest.mark.parametrize("degree,method,code", [

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,7 +9,8 @@ from ffzeta import (Factorization, InternalCheckError, OperatorKind,
                     QTooLarge, SquareMatrix, ZeroConstantTerm,
                     admissible_basis, factorize, irreducibles_up_to,
                     kernel_basis, op_matrix, trial_factorize)
-from ffzeta.factor import _coprime_split, _prime_power_root, _refine
+from ffzeta.factor import (_coprime_split, _prime_power_root, _refine,
+                           _splitters)
 from ffzeta.poly import SparsePoly, dense_gcd, dense_is_irreducible, dense_mul
 
 
@@ -47,30 +49,31 @@ def test_admissible_basis_dimension_counts_factors():
 
 
 def test_refine_cuts_into_a_coprime_pair():
-    # one Frobenius fixed space cuts f into its primary components, one
-    # piece per basis vector
+    # one fixed space cuts f into its primary components, one piece per
+    # basis vector, for every operator
     ctx = field(3)
-    rng = random.Random(33)
-    done = 0
-    while done < 40:
-        f = rand_monic(ctx, rng, rng.randrange(3, 9), nonzero_const=True)
-        basis = [h.to_dense() for h in admissible_basis(f)]
-        if len(basis) < 2:
-            continue
-        done += 1
-        pieces = _refine(ctx, f.to_dense(), basis)
-        assert len(pieces) == len(basis)
-        prod = [1]
-        for i, s in enumerate(pieces):
-            assert 0 < len(s) - 1 < f.degree()
-            assert all(dense_gcd(ctx, s, t) == [1] for t in pieces[:i])
-            root = _prime_power_root(ctx, s)
-            power = [1]
-            while len(power) < len(s):
-                power = dense_mul(ctx, power, root)
-            assert power == s
-            prod = dense_mul(ctx, prod, s)
-        assert prod == f.to_dense()
+    for kind in OperatorKind:
+        rng = random.Random(33)
+        done = 0
+        while done < 40:
+            f = rand_monic(ctx, rng, rng.randrange(3, 9), nonzero_const=True)
+            basis = [h.to_dense() for h in admissible_basis(f, kind)]
+            if len(basis) < 2:
+                continue
+            done += 1
+            pieces = _refine(ctx, f.to_dense(), basis)
+            assert len(pieces) == len(basis)
+            prod = [1]
+            for i, s in enumerate(pieces):
+                assert 0 < len(s) - 1 < f.degree()
+                assert all(dense_gcd(ctx, s, t) == [1] for t in pieces[:i])
+                root = _prime_power_root(ctx, s)
+                power = [1]
+                while len(power) < len(s):
+                    power = dense_mul(ctx, power, root)
+                assert power == s
+                prod = dense_mul(ctx, prod, s)
+            assert prod == f.to_dense()
 
 
 def test_refine_stalls_on_a_one_dimensional_fixed_space():
@@ -95,50 +98,107 @@ def _rand_irreducible(ctx, rng, d):
 
 
 def _rand_product(ctx, rng):
-    """1-3 random monic irreducibles, each to a power 1-3, kept within
-    the sieve of trial division."""
+    """1-3 random monic irreducibles, x among them a quarter of the time,
+    each to a power 1, 2, 3, p or 2p, kept within the sieve of trial
+    division."""
     while True:
-        f = [1]
+        f = [0, 1] if rng.random() < 0.25 else [1]
         for _ in range(rng.randint(1, 3)):
             h = _rand_irreducible(ctx, rng,
                                   rng.randint(1, PRODUCT_FIELDS[ctx.q]))
-            for _ in range(rng.randint(1, 3)):
+            for _ in range(rng.choice((1, 2, 3, ctx.p, 2 * ctx.p))):
                 f = dense_mul(ctx, f, h)
         if len(f) <= 25 and ctx.q ** ((len(f) - 1) // 2) <= 10 ** 6:
             return SparsePoly.from_dense(ctx, f)
 
 
+def _factorize_once(f, kind, monkeypatch):
+    """factorize(f, kind), asserting that it builds one operator matrix
+    and one kernel."""
+    counts = count_calls(monkeypatch, ("op_matrix", "kernel_basis"))
+    fac = factorize(f, kind)
+    assert counts == {"op_matrix": 1, "kernel_basis": 1}
+    monkeypatch.undo()
+    return fac
+
+
 @pytest.mark.parametrize("q", sorted(PRODUCT_FIELDS))
 def test_products_of_prime_powers_match_trial_division(q, monkeypatch):
-    # Frobenius refines every input from the one fixed space of f; the
-    # differential operators may fall back to one per component
+    # every operator refines every input from the one fixed space of f
     ctx = field(q)
     rng = random.Random("products/%d" % q)
-    counts = count_calls(monkeypatch, ("kernel_basis",))
     for _ in range(50):
         f = _rand_product(ctx, rng)
         want = dense_factors(trial_factorize(f))
         for kind in OperatorKind:
             if kind == OperatorKind.PSI_MUL and not f.constant_term():
                 continue
-            counts["kernel_basis"] = 0
-            assert dense_factors(factorize(f, kind)) == want
-            if kind == OperatorKind.FROBENIUS:
-                assert counts["kernel_basis"] == 1
+            assert dense_factors(_factorize_once(f, kind, monkeypatch)) \
+                == want
 
 
-def test_psi_falls_back_to_a_fixed_space_per_piece(monkeypatch):
-    # psi's fixed vectors are not constant on the components, and the
-    # pairs (b_1, b_j) of f's own basis leave two of them together here
-    ctx = field(3)
-    f = SparsePoly.from_dense(ctx, [2, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1])
+# inputs on which the splitters b_1, b_1 - c*b_j and b_j alone, the first
+# 1 + (r-1)(q-1) + (r-1) of them, leave two components in one piece, as
+# the first vector of the differential operators' basis vanishes on some
+# components; little-endian codes, in which t is the code p
+@pytest.mark.parametrize("q,stalls,coeffs", [
+    (9, OperatorKind.NIEDERREITER, [4, 1, 4, 3, 7, 1]),
+    (3, OperatorKind.NIEDERREITER, [0, 1, 1, 2, 0, 2, 1]),
+    (4, OperatorKind.NIEDERREITER, [0, 0, 3, 0, 0, 0, 2, 1]),
+    (4, OperatorKind.PSI_MUL, [2, 2, 2, 1, 1, 1]),
+    (4, OperatorKind.PSI_MUL, [3, 1, 0, 3, 1, 1, 1, 1]),
+    (4, OperatorKind.PSI_MUL, [2, 2, 3, 1, 1, 3, 1, 0, 1]),
+    (3, OperatorKind.PSI_MUL, [2, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1]),
+], ids=["niederreiter-9", "niederreiter-3", "niederreiter-4", "psi-4a",
+        "psi-4b", "psi-4c", "psi-3"])
+def test_later_pairs_split_what_the_first_vector_cannot(q, stalls, coeffs,
+                                                        monkeypatch):
+    # (x+t)(x+t+1)(x^3+x+2t) over F_9, x(x+1)^2(x^3+2x+1) over F_3 and
+    # x^2(x+1)(x+t+1)(x^3+(t+1)x+1) over F_4 for Niederreiter; the rest
+    # for psi.  The pairs b_k - c*b_l, 2 <= k < l, finish the cut from
+    # the same fixed space
+    ctx = field(q)
+    f = SparsePoly.from_dense(ctx, coeffs)
     want = dense_factors(trial_factorize(f))
-    counts = count_calls(monkeypatch, ("kernel_basis",))
+    basis = [h.to_dense() for h in admissible_basis(f, stalls)]
+    pieces = [f.to_dense()]
+    for h in islice(_splitters(ctx, basis), 1 + (len(basis) - 1) * q):
+        pieces = [part for piece in pieces
+                  for part in _coprime_split(ctx, piece, h) or (piece,)]
+    assert len(pieces) < len(basis) == len(want)
     for kind in OperatorKind:
-        counts["kernel_basis"] = 0
-        assert dense_factors(factorize(f, kind)) == want
-        fallback = counts["kernel_basis"] > 1
-        assert fallback == (kind == OperatorKind.PSI_MUL)
+        if kind == OperatorKind.PSI_MUL and not f.constant_term():
+            continue
+        assert dense_factors(_factorize_once(f, kind, monkeypatch)) == want
+
+
+# per field, the largest degree of a random irreducible factor, past the
+# fields whose trial division the tests can afford as a reference
+LARGE_FIELDS = {27: 3, 32: 3, 49: 2, 64: 2}
+
+
+@pytest.mark.parametrize("q", sorted(LARGE_FIELDS))
+def test_large_fields_agree_across_operators(q, monkeypatch):
+    # Frobenius's factors are certified irreducible and multiply back to
+    # f; Niederreiter and psi must give the same factors
+    ctx = field(q)
+    rng = random.Random("large/%d" % q)
+    for _ in range(10):
+        f = [1]
+        for _ in range(rng.randint(2, 3)):
+            h = _rand_irreducible(ctx, rng, rng.randint(1, LARGE_FIELDS[q]))
+            for _ in range(rng.choice((1, 2, ctx.p))):
+                f = dense_mul(ctx, f, h)
+        f = SparsePoly.from_dense(ctx, f)
+        fac = _factorize_once(f, OperatorKind.FROBENIUS, monkeypatch)
+        assert fac.expand() == f
+        assert all(dense_is_irreducible(ctx, g.to_dense())
+                   for g, _ in fac.factors)
+        for kind in (OperatorKind.NIEDERREITER, OperatorKind.PSI_MUL):
+            if kind == OperatorKind.PSI_MUL and not f.constant_term():
+                continue
+            assert dense_factors(_factorize_once(f, kind, monkeypatch)) \
+                == dense_factors(fac)
 
 
 def _same_twice(ctx, g, h):
@@ -150,6 +210,10 @@ def _whole_twice(ctx, g, h):
     return _coprime_split(ctx, g, h) and (g, g)
 
 
+def _never(ctx, g, h):
+    return None
+
+
 @pytest.mark.parametrize("split,coeffs,message", [
     # x (x+1)^2: two equal pieces, then one distinct factor for r = 2
     (_same_twice, [0, 1, 0, 1], "1 distinct factors from a fixed space of "
@@ -157,12 +221,16 @@ def _whole_twice(ctx, g, h):
     # x (x+1) (x^4+x+1): each cut doubles its piece, past r = 3
     (_whole_twice, [0, 1, 0, 1, 0, 1, 1], "4 coprime pieces from a fixed "
                                           "space of dimension 3"),
-], ids=["same-twice", "whole-twice"])
+    # x (x+1)^2: no cut at all leaves one piece for r = 2
+    (_never, [0, 1, 0, 1], "1 coprime pieces from a fixed space of "
+                           "dimension 2"),
+], ids=["same-twice", "whole-twice", "never"])
 def test_a_broken_cut_trips_the_soundness_checks(split, coeffs, message,
                                                  monkeypatch):
     # a cut that does not split its piece into coprime parts leaves the
     # distinct factors short of the fixed-space dimension, or makes more
-    # pieces than it; either raises, under python -O too
+    # pieces than it, and one that never cuts leaves fewer; each raises,
+    # under python -O too
     ctx = field(2)
     f = SparsePoly.from_dense(ctx, coeffs)
     monkeypatch.setattr(ffzeta.factor, "_coprime_split", split)
