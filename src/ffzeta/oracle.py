@@ -14,13 +14,20 @@ Enumeration runs on the 1-D tables of the extension field F_Q, Q = q^k
 without them is refused before any work.  The count takes the grid of the
 first n-1 coordinates in chunks of rows: the coefficients of the last
 variable become (rows, 1) columns, built from the logs of each row's
-outer monomials, and one Horner pass over a (rows x Q) array evaluates
-every value of the last variable at once.  Exponents are first folded
-below Q, since x^Q = x on F_Q, and a polynomial that folds to a constant
-is answered without enumeration.  The work is Q^n point evaluations,
-capped by _MAX_ENUM.  The sieve and trial division run on the same
-tables over extension fields and on int64 arithmetic mod p over prime
-fields, with their own division.
+outer monomials, and one Horner pass over a (rows x orbits) array
+evaluates the last variable at once at one value per orbit of the
+Frobenius x -> x^q on F_Q.  f has its coefficients in F_q, which the
+Frobenius fixes, and the Frobenius permutes the grid of the other
+coordinates, affine or torus; so the number of grid points where
+f(., x_n) vanishes is the same for x_n and x_n^q, and each zero in the
+column of a representative counts once per element of its orbit.  Only
+the sum over the whole grid has this symmetry, not the sum over one
+chunk.  Exponents are first folded below Q, since x^Q = x on F_Q, and a
+polynomial that folds to a constant is answered without enumeration.
+The work is Q^(n-1) times the number of orbits, about Q^n / k point
+evaluations; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
+run on the same tables over extension fields and on int64 arithmetic mod
+p over prime fields, with their own division.
 
 One variable with deg f <= k is counted from the factors instead: a
 monic irreducible g has deg g roots in F_Q when deg g | k and none
@@ -38,14 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIntegralCoefficient, RingNotField, TooLarge
+from .errors import (InvariantViolation, NonIntegralCoefficient,
+                     RingNotField, TooLarge)
 from .factor import Factorization, factor_sort_key
 from .fq import make_field
 from .poly import SparsePoly
 
-_MAX_ENUM = 10 ** 9     # most points (not operations) an enumeration visits
+_MAX_ENUM = 10 ** 9     # largest grid q^(kn) an enumeration covers, before
+                        # the cut to one value of x_n per Frobenius orbit
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
-_CHUNK = 1 << 16        # entries of one (outer points x Q) Horner array
+_CHUNK = 1 << 16        # entries of one (outer points x orbits) Horner array
 
 _EMBED_CACHE = {}
 _SIEVE_CACHE = {}
@@ -188,16 +197,45 @@ def count_points(f, k=1, domain="affine"):
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
     lo = 0 if domain == "affine" else 1
-    return _count_vectorized(big, kit, terms, n, lo)
+    return _count_vectorized(big, kit, terms, n, lo, ctx.q, k)
 
 
-def _count_vectorized(big, kit, terms, n, lo):
+def _frobenius_orbits(Q, q, k, lo):
+    """One representative per orbit of x -> x^q on F_Q, Q = q^k, as logs,
+    and the size of each orbit; lo = 1 leaves out 0, else 0 is its own
+    orbit with log 2(Q-1).  The orbits of the units are the cosets of the
+    logs mod Q-1 under l -> ql, each represented by its least log."""
+    # logs are int32, as in the tables; int8 holds a count of at most k
+    # steps, since q^k = Q is below 2^31
+    ell = np.arange(Q - lo, dtype=np.int32)
+    # on the affine domain the last slot is 0, which the steps leave alone
+    ell[Q - 1:] = 2 * (Q - 1)
+    cur = ell.astype(np.int64)
+    units = cur[:Q - 1]
+    least = ell.copy()
+    fixed = np.ones(Q - lo, dtype=np.int8)
+    for _ in range(k - 1):
+        # cur = q^j l mod Q-1; q * cur < Q^2 fits int64
+        units *= q
+        units %= Q - 1
+        np.minimum(least, cur, out=least)
+        fixed += cur == ell
+    # the steps j < k with q^j l = l are the multiples of the orbit size
+    rep = least == ell
+    logs, sizes = ell[rep], k // fixed[rep]
+    if sizes.sum() != Q - lo or (k % sizes).any():
+        raise InvariantViolation("Frobenius orbits of F_%d do not partition "
+                                 "it into sizes dividing %d" % (Q, k))
+    return logs, sizes
+
+
+def _count_vectorized(big, kit, terms, n, lo, q, k):
     Q = big.q
-    xlog = kit.log[lo:Q]
+    xlog, sizes = _frobenius_orbits(Q, q, k, lo)
     groups = _group_terms(terms, n)
     side = Q - lo
     outer = side ** (n - 1)
-    rows = max(1, _CHUNK // side)
+    rows = max(1, _CHUNK // len(xlog))
     width = max(len(d) for _, d in groups)
     count = 0
     for start in range(0, outer, rows):
@@ -225,7 +263,9 @@ def _count_vectorized(big, kit, terms, n, lo):
                 if c:
                     cols[j] = kit.add(cols[j], kit.exp[w + kit.log[c]])
         y = _horner_vec(kit, cols, xlog)
-        count += int(np.count_nonzero(y == 0))
+        # zeros are few, so weighting each one is cheaper than per-column
+        # sums; the orbit of a zero is its column
+        count += int(sizes[np.flatnonzero(y == 0) % len(xlog)].sum())
     return count
 
 

@@ -8,10 +8,10 @@ import pytest
 
 from conftest import (count_calls, count_scalar_reference, field,
                       rand_monic, rand_poly_mv)
-from ffzeta import (NonIntegralCoefficient, RingNotField, TooLarge,
-                    count_points, count_vector, degree_profile,
-                    irreducibles_up_to, make_galois_ring, trial_factorize,
-                    zeta_coeffs_exact, zerodim_zeta)
+from ffzeta import (InvariantViolation, NonIntegralCoefficient,
+                    RingNotField, TooLarge, count_points, count_vector,
+                    degree_profile, irreducibles_up_to, make_galois_ring,
+                    trial_factorize, zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
 from ffzeta.oracle import (CountVector, _batch_mul_fixed, _batch_remainders,
                            _field_tables)
@@ -132,24 +132,95 @@ def test_grid_counts_match_scalar_reference(q, n, k, monkeypatch):
         for domain in ("affine", "torus"):
             want = count_scalar_reference(f, k, domain)
             assert count_points(f, k, domain) == want
-            side = Q if domain == "affine" else Q - 1
+            lo = int(domain == "torus")
+            side = Q - lo
             rows = next(r for r in itertools.count(2)
                         if side ** (n - 1) % r)
             assert rows < side ** (n - 1)
+            # the Horner axis holds one value per Frobenius orbit
+            orbits = len(oracle._frobenius_orbits(Q, q, k, lo)[0])
             with monkeypatch.context() as m:
-                m.setattr(oracle, "_CHUNK", rows * side)
+                m.setattr(oracle, "_CHUNK", rows * orbits)
                 assert count_points(f, k, domain) == want
 
 
 def test_grid_runs_one_horner_pass_per_chunk(monkeypatch):
-    # a cubic over F_2 in three variables at k = 7: 2^14 outer points
+    # a cubic over F_2 in three variables at k = 7: 2^14 outer points, and
+    # a Horner axis of 20 orbits: 0, 1 and 18 of size 7
     ctx = field(2)
     f = SparsePoly(ctx, 3, {(3, 0, 0): 1, (1, 1, 1): 1, (0, 2, 1): 1,
                             (0, 0, 3): 1, (0, 1, 0): 1, (0, 0, 0): 1})
     calls = count_calls(monkeypatch, ["_horner_vec"])
     count_points(f, 7)
-    rows = oracle._CHUNK // 2 ** 7
+    orbits = len(oracle._frobenius_orbits(2 ** 7, 2, 7, 0)[0])
+    assert orbits == 20
+    rows = oracle._CHUNK // orbits
     assert 0 < calls["_horner_vec"] <= math.ceil(2 ** 14 / rows)
+
+
+def _necklaces(q, d):
+    """Monic irreducibles of degree d over F_q."""
+    return sum(mobius(d // e) * q ** e for e in range(1, d + 1)
+               if d % e == 0) // d
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_frobenius_orbits_match_a_walk(q):
+    # every F_Q with Q = q^k <= 2^14 and k <= 6, whose scalar ops read
+    # tables: walk x, x^q, x^(q^2), ... from every element
+    for k in range(1, 7):
+        Q = q ** k
+        if Q > 2 ** 14:
+            continue
+        F = field(Q)
+        exp = F.vector_kit().exp
+        orbit = {}
+        for x in range(Q):
+            if x in orbit:
+                continue
+            walk = [x]
+            while F.pow(walk[-1], q) != x:
+                walk.append(F.pow(walk[-1], q))
+            for y in walk:
+                orbit[y] = walk
+        for lo in (0, 1):
+            logs, sizes = oracle._frobenius_orbits(Q, q, k, lo)
+            reps = [int(exp[lg]) for lg in logs]
+            # one element of each orbit, and 0 exactly on the affine domain
+            assert sorted(x for x in range(lo, Q) if x == min(orbit[x])) \
+                == sorted(min(orbit[x]) for x in reps)
+            assert [len(orbit[x]) for x in reps] == sizes.tolist()
+            # an orbit of size d holds the roots of one monic irreducible
+            # of degree d | k; x is the one with root 0
+            assert len(reps) == sum(_necklaces(q, d) for d in
+                                    range(1, k + 1) if k % d == 0) - lo
+
+
+def test_frobenius_orbits_check_their_sizes():
+    # Q = 16 is not 2^3: three steps of l -> 2l mod 15 leave the orbit of
+    # 1 open, and the sizes no longer add up to Q
+    with pytest.raises(InvariantViolation, match="Frobenius orbits"):
+        oracle._frobenius_orbits(16, 2, 3, 0)
+
+
+@pytest.mark.parametrize("q,n,k", [(4, 2, 2), (4, 3, 2), (4, 2, 3),
+                                   (8, 2, 2), (8, 2, 3), (9, 2, 2),
+                                   (9, 2, 3)])
+def test_orbit_counts_with_coefficients_outside_the_prime_field(q, n, k):
+    # x -> x^q fixes F_q but x -> x^p moves it, so with a coefficient
+    # outside F_p only orbits under x^q give the count; past 10^4 grid
+    # points the reference counts one domain only, for its time
+    ctx = field(q)
+    rng = random.Random(q * 1000 + n * 10 + k)
+    f = rand_poly_mv(ctx, rng, n, 2)
+    u = (1,) * n
+    f = SparsePoly(ctx, n, {**f.terms, u: rng.randrange(ctx.p, q)})
+    domains = ("affine", "torus")
+    if (q ** k) ** n > 10 ** 4:
+        domains = [domains[(n + k) % 2]]
+    for domain in domains:
+        assert count_points(f, k, domain) == \
+            count_scalar_reference(f, k, domain)
 
 
 def test_log_weight_sums_fit_int64():
