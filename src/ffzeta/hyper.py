@@ -276,6 +276,7 @@ def hyper_matrix_mod_pm(f_lift, d=None):
     h -> psi_p(f_lift^{(p-1)p^{m-1}} h)."""
     ctx = f_lift.ctx
     d = _degree_bound(f_lift, d)
+    # ahead of rmd_basis, whose n = 0 ValueError (exit 2) would come first
     if d < 0:
         raise EmptyBasis("cannot build a basis for the zero polynomial")
     return _operator(f_lift, rmd_basis(f_lift.nvars, d, ctx.p, ctx.m))

@@ -290,8 +290,6 @@ def _stack_ranks(ctx, A):
     rows = np.arange(n)
     for col in range(n):
         top = int(rank.min())
-        if top == n:
-            break
         # the rows of A[:, :, top:] below each matrix's rank, nonzero at col
         live = (A[:, :, top:, col] != 0).any(axis=0) \
             & (rows[top:] >= rank[:, None])

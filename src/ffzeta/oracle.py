@@ -22,7 +22,8 @@ coordinates, affine or torus; so the number of grid points where
 f(., x_n) vanishes is the same for x_n and x_n^q, and each zero in the
 column of a representative counts once per element of its orbit.  Only
 the sum over the whole grid has this symmetry, not the sum over one
-chunk.  Exponents are first folded below Q, since x^Q = x on F_Q, and a
+chunk.  Each orbit table is built once per process and shared read-only.
+Exponents are first folded below Q, since x^Q = x on F_Q, and a
 polynomial that folds to a constant is answered without enumeration.
 The work is Q^(n-1) times the number of orbits, about Q^n / k point
 evaluations; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
@@ -41,6 +42,7 @@ enumerates.  Both routes sit behind the same refusals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +202,13 @@ def count_points(f, k=1, domain="affine"):
     return _count_vectorized(big, kit, terms, n, lo, ctx.q, k)
 
 
+@functools.cache
 def _frobenius_orbits(Q, q, k, lo):
     """One representative per orbit of x -> x^q on F_Q, Q = q^k, as logs,
     and the size of each orbit; lo = 1 leaves out 0, else 0 is its own
     orbit with log 2(Q-1).  The orbits of the units are the cosets of the
-    logs mod Q-1 under l -> ql, each represented by its least log."""
+    logs mod Q-1 under l -> ql, each represented by its least log.  Built
+    once per argument tuple and shared, so both arrays are read-only."""
     # logs are int32, as in the tables; int8 holds a count of at most k
     # steps, since q^k = Q is below 2^31
     ell = np.arange(Q - lo, dtype=np.int32)
@@ -226,6 +230,7 @@ def _frobenius_orbits(Q, q, k, lo):
     if sizes.sum() != Q - lo or (k % sizes).any():
         raise InvariantViolation("Frobenius orbits of F_%d do not partition "
                                  "it into sizes dividing %d" % (Q, k))
+    logs.flags.writeable = sizes.flags.writeable = False
     return logs, sizes
 
 
@@ -350,15 +355,12 @@ def _row_indices(q, rows, d):
 
 def _sieve(ctx, D):
     """The field's tables (None below degree 1) and the per-degree sorted
-    irreducible coefficient rows, up to degree D."""
+    irreducible coefficient rows, up to degree D.  The cached dict holds
+    degrees 1..len(data): each call fills the next ones up to D in turn."""
     kit = _field_tables(ctx) if D >= 1 else None
-    built, data = _SIEVE_CACHE.get(ctx, (0, {}))
-    if built >= D:
-        return kit, data
+    data = _SIEVE_CACHE.setdefault(ctx, {})
     q = ctx.q
-    for d in range(1, D + 1):
-        if d in data:
-            continue
+    for d in range(len(data) + 1, D + 1):
         comp = np.zeros(q ** d, dtype=bool)
         for ell in range(1, d // 2 + 1):
             # d - ell >= ell, so the irreducibles of degree ell, fewer
@@ -370,7 +372,6 @@ def _sieve(ctx, D):
         # rows come in index order, which weights c_{d-1} most: already
         # the tuple order (c_{d-1}, ..., c_0) of the sort
         data[d] = _monic_digit_rows(q, d)[~comp]
-    _SIEVE_CACHE[ctx] = (max(built, D), data)
     return kit, data
 
 

@@ -304,10 +304,7 @@ def dense_translate(ctx, a, c):
         for i in range(len(out)):
             shifted[i] = ctx.add(shifted[i], ctx.mul(out[i], c))
         out = shifted
-        if out:
-            out[0] = ctx.add(out[0], coef)
-        elif coef:
-            out = [coef]
+        out[0] = ctx.add(out[0], coef)
     return dense_trim(out)
 
 

@@ -30,9 +30,8 @@ k_j = sum_{k | j} phi(k) t_k, so by Moebius inversion
 Each k_j is d - rank(M^j - I) for the Frobenius matrix M.  The d powers
 are stacked as one (L, d, d, d) plane array, I comes off plane 0's
 diagonal, and one elimination (`linalg._stack_ranks`) returns all d ranks:
-about e^2 d^4 / 3 digit products over F_(p^e), where d Gauss-Jordan kernels
-took O(d^4) scalar field operations.  A cap on e^2 d^4 refuses a profile
-before its Frobenius matrix is built.
+about e^2 d^4 / 3 digit products over F_(p^e).  A cap on e^2 d^4 refuses
+a profile before its Frobenius matrix is built.
 """
 
 from __future__ import annotations
@@ -66,24 +65,20 @@ class OperatorKind(enum.Enum):
     PSI_MUL = "psi"
 
 
-def _check_zerodim_input(f):
+def _check_operator(f, kind):
+    """Every refusal of op_matrix(f, kind), raised before any of its work."""
     if f.nvars != 1:
         raise MultivariateInput(
             "zero-dimensional routines need univariate input")
     if f.ctx.m != 1:
         raise RingNotField("zero-dimensional routines need a field")
-    if f.degree() < 1:
+    q, d = f.ctx.q, f.degree()
+    if d < 1:
         raise ConstantInput("f must be nonconstant")
     # R = F_q[x]/(f) has dimension deg f
-    _operator_cap(f.degree(), f.ctx.e)
+    _operator_cap(d, f.ctx.e)
     if not f.is_monic_uni():
         raise NotMonic("f must be monic")
-
-
-def _check_operator(f, kind):
-    """Every refusal of op_matrix(f, kind), raised before any of its work."""
-    _check_zerodim_input(f)
-    q, d = f.ctx.q, f.degree()
     if kind == OperatorKind.PSI_MUL and not f.constant_term():
         raise ZeroConstantTerm("psi-multiplication operator needs f(0) != 0")
     # every coefficient c has c^q = c, so f^q = f(x^q), and f^(q-1) is one
@@ -136,7 +131,7 @@ def degree_profile(f):
 def _profile_cap(f):
     """Refuse the degree profile of f past _MAX_PROFILE_WORK, before its
     Frobenius matrix is built."""
-    _check_zerodim_input(f)
+    _check_operator(f, OperatorKind.FROBENIUS)
     ctx, d = f.ctx, f.degree()
     work = ctx.e ** 2 * d ** 4 * (1 if ctx._dtype_ok(d) else 10)
     if work > _MAX_PROFILE_WORK:

@@ -321,6 +321,14 @@ def test_exit_code_precondition(capsys):
     assert main(["zerodim", "--q", "3", "--poly", "2*x^2+1"]) == 3  # not monic
 
 
+def test_zero_polynomial_in_no_variables_is_a_precondition(capsys):
+    # the zero polynomial has no basis: exit 3, before the refusal of
+    # n = 0 as invalid input (exit 2)
+    assert main(["modpm", "--q", "2", "-n", "0", "--poly", "0",
+                 "-B", "2"]) == 3
+    assert "cannot build a basis" in capsys.readouterr().err
+
+
 def test_exit_code_limits(capsys):
     assert main(["count", "--q", "2", "-n", "3", "--poly", "x*y+1",
                  "-k", "11"]) == 4

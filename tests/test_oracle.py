@@ -203,6 +203,26 @@ def test_frobenius_orbits_check_their_sizes():
         oracle._frobenius_orbits(16, 2, 3, 0)
 
 
+def test_frobenius_orbits_are_built_once_per_field_and_domain():
+    # x_1 + 2 in two variables enumerates at every k: F_3, F_9, ..., F_243
+    # each build their orbits once, and a second count vector rebuilds none
+    f = SparsePoly(field(3), 2, {(1, 0): 1, (0, 0): 2})
+    oracle._frobenius_orbits.cache_clear()
+    first = count_vector(f, 5)
+    info = oracle._frobenius_orbits.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
+    assert count_vector(f, 5) == first
+    again = oracle._frobenius_orbits.cache_info()
+    assert again.misses == 5 and again.hits > info.hits
+
+
+def test_frobenius_orbits_are_read_only():
+    # every later call shares the arrays, so none may write into them
+    for arr in oracle._frobenius_orbits(9, 3, 2, 1):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 @pytest.mark.parametrize("q,n,k", [(4, 2, 2), (4, 3, 2), (4, 2, 3),
                                    (8, 2, 2), (8, 2, 3), (9, 2, 2),
                                    (9, 2, 3)])
@@ -547,7 +567,7 @@ def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads(
     monkeypatch.setattr(oracle, "_SIEVE_CACHE", {})
     fac = trial_factorize(SparsePoly.from_dense(ctx, dense_mul(ctx, g, h)))
     assert [(u.to_dense(), m) for u, m in fac.factors] == [(g, 1), (h, 1)]
-    assert sorted(oracle._SIEVE_CACHE[ctx][1]) == [1, 2, 3, 4, 5]
+    assert sorted(oracle._SIEVE_CACHE[ctx]) == [1, 2, 3, 4, 5]
 
 
 def test_trial_factorize_past_the_old_table_order():
