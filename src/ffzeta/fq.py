@@ -14,8 +14,11 @@ construction and scalar ops read list copies, above that on the first
 vector_kit() call, for the brute-force oracle.  The caps below are the
 one place that decides which fields carry tables: the oracle asks
 vector_kit() and refuses what gets None.  Without tables, Z/p^m and
-prime fields use integer arithmetic, and the rest the generic digit
-arithmetic.
+prime fields use integer arithmetic, and the rest the generic digit one.
+
+Caches: make_field keeps a field per modulus as given and per canonical
+modulus, make_galois_ring a ring per (field, m), _vector_kit a VectorKit
+per field, and sigma is a cached property.  Shared arrays are read-only.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
 (Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
@@ -44,6 +47,8 @@ their number in either.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -191,7 +196,6 @@ class GaloisRing:
     FiniteField, the case m = 1, which is its own residue field."""
 
     _mod_int = None                 # the modulus as a bit mask, base 2 only
-    _sigma = None                   # the digit matrix of the Frobenius
 
     def __init__(self, field, m):
         self.field = field
@@ -324,15 +328,14 @@ class GaloisRing:
 
     # -- Frobenius ---------------------------------------------------------
 
-    def _frobenius_matrix(self):
+    @functools.cached_property
+    def _sigma(self):
         """The (L, L) digit matrix S of the Frobenius sigma, built on first
-        use: column i holds the digits of sigma(t)^i, so S times the digits
-        of a are those of sigma(a) = sum a_i sigma(t)^i.  sigma(t) is the
-        root of the modulus H that reduces to t^p mod p, a simple root
-        since H mod p is separable; Newton's iteration from t^p doubles its
-        p-adic precision at each step, and over a field t^p is the root."""
-        if self._sigma is not None:
-            return self._sigma
+        use and read-only: column i holds the digits of sigma(t)^i, so S
+        times the digits of a are those of sigma(a) = sum a_i sigma(t)^i.
+        sigma(t) is the root of the modulus H that reduces to t^p mod p,
+        simple since H mod p is separable; Newton's iteration from t^p
+        doubles its p-adic precision, and over a field t^p is the root."""
 
         def value(coeffs, x):
             acc = 0
@@ -355,14 +358,14 @@ class GaloisRing:
                                          "the modulus of %r" % (x, self))
             for _ in range(self.e - 1):
                 powers.append(self.mul(powers[-1], x))
-        self._sigma = np.array([self.coeffs(s) for s in powers],
-                               dtype=np.int64).T
-        return self._sigma
+        sigma = np.array([self.coeffs(s) for s in powers], dtype=np.int64).T
+        sigma.flags.writeable = False
+        return sigma
 
     def _frob_planes(self, planes):
         """sigma on every element of a plane stack: one sum of L digit
         products per plane, which the planes' own dtype bound covers."""
-        return np.tensordot(self._frobenius_matrix(), planes, 1) % self.pm
+        return np.tensordot(self._sigma, planes, 1) % self.pm
 
     def frob(self, a):
         """sigma(a): a -> a^p on a field, and on a Galois ring the lift of
@@ -467,7 +470,6 @@ class FiniteField(GaloisRing):
     def __init__(self, p, e, modulus):
         self.p, self.e, self.q, self.modulus = p, e, p ** e, modulus
         super().__init__(self, 1)
-        self._kit = None
         # the kit's tables as Python lists, which scalar ops read; every
         # field up to _LIST_CAP is under both table caps
         self._exp = self._log = self._neg = self._wide = self._red = None
@@ -521,49 +523,7 @@ class FiniteField(GaloisRing):
         """The field's numpy tables (a VectorKit), built on first use, or
         None if the field is too large to tabulate."""
         cap = _P2_VECTOR_CAP if self.p == 2 else _ODD_VECTOR_CAP
-        if self._kit is None and self.q <= cap:
-            self._kit = self._tabulate()
-        return self._kit
-
-    def _tabulate(self):
-        """The VectorKit in O(q) numpy work, O((2p-1)^e) for `red`."""
-        q, p, e = self.q, self.p, self.e
-        g = self._find_generator()
-        # int32 holds every entry and index, 4(q-1) < 2^24 under the caps
-        exp = np.zeros(4 * q - 3, dtype=np.int32)
-        exp[0] = 1
-        n = 1
-        while n < q - 1:
-            # g^(i+n) = g^i * g^n doubles the known powers
-            k = min(n, q - 1 - n)
-            step = super().mul(int(exp[n - 1]), g)
-            head = exp[:k].astype(np.int64)
-            if p == 2:
-                exp[n:n + k] = _gf2_mul_vec(head, step, self._mod_int, e)
-            else:
-                exp[n:n + k] = _digit_product(self, head,
-                                              np.array([step]))[:, 0]
-            n += k
-        exp[q - 1:2 * (q - 1)] = exp[:q - 1]
-        kit = VectorKit()
-        kit.p = p
-        kit.exp = exp
-        kit.log = np.empty(q, dtype=np.int32)
-        kit.log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
-        kit.log[0] = 2 * (q - 1)
-        kit.neg = kit.wide = kit.red = None
-        if p != 2:
-            digits = self._to_planes(np.arange(q), 1)
-            wbase = (2 * p - 1) ** np.arange(e)
-            sums = np.arange((2 * p - 1) ** e)
-            kit.neg = self._from_planes(-digits % p)
-            kit.wide = wbase @ digits
-            # one digit at a time: a stack of all e digits of every sum
-            # would take e times the memory of the table
-            kit.red = np.zeros_like(sums)
-            for w, b in zip(wbase.tolist(), self._bpow):
-                kit.red += sums // w % (2 * p - 1) % p * b
-        return kit
+        return _vector_kit(self) if self.q <= cap else None
 
     def _find_generator(self):
         q = self.q
@@ -576,8 +536,51 @@ class FiniteField(GaloisRing):
         raise RuntimeError("no generator found for %r" % self)
 
 
-_FIELD_CACHE = {}
-_RING_CACHE = {}
+@functools.cache
+def _vector_kit(field):
+    """The VectorKit of a field in O(q) numpy work, O((2p-1)^e) for `red`,
+    built once per field and shared, so its tables are read-only.  Not a
+    cached_property: on CPython 3.11 that turns the field's attributes
+    into a dict, which slows each of its scalar ops."""
+    q, p, e = field.q, field.p, field.e
+    g = field._find_generator()
+    # int32 holds every entry and index, 4(q-1) < 2^24 under the caps
+    exp = np.zeros(4 * q - 3, dtype=np.int32)
+    exp[0] = 1
+    n = 1
+    while n < q - 1:
+        # g^(i+n) = g^i * g^n doubles the known powers
+        k = min(n, q - 1 - n)
+        step = GaloisRing.mul(field, int(exp[n - 1]), g)
+        head = exp[:k].astype(np.int64)
+        if p == 2:
+            exp[n:n + k] = _gf2_mul_vec(head, step, field._mod_int, e)
+        else:
+            exp[n:n + k] = _digit_product(field, head, np.array([step]))[:, 0]
+        n += k
+    exp[q - 1:2 * (q - 1)] = exp[:q - 1]
+    kit = VectorKit()
+    kit.p = p
+    kit.exp = exp
+    kit.log = np.empty(q, dtype=np.int32)
+    kit.log[exp[:q - 1]] = np.arange(q - 1, dtype=np.int32)
+    kit.log[0] = 2 * (q - 1)
+    kit.neg = kit.wide = kit.red = None
+    if p != 2:
+        digits = field._to_planes(np.arange(q), 1)
+        wbase = (2 * p - 1) ** np.arange(e)
+        sums = np.arange((2 * p - 1) ** e)
+        kit.neg = field._from_planes(-digits % p)
+        kit.wide = wbase @ digits
+        # one digit at a time: a stack of all e digits of every sum
+        # would take e times the memory of the table
+        kit.red = np.zeros_like(sums)
+        for w, b in zip(wbase.tolist(), field._bpow):
+            kit.red += sums // w % (2 * p - 1) % p * b
+    for table in (kit.exp, kit.log, kit.neg, kit.wide, kit.red):
+        if table is not None:
+            table.flags.writeable = False
+    return kit
 
 
 def split_prime_power(q):
@@ -600,11 +603,13 @@ def make_field(p, e=1, modulus=None):
     """
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    # keyed by the modulus as given, so that a hit needs no primality test
-    key = (p, e, None if modulus is None else tuple(modulus))
-    hit = _FIELD_CACHE.get(key)
-    if hit is not None:
-        return hit
+    # a hashable key: parse_modulus gives a list
+    return _field(p, e, None if modulus is None else tuple(modulus))
+
+
+@functools.cache
+def _field(p, e, modulus):
+    """make_field, cached by the given modulus; a hit skips _is_prime."""
     if not _is_prime(p):
         raise CompositeP("p = %d is not prime" % p)
     if modulus is None:
@@ -612,29 +617,19 @@ def make_field(p, e=1, modulus=None):
     else:
         mod = tuple(c % p for c in modulus)
         if len(mod) != e + 1 or mod[-1] != 1:
-            raise ReducibleModulus(
-                "modulus must be monic of degree %d" % e)
+            raise ReducibleModulus("modulus must be monic of degree %d" % e)
         if not dense_is_irreducible(make_field(p), list(mod)):
             raise ReducibleModulus("modulus %s is reducible over F_%d"
                                    % (list(mod), p))
-    ctx = _FIELD_CACHE.get((p, e, mod))
-    if ctx is None:
-        ctx = FiniteField(p, e, mod)
-        _FIELD_CACHE[(p, e, mod)] = ctx
-    _FIELD_CACHE[key] = ctx
-    return ctx
+    return _canonical_field(p, e, mod)
 
 
+_canonical_field = functools.cache(FiniteField)
+
+
+@functools.cache
 def make_galois_ring(field, m):
-    """Galois ring over `field` with precision m.  m = 1 returns the field
-    itself, a FiniteField and so a GaloisRing."""
+    """Galois ring over `field` of precision m; the field itself at m = 1."""
     if m < 1:
         raise ValueError("precision must be >= 1")
-    if m == 1:
-        return field
-    key = (field, m)
-    hit = _RING_CACHE.get(key)
-    if hit is None:
-        hit = GaloisRing(field, m)
-        _RING_CACHE[key] = hit
-    return hit
+    return field if m == 1 else GaloisRing(field, m)

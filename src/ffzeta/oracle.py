@@ -22,13 +22,14 @@ coordinates, affine or torus; so the number of grid points where
 f(., x_n) vanishes is the same for x_n and x_n^q, and each zero in the
 column of a representative counts once per element of its orbit.  Only
 the sum over the whole grid has this symmetry, not the sum over one
-chunk.  Each orbit table is built once per process and shared read-only.
-Exponents are first folded below Q, since x^Q = x on F_Q, and a
+chunk.  Exponents are first folded below Q, since x^Q = x on F_Q, and a
 polynomial that folds to a constant is answered without enumeration.
 The work is Q^(n-1) times the number of orbits, about Q^n / k point
 evaluations; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
 run on the same tables over extension fields and on int64 arithmetic mod
-p over prime fields, with their own division.
+p over prime fields, with their own division.  functools.cache keeps the
+orbits per (Q, q, k, domain), the embedding of F_q in F_Q per pair of
+fields and the irreducibles per field and degree: shared, so read-only.
 
 One variable with deg f <= k is counted from the factors instead: a
 monic irreducible g has deg g roots in F_Q when deg g | k and none
@@ -58,9 +59,6 @@ _MAX_ENUM = 10 ** 9     # largest grid q^(kn) an enumeration covers, before
 _MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
 _CHUNK = 1 << 16        # entries of one (outer points x orbits) Horner array
 
-_EMBED_CACHE = {}
-_SIEVE_CACHE = {}
-
 
 # ---------------------------------------------------------------------------
 # embeddings F_q -> F_{q^k}
@@ -75,21 +73,17 @@ def _find_root(kit, int_coeffs):
     return int(roots[0])
 
 
+@functools.cache
 def _embedding(small, big):
-    """Powers of the image of t under the least-root embedding, or None when
-    coefficient codes carry over unchanged (prime base field)."""
+    """Powers of the image of t under the least-root embedding, a tuple, or
+    None when coefficient codes carry over unchanged (prime base field)."""
     if small.e == 1 or big is small:
         return None
-    key = (small, big)
-    hit = _EMBED_CACHE.get(key)
-    if hit is None:
-        root = _find_root(big.vector_kit(),
-                          [int(c) for c in small.modulus])
-        hit = [1]
-        for _ in range(small.e - 1):
-            hit.append(big.mul(hit[-1], root))
-        _EMBED_CACHE[key] = hit
-    return hit
+    root = _find_root(big.vector_kit(), [int(c) for c in small.modulus])
+    powers = [1]
+    for _ in range(small.e - 1):
+        powers.append(big.mul(powers[-1], root))
+    return tuple(powers)
 
 
 def _embed_coeff(small, big, rpows, a):
@@ -353,26 +347,26 @@ def _row_indices(q, rows, d):
     return acc
 
 
-def _sieve(ctx, D):
-    """The field's tables (None below degree 1) and the per-degree sorted
-    irreducible coefficient rows, up to degree D.  The cached dict holds
-    degrees 1..len(data): each call fills the next ones up to D in turn."""
-    kit = _field_tables(ctx) if D >= 1 else None
-    data = _SIEVE_CACHE.setdefault(ctx, {})
+@functools.cache
+def _irreducible_rows(ctx, d):
+    """Sorted coefficient rows of the monic irreducibles of degree d >= 1,
+    sieved by the products of those of lower degree from this same cache;
+    shared, so read-only."""
+    kit = _field_tables(ctx)
     q = ctx.q
-    for d in range(len(data) + 1, D + 1):
-        comp = np.zeros(q ** d, dtype=bool)
-        for ell in range(1, d // 2 + 1):
-            # d - ell >= ell, so the irreducibles of degree ell, fewer
-            # than q^ell, are the shorter of the two lists to loop over
-            monics = _monic_digit_rows(q, d - ell)
-            for row in data[ell]:
-                prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
-                comp[_row_indices(q, prod, d)] = True
-        # rows come in index order, which weights c_{d-1} most: already
-        # the tuple order (c_{d-1}, ..., c_0) of the sort
-        data[d] = _monic_digit_rows(q, d)[~comp]
-    return kit, data
+    comp = np.zeros(q ** d, dtype=bool)
+    for ell in range(1, d // 2 + 1):
+        # d - ell >= ell, so the irreducibles of degree ell, fewer than
+        # q^ell, are the shorter of the two lists to loop over
+        monics = _monic_digit_rows(q, d - ell)
+        for row in _irreducible_rows(ctx, ell):
+            prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
+            comp[_row_indices(q, prod, d)] = True
+    # rows come in index order, which weights c_{d-1} most: already the
+    # tuple order (c_{d-1}, ..., c_0) of the sort
+    rows = _monic_digit_rows(q, d)[~comp]
+    rows.flags.writeable = False
+    return rows
 
 
 def irreducibles_up_to(field, D):
@@ -380,12 +374,8 @@ def irreducibles_up_to(field, D):
     degree then by coefficient tuple (c_{d-1}, ..., c_0)."""
     if field.q ** D > _MAX_SIEVE:
         raise TooLarge("sieve size q^D = %d over cap" % field.q ** D)
-    _, data = _sieve(field, D)
-    out = []
-    for d in range(1, D + 1):
-        for row in data[d]:
-            out.append(SparsePoly.from_dense(field, [int(v) for v in row]))
-    return out
+    return [SparsePoly.from_dense(field, row.tolist())
+            for d in range(1, D + 1) for row in _irreducible_rows(field, d)]
 
 
 def _batch_remainders(ctx, kit, a, rows, ell):
@@ -430,9 +420,9 @@ def trial_factorize(f):
         if 2 * ell > len(rem) - 1:
             break
         # the sieve grows one degree at a time, only as far as rem needs
-        kit, data = _sieve(ctx, ell)
-        divides, quo = _batch_remainders(ctx, kit, rem, data[ell], ell)
-        rows, quo = data[ell][divides], quo[divides]
+        kit, rows = _field_tables(ctx), _irreducible_rows(ctx, ell)
+        divides, quo = _batch_remainders(ctx, kit, rem, rows, ell)
+        rows, quo = rows[divides], quo[divides]
         # distinct irreducibles, so each row divides what is left once the
         # rows before it are divided out: one batch division of each
         # quotient by the rows not yet done gives the next quotient

@@ -216,11 +216,24 @@ def test_frobenius_orbits_are_built_once_per_field_and_domain():
     assert again.misses == 5 and again.hits > info.hits
 
 
-def test_frobenius_orbits_are_read_only():
-    # every later call shares the arrays, so none may write into them
-    for arr in oracle._frobenius_orbits(9, 3, 2, 1):
-        with pytest.raises(ValueError):
+def test_cached_arrays_are_read_only():
+    # every later call shares what a cache hands out, so no caller may
+    # write into it: the orbit tables, the sieve rows, a field's tables on
+    # p = 2 and odd p, and the Frobenius digit matrix of a field and a ring
+    F9, F16 = field(9), field(16)
+    k2, k3 = F16.vector_kit(), F9.vector_kit()
+    shared = [*oracle._frobenius_orbits(9, 3, 2, 1),
+              oracle._irreducible_rows(field(3), 3),
+              oracle._irreducible_rows(F9, 2), k2.exp, k2.log, k3.exp,
+              k3.log, k3.neg, k3.wide, k3.red, F16._sigma,
+              fq.make_galois_ring(F9, 2)._sigma]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+    # the embedding of F_9 in F_81 hands out its powers as a tuple
+    powers = oracle._embedding(F9, field(81))
+    with pytest.raises(TypeError):
+        powers[0] = 0
 
 
 @pytest.mark.parametrize("q,n,k", [(4, 2, 2), (4, 3, 2), (4, 2, 3),
@@ -268,7 +281,7 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
     # the largest odd extension field that has them
     ctx = field(q)
     assert field(q ** k).vector_kit() is not None
-    monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
+    oracle._embedding.cache_clear()
     calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized",
                                       "_find_root"])
     rng = random.Random(q + k)
@@ -388,7 +401,7 @@ def test_scalar_cap_bounds_horner_steps(monkeypatch):
     # a count is refused before the root search that embeds F_q in F_Q
     # and before any enumeration
     calls = count_calls(monkeypatch, ["_find_root", "_horner_vec"])
-    monkeypatch.setattr(oracle, "_EMBED_CACHE", {})
+    oracle._embedding.cache_clear()
     for q, k in ((9, 5), (25, 4), (5, 7), (16, 6), (4, 12)):
         f = SparsePoly.from_dense(field(q), [1, 1, 0, 1])
         assert field(q ** k).vector_kit() is None
@@ -550,8 +563,7 @@ def test_sieve_cap():
         irreducibles_up_to(ctx, 15)  # 3^15, refused before any sieving
 
 
-def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads(
-        monkeypatch):
+def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads():
     # once the degree-4 factor is out, what is left has degree 10, so the
     # loop stops after degree 5: degrees 6 and 7 (9^7 rows) are never built
     ctx = field(9)
@@ -564,10 +576,16 @@ def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads(
                 return c
 
     g, h = irreducible(4), irreducible(10)
-    monkeypatch.setattr(oracle, "_SIEVE_CACHE", {})
+    oracle._irreducible_rows.cache_clear()
     fac = trial_factorize(SparsePoly.from_dense(ctx, dense_mul(ctx, g, h)))
     assert [(u.to_dense(), m) for u, m in fac.factors] == [(g, 1), (h, 1)]
-    assert sorted(oracle._SIEVE_CACHE[ctx]) == [1, 2, 3, 4, 5]
+    # five degrees built, and asking for degrees 1..5 again builds none:
+    # the five are exactly those
+    info = oracle._irreducible_rows.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)
+    for d in range(1, 6):
+        oracle._irreducible_rows(ctx, d)
+    assert oracle._irreducible_rows.cache_info().misses == 5
 
 
 def test_trial_factorize_past_the_old_table_order():

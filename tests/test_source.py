@@ -215,3 +215,22 @@ def test_public_names_have_a_caller():
     assert len(modules) > 1
     assert methods > 20
     assert found == []
+
+
+def test_no_module_level_caches():
+    # every memo is a functools.cache builder or a per-context
+    # functools.cached_property, so no module binds a *_CACHE name
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        names = [node.id for top in tree.body
+                 if not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 for node in ast.walk(top)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)]
+        names += [name for node in ast.walk(tree)
+                  if isinstance(node, ast.Global) for name in node.names]
+        found += ["%s:%s" % (path.name, name) for name in names
+                  if name.endswith("_CACHE")]
+    assert len(SOURCES) > 1
+    assert found == []
