@@ -176,10 +176,10 @@ def _refine(ctx, g, basis):
 
 def _prime_power_root(ctx, g):
     """The monic irreducible h of a monic g = h^k: while g' = 0, g is a
-    p-th power; then p does not divide k, and as gcd(h, h') = 1,
-    gcd(g, g') = h^(k-1)."""
+    p-th power, and a -> a^(q/p) inverts a -> a^p on F_q; then p does not
+    divide k, and as gcd(h, h') = 1, gcd(g, g') = h^(k-1)."""
     while not dense_deriv(ctx, g):
-        g = [ctx.pth_root(c) for c in g[::ctx.p]]
+        g = [ctx.pow(c, ctx.q // ctx.p) for c in g[::ctx.p]]
     h, rem = dense_divmod(ctx, g, dense_gcd(ctx, g, dense_deriv(ctx, g)))
     if rem:
         raise InvariantViolation("gcd(g, g') does not divide g")

@@ -17,8 +17,9 @@ vector_kit() and refuses what gets None.  Without tables, Z/p^m and
 prime fields use integer arithmetic, and the rest the generic digit one.
 
 Caches: make_field keeps a field per modulus as given and per canonical
-modulus, make_galois_ring a ring per (field, m), _vector_kit a VectorKit
-per field, and sigma is a cached property.  Shared arrays are read-only.
+modulus, make_galois_ring a ring per (field, m) and _vector_kit a
+VectorKit per field; sigma is built with its context.  Shared arrays are
+read-only.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
 (Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
@@ -32,7 +33,9 @@ plane pair (np.matmul for matrices, np.convolve for polynomials,
 np.multiply elementwise), sums the pairs into 2L-1 planes and folds the
 high ones back through the modulus, which keeps the heavy loops inside
 numpy while staying exact.  When a product or its fold could exceed int64,
-the planes hold Python integers instead.
+the planes hold Python integers instead.  _to_planes makes every plane
+stack from codes, so it alone picks their dtype and no code past int64 is
+ever cast.
 
 The Frobenius sigma (a -> a^p on a field, its lift fixing Z/p^m on a
 Galois ring) is linear over Z/p^m on the digits: sigma(sum a_i t^i) =
@@ -208,6 +211,35 @@ class GaloisRing:
         if pm == 2:
             self._mod_int = sum(b << i for i, b in enumerate(self.modulus))
 
+        def value(coeffs, x):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = self.add(self.mul(acc, x), c)
+            return acc
+
+        # the (L, L) digit matrix S of the Frobenius sigma, read-only:
+        # column i holds the digits of sigma(t)^i, so S times the digits of
+        # a are those of sigma(a) = sum a_i sigma(t)^i.  sigma(t) is the
+        # root of the modulus H that reduces to t^p mod p, simple since H
+        # mod p is separable; Newton's iteration from t^p doubles its
+        # p-adic precision, and over a field t^p is the root
+        powers = [1]
+        if self.e > 1:
+            H = self.modulus
+            dH = [i * c % pm for i, c in enumerate(H)][1:]
+            x = self.pow(pm, self.p)    # the code pm is t
+            prec = 1
+            while prec < m:
+                x = self.sub(x, self.mul(value(H, x), self.inv(value(dH, x))))
+                prec *= 2
+            if value(H, x) != 0:
+                raise InvariantViolation("sigma(t) = %d is not a root of "
+                                         "the modulus of %r" % (x, self))
+            for _ in range(self.e - 1):
+                powers.append(self.mul(powers[-1], x))
+        self._sigma = self._to_planes(powers, 1)
+        self._sigma.flags.writeable = False
+
     # -- identity ----------------------------------------------------------
 
     def __repr__(self):
@@ -328,40 +360,6 @@ class GaloisRing:
 
     # -- Frobenius ---------------------------------------------------------
 
-    @functools.cached_property
-    def _sigma(self):
-        """The (L, L) digit matrix S of the Frobenius sigma, built on first
-        use and read-only: column i holds the digits of sigma(t)^i, so S
-        times the digits of a are those of sigma(a) = sum a_i sigma(t)^i.
-        sigma(t) is the root of the modulus H that reduces to t^p mod p,
-        simple since H mod p is separable; Newton's iteration from t^p
-        doubles its p-adic precision, and over a field t^p is the root."""
-
-        def value(coeffs, x):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self.add(self.mul(acc, x), c)
-            return acc
-
-        powers = [1]
-        if self.e > 1:
-            H = self.modulus
-            dH = [i * c % self.pm for i, c in enumerate(H)][1:]
-            x = self.pow(self.pm, self.p)   # the code pm is t
-            prec = 1
-            while prec < self.m:
-                x = self.sub(x, self.mul(value(H, x),
-                                         self.inv(value(dH, x))))
-                prec *= 2
-            if value(H, x) != 0:
-                raise InvariantViolation("sigma(t) = %d is not a root of "
-                                         "the modulus of %r" % (x, self))
-            for _ in range(self.e - 1):
-                powers.append(self.mul(powers[-1], x))
-        sigma = np.array([self.coeffs(s) for s in powers], dtype=np.int64).T
-        sigma.flags.writeable = False
-        return sigma
-
     def _frob_planes(self, planes):
         """sigma on every element of a plane stack: one sum of L digit
         products per plane, which the planes' own dtype bound covers."""
@@ -372,12 +370,6 @@ class GaloisRing:
         that map which fixes Z/p^m."""
         planes = self._frob_planes(self._to_planes([a], 1))
         return int(self._from_planes(planes)[0])
-
-    def pth_root(self, a):
-        """The inverse of frob, sigma^(e-1); on a field a -> a^(p^(e-1))."""
-        for _ in range(self.e - 1):
-            a = self.frob(a)
-        return a
 
     # -- digit planes ------------------------------------------------------
 
@@ -469,10 +461,11 @@ class FiniteField(GaloisRing):
 
     def __init__(self, p, e, modulus):
         self.p, self.e, self.q, self.modulus = p, e, p ** e, modulus
-        super().__init__(self, 1)
         # the kit's tables as Python lists, which scalar ops read; every
-        # field up to _LIST_CAP is under both table caps
+        # field up to _LIST_CAP is under both table caps.  None until the
+        # tables exist, so sigma is built on GaloisRing's arithmetic
         self._exp = self._log = self._neg = self._wide = self._red = None
+        super().__init__(self, 1)
         if self.q <= _LIST_CAP:
             kit = self.vector_kit()
             cycle = kit.exp[:self.q - 1].tolist()
@@ -540,8 +533,8 @@ class FiniteField(GaloisRing):
 def _vector_kit(field):
     """The VectorKit of a field in O(q) numpy work, O((2p-1)^e) for `red`,
     built once per field and shared, so its tables are read-only.  Not a
-    cached_property: on CPython 3.11 that turns the field's attributes
-    into a dict, which slows each of its scalar ops."""
+    cached property: on CPython 3.11 that writes the field's __dict__,
+    which turns its attributes into a dict and slows each scalar op."""
     q, p, e = field.q, field.p, field.e
     g = field._find_generator()
     # int32 holds every entry and index, 4(q-1) < 2^24 under the caps
@@ -556,7 +549,8 @@ def _vector_kit(field):
         if p == 2:
             exp[n:n + k] = _gf2_mul_vec(head, step, field._mod_int, e)
         else:
-            exp[n:n + k] = _digit_product(field, head, np.array([step]))[:, 0]
+            exp[n:n + k] = _digit_product(
+                field, head, np.array([step], dtype=np.int64))[:, 0]
         n += k
     exp[q - 1:2 * (q - 1)] = exp[:q - 1]
     kit = VectorKit()

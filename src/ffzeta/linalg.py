@@ -105,8 +105,8 @@ class SquareMatrix:
     @classmethod
     def from_columns(cls, ctx, cols):
         n = len(cols)
-        codes = np.array(cols).T.reshape(n, n)
-        return cls(ctx, n, ctx._to_planes(codes, n))
+        planes = ctx._to_planes(cols, n).reshape(ctx.e, n, n)
+        return cls(ctx, n, planes.transpose(0, 2, 1).copy())
 
     def to_rows(self):
         return self.ctx._from_planes(self.planes).tolist()

@@ -10,6 +10,7 @@ import pytest
 
 import ffzeta
 from conftest import count_calls, field, rand_poly_mv
+from ffzeta import make_field
 from ffzeta.cli import build_parser, main, parse_modulus, parse_poly
 from ffzeta.errors import ParseError, UnknownVariable
 from ffzeta.poly import SparsePoly, render_poly
@@ -415,6 +416,37 @@ def test_large_q_operator_ends_within_ten_seconds(argv, code):
                          capture_output=True, text=True, timeout=10, env=env)
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
+
+
+# F_(p^2) for p = 2^63 + 29, whose codes pass 2^64; t*x = 0 is the one
+# point x = 0, so its series is 1/(1 - T), and modpm, which counts the
+# torus part, where x != 0, finds none
+@pytest.mark.parametrize("command,series", [("modp", [1, 1, 1]),
+                                            ("modpm", [1, 0, 0])])
+def test_operators_over_a_field_past_int64(command, series):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    argv = [command, "--q", str((2 ** 63 + 29) ** 2), "-n", "1", "--poly",
+            "t*x", "-B", "2", "--json"]
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["result"]["series"] == series
+
+
+def test_zerodim_over_a_field_past_int64_obeys_euler():
+    # x^2 + t splits over F_q iff -t is a square, by Euler's criterion
+    p = 2 ** 63 + 29
+    ctx = make_field(p, 2)
+    split = ctx.pow(ctx.neg(p), (ctx.q - 1) // 2) == 1   # the code p is t
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "zerodim",
+                          "--q", str(ctx.q), "--poly", "x^2+t", "--json"],
+                         capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["result"]["s"] == ([2, 0] if split
+                                                     else [0, 1])
 
 
 @pytest.mark.parametrize("argv", [

@@ -486,3 +486,11 @@ def test_operator_cap_bounds_e_squared_dimension_cubed(e, cap):
     with pytest.raises(SizeLimit, match="dimension %d exceeds the cap %d"
                        % (cap + 1, cap)):
         linalg._operator_cap(cap + 1, e)
+
+
+def test_from_columns_round_trips_codes_past_int64():
+    # small codes beside codes in [2^63, 2^64), which once made a float64
+    # column, and over the least prime past 2^64 codes past 2^64 too
+    for p in (2 ** 63 + 29, 18446744073709551629):
+        rows = [[1, p - 1, 2 ** 63 + 5], [p - 2, 0, 3], [2 ** 63, 7, p - 3]]
+        assert matrix_from_rows(make_field(p), rows).to_rows() == rows

@@ -218,8 +218,8 @@ def test_public_names_have_a_caller():
 
 
 def test_no_module_level_caches():
-    # every memo is a functools.cache builder or a per-context
-    # functools.cached_property, so no module binds a *_CACHE name
+    # every memo is a functools.cache builder or an attribute built with
+    # its context, so no module binds a *_CACHE name
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -232,5 +232,33 @@ def test_no_module_level_caches():
                   if isinstance(node, ast.Global) for name in node.names]
         found += ["%s:%s" % (path.name, name) for name in names
                   if name.endswith("_CACHE")]
+    assert len(SOURCES) > 1
+    assert found == []
+
+
+def test_no_lazy_attributes():
+    # per-context state is built with its context, so its cost and its
+    # checks fall on construction, not on whichever call first reads it
+    found = [path.name for path in SOURCES
+             if "cached_property" in _names_used(
+                 ast.parse(path.read_text(), str(path)))]
+    assert len(SOURCES) > 1
+    assert found == []
+
+
+def test_numpy_arrays_name_their_dtype():
+    # numpy infers float64 for ints past int64 mixed with small ones, so
+    # every array is built with its dtype given; arrays of codes come from
+    # the context's _to_planes, which picks it
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("array", "asarray")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and "dtype" not in [k.arg for k in node.keywords]):
+                found.append("%s:%d" % (path.name, node.lineno))
     assert len(SOURCES) > 1
     assert found == []

@@ -10,11 +10,12 @@ from ffzeta import (ConstantInput, FactoredZeta, InvariantViolation,
                     OperatorKind, RingNotField, SizeLimit, SquareMatrix,
                     ZeroConstantTerm, charpoly_reverse, congruence_charpoly,
                     count_points, degree_profile, hyper, kernel_basis,
-                    make_galois_ring,
+                    make_field, make_galois_ring,
                     op_matrix, trial_factorize, zerodim, zerodim_zeta,
                     zeta_coeffs_exact)
 from ffzeta.cli import main
-from ffzeta.poly import SparsePoly, dense_mod, dense_mul, dense_powmod
+from ffzeta.poly import (SparsePoly, dense_gcd, dense_mod, dense_mul,
+                         dense_powmod, dense_trim)
 from ffzeta.zerodim import _solve_gcd_system
 
 
@@ -356,3 +357,34 @@ def test_profile_cap_admits_its_bound(q, d, monkeypatch):
                            % (d + 1, q)):
             run(g)
     assert counts == {"op_matrix": 0}
+
+
+def test_quadratics_over_a_prime_past_int64_obey_euler():
+    # p = 2^63 + 29: x^2 + a splits iff -a is a square, by Euler's
+    # criterion; s = (1, 0) is impossible for a squarefree quadratic
+    p = 2 ** 63 + 29
+    ctx = make_field(p)
+    rng = random.Random(1)
+    for _ in range(20):
+        a = rng.randrange(1, p)
+        f = SparsePoly.from_dense(ctx, [a, 0, 1])
+        split = pow(-a % p, (p - 1) // 2, p) == 1
+        assert degree_profile(f) == ((2, 0) if split else (0, 1))
+        assert congruence_charpoly(f, OperatorKind.FROBENIUS) == \
+            ([1, p - 2, 1] if split else [1, 0, p - 1])
+
+
+def test_cubics_over_a_prime_past_2_64_profile_by_their_roots():
+    # the least prime at or above 2^64; a squarefree cubic is irreducible
+    # or has a root, so its number of roots, the degree of
+    # gcd(x^p - x, f), fixes its profile
+    p = 18446744073709551629
+    ctx = make_field(p)
+    rng = random.Random(2)
+    for _ in range(5):
+        f = [rng.randrange(p) for _ in range(3)] + [1]
+        xp = dense_powmod(ctx, [0, 1], p, f) + [0, 0]
+        xp[1] = ctx.sub(xp[1], 1)
+        roots = len(dense_gcd(ctx, f, dense_trim(xp))) - 1
+        assert degree_profile(SparsePoly.from_dense(ctx, f)) == \
+            {0: (0, 0, 1), 1: (1, 1, 0), 3: (3, 0, 0)}[roots]
