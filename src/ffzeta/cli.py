@@ -180,14 +180,6 @@ def parse_modulus(text, p):
 # invocation plumbing
 
 
-def _field_from_args(args):
-    p, e = split_prime_power(args.q)
-    modulus = None
-    if getattr(args, "modulus", None):
-        modulus = parse_modulus(args.modulus, p)
-    return make_field(p, e, modulus)
-
-
 def _shifted(f, c):
     dense = f.to_dense()
     return SparsePoly.from_dense(f.ctx, dense_translate(f.ctx, dense, c))
@@ -295,11 +287,11 @@ def _cmd_verify(args, ctx):
     return result, "match: %s" % ("true" if match else "false")
 
 
-def _cmd_torus(args, ctx):
+def _cmd_torus(args, p):
     if args.m < 1:
         raise ValueError("precision must be >= 1")
-    pm = ctx.p ** args.m
-    series = torus_zeta(args.nvars, ctx.q, args.B, pm)
+    pm = p ** args.m
+    series = torus_zeta(args.nvars, args.q, args.B, pm)
     return ({"modulus": pm, "series": list(series.coeffs)},
             "Z(torus) mod %d = %s" % (pm, series))
 
@@ -311,7 +303,6 @@ _COMMANDS = {
     "modp": _cmd_series,
     "modpm": _cmd_series,
     "verify": _cmd_verify,
-    "torus-zeta": _cmd_torus,
 }
 
 
@@ -393,8 +384,14 @@ def build_parser():
 
 def run(args):
     """Execute a parsed invocation; returns the JSON-ready payload."""
-    ctx = _field_from_args(args)
-    result, text = _COMMANDS[args.command](args, ctx)
+    p, e = split_prime_power(args.q)
+    if args.command == "torus-zeta":
+        # the closed form reads only p and q, so no field is built
+        result, text = _cmd_torus(args, p)
+    else:
+        modulus = parse_modulus(args.modulus, p) if args.modulus else None
+        result, text = _COMMANDS[args.command](args, make_field(p, e,
+                                                                modulus))
     inputs = {}
     for key in ("poly", "nvars", "k", "domain", "method", "shift",
                 "m", "B", "d", "mode", "modulus"):
@@ -403,9 +400,9 @@ def run(args):
             inputs[key] = v
     payload = {
         "command": args.command,
-        "q": ctx.q,
-        "p": ctx.p,
-        "e": ctx.e,
+        "q": args.q,
+        "p": p,
+        "e": e,
         "inputs": inputs,
         "result": result,
     }

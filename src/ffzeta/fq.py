@@ -208,6 +208,8 @@ class GaloisRing:
         self.modulus = tuple(c % pm for c in field.modulus)
         self.reduction = _reduction_rows(self.modulus, self.e, pm)
         self._bpow = [pm ** i for i in range(self.e)]
+        # scalar ops are one integer operation, or a table lookup
+        self._cheap_scalars = self.e == 1
         if pm == 2:
             self._mod_int = sum(b << i for i, b in enumerate(self.modulus))
 
@@ -339,6 +341,8 @@ class GaloisRing:
         precision."""
         if not self.is_unit(a):
             raise ZeroDivisionError("%d is not a unit in %r" % (a, self))
+        if self.e == 1:
+            return pow(a, -1, self.pm)
         x = self.from_field(self.field.pow(self.to_field(a), self.q - 2))
         two = 2 % self.pm
         prec = 1
@@ -476,6 +480,7 @@ class FiniteField(GaloisRing):
                 self._neg = kit.neg.tolist()
                 self._wide = kit.wide.tolist()
                 self._red = kit.red.tolist()
+            self._cheap_scalars = True
 
     # -- scalar arithmetic on the tables -----------------------------------
 

@@ -14,17 +14,30 @@ come from the reachability matrix, found by Warshall's algorithm on the
 boolean support: O(n^3) bit operations in numpy, with no float product,
 so no BLAS call and no thread beyond the caller's.
 
-Each block of size k >= 2 costs O(k^3): a Hessenberg reduction (Cohen, A
+Each block of size k costs O(k^3): a Hessenberg reduction (Cohen, A
 Course in Computational Algebraic Number Theory, 2.2.9) followed by the
-Hessenberg recurrence for the characteristic polynomial, both on the
-planes.  Over a Galois ring each column pivots on its entry of least
-p-adic valuation, so every multiplier is an exact quotient and the
-similarity stays integral (Caruso, Roe and Vaccon, "Characteristic
-polynomials of p-adic matrices", ISSAC 2017); one code path serves fields
-and rings.  Each of its plane products sums at most k <= n digit products
+Hessenberg recurrence for the characteristic polynomial.  Over a Galois
+ring each column pivots on its entry of least p-adic valuation, so every
+multiplier is an exact quotient and the similarity stays integral
+(Caruso, Roe and Vaccon, "Characteristic polynomials of p-adic
+matrices", ISSAC 2017); one algorithm serves fields and rings.  It has two
+kernels.  The plane kernel runs on the digit planes, about 25 numpy calls
+a column; each of its plane products sums at most k <= n digit products
 per plane pair, and so does the convolution of the block charpolys, at
 most min(k, n - k) + 1 <= n: the bound `_dtype_ok(n)` that sizes the
-matrix's planes, int64 or Python integers, covers both.
+matrix's planes, int64 or Python integers, covers both.  The scalar
+kernel runs the same steps on lists of codes through the context's
+scalar ops, with no per-call overhead, and skips zero entries and
+multipliers, and the rest of the recurrence at a zero subdiagonal
+product.  A block takes the scalar kernel when k = 1, where it gives
+1 - aT, or nothing for a transient node, and when k <= _SCALAR_BLOCK = 16
+and the context's scalar ops are cheap: e = 1, one integer operation mod
+p^m, or a field with list tables (q <= 2^14).  On dense random blocks the
+scalar kernel is the faster one up to k = 16 over F_p for p near 10^6,
+the first context to cross over, 20 over F_25, 24 over F_2, F_3, Z/4 and
+Z/27, and 32 over F_16; over a Galois ring with e > 1 and a field past
+the tables, whose scalar ops run on digits, it loses from k = 8.  Larger
+blocks and those contexts keep the plane kernel.
 
 Kernels and ranks require a field.  kernel_basis is a scalar Gauss-Jordan
 elimination, which the factorizer runs once, on the operator of f.
@@ -53,7 +66,9 @@ of P, so take the full charpoly.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -68,6 +83,10 @@ _MAX_OPERATOR = 600
 # B <= 16: at n = 153 over GF(4) and GR(2^2, 2) that costs 0.6 to 0.9 of
 # a Hessenberg charpoly
 _MAX_TRACE_PRODUCTS = 7
+
+# the largest block the scalar charpoly takes where the context's scalar
+# ops are cheap: the least measured crossover (see the module docstring)
+_SCALAR_BLOCK = 16
 
 
 def _operator_cap(size, e):
@@ -132,10 +151,10 @@ def charpoly_reverse(M, B=None):
     """Coefficients c_0..c_n of det(I - M*T), c_0 = 1, or with B only
     c_0..c_min(B, n), as the product of det(I - M_bb*T) over the diagonal
     blocks of M, one block per strongly connected component of its
-    support, multiplied with the plane product.  A one-node block with
-    diagonal entry a contributes 1 - a*T, nothing when a = 0; a larger
-    block runs the Hessenberg charpoly.  A short truncation reads traces
-    instead (see the module docstring)."""
+    support, multiplied with the plane product.  Each block runs the
+    scalar or the plane Hessenberg kernel, by its size and the context;
+    a block whose charpoly is 1, such as a transient node, drops out.  A
+    short truncation reads traces instead (see the module docstring)."""
     ctx = M.ctx
     n = M.n
     if B is not None:
@@ -152,15 +171,16 @@ def charpoly_reverse(M, B=None):
     sizes = np.bincount(label, minlength=n)
     chi = None
     for root in np.flatnonzero(sizes):
-        if sizes[root] > 1:
-            block = np.flatnonzero(label == root)
-            part = _charpoly_hessenberg(ctx, planes[:, block[:, None], block])
-        elif planes[:, root, root].any():
-            part = np.zeros((ctx.e, 2), dtype=planes.dtype)
-            part[0, 0] = 1
-            part[:, 1] = -planes[:, root, root] % ctx.pm
+        block = np.flatnonzero(label == root)
+        H = planes[:, block[:, None], block]
+        if len(block) == 1 or (len(block) <= _SCALAR_BLOCK
+                               and ctx._cheap_scalars):
+            part = _charpoly_scalar(ctx, ctx._from_planes(H).tolist())
+            if not any(part[1:]):
+                continue                # a transient node, or nilpotent
+            part = ctx._to_planes(part, n)
         else:
-            continue                    # a transient node
+            part = _charpoly_hessenberg(ctx, H)
         chi = part if chi is None else ctx._mul_planes(np.convolve, chi, part)
     out = [1] if chi is None else _coefficients(ctx, chi)
     out += [0] * (n + 1 - len(out))
@@ -275,6 +295,94 @@ def _charpoly_hessenberg(ctx, H):
     return chi[:, ::-1]
 
 
+def _eliminate(ctx, row, c, pivot, start):
+    """row[j] -= c * pivot[j] for j >= start, in place: one integer
+    operation an entry when e = 1, else the context's ops on the nonzeros
+    of pivot."""
+    if ctx.e == 1:
+        pm = ctx.pm
+        row[start:] = [(v - c * w) % pm
+                       for v, w in zip(row[start:], pivot[start:])]
+    else:
+        sub, mul = ctx.sub, ctx.mul
+        row[start:] = [sub(v, mul(c, w)) if w else v
+                       for v, w in zip(row[start:], pivot[start:])]
+
+
+def _charpoly_scalar(ctx, H):
+    """c_0..c_k of det(I - H*T) for the k x k rows of codes H, which it
+    overwrites: the reduction and recurrence of _charpoly_hessenberg on
+    scalars, skipping zeros.  The p^v of an entry is the gcd of p^m and
+    its digits, so over a field the pivot is the first nonzero entry, and
+    a zero column has p^v = p^m."""
+    n = len(H)
+    e, pm = ctx.e, ctx.pm
+    mul, add, sub = ctx.mul, ctx.add, ctx.sub
+    for k in range(n - 2):
+        col = [row[k] for row in H[k + 1:]]
+        pv = [math.gcd(pm, a) if e == 1 else
+              math.gcd(pm, *ctx.coeffs(a)) if a else pm for a in col]
+        v = min(pv)
+        if v == pm:
+            continue                    # the column is zero below h_kk
+        r = pv.index(v)
+        if v > 1:
+            col = [ctx.encode([d // v for d in ctx.coeffs(a)]) for a in col]
+        if r:
+            H[k + 1], H[k + 1 + r] = H[k + 1 + r], H[k + 1]
+            for row in H:
+                row[k + 1], row[k + 1 + r] = row[k + 1 + r], row[k + 1]
+            col[0], col[r] = col[r], col[0]
+        # rows j > k+1 lose c_j = (h_jk / p^v) / (h_(k+1)k / p^v) times
+        # row k+1; column k+1 gains the columns j > k+1 weighted by c_j
+        inv = ctx.inv(col[0])
+        cs = [mul(a, inv) for a in col[1:]]
+        for j, c in enumerate(cs, k + 2):
+            if c:
+                _eliminate(ctx, H[j], c, H[k + 1], k)
+        if not any(cs):
+            continue
+        if e == 1:
+            for row in H:
+                row[k + 1] = (row[k + 1] + sum(map(
+                    operator.mul, cs, row[k + 2:]))) % pm
+        else:
+            nz = [(j, c) for j, c in enumerate(cs, k + 2) if c]
+            for row in H:
+                acc = row[k + 1]
+                for j, c in nz:
+                    if row[j]:
+                        acc = add(acc, mul(c, row[j]))
+                row[k + 1] = acc
+    # chi_k = det(xI - H[:k, :k]) = x chi_{k-1} - sum_{i<k} w_i chi_i,
+    # w_i = h_{i,k-1} h_{i+1,i} ... h_{k-1,k-2}, zero below the first zero
+    # subdiagonal entry; Y[d] holds the x^d coefficients of chi_d, chi_{d+1}..
+    Y = [[1]]
+    for k in range(1, n + 1):
+        w = [0] * k
+        t = 1
+        for i in range(k - 1, -1, -1):
+            w[i] = t * H[i][k - 1] % pm if e == 1 else mul(t, H[i][k - 1])
+            if i == 0:
+                break
+            t = t * H[i][i - 1] % pm if e == 1 else mul(t, H[i][i - 1])
+            if not t:
+                break
+        top = max((i for i in range(k) if w[i]), default=-1)
+        chi = [0] + [y[-1] for y in Y]  # x chi_{k-1}
+        for d in range(top + 1):
+            if e == 1:
+                chi[d] = (chi[d] - sum(map(operator.mul, w[d:top + 1],
+                                           Y[d]))) % pm
+            else:
+                chi[d] = sub(chi[d], functools.reduce(
+                    add, map(mul, w[d:top + 1], Y[d]), 0))
+        for y, c in zip(Y, chi):
+            y.append(c)
+        Y.append([1])
+    return [y[-1] for y in reversed(Y)]
+
+
 def _stack_ranks(ctx, A):
     """The rank of every matrix of the (L, k, n, n) plane stack A over a
     field, by one forward elimination of all k at once, which
@@ -333,9 +441,7 @@ def kernel_basis(M):
         rows[r] = [ctx.mul(v, inv) for v in rows[r]]
         for i in range(n):
             if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [ctx.sub(v, ctx.mul(c, w))
-                           for v, w in zip(rows[i], rows[r])]
+                _eliminate(ctx, rows[i], rows[i][col], rows[r], col)
         pivots.append(col)
         r += 1
         if r == n:

@@ -692,6 +692,22 @@ def test_torus_zeta_rejects_precision_below_one(m, capsys):
     assert "precision must be >= 1" in capsys.readouterr().err
 
 
+def test_torus_zeta_builds_no_field():
+    # the closed form reads only p and e: F_(2^600), whose default modulus
+    # search takes about a minute, is never built.  Z = (1 - T)/(1 - qT),
+    # which is 1 + T mod 2 as q is even
+    q = 2 ** 600
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "torus-zeta",
+                          "--q", str(q), "-n", "1", "-B", "2", "--json"],
+                         capture_output=True, text=True, timeout=10, env=env)
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert (out["q"], out["p"], out["e"]) == (q, 2, 600)
+    assert out["result"] == {"modulus": 2, "series": [1, 1, 0]}
+
+
 @pytest.mark.parametrize("poly,count", [("1", 0), ("0", 1)])
 def test_count_in_zero_variables(poly, count, capsys):
     assert main(["count", "--q", "2", "-n", "0", "--poly", poly]) == 0

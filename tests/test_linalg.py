@@ -209,6 +209,86 @@ def test_charpoly_contexts_cover_both_plane_dtypes():
     assert SquareMatrix.zeros(ring, 5).planes.dtype == object
 
 
+# one context of every class the kernels tell apart: F_2, F_3, F_9,
+# F_(2^10) and F_p, p = 2^31 - 1, whose scalar ops are cheap; Z/8 and
+# Z/25, whose valuation pivot reads codes as integers; GR(2^2, 2) and
+# GR(3^2, 2), whose scalar ops run on digits; F_(131^2), past the list
+# tables; and Z/32749^2, whose planes hold Python integers from n = 5
+KERNEL_CONTEXTS = [(2, 1, 1, True), (3, 1, 1, True), (3, 2, 1, True),
+                   (2, 10, 1, True), (2147483647, 1, 1, True),
+                   (2, 1, 3, True), (5, 1, 2, True), (2, 2, 2, False),
+                   (3, 2, 2, False), (131, 2, 1, False),
+                   (32749, 1, 2, True)]
+
+
+def plane_kernel(ctx, rows):
+    M = matrix_from_rows(ctx, rows)
+    return linalg._coefficients(ctx, linalg._charpoly_hessenberg(ctx,
+                                                                 M.planes))
+
+
+def scalar_kernel(ctx, rows):
+    return linalg._charpoly_scalar(ctx, [row[:] for row in rows])
+
+
+@pytest.mark.parametrize("kind", ["random", "mixed-valuation", "p-multiple",
+                                  "hessenberg", "nilpotent"])
+@pytest.mark.parametrize("p,e,m,cheap", KERNEL_CONTEXTS)
+def test_both_kernels_match_berkowitz_around_the_scalar_block(p, e, m, cheap,
+                                                              kind):
+    # each kernel on the whole matrix, whatever block it would take, at
+    # sizes on both sides of the scalar block; the ring kinds make the
+    # pivot of least valuation differ from the first nonzero entry
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random("%d/%d/%d/%s" % (p, e, m, kind))
+    k = linalg._SCALAR_BLOCK
+    for n in (1, 2, 3, k, k + 1):
+        rows = structured_rows(ctx, rng, n, kind)
+        want = charpoly_berkowitz(matrix_from_rows(ctx, rows))
+        assert scalar_kernel(ctx, rows) == want
+        assert plane_kernel(ctx, rows) == want
+        check_charpoly_against_berkowitz(ctx, rows)
+
+
+@pytest.mark.parametrize("p,e,m,cheap", KERNEL_CONTEXTS)
+def test_charpoly_kernel_by_context_and_block_size(p, e, m, cheap,
+                                                   monkeypatch):
+    # a block takes the scalar kernel when it has one node, or up to
+    # _SCALAR_BLOCK nodes where the context's scalar ops are cheap, and
+    # the plane kernel otherwise; every block here is the whole matrix
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random("%d/%d/%d" % (p, e, m))
+    counts = count_calls(monkeypatch, ("_charpoly_scalar",
+                                       "_charpoly_hessenberg"))
+    k = linalg._SCALAR_BLOCK
+    for n in (1, 2, k, k + 1):
+        rows = [[rng.randrange(1, ctx.size) for _ in range(n)]
+                for _ in range(n)]
+        before = dict(counts)
+        charpoly_reverse(matrix_from_rows(ctx, rows))
+        scalar = n == 1 or (n <= k and cheap)
+        assert counts["_charpoly_scalar"] - before["_charpoly_scalar"] == \
+            scalar
+        assert counts["_charpoly_hessenberg"] - \
+            before["_charpoly_hessenberg"] == (not scalar)
+    assert ctx._cheap_scalars == cheap
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 1), (3, 1, 1), (2, 2, 1),
+                                   (3, 2, 1), (2, 1, 3), (2, 2, 2)])
+def test_both_kernels_match_leibniz(p, e, m):
+    ctx = make_galois_ring(make_field(p, e), m)
+    rng = random.Random(p * e * m)
+    for n in range(1, 6):
+        for _ in range(4):
+            rows = [[rng.randrange(ctx.size) for _ in range(n)]
+                    for _ in range(n)]
+            want = det_one_minus_mt_leibniz(ctx, matrix_from_rows(ctx, rows))
+            want += [0] * (n + 1 - len(want))
+            assert scalar_kernel(ctx, rows) == want
+            assert plane_kernel(ctx, rows) == want
+
+
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
 @pytest.mark.parametrize("p,e,m,sizes", CHARPOLY_CONTEXTS)
 def test_charpoly_edge_sizes_match_berkowitz(p, e, m, sizes, kind):

@@ -262,3 +262,42 @@ def test_numpy_arrays_name_their_dtype():
                 found.append("%s:%d" % (path.name, node.lineno))
     assert len(SOURCES) > 1
     assert found == []
+
+
+# numpy's inexact types and the functions that return floats from ints
+FLOAT_ATTRS = re.compile(r"(float|complex|longdouble|double|half|single"
+                         r"|csingle|cdouble|inexact|floating)\d*_?"
+                         r"|true_divide|divide|sqrt|mean|average|linalg")
+FLOAT_DTYPES = re.compile(r"(float|complex)\d*|[fcd]\d*|double")
+
+
+def _float_dtype(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and FLOAT_DTYPES.fullmatch(node.value) is not None)
+
+
+def test_no_float_arithmetic():
+    # every command runs in one thread, as the README promises: a float
+    # product calls BLAS, which starts its own threads, and is exact only
+    # below 2^53.  So no float type, dtype, literal or true division
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id in ("float", "complex")
+                    or isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                    and FLOAT_ATTRS.fullmatch(node.attr)
+                    or isinstance(node, ast.Constant)
+                    and isinstance(node.value, (float, complex))
+                    or isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)
+                    or isinstance(node, ast.keyword) and node.arg == "dtype"
+                    and _float_dtype(node.value)
+                    or isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("astype", "dtype")
+                    and any(_float_dtype(a) for a in node.args)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert len(SOURCES) > 1
+    assert found == []
