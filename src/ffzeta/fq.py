@@ -120,7 +120,8 @@ def _lex_least_modulus(p, e):
             continue            # divisible by t
         if dense_is_irreducible(base, c + [1]):
             return tuple(c + [1])
-    raise ReducibleModulus("no irreducible of degree %d over F_%d" % (e, p))
+    # an irreducible of every degree exists
+    raise InvariantViolation("no irreducible of degree %d over F_%d" % (e, p))
 
 
 def _reduction_rows(modulus, L, mod):
@@ -531,7 +532,8 @@ class FiniteField(GaloisRing):
         for g in range(2, q):
             if all(self.pow(g, (q - 1) // ell) != 1 for ell in primes):
                 return g
-        raise RuntimeError("no generator found for %r" % self)
+        # the unit group of a finite field is cyclic
+        raise InvariantViolation("no generator found for %r" % self)
 
 
 @functools.cache

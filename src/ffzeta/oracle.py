@@ -23,9 +23,10 @@ f(., x_n) vanishes is the same for x_n and x_n^q, and each zero in the
 column of a representative counts once per element of its orbit.  Only
 the sum over the whole grid has this symmetry, not the sum over one
 chunk.  Exponents are first folded below Q, since x^Q = x on F_Q, and a
-polynomial that folds to a constant is answered without enumeration.
-The work is Q^(n-1) times the number of orbits, about Q^n / k point
-evaluations; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
+polynomial that folds to a constant is answered without enumeration and
+without building F_Q.  The work is Q^(n-1) times the number of orbits,
+about Q^n / k point evaluations of one table lookup per exponent of x_n
+present in f; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
 run on the same tables over extension fields and on int64 arithmetic mod
 p over prime fields, with their own division.  functools.cache keeps the
 orbits per (Q, q, k, domain), the embedding of F_q in F_Q per pair of
@@ -64,12 +65,13 @@ _CHUNK = 1 << 16        # entries of one (outer points x orbits) Horner array
 # embeddings F_q -> F_{q^k}
 
 
-def _find_root(kit, int_coeffs):
-    """Least root, in the field of `kit`, of a polynomial with
-    prime-subfield coefficients."""
-    roots = np.flatnonzero(_horner_vec(kit, int_coeffs, kit.log) == 0)
+def _find_root(kit, coeffs):
+    """Least root, in the field of `kit`, of a polynomial {exponent:
+    coefficient} with prime-subfield coefficients."""
+    roots = np.flatnonzero(_horner_vec(kit, coeffs, kit.log) == 0)
     if not len(roots):
-        raise ValueError("modulus has no root in the extension")
+        # F_q embeds in every F_(q^k), so the modulus always has a root
+        raise InvariantViolation("modulus has no root in the extension")
     return int(roots[0])
 
 
@@ -79,7 +81,8 @@ def _embedding(small, big):
     None when coefficient codes carry over unchanged (prime base field)."""
     if small.e == 1 or big is small:
         return None
-    root = _find_root(big.vector_kit(), [int(c) for c in small.modulus])
+    root = _find_root(big.vector_kit(), {j: int(c) for j, c in
+                                          enumerate(small.modulus) if c})
     powers = [1]
     for _ in range(small.e - 1):
         powers.append(big.mul(powers[-1], root))
@@ -118,32 +121,28 @@ class CountVector:
                 raise ValueError("impossible count N_%d = %d" % (k, nk))
 
 
-def _group_terms(terms, n):
-    """Split off the last variable: list of (outer exponents, dense-in-last
-    coefficient list)."""
-    groups = {}
-    for u, c in terms.items():
-        outer, last = u[:n - 1], u[n - 1]
-        groups.setdefault(outer, {})[last] = c
-    out = []
-    for outer, m in groups.items():
-        dense = [0] * (max(m) + 1)
-        for j, c in m.items():
-            dense[j] = c
-        out.append((outer, dense))
-    return out
+def _horner_vec(kit, coeffs, xlog):
+    """Values of the polynomial {exponent: coefficient} at the points whose
+    logs are xlog.  A coefficient is a scalar or a (rows, 1) column of
+    codes; with columns, row r of the (rows, len(xlog)) result uses entry r
+    of each column.  Horner steps from each exponent present to the next
+    one down, and last to 0, each in one lookup: log x^g = g log x mod
+    (Q-1), with log 0 = 2(Q-1) kept."""
+    zero = int(kit.log[0])
 
+    def times_power(y, g):
+        # the logs are int32, and g log x < 2Q^2 needs int64
+        glog = xlog if g == 1 else np.where(
+            xlog == zero, zero, g * xlog.astype(np.int64) % (zero // 2))
+        return kit.exp[kit.log[y] + glog]
 
-def _horner_vec(kit, dense, xlog):
-    """Values of a dense polynomial at the points whose logs are xlog.  A
-    coefficient is a scalar or a (rows, 1) column of codes; with columns,
-    row r of the (rows, len(xlog)) result uses entry r of each column."""
-    y = np.broadcast_to(dense[-1], np.shape(dense[-1])[:1] + xlog.shape)
-    for c in reversed(dense[:-1]):
-        y = kit.exp[kit.log[y] + xlog]
-        if np.ndim(c) or c:
-            y = kit.add(y, c)
-    return y
+    exps = sorted(coeffs, reverse=True)
+    top = coeffs[exps[0]]
+    y = np.broadcast_to(top, np.shape(top)[:1] + xlog.shape)
+    for hi, lo in zip(exps, exps[1:]):
+        y = kit.add(times_power(y, hi - lo), coeffs[lo])
+    # no step of 0: x^0 = 1 also at x = 0
+    return times_power(y, exps[-1]) if exps[-1] else y
 
 
 def count_points(f, k=1, domain="affine"):
@@ -151,6 +150,9 @@ def count_points(f, k=1, domain="affine"):
     the torus (all coordinates nonzero): from the trial factorization of f
     when f is univariate of degree <= k (after folding exponents below
     q^k), otherwise by enumeration."""
+    if k < 1:
+        # before the fold below, which reads Q - 1
+        raise ValueError("extension degree k must be >= 1, got %d" % k)
     if domain not in ("affine", "torus"):
         raise ValueError("domain must be 'affine' or 'torus'")
     ctx = f.ctx
@@ -163,22 +165,23 @@ def count_points(f, k=1, domain="affine"):
             or ctx.q ** (k * n) > _MAX_ENUM):
         raise TooLarge("q^(k*n) for q = %d, k = %d, n = %d exceeds the "
                        "enumeration cap %d" % (ctx.q, k, n, _MAX_ENUM))
-    big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
+    # the answers up to the field's construction need only Q
+    Q = ctx.q ** k
     terms = {}
     for u, c in f.terms.items():
-        # x^u = x^((u-1) mod (Q-1) + 1) on F_Q for u >= 1, so the work
-        # depends on Q and not on the degree
-        v = tuple((e - 1) % (big.q - 1) + 1 if e else 0 for e in u)
+        # x^u = x^((u-1) mod (Q-1) + 1) on F_Q for u >= 1, and an
+        # evaluation costs a lookup per exponent of x_n present in f
+        v = tuple((e - 1) % (Q - 1) + 1 if e else 0 for e in u)
         terms[v] = ctx.add(terms.get(v, 0), c)
     terms = {u: c for u, c in terms.items() if c}
     if not terms:
         # f is zero as a function on F_Q^n (x^2 + x on F_2, say)
-        total = big.q ** n if domain == "affine" else (big.q - 1) ** n
-        return total
+        return Q ** n if domain == "affine" else (Q - 1) ** n
     if list(terms) == [(0,) * n]:
         # a nonzero constant function vanishes nowhere, also at the one
         # point of F_Q^0, the empty tuple
         return 0
+    big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
     kit = big.vector_kit()
     if kit is None:
         raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
@@ -231,11 +234,13 @@ def _frobenius_orbits(Q, q, k, lo):
 def _count_vectorized(big, kit, terms, n, lo, q, k):
     Q = big.q
     xlog, sizes = _frobenius_orbits(Q, q, k, lo)
-    groups = _group_terms(terms, n)
+    # split off the last variable: {outer exponents: {last exponent: c}}
+    groups = {}
+    for u, c in terms.items():
+        groups.setdefault(u[:n - 1], {})[u[n - 1]] = c
     side = Q - lo
     outer = side ** (n - 1)
     rows = max(1, _CHUNK // len(xlog))
-    width = max(len(d) for _, d in groups)
     count = 0
     for start in range(0, outer, rows):
         # one row per outer point, the last coordinate running fastest
@@ -244,8 +249,8 @@ def _count_vectorized(big, kit, terms, n, lo, q, k):
         # log x_i mod (Q-1), so log 0 = 2(Q-1) reads as 0 and x_i = 0 is
         # flagged apart
         logs = [kit.log[v].astype(np.int64) % (Q - 1) for v in vals]
-        cols = [0] * width
-        for exps, dvec in groups:
+        cols = {}
+        for exps, last in groups.items():
             # log of the outer monomial; each term is at most (Q-1)^2, and
             # later table indices at most 4(Q-1), so _MAX_ENUM and the table
             # caps keep (n-1)(Q-1)^2 + 4(Q-1) below 2^63
@@ -258,9 +263,8 @@ def _count_vectorized(big, kit, terms, n, lo, q, k):
             w %= Q - 1
             w[dead] = 2 * (Q - 1)
             w = w[:, None]
-            for j, c in enumerate(dvec):
-                if c:
-                    cols[j] = kit.add(cols[j], kit.exp[w + kit.log[c]])
+            for j, c in last.items():
+                cols[j] = kit.add(cols.get(j, 0), kit.exp[w + kit.log[c]])
         y = _horner_vec(kit, cols, xlog)
         # zeros are few, so weighting each one is cheaper than per-column
         # sums; the orbit of a zero is its column

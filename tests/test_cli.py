@@ -32,6 +32,15 @@ GOLDEN_INVOCATIONS = {
 }
 
 
+def run_cli(argv, timeout=10):
+    """The CLI of this package's source, run in a subprocess."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_INVOCATIONS))
 def test_golden_json_payloads(name, capsys):
     argv = GOLDEN_INVOCATIONS[name] + ["--json"]
@@ -410,10 +419,7 @@ def test_torus_zeta_cost_stops_at_the_vanishing_factors(capsys):
       "-B", "2"], 4),
 ], ids=["q=2^16", "q=1009"])
 def test_large_q_operator_ends_within_ten_seconds(argv, code):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
 
@@ -424,12 +430,9 @@ def test_large_q_operator_ends_within_ten_seconds(argv, code):
 @pytest.mark.parametrize("command,series", [("modp", [1, 1, 1]),
                                             ("modpm", [1, 0, 0])])
 def test_operators_over_a_field_past_int64(command, series):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     argv = [command, "--q", str((2 ** 63 + 29) ** 2), "-n", "1", "--poly",
             "t*x", "-B", "2", "--json"]
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=60, env=env)
+    run = run_cli(argv, timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["result"]["series"] == series
 
@@ -439,11 +442,8 @@ def test_zerodim_over_a_field_past_int64_obeys_euler():
     p = 2 ** 63 + 29
     ctx = make_field(p, 2)
     split = ctx.pow(ctx.neg(p), (ctx.q - 1) // 2) == 1   # the code p is t
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "zerodim",
-                          "--q", str(ctx.q), "--poly", "x^2+t", "--json"],
-                         capture_output=True, text=True, timeout=60, env=env)
+    run = run_cli(["zerodim", "--q", str(ctx.q), "--poly", "x^2+t",
+                   "--json"], timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["result"]["s"] == ([2, 0] if split
                                                      else [0, 1])
@@ -458,10 +458,7 @@ def test_zerodim_over_a_field_past_int64_obeys_euler():
 ], ids=["modp", "modpm"])
 def test_operator_past_the_dimension_cap_exits_four_within_ten_seconds(
         argv):
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "operator dimension" in run.stderr
@@ -469,12 +466,8 @@ def test_operator_past_the_dimension_cap_exits_four_within_ten_seconds(
 
 def test_count_past_the_table_caps_exits_four_within_ten_seconds():
     # F_59049 carries no tables, so even one variable is refused
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run(
-        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "3", "-n", "1",
-         "-k", "10", "--poly", "x^3+x+1"],
-        capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["count", "--q", "3", "-n", "1", "-k", "10", "--poly",
+                   "x^3+x+1"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "F_59049 is too large to tabulate" in run.stderr
@@ -483,12 +476,7 @@ def test_count_past_the_table_caps_exits_four_within_ten_seconds():
 def test_count_past_the_scalar_cap_exits_before_the_root_search():
     # F_(2^24) carries no tables, and the root of F_16's modulus that
     # embeds F_16 is searched for on them, so the count is refused first
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run(
-        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "16", "-n",
-         "1", "-k", "6", "--poly", "x"],
-        capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["count", "--q", "16", "-n", "1", "-k", "6", "--poly", "x"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
 
@@ -496,15 +484,35 @@ def test_count_past_the_scalar_cap_exits_before_the_root_search():
 def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
     # q^(k*n) = 2^100000 has 30103 digits: the cap refuses k*n >= 30
     # before the power is formed, and names q, k and n instead
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run(
-        [sys.executable, "-m", "ffzeta.cli", "count", "--q", "2", "-n", "1",
-         "-k", "100000", "--poly", "x+1"],
-        capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["count", "--q", "2", "-n", "1", "-k", "100000",
+                   "--poly", "x+1"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "q = 2, k = 100000, n = 1" in run.stderr
+
+
+@pytest.mark.parametrize("argv,out", [
+    # x^(10^9) folds to x^708025 on F_(2^20): a Horner step per degree
+    # took minutes, a step per gap between the exponents present takes two
+    (["count", "--q", "2", "-n", "1", "--poly", "x^1000000000+x+1", "-k",
+      "20"], "N_20 = 0  (affine)"),
+    # a constant is answered from Q = 2^600 alone, without the modulus
+    # search for F_(2^600), which takes over a minute
+    (["count", "--q", "2", "-n", "0", "--poly", "1", "-k", "600"],
+     "N_600 = 0  (affine)"),
+], ids=["sparse-x^10^9", "constant-k=600"])
+def test_count_ends_within_ten_seconds(argv, out):
+    run = run_cli(argv)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == out
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_count_rejects_an_extension_degree_below_one(k):
+    run = run_cli(["count", "--q", "2", "-n", "1", "--poly", "x+1", "-k", k])
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "extension degree k must be >= 1, got %s" % k in run.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,11 +523,7 @@ def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
 def test_long_series_end_within_ten_seconds(argv):
     # a 1x1 or 3x3 matrix: each series costs O(B) per term of its
     # polynomial factors, not O(B^2)
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv
-                         + ["--json"],
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv + ["--json"])
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert len(json.loads(run.stdout)["result"]["series"]) == \
@@ -540,10 +544,7 @@ def test_univariate_past_the_dimension_cap_exits_four_within_ten_seconds(
         argv):
     # the operators act on F_q[x]/(f), of dimension deg f; it is checked
     # before any dense list of f is built, on the --shift path too
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "operator dimension" in run.stderr
@@ -564,12 +565,8 @@ def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree,
     # its components, for every operator; a kernel per component took
     # about 9 s at x^600+x+1.  The differential operators' inputs stay
     # inside the division cap q d (d+1) <= 10^5
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "factor",
-                          "--q", q, "--poly", poly, "--method", method,
-                          "--json"],
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["factor", "--q", q, "--poly", poly, "--method", method,
+                   "--json"])
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     ctx = field(int(q))
@@ -581,13 +578,9 @@ def test_factor_of_large_degree_ends_within_ten_seconds(q, poly, degree,
 def test_factor_splits_psi_past_its_first_basis_vector():
     # the splitters from psi's first fixed vector leave two of the three
     # components in one piece here; a later pair of basis vectors cuts it
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     poly = "x^10+2*x^8+2*x^7+x^5+x^4+2*x^3+x+2"
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "factor",
-                          "--q", "3", "--poly", poly, "--method", "psi",
-                          "--json"],
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["factor", "--q", "3", "--poly", poly, "--method", "psi",
+                   "--json"])
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["result"]["factors"] == [
         ["x + 1", 1], ["x + 2", 1], ["x^8 + 2*x^5 + x^2 + 2*x + 1", 1]]
@@ -599,12 +592,9 @@ def test_profile_at_and_past_its_cap_ends_within_ten_seconds(degree, method,
                                                              code):
     # over F_2 the profile's e^2 d^4 cap admits d = 120; x^d + x + 1 has
     # derivative 1 for even d, so it is squarefree and sum i s_i = d
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     argv = ["zerodim", "--q", "2", "--poly", "x^%d+x+1" % degree,
             "--method", method, "--json"]
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     if code:
@@ -617,13 +607,9 @@ def test_profile_at_and_past_its_cap_ends_within_ten_seconds(degree, method,
 def test_operator_past_the_extension_cap_exits_four_within_ten_seconds():
     # a dense f of degree 34 in two variables over F_16: dimension 561 is
     # under 600, but e^2 561^3 is past 600^3, where the cap is 238
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     poly = "+".join("x^%d*y^%d" % (i, j) for i in range(35)
                     for j in range(35 - i))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "modp", "--q",
-                          "16", "-n", "2", "-B", "2", "--poly", poly],
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["modp", "--q", "16", "-n", "2", "-B", "2", "--poly", poly])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "operator dimension 561 exceeds the cap 238" in run.stderr
@@ -637,11 +623,8 @@ def test_operators_past_the_division_cap_exit_four_within_ten_seconds(
         command, q, method):
     # f^(q-1) = f(x^q)/f takes q*d*(d+1) steps, bounded before f(x^q) is
     # listed and, for zerodim, before the profile's Frobenius matrix
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     argv = command + ["--q", str(q), "--poly", "x^3+x+1", "--method", method]
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "F_%d, deg f = 3" % q in run.stderr
@@ -650,12 +633,9 @@ def test_operators_past_the_division_cap_exit_four_within_ten_seconds(
 def test_verify_zerodim_checks_the_sieve_cap_before_any_matrix():
     # deg f = 200 over F_(10^9+7): trial division needs a sieve of degree
     # 100, refused before the Frobenius matrix and its charpoly are built
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
     argv = ["verify", "--mode", "zerodim", "--q", "1000000007", "--poly",
             "x^200+x+1"]
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli"] + argv,
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(argv)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "needs a sieve past the cap" in run.stderr
@@ -697,11 +677,8 @@ def test_torus_zeta_builds_no_field():
     # search takes about a minute, is never built.  Z = (1 - T)/(1 - qT),
     # which is 1 + T mod 2 as q is even
     q = 2 ** 600
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(ffzeta.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-m", "ffzeta.cli", "torus-zeta",
-                          "--q", str(q), "-n", "1", "-B", "2", "--json"],
-                         capture_output=True, text=True, timeout=10, env=env)
+    run = run_cli(["torus-zeta", "--q", str(q), "-n", "1", "-B", "2",
+                   "--json"])
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
     assert (out["q"], out["p"], out["e"]) == (q, 2, 600)

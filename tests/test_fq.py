@@ -239,6 +239,23 @@ def test_galois_ring_frobenius_checks_its_root(monkeypatch):
         fq.GaloisRing(field, 2)
 
 
+def test_a_field_without_a_generator_is_an_invariant_violation(monkeypatch):
+    # the units of a finite field form a cyclic group, so a search that
+    # finds no generator is a fault of the program; with 1 as the one
+    # prime factor of q - 1, every unit fails it
+    monkeypatch.setattr(fq, "_factorize_int", lambda n: {1: 1})
+    with pytest.raises(InvariantViolation, match="no generator"):
+        make_field(5)._find_generator()
+
+
+def test_a_degree_without_an_irreducible_is_an_invariant_violation(
+        monkeypatch):
+    # an irreducible of every degree exists over every F_p
+    monkeypatch.setattr(fq, "dense_is_irreducible", lambda ctx, c: False)
+    with pytest.raises(InvariantViolation, match="no irreducible"):
+        fq._lex_least_modulus(2, 3)
+
+
 # every charpoly context (F_9 among them) and F_16, F_27, as (p, e, m)
 FROBENIUS_CONTEXTS = [c[:3] for c in CHARPOLY_CONTEXTS] + [(2, 4, 1),
                                                           (3, 3, 1)]

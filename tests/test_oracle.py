@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -92,6 +93,47 @@ def test_exponents_fold_below_the_field_order(q):
             count = count_points(f, k, domain)
             assert count == count_scalar_reference(f, k, domain)
             assert count_points(g, k, domain) == count
+    # sparse in x_n: 2Q-2 and Q+1 fold to Q-1 and 2, which leave gaps past
+    # 1, with and without a constant, whose x_n^0 = 1 holds at x_n = 0;
+    # over F_4, F_8 and F_9 the coefficient a lies outside F_p
+    a = q - 1
+    for n in (1, 2):
+        k = 2 if n == 1 or q <= 3 else 1
+        Q = q ** k
+        outer, x1 = (0,) * (n - 1), (1,) * (n - 1)
+        for terms in ({outer + (2 * Q - 2,): a, x1 + (Q + 1,): 1,
+                       outer + (0,): 1},
+                      {outer + (2 * Q - 2,): 1, x1 + (Q + 1,): a}):
+            f = SparsePoly(ctx, n, terms)
+            for domain in ("affine", "torus"):
+                assert count_points(f, k, domain) == \
+                    count_scalar_reference(f, k, domain)
+
+
+def test_horner_steps_once_per_gap_between_exponents_present():
+    # over F_1024, at every element, 0 included: one exp lookup per step
+    # down from an exponent present, none for those f lacks, and no step
+    # from the exponent 0
+    big = field(2 ** 10)
+    kit = big.vector_kit()
+    for coeffs, steps in (({1000: 1, 1: 1, 0: 1}, 2), ({1000: 5, 3: 7}, 2),
+                          ({0: 3}, 0)):
+        reads = []
+
+        class Exp:
+            def __getitem__(self, idx):
+                reads.append(idx)
+                return kit.exp[idx]
+        counting = types.SimpleNamespace(exp=Exp(), log=kit.log, add=kit.add)
+        got = oracle._horner_vec(counting, coeffs, kit.log)
+        assert len(reads) == steps
+        want = []
+        for x in range(big.q):
+            acc = 0
+            for e, c in coeffs.items():
+                acc = big.add(acc, big.mul(c, big.pow(x, e) if e else 1))
+            want.append(acc)
+        assert np.broadcast_to(got, (big.q,)).tolist() == want
 
 
 def _grid_cases(ctx, rng, n, Q):
@@ -427,6 +469,17 @@ def test_a_nonzero_constant_counts_zero(q, k):
                 assert count_points(f, k, domain) == 0
 
 
+def test_a_modulus_without_a_root_is_an_invariant_violation(monkeypatch):
+    # F_q embeds in every F_(q^k), so a modulus with no root there is a
+    # fault of the program, not of the input
+    monkeypatch.setattr(oracle, "_horner_vec",
+                        lambda kit, coeffs, xlog: np.ones_like(xlog))
+    oracle._embedding.cache_clear()
+    f = SparsePoly(field(4), 2, {(1, 1): 1, (0, 0): 1})
+    with pytest.raises(InvariantViolation, match="no root"):
+        count_points(f, 2)
+
+
 @pytest.mark.parametrize("fn", [count_points, trial_factorize])
 def test_ring_input_is_refused_as_ring_not_field(fn):
     ring = make_galois_ring(field(3), 2)
@@ -438,14 +491,18 @@ def test_ring_input_is_refused_as_ring_not_field(fn):
 @pytest.mark.parametrize("fn,args,error", [
     (count_points, (SparsePoly.from_dense(field(2), [0, 1]), 1,
                     "projective"), ValueError),
+    (count_points, (SparsePoly.from_dense(field(2), [0, 1]), 0),
+     ValueError),
+    (count_points, (SparsePoly.from_dense(field(2), [0, 1]), -3),
+     ValueError),
     (zeta_coeffs_exact, ([1], 2), ValueError),
     (CountVector, (2, 1, "affine", (5,)), ValueError),
     (trial_factorize, (SparsePoly(field(2), 2, {(1, 1): 1}),), ValueError),
     (trial_factorize, (SparsePoly.from_dense(field(2), [1]),), ValueError),
     (trial_factorize,
      (SparsePoly.from_dense(field(49), [1] + [0] * 13 + [1]),), TooLarge),
-], ids=["projective", "short-counts", "impossible-count", "bivariate",
-        "constant", "sieve-past-cap"])
+], ids=["projective", "k=0", "k=-3", "short-counts", "impossible-count",
+        "bivariate", "constant", "sieve-past-cap"])
 def test_argument_checks(fn, args, error):
     with pytest.raises(error):
         fn(*args)
