@@ -15,14 +15,14 @@ from .errors import (CoefficientOutsidePrimeField, CompositeP, ConstantInput,
                      ReducibleModulus, RingNotField, SizeLimit,
                      StabilityViolation, TooLarge, UnknownVariable,
                      ZetaError, ZeroConstantTerm)
-from .factor import Factorization, admissible_basis, factorize
+from .factor import admissible_basis, factorize
 from .fq import make_field, make_galois_ring, split_prime_power
 from .hyper import (TruncatedSeries, hyper_matrix_mod_p, hyper_matrix_mod_pm,
                     rd_basis, rmd_basis, torus_zeta, zeta_mod_p, zeta_mod_pm)
 from .linalg import SquareMatrix, charpoly_reverse, kernel_basis
 from .oracle import (count_points, count_vector, irreducibles_up_to,
                      trial_factorize, zeta_coeffs_exact)
-from .poly import SparsePoly, render_poly
+from .poly import Factorization, SparsePoly, render_poly
 from .zerodim import (FactoredZeta, OperatorKind, congruence_charpoly,
                       degree_profile, op_matrix, zerodim_zeta)
 

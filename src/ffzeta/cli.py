@@ -33,13 +33,15 @@ import sys
 
 from .errors import (LimitError, ParseError, PreconditionError,
                      UnknownVariable)
-from .factor import Factorization, factor_sort_key, factorize
+from .factor import factorize
 from .fq import make_field, split_prime_power
 from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
 from .linalg import _operator_cap, charpoly_reverse
-from .oracle import count_points, trial_factorize, zeta_coeffs_exact
-from .poly import SparsePoly, dense_translate, render_poly, var_names
+from .oracle import (_count_cap, count_points, count_vector,
+                     trial_factorize, zeta_coeffs_exact)
+from .poly import (Factorization, SparsePoly, dense_translate, render_poly,
+                   var_names)
 from .zerodim import (FactoredZeta, OperatorKind, _check_operator, _profile,
                       _profile_cap, _zeta_from_profile, congruence_charpoly,
                       op_matrix)
@@ -236,9 +238,8 @@ def _cmd_factor(args, ctx):
     fac = factorize(g, OperatorKind(args.method))
     if shift is not None:
         back = ctx.neg(shift)
-        pulled = [(_shifted(h, back), m) for h, m in fac.factors]
-        pulled.sort(key=factor_sort_key)
-        fac = Factorization(fac.unit, tuple(pulled))
+        fac = Factorization(fac.unit, tuple((_shifted(h, back), m)
+                                            for h, m in fac.factors))
     result = [[render_poly(h), m] for h, m in fac.factors]
     return {"factors": result}, str(fac)
 
@@ -276,9 +277,8 @@ def _cmd_verify(args, ctx):
             series = zeta_mod_p(f, args.nvars, B, args.d)
         else:
             series = zeta_mod_pm(f, args.m, B, args.d)
-        domain = "affine" if args.mode == "modp" else "torus"
-        # the largest field first, so that a refused count fails at once
-        counts = [count_points(f, k, domain) for k in range(B, 0, -1)][::-1]
+        counts = count_vector(f, B, "affine" if args.mode == "modp"
+                              else "torus")
         lhs = list(series.coeffs)
         rhs = [c % series.modulus for c in zeta_coeffs_exact(counts, B)]
     match = lhs == rhs
@@ -389,6 +389,10 @@ def run(args):
         # the closed form reads only p and q, so no field is built
         result, text = _cmd_torus(args, p)
     else:
+        if args.command == "count":
+            # the enumeration cap reads only q, k and n: refused before the
+            # field's modulus search
+            _count_cap(args.q, args.k, args.nvars)
         modulus = parse_modulus(args.modulus, p) if args.modulus else None
         result, text = _COMMANDS[args.command](args, make_field(p, e,
                                                                 modulus))

@@ -41,60 +41,14 @@ monic pieces, each a product of primary components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalCheckError, InvariantViolation, QTooLarge
 from .linalg import SquareMatrix, kernel_basis
-from .poly import (SparsePoly, dense_deriv, dense_divmod, dense_gcd,
-                   dense_mul, dense_trim, render_poly)
+from .poly import (Factorization, SparsePoly, dense_deriv, dense_divmod,
+                   dense_gcd, dense_mul, dense_trim)
 from .zerodim import OperatorKind, op_matrix
 
 # largest field order accepted, since splitting loops over all of F_q
 _MAX_FACTOR_Q = 64
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Unit times a product of powers of distinct monic irreducibles."""
-
-    unit: int
-    factors: tuple
-
-    def __post_init__(self):
-        for g, mult in self.factors:
-            if mult < 1:
-                raise ValueError("multiplicity %d < 1" % mult)
-            if not g.is_monic_uni():
-                raise ValueError("factor %r is not monic" % g)
-
-    def expand(self):
-        if not self.factors:
-            raise ValueError("empty factorization has no context")
-        ctx = self.factors[0][0].ctx
-        out = SparsePoly.constant(ctx, 1, 1)
-        for g, mult in self.factors:
-            out = out * g ** mult
-        return out.scale(self.unit)
-
-    def __str__(self):
-        if not self.factors:
-            return str(self.unit)
-        parts = []
-        if self.unit != 1:
-            parts.append(str(self.unit))
-        for g, mult in self.factors:
-            text = "(%s)" % render_poly(g)
-            parts.append(text if mult == 1 else "%s^%d" % (text, mult))
-        return " * ".join(parts)
-
-
-def _dense_key(dense):
-    """Factors sort by degree, then by coefficients from the top."""
-    return len(dense), dense[::-1]
-
-
-def factor_sort_key(item):
-    return _dense_key(item[0].to_dense())
 
 
 def _fixed_space(f, kind):
@@ -213,6 +167,5 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     if distinct != r:
         raise InternalCheckError("%d distinct factors from a fixed space "
                                  "of dimension %d" % (distinct, r))
-    factors.sort(key=lambda item: _dense_key(item[0]))
     return Factorization(1, tuple((SparsePoly.from_dense(ctx, root), mult)
                                   for root, mult in factors))

@@ -37,7 +37,7 @@ M' = sigma^{e-1}(A) ... sigma(A), have one characteristic polynomial, so
 sigma fixes its coefficients.  That containment is checked, never
 assumed, before any series work.  Every series, these and the exact
 zero-dimensional zeta, is a product of powers of polynomials in T with
-one division at the end, expanded on lists by _product_series.
+one division at the end, expanded on lists by `poly`'s _product_series.
 
 zeta_mod_p and zeta_mod_pm read P only to T^B, which for small B comes
 from traces (see `linalg`); the working the CLI prints keeps all of P.
@@ -54,7 +54,7 @@ from .errors import (EmptyBasis, InvariantViolation, RingNotField,
                      SizeLimit, StabilityViolation)
 from .fq import make_galois_ring
 from .linalg import _operator_cap, charpoly_reverse, SquareMatrix
-from .poly import _pack, poly_pow
+from .poly import _pack, _product_series, poly_pow
 
 _MAX_NVARS = 6          # most variables the hypersurface routines accept
 
@@ -90,53 +90,6 @@ class TruncatedSeries:
             else:
                 parts.append("T^%d" % k if c == 1 else "%d*T^%d" % (c, k))
         return " + ".join(parts)
-
-
-def _product_series(modulus, B, factors):
-    """c_0..c_B of the product of a(T)^k over the (k, a) pairs of
-    `factors`, a a coefficient list, as a list mod `modulus`, or exact when
-    it is None, where every constant term must be 1.  Powers come by
-    repeated squaring on lists cut at T^B, and a product reads the nonzero
-    terms of its sparser side only, so polynomials of degrees D and E cost
-    O(D*E).  The k > 0 factors form a numerator, the rest a denominator,
-    which divides once, at the end, by its nonzero terms; its constant term
-    must be a unit (ValueError otherwise)."""
-    def cut(a):     # reduced, cut at T^B, without trailing zeros
-        a = [c if modulus is None else c % modulus for c in a[:B + 1]]
-        while len(a) > 1 and not a[-1]:
-            a.pop()
-        return a
-
-    def mul(a, b):
-        if sum(map(bool, a)) > sum(map(bool, b)):
-            a, b = b, a
-        out = [0] * min(len(a) + len(b) - 1, B + 1)
-        for i, x in enumerate(a):
-            if x:
-                end = i + len(b)
-                out[i:end] = [u + x * v for u, v in zip(out[i:end], b)]
-        return cut(out)
-
-    num = den = [1]
-    for k, a in factors:
-        if modulus is None and a[0] != 1:
-            raise ValueError("an exact series needs constant terms 1")
-        a, part = cut(a), [1]
-        for bit in bin(abs(k))[2:]:      # left to right
-            part = mul(part, part)
-            if bit == "1":
-                part = mul(part, a)
-        if k > 0:
-            num = mul(num, part)
-        else:
-            den = mul(den, part)
-    inv = 1 if modulus is None else pow(den[0], -1, modulus)
-    terms = [(j, c) for j, c in enumerate(den) if j and c]
-    out = []
-    for k, y in enumerate(num + [0] * (B + 1 - len(num))):
-        x = inv * (y - sum(c * out[k - j] for j, c in terms if j <= k))
-        out.append(x if modulus is None else x % modulus)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,8 @@ import numpy as np
 
 from .errors import (InvariantViolation, NonIntegralCoefficient,
                      RingNotField, TooLarge)
-from .factor import Factorization, factor_sort_key
 from .fq import make_field
-from .poly import SparsePoly
+from .poly import Factorization, SparsePoly
 
 _MAX_ENUM = 10 ** 9     # largest grid q^(kn) an enumeration covers, before
                         # the cut to one value of x_n per Frobenius orbit
@@ -145,26 +144,34 @@ def _horner_vec(kit, coeffs, xlog):
     return times_power(y, exps[-1]) if exps[-1] else y
 
 
+def _count_cap(q, k, n):
+    """Refuse a count of n variables over F_(q^k) unless n >= 0, k >= 1
+    and the grid q^(kn) is within _MAX_ENUM; it reads integers only, so it
+    can run before any field is built."""
+    if n < 0:
+        # before q^(kn), which would be a float
+        raise ValueError("number of variables must be >= 0")
+    if k < 1:
+        raise ValueError("extension degree k must be >= 1, got %d" % k)
+    # q >= 2, so k*n past the cap's bit length decides before q^(k*n),
+    # which could be huge, is formed
+    if k * n >= _MAX_ENUM.bit_length() or q ** (k * n) > _MAX_ENUM:
+        raise TooLarge("q^(k*n) for q = %d, k = %d, n = %d exceeds the "
+                       "enumeration cap %d" % (q, k, n, _MAX_ENUM))
+
+
 def count_points(f, k=1, domain="affine"):
     """Number of F_{q^k}-rational points of {f = 0} in the affine space or
     the torus (all coordinates nonzero): from the trial factorization of f
     when f is univariate of degree <= k (after folding exponents below
     q^k), otherwise by enumeration."""
-    if k < 1:
-        # before the fold below, which reads Q - 1
-        raise ValueError("extension degree k must be >= 1, got %d" % k)
+    ctx, n = f.ctx, f.nvars
+    # first, as the fold below reads Q - 1
+    _count_cap(ctx.q, k, n)
     if domain not in ("affine", "torus"):
         raise ValueError("domain must be 'affine' or 'torus'")
-    ctx = f.ctx
     if ctx.m != 1:
         raise RingNotField("point counting needs field coefficients")
-    n = f.nvars
-    # q >= 2, so k*n past the cap's bit length decides before q^(k*n),
-    # which could be huge, is formed
-    if (k * n >= _MAX_ENUM.bit_length()
-            or ctx.q ** (k * n) > _MAX_ENUM):
-        raise TooLarge("q^(k*n) for q = %d, k = %d, n = %d exceeds the "
-                       "enumeration cap %d" % (ctx.q, k, n, _MAX_ENUM))
     # the answers up to the field's construction need only Q
     Q = ctx.q ** k
     terms = {}
@@ -273,8 +280,9 @@ def _count_vectorized(big, kit, terms, n, lo, q, k):
 
 
 def count_vector(f, K, domain="affine"):
-    counts = tuple(count_points(f, k, domain) for k in range(1, K + 1))
-    return CountVector(f.ctx.q, f.nvars, domain, counts)
+    # the largest field first, so that a refused count fails at once
+    counts = [count_points(f, k, domain) for k in range(K, 0, -1)]
+    return CountVector(f.ctx.q, f.nvars, domain, tuple(counts[::-1]))
 
 
 def zeta_coeffs_exact(counts, B):
@@ -442,5 +450,4 @@ def trial_factorize(f):
                 rows, quo = rows[1:], quo[1:]
     if len(rem) > 1:
         factors.append((SparsePoly.from_dense(ctx, rem), 1))
-    factors.sort(key=factor_sort_key)
     return Factorization(unit, tuple(factors))

@@ -3,12 +3,14 @@ ring context.
 
 Terms are a dict mapping exponent tuples to nonzero coefficient codes, so a
 polynomial in n variables over F_q costs O(#terms) regardless of degree.
-Next to the sparse type live its rendering, its one product and its
-powers, and the package's one univariate polynomial
+Next to the sparse type live its rendering, the `Factorization` value
+type, which alone orders factors, its one product and its powers, the
+package's one univariate polynomial
 arithmetic: dense kernels on little-endian code lists (products, division,
 gcd, modular powers, the irreducibility test) that the factorization and
 zero-dimensional pipelines run on, and that `fq` runs to certify a field's
-modulus.  The univariate psi_q acts on dense lists in `zerodim`; the
+modulus, and the package's one series expansion, which every zeta series
+runs.  The univariate psi_q acts on dense lists in `zerodim`; the
 multivariate psi_q is applied inside `hyper`'s operator matrix.
 
 The sparse product runs on arrays: each exponent vector is packed into one
@@ -23,6 +25,7 @@ equal keys; `*` and the squarings of f^k share it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,6 +191,45 @@ def render_poly(f):
             piece = head + "*" + mono
         out.append(piece)
     return " + ".join(out)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Unit times a product of powers of distinct monic irreducibles; the
+    factors sort by degree, then by coefficients from the top."""
+
+    unit: int
+    factors: tuple
+
+    def __post_init__(self):
+        for g, mult in self.factors:
+            if mult < 1:
+                raise ValueError("multiplicity %d < 1" % mult)
+            if not g.is_monic_uni():
+                raise ValueError("factor %r is not monic" % g)
+        object.__setattr__(self, "factors", tuple(sorted(
+            self.factors, key=lambda item: (item[0].degree(),
+                                            item[0].to_dense()[::-1]))))
+
+    def expand(self):
+        if not self.factors:
+            raise ValueError("empty factorization has no context")
+        ctx = self.factors[0][0].ctx
+        out = SparsePoly.constant(ctx, 1, 1)
+        for g, mult in self.factors:
+            out = out * g ** mult
+        return out.scale(self.unit)
+
+    def __str__(self):
+        if not self.factors:
+            return str(self.unit)
+        parts = []
+        if self.unit != 1:
+            parts.append(str(self.unit))
+        for g, mult in self.factors:
+            text = "(%s)" % render_poly(g)
+            parts.append(text if mult == 1 else "%s^%d" % (text, mult))
+        return " * ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +440,66 @@ def poly_pow(f, k):
         if k:
             base = _capped_product(ctx, base, base)
     return _unpack(ctx, n, radix, out)
+
+
+# ---------------------------------------------------------------------------
+# series in T on coefficient lists
+
+
+def _product_series(modulus, B, factors):
+    """c_0..c_B of the product of a(T)^k over the (k, a) pairs of
+    `factors`, a a coefficient list, as a list mod `modulus`, or exact when
+    it is None, where every constant term must be 1.  A power (1 + uT)^|k|
+    is its binomial sum over j <= min(|k|, B) of C(|k|, j) u^j T^j, in as
+    many steps whatever the size of k; other powers come by repeated
+    squaring on lists cut at T^B.  A product reads the nonzero terms of
+    its sparser side only, so polynomials of degrees D and E cost O(D*E).
+    The k > 0 powers form a numerator, the rest a denominator, which
+    divides once, at the end, by its nonzero terms; its constant term must
+    be a unit (ValueError otherwise)."""
+    def red(c):
+        return c if modulus is None else c % modulus
+
+    def cut(a):     # reduced, cut at T^B, without trailing zeros
+        a = [red(c) for c in a[:B + 1]]
+        while len(a) > 1 and not a[-1]:
+            a.pop()
+        return a
+
+    def mul(a, b):
+        if sum(map(bool, a)) > sum(map(bool, b)):
+            a, b = b, a
+        out = [0] * min(len(a) + len(b) - 1, B + 1)
+        for i, x in enumerate(a):
+            if x:
+                end = i + len(b)
+                out[i:end] = [u + x * v for u, v in zip(out[i:end], b)]
+        return cut(out)
+
+    num = den = [1]
+    for k, a in factors:
+        if modulus is None and a[0] != 1:
+            raise ValueError("an exact series needs constant terms 1")
+        a, part = cut(a), [1]
+        if a[0] == 1 and len(a) == 2:
+            # C(|k|, j) = C(|k|, j-1) (|k| - j + 1) / j, an exact division
+            c = uj = 1
+            for j in range(1, min(abs(k), B) + 1):
+                c, uj = c * (abs(k) - j + 1) // j, red(uj * a[1])
+                part.append(red(c * uj))
+        else:
+            for bit in bin(abs(k))[2:]:      # left to right
+                part = mul(part, part)
+                if bit == "1":
+                    part = mul(part, a)
+        if k > 0:
+            num = mul(num, part)
+        else:
+            den = mul(den, part)
+    inv = 1 if modulus is None else pow(den[0], -1, modulus)
+    terms = [(j, c) for j, c in enumerate(den) if j and c]
+    out = []
+    for k, y in enumerate(num + [0] * (B + 1 - len(num))):
+        x = inv * (y - sum(c * out[k - j] for j, c in terms if j <= k))
+        out.append(red(x))
+    return out

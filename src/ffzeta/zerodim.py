@@ -44,10 +44,10 @@ import numpy as np
 from .errors import (ConstantInput, InvariantViolation, MultivariateInput,
                      NonIntegralSolution, NotMonic, RingNotField, SizeLimit,
                      ZeroConstantTerm)
-from .hyper import _product_series
 from .linalg import (SquareMatrix, _operator_cap, _stack_ranks,
                      charpoly_reverse)
-from .poly import dense_divmod, dense_mod, dense_mulmod, dense_powmod
+from .poly import (_product_series, dense_divmod, dense_mod, dense_mulmod,
+                   dense_powmod)
 
 _MAX_DIVISION_STEPS = 10 ** 5   # most steps q*d*(d+1) of f(x^q) / f
 

@@ -411,6 +411,19 @@ def test_torus_zeta_cost_stops_at_the_vanishing_factors(capsys):
         "Z(torus) mod 8 = 1 + T + T^2 + T^3"
 
 
+def test_torus_zeta_of_a_large_torus_ends_within_ten_seconds():
+    # each factor (1 - 2^i T)^(+-C(3000, i)) is its binomial sum to T^2;
+    # squaring once per bit of C(3000, i) ran past 30 s
+    run = run_cli(["torus-zeta", "--q", "2", "-n", "3000", "-m", "3000",
+                   "-B", "2", "--json"])
+    assert run.returncode == 0, run.stderr
+    pm = 2 ** 3000
+    # the torus has (2^k - 1)^3000 points over F_(2^k): N_1 = 1 and
+    # N_2 = 3^3000, so c_1 = 1 and c_2 = (1 + 3^3000) / 2
+    assert json.loads(run.stdout)["result"]["series"] == \
+        [1, 1, (1 + 3 ** 3000) // 2 % pm]
+
+
 @pytest.mark.parametrize("argv,code", [
     # a 1x1 matrix: the operator is built from f itself, not f^65535
     (["modp", "--q", "65536", "-n", "2", "--poly", "x*y+x+1", "-B", "2"], 0),
@@ -489,6 +502,16 @@ def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "q = 2, k = 100000, n = 1" in run.stderr
+
+
+def test_count_past_the_enumeration_cap_exits_before_any_field():
+    # the cap reads only q, k and n, so q = 2^600 is refused without the
+    # modulus search for F_(2^600), which takes over a minute
+    run = run_cli(["count", "--q", str(2 ** 600), "-n", "1", "--poly",
+                   "x+1"])
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "k = 1, n = 1 exceeds the enumeration cap" in run.stderr
 
 
 @pytest.mark.parametrize("argv,out", [

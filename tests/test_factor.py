@@ -335,6 +335,22 @@ def test_factorization_value_object():
         Factorization(1, ((g, 1),))
 
 
+def test_factorization_orders_its_factors():
+    # by degree, then by coefficients from the top, whatever the order
+    # given; so two orders of the same factors are one value
+    ctx = field(3)
+    given = [([2, 0, 1], 1), ([1, 1], 2), ([0, 1], 1), ([1, 0, 1], 3),
+             ([2, 1], 1)]
+    want = [([0, 1], 1), ([1, 1], 2), ([2, 1], 1), ([1, 0, 1], 3),
+            ([2, 0, 1], 1)]
+    for order in (given, given[::-1]):
+        fac = Factorization(2, tuple((SparsePoly.from_dense(ctx, g), m)
+                                     for g, m in order))
+        assert dense_factors(fac) == want
+    assert fac == Factorization(2, tuple(
+        (SparsePoly.from_dense(ctx, g), m) for g, m in want))
+
+
 def test_large_field_rejected():
     ctx = field(121)
     f = SparsePoly.from_dense(ctx, [1, 0, 1])

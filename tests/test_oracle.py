@@ -524,6 +524,21 @@ def test_worked_counts():
     assert count_points(line, 1, "torus") == 0
 
 
+def test_count_vector_refuses_its_largest_field_first(monkeypatch):
+    # N_7 is over F_78125, which has no tables: it is counted first, so
+    # no smaller k is counted before the refusal
+    f = SparsePoly.from_dense(field(5), [1, 1])
+    calls = []
+    monkeypatch.setattr(oracle, "count_points", lambda f, k, domain:
+                        calls.append(k) or count_points(f, k, domain))
+    with pytest.raises(TooLarge, match="F_78125"):
+        count_vector(f, 7)
+    assert calls == [7]
+    calls.clear()
+    assert count_vector(f, 3).counts == (1, 1, 1)
+    assert calls == [3, 2, 1]
+
+
 def test_count_vector_shape():
     ctx = field(2)
     f = SparsePoly.from_dense(ctx, [1, 1, 1])

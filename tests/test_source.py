@@ -64,15 +64,63 @@ def test_only_fq_knows_which_fields_carry_tables():
     assert found == []
 
 
+# the package's modules in layers: each imports only the modules listed
+# for it; the oracle checks the pipelines, so it stands on field
+# arithmetic and the polynomial types alone
+LAYERS = {
+    "errors": set(),
+    "poly": {"errors"},
+    "fq": {"errors", "poly"},
+    "linalg": {"errors", "poly", "fq"},
+    "hyper": {"errors", "poly", "fq", "linalg"},
+    "zerodim": {"errors", "poly", "fq", "linalg"},
+    "factor": {"errors", "poly", "fq", "linalg", "hyper", "zerodim"},
+    "oracle": {"errors", "poly", "fq"},
+}
+TOP = {"cli", "__init__"}
+
+
+def _package_imports(path):
+    """{module of the package: names imported from it} for one source."""
+    out = {}
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ffzeta."):
+                    out.setdefault(alias.name[len("ffzeta."):], set())
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.startswith("ffzeta."):
+                module = module[len("ffzeta."):]
+            elif node.level == 0:
+                continue
+            names = {alias.name for alias in node.names}
+            if module in ("", "ffzeta"):
+                for name in names:
+                    out.setdefault(name, set())
+            else:
+                out.setdefault(module, set()).update(names)
+    return out
+
+
+def test_modules_import_only_the_layers_below():
+    found = []
+    for path in SOURCES:
+        name = path.stem
+        if name in TOP:
+            continue
+        for module in _package_imports(path):
+            if module not in LAYERS.get(name, ()):
+                found.append("%s imports %s" % (name, module))
+    assert sorted(path.stem for path in SOURCES) == sorted(set(LAYERS) | TOP)
+    assert found == []
+
+
 def test_oracle_shares_no_polynomial_arithmetic():
-    # the oracle checks the pipelines, so of `poly` it takes only the
-    # polynomial type; its division is its own
+    # of `poly` the oracle takes only the polynomial types; its division
+    # is its own
     path = Path(ffzeta.__file__).parent / "oracle.py"
-    imported = [alias.name
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, ast.ImportFrom) and node.module == "poly"
-                for alias in node.names]
-    assert imported == ["SparsePoly"]
+    assert _package_imports(path)["poly"] <= {"SparsePoly", "Factorization"}
 
 
 def _names_used(top):
