@@ -457,11 +457,8 @@ def _product_series(modulus, B, factors):
     The k > 0 powers form a numerator, the rest a denominator, which
     divides once, at the end, by its nonzero terms; its constant term must
     be a unit (ValueError otherwise)."""
-    def red(c):
-        return c if modulus is None else c % modulus
-
     def cut(a):     # reduced, cut at T^B, without trailing zeros
-        a = [red(c) for c in a[:B + 1]]
+        a = [c if modulus is None else c % modulus for c in a[:B + 1]]
         while len(a) > 1 and not a[-1]:
             a.pop()
         return a
@@ -485,8 +482,11 @@ def _product_series(modulus, B, factors):
             # C(|k|, j) = C(|k|, j-1) (|k| - j + 1) / j, an exact division
             c = uj = 1
             for j in range(1, min(abs(k), B) + 1):
-                c, uj = c * (abs(k) - j + 1) // j, red(uj * a[1])
-                part.append(red(c * uj))
+                c, uj = c * (abs(k) - j + 1) // j, uj * a[1]
+                if modulus is not None:
+                    uj %= modulus
+                part.append(c * uj)
+            part = cut(part)
         else:
             for bit in bin(abs(k))[2:]:      # left to right
                 part = mul(part, part)
@@ -501,5 +501,5 @@ def _product_series(modulus, B, factors):
     out = []
     for k, y in enumerate(num + [0] * (B + 1 - len(num))):
         x = inv * (y - sum(c * out[k - j] for j, c in terms if j <= k))
-        out.append(red(x))
+        out.append(x if modulus is None else x % modulus)
     return out
