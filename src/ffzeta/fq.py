@@ -9,7 +9,10 @@ tables or numpy arrays of codes.
 For p = 2 the code is the bit-packed coefficient vector, so addition is XOR
 at any size.  A field tabulates itself once, in O(q) numpy work, with one
 set of 1-D tables (a VectorKit: discrete log / antilog, and for odd p a
-carry-free digit packing for addition); up to q = 2^14 it does so at
+carry-free digit packing for addition).  The antilog table doubles by
+products of its known half with one fixed code; for p = 2 such a product
+reads split tables, one of 256 entries per byte of the codes, so it
+costs a gather and an XOR per byte.  Up to q = 2^14 a field tabulates at
 construction and scalar ops read list copies, above that on the first
 vector_kit() call, for the brute-force oracle.  The caps below are the
 one place that decides which fields carry tables: the oracle asks
@@ -22,9 +25,10 @@ VectorKit per field; sigma is built with its context.  Shared arrays are
 read-only.
 
 The modulus h is certified irreducible by `poly.dense_is_irreducible`
-(Ben-Or's gcd form of Rabin's test) over the prime field, so fields carry
-no polynomial arithmetic of their own; the default h is the least monic
-irreducible of degree e in coefficient order.
+(Ben-Or's gcd form of Rabin's test) over the prime field, on h packed
+into one int when p = 2, so fields carry no polynomial arithmetic of
+their own; the default h is the least monic irreducible of degree e in
+coefficient order.
 
 Arrays of elements are stored as digit "planes": an (L, ...) int64 array
 whose slice c holds the degree-c digits, reduced mod p (fields) or mod p^m
@@ -115,9 +119,9 @@ def _lex_least_modulus(p, e):
         return (0, 1)
     base = make_field(p)
     for j in range(p ** e):
-        c = [(j // p ** i) % p for i in range(e)]
-        if c[0] == 0:
+        if j % p == 0:
             continue            # divisible by t
+        c = [(j // p ** i) % p for i in range(e)]
         if dense_is_irreducible(base, c + [1]):
             return tuple(c + [1])
     # an irreducible of every degree exists
@@ -155,17 +159,20 @@ def _gf2_mul_int(a, b, mod_int, k):
 
 
 def _gf2_mul_vec(arr, scalar, mod_int, k):
-    """Vectorized product of an int64 code array by a fixed code."""
+    """Vectorized product of an array of codes below 2^k by a fixed code,
+    through split tables (Plank, Greenan and Miller, FAST 2013): the table
+    of bits lo..lo+7 maps each byte v to scalar * v * t^lo, so the product
+    is one gather and one XOR per byte of the codes.  Each table doubles by
+    XOR with the next image t^j * scalar."""
     acc = np.zeros_like(arr)
-    i = 0
-    while scalar:
-        if scalar & 1:
-            acc ^= arr << i
-        scalar >>= 1
-        i += 1
-    for bit in range(2 * k - 2, k - 1, -1):
-        mask = (acc >> bit) & 1
-        acc ^= mask * (mod_int << (bit - k))
+    for lo in range(0, k, 8):
+        table = np.zeros(1, dtype=arr.dtype)
+        for _ in range(lo, min(lo + 8, k)):
+            table = np.concatenate((table, table ^ scalar))
+            scalar <<= 1
+            if scalar >> k:
+                scalar ^= mod_int
+        acc ^= table[arr >> lo & 255]
     return acc
 
 
@@ -552,12 +559,12 @@ def _vector_kit(field):
         # g^(i+n) = g^i * g^n doubles the known powers
         k = min(n, q - 1 - n)
         step = GaloisRing.mul(field, int(exp[n - 1]), g)
-        head = exp[:k].astype(np.int64)
         if p == 2:
-            exp[n:n + k] = _gf2_mul_vec(head, step, field._mod_int, e)
+            exp[n:n + k] = _gf2_mul_vec(exp[:k], step, field._mod_int, e)
         else:
             exp[n:n + k] = _digit_product(
-                field, head, np.array([step], dtype=np.int64))[:, 0]
+                field, exp[:k].astype(np.int64),
+                np.array([step], dtype=np.int64))[:, 0]
         n += k
     exp[q - 1:2 * (q - 1)] = exp[:q - 1]
     kit = VectorKit()

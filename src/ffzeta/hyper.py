@@ -291,13 +291,16 @@ def torus_zeta(n, q, B, pm):
 
 def _torus_factors(n, q, pm):
     """The factors of torus_zeta as (exponent, coefficients) pairs, up to
-    the first i with q^i = 0 mod pm."""
+    the first i with q^i = 0 mod pm.  C(n, i) is a running product,
+    C(n, i - 1)(n - i + 1)/i, exact at every step."""
     factors = []
+    binom = 1
     for i in range(n + 1):
         qi = pow(q, i, pm)
         if qi == 0:
             break
-        factors.append((math.comb(n, i) * (-1) ** (n - i + 1), [1, -qi]))
+        factors.append((binom * (-1) ** (n - i + 1), [1, -qi]))
+        binom = binom * (n - i) // (i + 1)
     return factors
 
 

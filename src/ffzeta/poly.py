@@ -323,16 +323,42 @@ def dense_is_irreducible(ctx, f):
     """Ben-Or's form of Rabin's test: a monic f of degree e over F_q is
     irreducible iff gcd(x^(q^i) - x mod f, f) = 1 for 1 <= i <= e/2, since
     x^(q^i) - x is the product of the monic irreducibles of degree
-    dividing i."""
+    dividing i.  Over F_2 the test runs on f packed into one int."""
     e = len(f) - 1
     if e < 1:
         return False
+    if ctx.size == 2:
+        return _gf2_is_irreducible(int("".join(map(str, reversed(f))), 2))
     xqi = [0, 1]
     for _ in range(e // 2):
         xqi = dense_powmod(ctx, xqi, ctx.q, f)
         diff = xqi + [0] * (2 - len(xqi))
         diff[1] = ctx.sub(diff[1], 1)
         if len(dense_gcd(ctx, f, dense_trim(diff))) > 1:
+            return False
+    return True
+
+
+def _gf2_mod(a, b):
+    """a mod b for polynomials over F_2 packed into ints (bit i the
+    coefficient of x^i): shifted XORs of b clear the top bits of a."""
+    db = b.bit_length()
+    while (s := a.bit_length() - db) >= 0:
+        a ^= b << s
+    return a
+
+
+def _gf2_is_irreducible(f):
+    """Ben-Or's test over F_2 on the packed f.  Read in base 4, the binary
+    digits of x^(2^i) move bit j to bit 2j, which over F_2 is the square
+    x^(2^(i+1))."""
+    xqi = 2                         # x
+    for _ in range((f.bit_length() - 1) // 2):
+        xqi = _gf2_mod(int(bin(xqi)[2:], 4), f)
+        a, b = f, xqi ^ 2
+        while b:
+            a, b = b, _gf2_mod(a, b)
+        if a != 1:
             return False
     return True
 

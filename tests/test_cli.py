@@ -505,8 +505,8 @@ def test_count_past_the_enumeration_cap_exits_four_within_ten_seconds():
 
 
 def test_count_past_the_enumeration_cap_exits_before_any_field():
-    # the cap reads only q, k and n, so q = 2^600 is refused without the
-    # modulus search for F_(2^600), which takes over a minute
+    # the cap reads only q, k and n, so q = 2^600 is refused without
+    # building F_(2^600)
     run = run_cli(["count", "--q", str(2 ** 600), "-n", "1", "--poly",
                    "x+1"])
     assert run.returncode == 4, run.stderr
@@ -514,13 +514,22 @@ def test_count_past_the_enumeration_cap_exits_before_any_field():
     assert "k = 1, n = 1 exceeds the enumeration cap" in run.stderr
 
 
+def test_factor_over_a_large_binary_field_is_refused_within_ten_seconds():
+    # the default modulus of F_(2^600) is found and certified on packed
+    # bits before factor's own cap refuses the field
+    run = run_cli(["factor", "--q", str(2 ** 600), "--poly", "x+1"])
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert "exceeds the cap" in run.stderr
+
+
 @pytest.mark.parametrize("argv,out", [
     # x^(10^9) folds to x^708025 on F_(2^20): a Horner step per degree
     # took minutes, a step per gap between the exponents present takes two
     (["count", "--q", "2", "-n", "1", "--poly", "x^1000000000+x+1", "-k",
       "20"], "N_20 = 0  (affine)"),
-    # a constant is answered from Q = 2^600 alone, without the modulus
-    # search for F_(2^600), which takes over a minute
+    # a constant is answered from Q = 2^600 alone, without building
+    # F_(2^600)
     (["count", "--q", "2", "-n", "0", "--poly", "1", "-k", "600"],
      "N_600 = 0  (affine)"),
 ], ids=["sparse-x^10^9", "constant-k=600"])

@@ -108,6 +108,27 @@ def test_default_modulus_is_least_irreducible():
         assert list(ctx.modulus) == first.to_dense()
 
 
+# the default modulus of F_(2^e) is t^e + r(t); r's bit mask for each e,
+# found by the search over coefficient lists
+BINARY_MODULI = {
+    2: 0x3, 3: 0x3, 4: 0x3, 5: 0x5, 6: 0x3, 7: 0x3, 8: 0x1b, 9: 0x3, 10: 0x9,
+    11: 0x5, 12: 0x9, 13: 0x1b, 14: 0x21, 15: 0x3, 16: 0x2b, 17: 0x9, 18: 0x9,
+    19: 0x27, 20: 0x9, 21: 0x5, 22: 0x3, 23: 0x21, 24: 0x1b, 25: 0x9,
+    26: 0x1b, 27: 0x27, 28: 0x3, 29: 0x5, 30: 0x3, 31: 0x9, 32: 0x8d,
+    33: 0x4b, 34: 0x1b, 35: 0x5, 36: 0x35, 37: 0x3f, 38: 0x63, 39: 0x11,
+    40: 0x39, 41: 0x9, 42: 0x27, 43: 0x59, 44: 0x21, 45: 0x1b, 46: 0x3,
+    47: 0x21, 48: 0x2d, 49: 0x71, 50: 0x1d, 51: 0x4b, 52: 0x9, 53: 0x47,
+    54: 0x7d, 55: 0x47, 56: 0x95, 57: 0x11, 58: 0x63, 59: 0x7b, 60: 0x3,
+    61: 0x27, 62: 0x69, 63: 0x3, 64: 0x1b, 100: 0x65, 128: 0x87, 200: 0x2d,
+}
+
+
+def test_default_moduli_of_binary_fields_are_pinned():
+    for e, r in BINARY_MODULI.items():
+        modulus = make_field(2, e).modulus
+        assert sum(b << i for i, b in enumerate(modulus)) == 1 << e | r, e
+
+
 @pytest.mark.parametrize("p", [p for p in range(2, 65) if fq._is_prime(p)])
 def test_irreducibility_test_matches_the_sieve(p):
     # every monic polynomial of degree e with p^e <= 4096, against the
@@ -452,7 +473,8 @@ def test_large_field_arithmetic_random_pairs(p, e):
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4),
                                  (5, 2), (3, 3), (2, 8), (3, 5), (3, 7),
-                                 (2999, 1), (2, 15), (7, 5), (3, 9)])
+                                 (2999, 1), (2, 15), (7, 5), (3, 9),
+                                 (2, 17), (2, 22)])
 def test_vector_kit_matches_scalar_ops(p, e):
     ctx = make_field(p, e)
     kit = ctx.vector_kit()
@@ -465,6 +487,8 @@ def test_vector_kit_matches_scalar_ops(p, e):
         a[:50] = 0
         b[25:75] = 0
     pairs = list(zip(a.tolist(), b.tolist()))
+    # the powers of the generator are every unit once
+    assert np.array_equal(np.sort(kit.exp[:ctx.q - 1]), np.arange(1, ctx.q))
     # above the list threshold scalar ops run the generic arithmetic
     prod = kit.exp[kit.log[a] + kit.log[b]]
     assert prod.tolist() == [ctx.mul(x, y) for x, y in pairs]
