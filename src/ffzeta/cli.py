@@ -33,7 +33,7 @@ import sys
 
 from .errors import (LimitError, ParseError, PreconditionError,
                      UnknownVariable)
-from .factor import factorize
+from .factor import _factor_cap, factorize
 from .fq import make_field, split_prime_power
 from .hyper import (_zeta_mod_p_parts, _zeta_mod_pm_parts, torus_zeta,
                     zeta_mod_p, zeta_mod_pm)
@@ -389,10 +389,17 @@ def run(args):
         # the closed form reads only p and q, so no field is built
         result, text = _cmd_torus(args, p)
     else:
+        # the caps that read only q, k and n: refused before the field's
+        # modulus search
         if args.command == "count":
-            # the enumeration cap reads only q, k and n: refused before the
-            # field's modulus search
             _count_cap(args.q, args.k, args.nvars)
+        elif args.command == "factor":
+            _factor_cap(args.q)
+        elif args.command == "verify" and args.mode != "zerodim":
+            # the oracle counts N_1..N_B; a B below 1 is the series' error
+            B = 4 if args.B is None else args.B
+            if B >= 1:
+                _count_cap(args.q, B, args.nvars)
         modulus = parse_modulus(args.modulus, p) if args.modulus else None
         result, text = _COMMANDS[args.command](args, make_field(p, e,
                                                                 modulus))

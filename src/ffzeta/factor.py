@@ -140,6 +140,14 @@ def _prime_power_root(ctx, g):
     return h
 
 
+def _factor_cap(q):
+    """Refuse a field of more than _MAX_FACTOR_Q elements; it reads q
+    only, so it can run before the field is built."""
+    if q > _MAX_FACTOR_Q:
+        raise QTooLarge("scalar enumeration over %d elements exceeds the "
+                        "cap %d" % (q, _MAX_FACTOR_Q))
+
+
 def factorize(f, kind=OperatorKind.FROBENIUS):
     """Complete factorization of monic univariate f into irreducibles,
     driven by the fixed space of the chosen operator.
@@ -150,9 +158,7 @@ def factorize(f, kind=OperatorKind.FROBENIUS):
     at once.
     """
     ctx = f.ctx
-    if ctx.q > _MAX_FACTOR_Q:
-        raise QTooLarge("scalar enumeration over %d elements exceeds the "
-                        "cap %d" % (ctx.q, _MAX_FACTOR_Q))
+    _factor_cap(ctx.q)
     # the operator refuses f past its caps before any dense list of f
     basis = _fixed_space(f, kind)
     r = len(basis)

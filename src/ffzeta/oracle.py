@@ -1,10 +1,11 @@
 """Ground truth by brute force.
 
 Everything the congruence machinery claims is checked against this module:
-points are counted by enumerating every candidate tuple over F_{q^k}, exact
-zeta series coefficients come from the exp-of-power-sums recurrence run in
-exact integer arithmetic, and univariate factorizations come from a sieve
-of irreducibles plus trial division.  None of it shares code with the
+points are counted by enumerating every candidate tuple over F_{q^k}, or
+in one variable as the degree of gcd(f, x^(q^k) - x), exact zeta series
+coefficients come from the exp-of-power-sums recurrence run in exact
+integer arithmetic, and univariate factorizations come from a sieve of
+irreducibles plus trial division.  None of it shares code with the
 operator path beyond field construction and arithmetic; the tests check
 the irreducibility test that certifies a field's modulus against the sieve.
 
@@ -32,19 +33,24 @@ p over prime fields, with their own division.  functools.cache keeps the
 orbits per (Q, q, k, domain), the embedding of F_q in F_Q per pair of
 fields and the irreducibles per field and degree: shared, so read-only.
 
-One variable with deg f <= k is counted from the factors instead: a
-monic irreducible g has deg g roots in F_Q when deg g | k and none
-otherwise, so N_k sums deg g over the distinct factors of f with deg g | k,
-leaving out g = x on the torus.  Trial division then sieves degrees up to
-k/2, fewer than 2 sqrt(Q) rows against the Q points it replaces.  Near
-deg f = 2k the sieve lists about Q rows, each a whole coefficient row, and
-costs more time and memory than enumeration, so past deg f = k the count
-enumerates.  Both routes sit behind the same refusals.
+One variable is counted from a Frobenius chain instead when g, f folded
+below Q, has degree <= K, the largest k asked for: k itself for
+count_points, K for count_vector.  x^Q - x is the product of the x - a
+over F_Q, so N_k = deg gcd(g, x^Q - x), less 1 on the torus when g(0) = 0.
+x^(q^k) mod g is the q-th power of x^(q^(k-1)) mod g, log q squarings, so
+the chain to K costs K log q products mod g of at most K^2 scalar steps
+each, with K log2 q <= 30 under _MAX_ENUM.  f = g mod x^Q - x, so when deg
+f <= K the counts of a vector share the one chain of f; a larger f gets a
+chain per distinct g, and past deg g = K, where the chain's squares grow
+with deg g and the enumeration does not, the count enumerates.  The chain
+runs on the scalar ops of F_q, with its own remainder, product, power and
+gcd, and reads no table; both routes sit behind the same refusals.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,9 +168,16 @@ def _count_cap(q, k, n):
 
 def count_points(f, k=1, domain="affine"):
     """Number of F_{q^k}-rational points of {f = 0} in the affine space or
-    the torus (all coordinates nonzero): from the trial factorization of f
-    when f is univariate of degree <= k (after folding exponents below
-    q^k), otherwise by enumeration."""
+    the torus (all coordinates nonzero): from a Frobenius chain when f is
+    univariate of degree <= k after folding exponents below q^k, otherwise
+    by enumeration."""
+    return _count(f, k, domain, k, {})
+
+
+def _count(f, k, domain, K, chains):
+    """count_points(f, k, domain), one variable taking the chain route up
+    to degree K; `chains` keeps each chain's counts by its polynomial, for
+    the other counts of one vector."""
     ctx, n = f.ctx, f.nvars
     # first, as the fold below reads Q - 1
     _count_cap(ctx.q, k, n)
@@ -192,18 +205,86 @@ def count_points(f, k=1, domain="affine"):
     kit = big.vector_kit()
     if kit is None:
         raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
-    if n == 1 and max(terms)[0] <= k:
-        # N_k from the factors (see above); x is the one monic irreducible
-        # with g(0) = 0, and the torus leaves it out
-        fac = trial_factorize(SparsePoly(ctx, 1, terms))
-        return sum(g.degree() for g, _ in fac.factors
-                   if k % g.degree() == 0
-                   and (domain == "affine" or g.constant_term()))
+    if n == 1 and max(terms)[0] <= K:
+        # (see above) f = g mod x^Q - x, so f itself serves every k of a
+        # vector when deg f <= K; 0 is a root when g(0) = 0
+        g = f if f.degree() <= K else SparsePoly(ctx, 1, terms)
+        g = _monic(ctx, g.to_dense())
+        if len(chains.get(g, ())) < k:
+            chains[g] = _root_counts(ctx, g, k)
+        return chains[g][k - 1] - (domain == "torus" and not g[0])
     # the embedding is additive, so the folded sums embed term by term
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
     lo = 0 if domain == "affine" else 1
     return _count_vectorized(big, kit, terms, n, lo, ctx.q, k)
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius chain, on dense little-endian lists of F_q codes
+
+
+def _monic(ctx, a):
+    inv = ctx.inv(a[-1])
+    return tuple(ctx.mul(c, inv) for c in a)
+
+
+def _rem(ctx, a, g):
+    """Remainder of a by the monic g, its zero leading coefficients
+    dropped."""
+    a, d = list(a), len(g) - 1
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i]
+        if c:
+            for j in range(d):
+                if g[j]:
+                    a[i - d + j] = ctx.sub(a[i - d + j], ctx.mul(c, g[j]))
+    del a[d:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod(ctx, a, b, g):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b):
+                if e:
+                    prod[i + j] = ctx.add(prod[i + j], ctx.mul(c, e))
+    return _rem(ctx, prod, g)
+
+
+def _pow_mod(ctx, a, e, g):
+    """a^e mod g for e >= 1, squaring from the top bit down."""
+    out = a
+    for bit in bin(e)[3:]:
+        out = _mul_mod(ctx, out, out, g)
+        if bit == "1":
+            out = _mul_mod(ctx, out, a, g)
+    return out
+
+
+def _gcd_degree(ctx, a, b):
+    """Degree of gcd(a, b), for a monic and b reduced below it."""
+    while b:
+        a, b = b, _rem(ctx, a, _monic(ctx, b))
+    return len(a) - 1
+
+
+def _root_counts(ctx, g, K):
+    """Roots of the monic g in F_(q^k), k = 1..K: deg gcd(g, x^(q^k) - x),
+    as x^(q^k) - x is the product of the x - a over F_(q^k).  Each
+    x^(q^k) mod g is the q-th power of the one before."""
+    x = _rem(ctx, [0, 1], g)
+    h, out = x, []
+    for _ in range(K):
+        h = _pow_mod(ctx, h, ctx.q, g)
+        diff = [ctx.sub(a, b) for a, b in
+                itertools.zip_longest(h, x, fillvalue=0)]
+        # below deg g already, so _rem only drops its leading zeros
+        out.append(_gcd_degree(ctx, g, _rem(ctx, diff, g)))
+    return out
 
 
 @functools.cache
@@ -280,8 +361,10 @@ def _count_vectorized(big, kit, terms, n, lo, q, k):
 
 
 def count_vector(f, K, domain="affine"):
-    # the largest field first, so that a refused count fails at once
-    counts = [count_points(f, k, domain) for k in range(K, 0, -1)]
+    # the largest field first, so that a refused count fails at once, and
+    # each chain is built at the largest k it serves
+    chains = {}
+    counts = [_count(f, k, domain, K, chains) for k in range(K, 0, -1)]
     return CountVector(f.ctx.q, f.nvars, domain, tuple(counts[::-1]))
 
 

@@ -515,12 +515,32 @@ def test_count_past_the_enumeration_cap_exits_before_any_field():
 
 
 def test_factor_over_a_large_binary_field_is_refused_within_ten_seconds():
-    # the default modulus of F_(2^600) is found and certified on packed
-    # bits before factor's own cap refuses the field
+    # factor's cap reads q alone, so F_(2^600) is refused before its
+    # modulus search
     run = run_cli(["factor", "--q", str(2 ** 600), "--poly", "x+1"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "exceeds the cap" in run.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["factor", "--q", str(3 ** 128), "--poly", "x+1"],
+     "elements exceeds the cap 64"),
+    (["verify", "--mode", "modp", "--q", str(3 ** 128), "-n", "1", "-B",
+      "2", "--poly", "x+1"], "k = 2, n = 1 exceeds the enumeration cap"),
+    (["verify", "--mode", "modpm", "--q", str(3 ** 128), "-n", "1",
+      "--poly", "x+1"], "k = 4, n = 1 exceeds the enumeration cap"),
+], ids=["factor", "verify-modp", "verify-modpm-default-B"])
+def test_caps_on_integers_alone_exit_four_before_any_field(argv, message):
+    # factor's cap on q and verify's count cap, B = 4 by default, read only
+    # q, B and n: F_(3^128), whose modulus search takes seconds, is never
+    # built, nor the series
+    start = time.perf_counter()
+    run = run_cli(argv)
+    assert time.perf_counter() - start < 1.0
+    assert run.returncode == 4, run.stderr
+    assert "Traceback" not in run.stdout + run.stderr
+    assert message in run.stderr
 
 
 @pytest.mark.parametrize("argv,out", [
@@ -681,6 +701,17 @@ def test_verify_refuses_the_largest_count_first(capsys):
                  "--poly", "x^4+x+2", "-B", "10"]) == 4
     assert time.perf_counter() - start < 1.0
     assert "F_59049" in capsys.readouterr().err
+
+
+def test_verify_counts_one_variable_from_one_frobenius_chain(monkeypatch,
+                                                           capsys):
+    # the sextic of tests/test_oracle.py: N_1..N_20 from one chain of 20
+    # q-th powers, with no trial factorization
+    calls = count_calls(monkeypatch, ("_pow_mod", "trial_factorize"))
+    assert main(["verify", "--mode", "modp", "--q", "2", "-n", "1",
+                 "--poly", "x^6+x^3+x^2+x", "-B", "20"]) == 0
+    assert capsys.readouterr().out == "match: true\n"
+    assert calls == {"_pow_mod": 20, "trial_factorize": 0}
 
 
 def test_size_caps_are_not_flags():

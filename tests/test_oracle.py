@@ -324,7 +324,7 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
     ctx = field(q)
     assert field(q ** k).vector_kit() is not None
     oracle._embedding.cache_clear()
-    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized",
+    calls = count_calls(monkeypatch, ["_root_counts", "_count_vectorized",
                                       "_find_root"])
     rng = random.Random(q + k)
     # x^4 - a^4 has the roots +-a; past 2^14 elements the reference runs
@@ -347,10 +347,10 @@ def test_counts_on_the_largest_tables_match_scalar_reference(q, k,
             assert count_points(f, k, domain) == \
                 count_scalar_reference(f, k, domain)
     # a constant needs neither route; once per domain, deg f <= k is
-    # counted from the factors and the rest by enumeration
-    factored = sum(1 <= f.degree() <= k for f in polys)
+    # counted from a Frobenius chain and the rest by enumeration
+    chained = sum(1 <= f.degree() <= k for f in polys)
     enumerated = sum(f.degree() > k for f in polys)
-    assert calls == {"trial_factorize": 2 * factored,
+    assert calls == {"_root_counts": 2 * chained,
                      "_count_vectorized": 2 * enumerated,
                      "_find_root": int(k > 1)}
 
@@ -381,7 +381,7 @@ def test_factor_route_matches_scalar_reference(q, monkeypatch):
              (prod(x, x, line, line), 4), (prod(g2, g2), 4),
              (prod(line, g3), 4), (prod(line, g3), 6),
              ([0, ctx.neg(1)] + [0] * (q - 2) + [1], q)]
-    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized"])
+    calls = count_calls(monkeypatch, ["_root_counts", "_count_vectorized"])
     counted = 0
     for dense, k in cases:
         f = SparsePoly.from_dense(ctx, dense)
@@ -399,29 +399,87 @@ def test_factor_route_matches_scalar_reference(q, monkeypatch):
                 count_scalar_reference(f, k, domain)
             counted += 1
     assert counted >= 18
-    assert calls == {"trial_factorize": counted, "_count_vectorized": 0}
+    assert calls == {"_root_counts": counted, "_count_vectorized": 0}
 
 
 def test_factor_route_needs_deg_f_at_most_k(monkeypatch):
     ctx = field(2)
     monkeypatch.setattr(oracle, "_count_vectorized", lambda *args: -1)
-    calls = count_calls(monkeypatch, ["trial_factorize", "_count_vectorized"])
-    # x^41 + x^3 + 1 at k = 21: trial division would sieve every degree up
-    # to 20, about as many rows as the 2^21 points, so it is enumerated
+    calls = count_calls(monkeypatch, ["_root_counts", "_count_vectorized"])
+    # x^41 + x^3 + 1 at k = 21: past deg f = k a single count enumerates
     # (here by a stand-in that answers -1)
     irr = [1, 0, 0, 1] + [0] * 37 + [1]
     assert dense_is_irreducible(ctx, irr)
     assert count_points(SparsePoly.from_dense(ctx, irr), 21) == -1
-    assert calls == {"trial_factorize": 0, "_count_vectorized": 1}
+    assert calls == {"_root_counts": 0, "_count_vectorized": 1}
     # x (x + 1)^2 (x^3 + x + 1) at k = 6..20, K = 20 as in the benchmark's
-    # sextic: counted from its factors alone
+    # sextic: one chain per count
     f = SparsePoly.from_dense(ctx, dense_mul(ctx, [0, 1, 0, 1],
                                              [1, 1, 0, 1]))
     for k in range(6, 21):
         cubic = 3 * (k % 3 == 0)
         assert count_points(f, k) == 2 + cubic
         assert count_points(f, k, "torus") == 1 + cubic
-    assert calls == {"trial_factorize": 30, "_count_vectorized": 1}
+    assert calls == {"_root_counts": 30, "_count_vectorized": 1}
+
+
+def _folded(f, Q):
+    """f with its exponents folded below Q, which x^Q = x on F_Q allows:
+    the scalar reference takes a step per degree."""
+    terms = {}
+    for (e,), c in f.terms.items():
+        u = ((e - 1) % (Q - 1) + 1 if e else 0,)
+        terms[u] = f.ctx.add(terms.get(u, 0), c)
+    return SparsePoly(f.ctx, 1, terms)
+
+
+@pytest.mark.parametrize("q,K", [(2, 8), (3, 5), (4, 4), (5, 3), (8, 3),
+                                 (9, 3)])
+def test_chain_route_matches_scalar_reference_at_every_k(q, K):
+    # n = 1 and deg f <= K: every k <= K of the vector takes the chain,
+    # k < deg f too.  Repeated factors, the factor x, x^q - x, which
+    # vanishes on F_q, a leading coefficient other than 1, random f, and
+    # f of huge degree: x^(L+2) + a x + b folds to x^2 + a x + b at every
+    # k <= K, where L is the lcm of the q^k - 1, and x^(10^9+7) + x + 1
+    # folds past K for some k, which those enumerate
+    ctx = field(q)
+    rng = random.Random(q * 71 + K)
+    lcm = math.lcm(*(q ** k - 1 for k in range(1, K + 1)))
+    a, b, c = (rng.randrange(q) for _ in range(3))
+    line = [rng.randrange(q), 1]
+
+    def prod(*fs):
+        return functools.reduce(lambda u, v: dense_mul(ctx, u, v), fs)
+    cases = [SparsePoly.from_dense(ctx, dense) for dense in (
+        prod(line, line, [c, 1]), prod([0, 1], line), [0, 1],
+        [0, ctx.neg(1)] + [0] * (q - 2) + [1],
+        [a, b, ctx.neg(1) if q > 2 else 1, 0, rng.randrange(1, q)])]
+    cases += [rand_monic(ctx, rng, rng.randrange(1, K + 1))
+              for _ in range(3)]
+    cases += [SparsePoly(ctx, 1, {(lcm + 2,): 1, (1,): a, (0,): b}),
+              SparsePoly(ctx, 1, {(10 ** 9 + 7,): 1, (1,): 1, (0,): 1})]
+    for f in cases:
+        for domain in ("affine", "torus"):
+            want = tuple(count_scalar_reference(_folded(f, q ** k), k,
+                                                domain)
+                         for k in range(1, K + 1))
+            assert count_vector(f, K, domain).counts == want
+
+
+def test_a_count_vector_walks_one_frobenius_chain(monkeypatch):
+    # x (x + 1)^2 (x^3 + x + 1) over F_2, to K = 20 as the benchmark's
+    # sextic: deg f <= K, so every k shares the chain of f itself, of one
+    # q-th power per k, and none factors f (k = 1 folds f to 0, which is
+    # answered at once)
+    ctx = field(2)
+    f = SparsePoly.from_dense(ctx, dense_mul(ctx, [0, 1, 0, 1],
+                                             [1, 1, 0, 1]))
+    calls = count_calls(monkeypatch, ["_pow_mod", "_root_counts",
+                                      "trial_factorize", "_count_vectorized"])
+    assert count_vector(f, 20).counts == tuple(
+        2 + 3 * (k % 3 == 0) for k in range(1, 21))
+    assert calls == {"_pow_mod": 20, "_root_counts": 1,
+                     "trial_factorize": 0, "_count_vectorized": 0}
 
 
 def test_fields_without_tables_count_one_variable():
@@ -529,8 +587,9 @@ def test_count_vector_refuses_its_largest_field_first(monkeypatch):
     # no smaller k is counted before the refusal
     f = SparsePoly.from_dense(field(5), [1, 1])
     calls = []
-    monkeypatch.setattr(oracle, "count_points", lambda f, k, domain:
-                        calls.append(k) or count_points(f, k, domain))
+    count = oracle._count
+    monkeypatch.setattr(oracle, "_count", lambda f, k, *args:
+                        calls.append(k) or count(f, k, *args))
     with pytest.raises(TooLarge, match="F_78125"):
         count_vector(f, 7)
     assert calls == [7]
