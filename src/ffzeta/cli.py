@@ -264,7 +264,8 @@ def _cmd_verify(args, ctx):
     f = parse_poly(args.poly, ctx, args.nvars)
     if args.mode == "zerodim":
         kind = OperatorKind(args.method)
-        # the operator's caps, then the sieve's, before any matrix
+        # the operator's caps, then the factorization's cost cap, before
+        # any matrix
         _check_operator(f, kind)
         fac = trial_factorize(f)
         lhs = congruence_charpoly(f, kind)

@@ -4,10 +4,11 @@ Everything the congruence machinery claims is checked against this module:
 points are counted by enumerating every candidate tuple over F_{q^k}, or
 in one variable as the degree of gcd(f, x^(q^k) - x), exact zeta series
 coefficients come from the exp-of-power-sums recurrence run in exact
-integer arithmetic, and univariate factorizations come from a sieve of
-irreducibles plus trial division.  None of it shares code with the
-operator path beyond field construction and arithmetic; the tests check
-the irreducibility test that certifies a field's modulus against the sieve.
+integer arithmetic, and univariate factorizations come from distinct-
+and equal-degree splitting on this module's own polynomial arithmetic.
+None of it shares code with the operator path beyond field construction
+and arithmetic; the tests check the irreducibility test that certifies a
+field's modulus against a plain sieve of irreducibles.
 
 Enumeration runs on the 1-D tables of the extension field F_Q, Q = q^k
 (log/antilog, and for odd p the carry-free addition of fq.VectorKit);
@@ -27,11 +28,9 @@ chunk.  Exponents are first folded below Q, since x^Q = x on F_Q, and a
 polynomial that folds to a constant is answered without enumeration and
 without building F_Q.  The work is Q^(n-1) times the number of orbits,
 about Q^n / k point evaluations of one table lookup per exponent of x_n
-present in f; _MAX_ENUM caps the grid Q^n.  The sieve and trial division
-run on the same tables over extension fields and on int64 arithmetic mod
-p over prime fields, with their own division.  functools.cache keeps the
-orbits per (Q, q, k, domain), the embedding of F_q in F_Q per pair of
-fields and the irreducibles per field and degree: shared, so read-only.
+present in f; _MAX_ENUM caps the grid Q^n.  functools.cache keeps the
+orbits per (Q, q, k, domain) and the embedding of F_q in F_Q per pair of
+fields: shared, so read-only.
 
 One variable is counted from a Frobenius chain instead when g, f folded
 below Q, has degree <= K, the largest k asked for: k itself for
@@ -43,14 +42,23 @@ each, with K log2 q <= 30 under _MAX_ENUM.  f = g mod x^Q - x, so when deg
 f <= K the counts of a vector share the one chain of f; a larger f gets a
 chain per distinct g, and past deg g = K, where the chain's squares grow
 with deg g and the enumeration does not, the count enumerates.  The chain
-runs on the scalar ops of F_q, with its own remainder, product, power and
-gcd, and reads no table; both routes sit behind the same refusals.
+runs on the scalar ops of F_q, with its own division, product, power and
+monic gcd, and reads no table, so it also counts over an F_Q without
+tables, which only the enumeration refuses.
+
+Factorization runs on the same arithmetic: squarefree parts, then
+distinct-degree and equal-degree splitting (Cantor and Zassenhaus, Math.
+Comp. 36, 1981; von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 14), with random splitters from a fixed seed; _MAX_FACTOR caps its
+cost d^3 e^2 log q before any work.  irreducibles_up_to lists the monic
+irreducibles by a plain sieve; _MAX_SIEVE caps its q^D.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +70,9 @@ from .poly import Factorization, SparsePoly
 
 _MAX_ENUM = 10 ** 9     # largest grid q^(kn) an enumeration covers, before
                         # the cut to one value of x_n per Frobenius orbit
-_MAX_SIEVE = 10 ** 7    # largest q^D the irreducible sieve may cover
+_MAX_SIEVE = 10 ** 5    # largest q^D the irreducible sieve may cover
+# largest cost d^3 e^2 log q of a factorization
+_MAX_FACTOR = 10 ** 6
 _CHUNK = 1 << 16        # entries of one (outer points x orbits) Horner array
 
 
@@ -201,10 +211,6 @@ def _count(f, k, domain, K, chains):
         # a nonzero constant function vanishes nowhere, also at the one
         # point of F_Q^0, the empty tuple
         return 0
-    big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
-    kit = big.vector_kit()
-    if kit is None:
-        raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
     if n == 1 and max(terms)[0] <= K:
         # (see above) f = g mod x^Q - x, so f itself serves every k of a
         # vector when deg f <= K; 0 is a root when g(0) = 0
@@ -213,6 +219,10 @@ def _count(f, k, domain, K, chains):
         if len(chains.get(g, ())) < k:
             chains[g] = _root_counts(ctx, g, k)
         return chains[g][k - 1] - (domain == "torus" and not g[0])
+    big = ctx if k == 1 else make_field(ctx.p, ctx.e * k)
+    kit = big.vector_kit()
+    if kit is None:
+        raise TooLarge("F_%d is too large to tabulate for counting" % big.q)
     # the embedding is additive, so the folded sums embed term by term
     rpows = _embedding(ctx, big)
     terms = {u: _embed_coeff(ctx, big, rpows, c) for u, c in terms.items()}
@@ -221,7 +231,8 @@ def _count(f, k, domain, K, chains):
 
 
 # ---------------------------------------------------------------------------
-# the Frobenius chain, on dense little-endian lists of F_q codes
+# dense univariate arithmetic on little-endian lists of F_q codes: the
+# Frobenius chain of the counts, and the factorization below
 
 
 def _monic(ctx, a):
@@ -229,9 +240,20 @@ def _monic(ctx, a):
     return tuple(ctx.mul(c, inv) for c in a)
 
 
-def _rem(ctx, a, g):
-    """Remainder of a by the monic g, its zero leading coefficients
-    dropped."""
+def _strip(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sub(ctx, a, b):
+    return _strip([ctx.sub(u, v) for u, v in
+                   itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _divmod(ctx, a, g):
+    """Quotient and remainder of a by the monic g, the remainder's zero
+    leading coefficients dropped."""
     a, d = list(a), len(g) - 1
     for i in range(len(a) - 1, d - 1, -1):
         c = a[i]
@@ -239,37 +261,40 @@ def _rem(ctx, a, g):
             for j in range(d):
                 if g[j]:
                     a[i - d + j] = ctx.sub(a[i - d + j], ctx.mul(c, g[j]))
-    del a[d:]
-    while a and not a[-1]:
-        a.pop()
-    return a
+    # no later step touches a[i], the quotient's coefficient of x^(i - d)
+    return a[d:], _strip(a[:d])
 
 
-def _mul_mod(ctx, a, b, g):
+def _rem(ctx, a, g):
+    return _divmod(ctx, a, g)[1]
+
+
+def _mul(ctx, a, b):
     prod = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
             for j, e in enumerate(b):
                 if e:
                     prod[i + j] = ctx.add(prod[i + j], ctx.mul(c, e))
-    return _rem(ctx, prod, g)
+    return prod
 
 
 def _pow_mod(ctx, a, e, g):
     """a^e mod g for e >= 1, squaring from the top bit down."""
     out = a
     for bit in bin(e)[3:]:
-        out = _mul_mod(ctx, out, out, g)
+        out = _rem(ctx, _mul(ctx, out, out), g)
         if bit == "1":
-            out = _mul_mod(ctx, out, a, g)
+            out = _rem(ctx, _mul(ctx, out, a), g)
     return out
 
 
-def _gcd_degree(ctx, a, b):
-    """Degree of gcd(a, b), for a monic and b reduced below it."""
+def _gcd(ctx, a, b):
+    """Monic gcd of the monic a and b."""
     while b:
-        a, b = b, _rem(ctx, a, _monic(ctx, b))
-    return len(a) - 1
+        b = _monic(ctx, b)
+        a, b = b, _rem(ctx, a, b)
+    return a
 
 
 def _root_counts(ctx, g, K):
@@ -280,10 +305,7 @@ def _root_counts(ctx, g, K):
     h, out = x, []
     for _ in range(K):
         h = _pow_mod(ctx, h, ctx.q, g)
-        diff = [ctx.sub(a, b) for a, b in
-                itertools.zip_longest(h, x, fillvalue=0)]
-        # below deg g already, so _rem only drops its leading zeros
-        out.append(_gcd_degree(ctx, g, _rem(ctx, diff, g)))
+        out.append(len(_gcd(ctx, g, _sub(ctx, h, x))) - 1)
     return out
 
 
@@ -390,147 +412,119 @@ def zeta_coeffs_exact(counts, B):
 
 
 # ---------------------------------------------------------------------------
-# irreducibles by sieve, factorization by trial division
-
-
-def _monic_digit_rows(q, d):
-    """(q^d, d+1) array: all monic degree-d coefficient rows, little-endian."""
-    idx = np.arange(q ** d, dtype=np.int64)
-    rows = np.empty((q ** d, d + 1), dtype=np.int64)
-    for i in range(d):
-        rows[:, i] = (idx // q ** i) % q
-    rows[:, d] = 1
-    return rows
-
-
-def _field_tables(ctx):
-    """None for a prime field, whose rows reduce by int64 % p; otherwise
-    the field's tables."""
-    if ctx.e == 1:
-        if ctx.p >= 1 << 31:
-            raise TooLarge("p = %d is too large for int64 products" % ctx.p)
-        return None
-    kit = ctx.vector_kit()
-    if kit is None:
-        raise TooLarge("F_%d is too large to tabulate for the sieve" % ctx.q)
-    return kit
-
-
-def _batch_mul_fixed(ctx, kit, rows, fixed):
-    """Product of every row polynomial with one fixed dense polynomial;
-    kit is _field_tables(ctx)."""
-    n, la = rows.shape
-    out = np.zeros((n, la + len(fixed) - 1), dtype=np.int64)
-    logs = None if kit is None else kit.log[rows]
-    for j, c in enumerate(fixed):
-        if not c:
-            continue
-        acc = out[:, j:j + la]
-        if kit is None:
-            acc += rows * c
-            acc %= ctx.p
-        else:
-            acc[:] = kit.add(acc, kit.exp[logs + kit.log[c]])
-    return out
-
-
-def _row_indices(q, rows, d):
-    """Little-endian index of each monic degree-d row."""
-    acc = np.zeros(len(rows), dtype=np.int64)
-    for i in range(d - 1, -1, -1):
-        acc = acc * q + rows[:, i]
-    return acc
-
-
-@functools.cache
-def _irreducible_rows(ctx, d):
-    """Sorted coefficient rows of the monic irreducibles of degree d >= 1,
-    sieved by the products of those of lower degree from this same cache;
-    shared, so read-only."""
-    kit = _field_tables(ctx)
-    q = ctx.q
-    comp = np.zeros(q ** d, dtype=bool)
-    for ell in range(1, d // 2 + 1):
-        # d - ell >= ell, so the irreducibles of degree ell, fewer than
-        # q^ell, are the shorter of the two lists to loop over
-        monics = _monic_digit_rows(q, d - ell)
-        for row in _irreducible_rows(ctx, ell):
-            prod = _batch_mul_fixed(ctx, kit, monics, row.tolist())
-            comp[_row_indices(q, prod, d)] = True
-    # rows come in index order, which weights c_{d-1} most: already the
-    # tuple order (c_{d-1}, ..., c_0) of the sort
-    rows = _monic_digit_rows(q, d)[~comp]
-    rows.flags.writeable = False
-    return rows
+# irreducibles by sieve, factorization by Cantor-Zassenhaus
 
 
 def irreducibles_up_to(field, D):
     """All monic irreducibles of degree <= D over the field, sorted by
-    degree then by coefficient tuple (c_{d-1}, ..., c_0)."""
+    degree then by coefficient tuple (c_{d-1}, ..., c_0): each degree
+    strikes out the products of the irreducibles of at most half its
+    degree with every monic cofactor."""
     if field.q ** D > _MAX_SIEVE:
         raise TooLarge("sieve size q^D = %d over cap" % field.q ** D)
-    return [SparsePoly.from_dense(field, row.tolist())
-            for d in range(1, D + 1) for row in _irreducible_rows(field, d)]
+    out = []
+    for d in range(1, D + 1):
+        composite = set()
+        for g in out:
+            if 2 * len(g) - 2 > d:
+                break
+            for top in itertools.product(range(field.q),
+                                         repeat=d - len(g) + 1):
+                composite.add(tuple(_mul(field, g, top[::-1] + (1,))))
+        # product() runs the last entry fastest: read as (c_{d-1}, ...,
+        # c_0), that is the sort order
+        out += [top[::-1] + (1,) for top in itertools.product(
+            range(field.q), repeat=d) if top[::-1] + (1,) not in composite]
+    return [SparsePoly.from_dense(field, g) for g in out]
 
 
-def _batch_remainders(ctx, kit, a, rows, ell):
-    """Division of the fixed polynomial `a` by every monic row of degree
-    ell: a divisibility mask, and one quotient row per divisor.  kit is
-    _field_tables(ctx)."""
-    # column r divides by row r, so that each step reads one whole row
-    rem = np.repeat(np.array(a, dtype=np.int64)[:, None], len(rows), axis=1)
-    low = rows[:, :ell].T
-    logs = None if kit is None else kit.log[low]
-    for i in range(len(a) - 1, ell - 1, -1):
-        # the divisor is monic, so row i, which no later step touches, is
-        # the quotient's coefficient of x^(i - ell)
-        acc = rem[i - ell:i]
-        if kit is None:
-            acc -= rem[i] * low
-            acc %= ctx.p
+def _squarefree(ctx, f):
+    """Pairs (g, m), f = prod g^m for the monic f, each g monic and
+    squarefree and the g coprime (Yun's gcds with f').  What the gcds leave
+    has f' = 0, so it is r(x^p), and r's coefficients are p-th powers:
+    a = (a^(q/p))^p."""
+    p = ctx.p
+    c = _gcd(ctx, f, _strip([ctx.mul(i % p, a) for i, a in
+                             enumerate(f)][1:]))
+    w = _divmod(ctx, f, c)[0]
+    out, m = [], 1
+    while len(w) > 1:
+        y = _gcd(ctx, w, c)
+        z = _divmod(ctx, w, y)[0]
+        if len(z) > 1:
+            out.append((z, m))
+        w, c, m = y, _divmod(ctx, c, y)[0], m + 1
+    if len(c) > 1:
+        root = [ctx.pow(a, ctx.q // p) for a in c[::p]]
+        out += [(g, k * p) for g, k in _squarefree(ctx, root)]
+    return out
+
+
+def _distinct_degree(ctx, g):
+    """Pairs (ell, h) for the squarefree monic g, h the product of its
+    irreducible factors of degree ell: gcd(g, x^(q^ell) - x) once those of
+    lower degree are divided out."""
+    x = h = [0, 1]
+    out, ell = [], 0
+    while 2 * ell + 2 < len(g):
+        ell += 1
+        h = _pow_mod(ctx, h, ctx.q, g)
+        part = _gcd(ctx, g, _sub(ctx, h, x))
+        if len(part) > 1:
+            out.append((ell, part))
+            g = _divmod(ctx, g, part)[0]
+            h = _rem(ctx, h, g)
+    if len(g) > 1:
+        out.append((len(g) - 1, g))
+    return out
+
+
+def _equal_degree(ctx, g, ell, rng):
+    """The irreducible factors of the squarefree monic g, all of degree
+    ell.  For a random a below g, gcd(g, a^((q^ell - 1)/2) - 1) for odd q,
+    or gcd(g, a + a^2 + ... + a^(2^(e ell - 1))) for q = 2^e, splits g with
+    probability at least 1/2."""
+    if len(g) - 1 == ell:
+        return [g]
+    while True:
+        a = _strip([rng.randrange(ctx.q) for _ in range(len(g) - 1)])
+        if ctx.p == 2:
+            # the trace to F_2; in characteristic 2, _sub adds
+            b = power = a
+            for _ in range(ctx.e * ell - 1):
+                power = _rem(ctx, _mul(ctx, power, power), g)
+                b = _sub(ctx, b, power)
         else:
-            acc[:] = kit.sub(acc, kit.exp[kit.log[rem[i]] + logs])
-    return ~rem[:ell].any(axis=0), rem[ell:].T
+            b = _sub(ctx, _pow_mod(ctx, a, (ctx.q ** ell - 1) // 2, g), [1])
+        h = _gcd(ctx, g, b)
+        if 1 < len(h) < len(g):
+            return (_equal_degree(ctx, h, ell, rng)
+                    + _equal_degree(ctx, _divmod(ctx, g, h)[0], ell, rng))
 
 
 def trial_factorize(f):
-    """Factor a univariate polynomial by dividing out sieve irreducibles in
-    increasing order.  Independent of the operator machinery."""
+    """Factor a univariate polynomial over a field on this module's own
+    arithmetic: squarefree parts, then distinct-degree and equal-degree
+    splitting (Cantor and Zassenhaus), the splitters drawn from a fixed
+    seed.  Factorization sorts the factors, so the result is canonical.
+    Independent of the operator machinery."""
     if f.nvars != 1:
         raise ValueError("trial factorization needs univariate input")
     if f.ctx.m != 1:
         raise RingNotField("trial factorization needs a field")
-    ctx = f.ctx
-    dense = f.to_dense()
-    if len(dense) <= 1:
+    ctx, d = f.ctx, f.degree()
+    if d < 1:
         raise ValueError("cannot factor a constant")
-    unit = dense[-1]
-    inv = ctx.inv(unit)
-    rem = [ctx.mul(c, inv) for c in dense]
-    half = (len(rem) - 1) // 2
-    if half >= 1 and ctx.q ** half > _MAX_SIEVE:
-        raise TooLarge("degree %d needs a sieve past the cap" % (len(rem) - 1))
-    factors = []
-    for ell in range(1, half + 1):
-        if 2 * ell > len(rem) - 1:
-            break
-        # the sieve grows one degree at a time, only as far as rem needs
-        kit, rows = _field_tables(ctx), _irreducible_rows(ctx, ell)
-        divides, quo = _batch_remainders(ctx, kit, rem, rows, ell)
-        rows, quo = rows[divides], quo[divides]
-        # distinct irreducibles, so each row divides what is left once the
-        # rows before it are divided out: one batch division of each
-        # quotient by the rows not yet done gives the next quotient
-        mult = 0
-        while len(rows):
-            rem = quo[0].tolist()
-            mult += 1
-            divides, quo = _batch_remainders(ctx, kit, rem, rows, ell)
-            if not divides[0]:
-                factors.append((SparsePoly.from_dense(ctx, rows[0].tolist()),
-                                mult))
-                mult = 0
-                rows, quo = rows[1:], quo[1:]
-    if len(rem) > 1:
-        factors.append((SparsePoly.from_dense(ctx, rem), 1))
-    return Factorization(unit, tuple(factors))
+    # up to d/2 powers x^(q^ell) mod f, each of log q products of d^2
+    # scalar steps, and a scalar product in F_(p^e) of up to e^2 digit
+    # ones; a linear f takes no power
+    cost = d ** 3 * (ctx.q - 1).bit_length() * ctx.e ** 2
+    if d > 1 and cost > _MAX_FACTOR:
+        raise TooLarge("factoring deg f = %d over F_%d costs d^3 e^2 log q "
+                       "= %d, past the cap %d" % (d, ctx.q, cost, _MAX_FACTOR))
+    dense, rng = f.to_dense(), random.Random(0)
+    factors = [(SparsePoly.from_dense(ctx, h), m)
+               for g, m in _squarefree(ctx, _monic(ctx, dense))
+               for ell, part in _distinct_degree(ctx, g)
+               for h in _equal_degree(ctx, part, ell, rng)]
+    return Factorization(dense[-1], tuple(factors))

@@ -478,9 +478,10 @@ def test_operator_past_the_dimension_cap_exits_four_within_ten_seconds(
 
 
 def test_count_past_the_table_caps_exits_four_within_ten_seconds():
-    # F_59049 carries no tables, so even one variable is refused
+    # F_59049 carries no tables: one variable of degree past k enumerates,
+    # so it is refused
     run = run_cli(["count", "--q", "3", "-n", "1", "-k", "10", "--poly",
-                   "x^3+x+1"])
+                   "x^11+x+1"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
     assert "F_59049 is too large to tabulate" in run.stderr
@@ -488,8 +489,10 @@ def test_count_past_the_table_caps_exits_four_within_ten_seconds():
 
 def test_count_past_the_scalar_cap_exits_before_the_root_search():
     # F_(2^24) carries no tables, and the root of F_16's modulus that
-    # embeds F_16 is searched for on them, so the count is refused first
-    run = run_cli(["count", "--q", "16", "-n", "1", "-k", "6", "--poly", "x"])
+    # embeds F_16 is searched for on them, so a count that enumerates,
+    # here as deg f > k, is refused first
+    run = run_cli(["count", "--q", "16", "-n", "1", "-k", "6", "--poly",
+                   "x^7+x+1"])
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
 
@@ -552,7 +555,15 @@ def test_caps_on_integers_alone_exit_four_before_any_field(argv, message):
     # F_(2^600)
     (["count", "--q", "2", "-n", "0", "--poly", "1", "-k", "600"],
      "N_600 = 0  (affine)"),
-], ids=["sparse-x^10^9", "constant-k=600"])
+    # one variable of degree <= k takes the Frobenius chain, which reads
+    # no table: over F_59049, (x - 1)(x^2 + x + 2) has the root 1 and the
+    # two of the quadratic, and over F_50021 x + 1 has one
+    (["count", "--q", "3", "-n", "1", "-k", "10", "--poly", "x^3+x+1"],
+     "N_10 = 3  (affine)"),
+    (["count", "--q", "50021", "-n", "1", "--poly", "x+1"],
+     "N_1 = 1  (affine)"),
+], ids=["sparse-x^10^9", "constant-k=600", "chain-F_59049",
+        "chain-F_50021"])
 def test_count_ends_within_ten_seconds(argv, out):
     run = run_cli(argv)
     assert run.returncode == 0, run.stderr
@@ -682,23 +693,39 @@ def test_operators_past_the_division_cap_exit_four_within_ten_seconds(
     assert "F_%d, deg f = 3" % q in run.stderr
 
 
-def test_verify_zerodim_checks_the_sieve_cap_before_any_matrix():
-    # deg f = 200 over F_(10^9+7): trial division needs a sieve of degree
-    # 100, refused before the Frobenius matrix and its charpoly are built
+def test_verify_zerodim_checks_the_sieve_cap_before_any_matrix(
+        monkeypatch, capsys):
+    # deg f = 200 over F_(10^9+7): the factorization would cost d^3 log q
+    # = 2.4 * 10^8, and is refused before the Frobenius matrix and its
+    # charpoly are built, and before any power mod f
     argv = ["verify", "--mode", "zerodim", "--q", "1000000007", "--poly",
             "x^200+x+1"]
     run = run_cli(argv)
     assert run.returncode == 4, run.stderr
     assert "Traceback" not in run.stdout + run.stderr
-    assert "needs a sieve past the cap" in run.stderr
+    assert "costs d^3 e^2 log q = 240000000, past the cap" in run.stderr
+    calls = count_calls(monkeypatch, ("_pow_mod", "congruence_charpoly"))
+    assert main(argv) == 4
+    assert "past the cap" in capsys.readouterr().err
+    assert calls == {"_pow_mod": 0, "congruence_charpoly": 0}
+
+
+def test_verify_zerodim_factors_past_the_old_sieve_cap_in_ten_seconds():
+    # x^14 + x + t over F_9 once needed 9^7 sieve rows and took 5 s
+    start = time.perf_counter()
+    run = run_cli(["verify", "--mode", "zerodim", "--q", "9", "--poly",
+                   "x^14+x+t"])
+    assert time.perf_counter() - start < 10.0
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "match: true\n"
 
 
 def test_verify_refuses_the_largest_count_first(capsys):
-    # N_10 is over F_59049, which has no tables; it is counted first, so
-    # N_1..N_9 are never built
+    # N_10 is over F_59049, which has no tables, and deg f > 10, so it
+    # enumerates; it is counted first, so N_1..N_9 are never built
     start = time.perf_counter()
     assert main(["verify", "--mode", "modp", "--q", "3", "-n", "1",
-                 "--poly", "x^4+x+2", "-B", "10"]) == 4
+                 "--poly", "x^11+x+2", "-B", "10"]) == 4
     assert time.perf_counter() - start < 1.0
     assert "F_59049" in capsys.readouterr().err
 

@@ -86,7 +86,7 @@ def test_refine_stalls_on_a_one_dimensional_fixed_space():
 
 # per field, the largest degree of a random irreducible factor: each input
 # is a product of up to three powers h^k, k <= 3, so deg f <= 24, and
-# trial division sieves at most q^(deg f / 2) <= 10^6 polynomials
+# q^(deg f / 2) <= 10^6, the bound of the sieve the corpus was drawn for
 PRODUCT_FIELDS = {2: 8, 3: 6, 4: 4, 5: 4, 7: 3, 8: 3, 9: 3, 16: 2, 25: 2}
 
 
@@ -99,8 +99,8 @@ def _rand_irreducible(ctx, rng, d):
 
 def _rand_product(ctx, rng):
     """1-3 random monic irreducibles, x among them a quarter of the time,
-    each to a power 1, 2, 3, p or 2p, kept within the sieve of trial
-    division."""
+    each to a power 1, 2, 3, p or 2p, with deg f <= 24 and
+    q^(deg f / 2) <= 10^6."""
     while True:
         f = [0, 1] if rng.random() < 0.25 else [1]
         for _ in range(rng.randint(1, 3)):
@@ -173,7 +173,7 @@ def test_later_pairs_split_what_the_first_vector_cannot(q, stalls, coeffs,
 
 
 # per field, the largest degree of a random irreducible factor, past the
-# fields whose trial division the tests can afford as a reference
+# fields checked against trial_factorize above
 LARGE_FIELDS = {27: 3, 32: 3, 49: 2, 64: 2}
 
 

@@ -10,12 +10,12 @@ import pytest
 from conftest import (count_calls, count_scalar_reference, field,
                       rand_monic, rand_poly_mv)
 from ffzeta import (InvariantViolation, NonIntegralCoefficient,
-                    RingNotField, TooLarge, count_points, count_vector,
-                    degree_profile, irreducibles_up_to, make_galois_ring,
-                    trial_factorize, zeta_coeffs_exact, zerodim_zeta)
+                    OperatorKind, RingNotField, TooLarge, count_points,
+                    count_vector, degree_profile, factorize,
+                    irreducibles_up_to, make_galois_ring, trial_factorize,
+                    zeta_coeffs_exact, zerodim_zeta)
 from ffzeta import fq, oracle
-from ffzeta.oracle import (CountVector, _batch_mul_fixed, _batch_remainders,
-                           _field_tables)
+from ffzeta.oracle import CountVector
 from ffzeta.poly import SparsePoly, dense_is_irreducible, dense_mul
 
 
@@ -260,13 +260,11 @@ def test_frobenius_orbits_are_built_once_per_field_and_domain():
 
 def test_cached_arrays_are_read_only():
     # every later call shares what a cache hands out, so no caller may
-    # write into it: the orbit tables, the sieve rows, a field's tables on
-    # p = 2 and odd p, and the Frobenius digit matrix of a field and a ring
+    # write into it: the orbit tables, a field's tables on p = 2 and odd p,
+    # and the Frobenius digit matrix of a field and a ring
     F9, F16 = field(9), field(16)
     k2, k3 = F16.vector_kit(), F9.vector_kit()
-    shared = [*oracle._frobenius_orbits(9, 3, 2, 1),
-              oracle._irreducible_rows(field(3), 3),
-              oracle._irreducible_rows(F9, 2), k2.exp, k2.log, k3.exp,
+    shared = [*oracle._frobenius_orbits(9, 3, 2, 1), k2.exp, k2.log, k3.exp,
               k3.log, k3.neg, k3.wide, k3.red, F16._sigma,
               fq.make_galois_ring(F9, 2)._sigma]
     for arr in shared:
@@ -386,14 +384,17 @@ def test_factor_route_matches_scalar_reference(q, monkeypatch):
     for dense, k in cases:
         f = SparsePoly.from_dense(ctx, dense)
         assert 1 <= f.degree() <= k
-        if field(q ** k).vector_kit() is None:
-            # x^8 - x and x^9 - x at k >= q: past the table caps, refused
-            # as before
-            with pytest.raises(TooLarge, match="too large to tabulate"):
-                count_points(f, k)
-            continue
         if q ** k > 6561:
-            continue                # past the scalar reference's budget
+            # past the scalar reference's budget, and for x^8 - x and
+            # x^9 - x at k = q past the table caps too: the pipeline's
+            # degree profile gives N_k = sum of d s_d over d | k
+            s = degree_profile(f)
+            want = sum(d * s[d - 1] for d in range(1, len(s) + 1)
+                       if k % d == 0)
+            assert count_points(f, k) == want
+            assert count_points(f, k, "torus") == want - (not dense[0])
+            counted += 2
+            continue
         for domain in ("affine", "torus"):
             assert count_points(f, k, domain) == \
                 count_scalar_reference(f, k, domain)
@@ -483,27 +484,37 @@ def test_a_count_vector_walks_one_frobenius_chain(monkeypatch):
 
 
 def test_fields_without_tables_count_one_variable():
-    # with no tables a count is refused, for one variable too, unless f
-    # folds to a constant, which needs no enumeration; these are the first
-    # fields past the caps with p = 3, 5 and 2
+    # the Frobenius chain reads no table, so one variable of degree <= k is
+    # counted on the first fields past the caps with p = 3, 5 and 2; past
+    # deg f = k the count enumerates, and is refused, unless f folds to a
+    # constant, which needs no enumeration
     for p, e in ((3, 10), (5, 7), (2, 24)):
         F = field(p ** e)
         assert F.vector_kit() is None
+        assert count_points(SparsePoly.from_dense(F, [1, 1])) == 1
         with pytest.raises(TooLarge, match="too large to tabulate"):
-            count_points(SparsePoly.from_dense(F, [1, 1]))
+            count_points(SparsePoly.from_dense(F, [1, 1, 1]))
         # x^Q = x on F_Q, so x^Q - x + 1 is the constant 1
         f = SparsePoly(F, 1, {(F.q,): 1, (1,): F.neg(1), (0,): 1})
         assert count_points(f) == count_points(f, 1, "torus") == 0
+    # Q^2 is past the enumeration cap, so k = 1 and deg f = 1: a random
+    # line, and a x, whose root 0 the torus leaves out
+    rng = random.Random(310)
+    for q, dense, domain in ((3 ** 10, [rng.randrange(3 ** 10), 2], "affine"),
+                             (5 ** 7, [0, rng.randrange(1, 5 ** 7)], "torus")):
+        f = SparsePoly.from_dense(field(q), dense)
+        assert count_points(f, 1, domain) == \
+            count_scalar_reference(f, 1, domain)
 
 
 def test_scalar_cap_bounds_horner_steps(monkeypatch):
     # every Horner step runs on tables, so past the table caps none runs:
-    # a count is refused before the root search that embeds F_q in F_Q
-    # and before any enumeration
+    # a count that enumerates, here as deg f > k, is refused before the
+    # root search that embeds F_q in F_Q and before any enumeration
     calls = count_calls(monkeypatch, ["_find_root", "_horner_vec"])
     oracle._embedding.cache_clear()
     for q, k in ((9, 5), (25, 4), (5, 7), (16, 6), (4, 12)):
-        f = SparsePoly.from_dense(field(q), [1, 1, 0, 1])
+        f = SparsePoly(field(q), 1, {(13,): 1, (1,): 1, (0,): 1})
         assert field(q ** k).vector_kit() is None
         with pytest.raises(TooLarge, match="too large to tabulate"):
             count_points(f, k)
@@ -557,10 +568,11 @@ def test_ring_input_is_refused_as_ring_not_field(fn):
     (CountVector, (2, 1, "affine", (5,)), ValueError),
     (trial_factorize, (SparsePoly(field(2), 2, {(1, 1): 1}),), ValueError),
     (trial_factorize, (SparsePoly.from_dense(field(2), [1]),), ValueError),
-    (trial_factorize,
-     (SparsePoly.from_dense(field(49), [1] + [0] * 13 + [1]),), TooLarge),
+    # deg f = 127 over F_2 costs 127^3 > 10^6
+    (trial_factorize, (SparsePoly.from_dense(field(2), [1, 1] + [0] * 125
+                                             + [1]),), TooLarge),
 ], ids=["projective", "k=0", "k=-3", "short-counts", "impossible-count",
-        "bivariate", "constant", "sieve-past-cap"])
+        "bivariate", "constant", "factor-past-cap"])
 def test_argument_checks(fn, args, error):
     with pytest.raises(error):
         fn(*args)
@@ -583,9 +595,10 @@ def test_worked_counts():
 
 
 def test_count_vector_refuses_its_largest_field_first(monkeypatch):
-    # N_7 is over F_78125, which has no tables: it is counted first, so
-    # no smaller k is counted before the refusal
-    f = SparsePoly.from_dense(field(5), [1, 1])
+    # N_7 is over F_78125, which has no tables, and deg f = 8 > 7, so it
+    # enumerates: it is counted first, so no smaller k is counted before
+    # the refusal
+    f = SparsePoly(field(5), 1, {(8,): 1, (1,): 1, (0,): 1})
     calls = []
     count = oracle._count
     monkeypatch.setattr(oracle, "_count", lambda f, k, *args:
@@ -594,7 +607,8 @@ def test_count_vector_refuses_its_largest_field_first(monkeypatch):
         count_vector(f, 7)
     assert calls == [7]
     calls.clear()
-    assert count_vector(f, 3).counts == (1, 1, 1)
+    assert count_vector(f, 3).counts == tuple(
+        count_scalar_reference(f, k) for k in (1, 2, 3))
     assert calls == [3, 2, 1]
 
 
@@ -694,33 +708,21 @@ def test_sieve_cap():
         irreducibles_up_to(ctx, 15)  # 3^15, refused before any sieving
 
 
-def test_trial_factorize_builds_the_sieve_only_as_far_as_it_reads():
-    # once the degree-4 factor is out, what is left has degree 10, so the
-    # loop stops after degree 5: degrees 6 and 7 (9^7 rows) are never built
+def test_trial_factorize_reads_no_sieve(monkeypatch):
+    # a quartic times a degree-10 irreducible over F_9, which trial
+    # division once split with a sieve of 9^5 rows: the factorization
+    # builds no list of irreducibles
     ctx = field(9)
     rng = random.Random(14)
-
-    def irreducible(d):
-        while True:
-            c = [rng.randrange(9) for _ in range(d)] + [1]
-            if dense_is_irreducible(ctx, c):
-                return c
-
-    g, h = irreducible(4), irreducible(10)
-    oracle._irreducible_rows.cache_clear()
+    g, h = _irreducible(ctx, rng, 4), _irreducible(ctx, rng, 10)
+    calls = count_calls(monkeypatch, ["irreducibles_up_to"])
     fac = trial_factorize(SparsePoly.from_dense(ctx, dense_mul(ctx, g, h)))
     assert [(u.to_dense(), m) for u, m in fac.factors] == [(g, 1), (h, 1)]
-    # five degrees built, and asking for degrees 1..5 again builds none:
-    # the five are exactly those
-    info = oracle._irreducible_rows.cache_info()
-    assert (info.misses, info.currsize) == (5, 5)
-    for d in range(1, 6):
-        oracle._irreducible_rows(ctx, d)
-    assert oracle._irreducible_rows.cache_info().misses == 5
+    assert calls == {"irreducibles_up_to": 0}
 
 
 def test_trial_factorize_past_the_old_table_order():
-    # fields between 1024 and the odd-p cap run the sieve on log tables
+    # F_1031 is past 1024, the order to which fields once had tables
     ctx = field(1031)
     # (x - 1)(x + 2)(x^2 - x + 3)
     f = SparsePoly.from_dense(ctx, [1025, 5, 0, 0, 1])
@@ -731,7 +733,8 @@ def test_trial_factorize_past_the_old_table_order():
 
 
 def test_sieve_over_a_prime_field_past_the_table_cap():
-    # F_50021 carries no field tables; prime fields sieve with int64 % p
+    # F_50021 carries no field tables; the sieve runs on its scalar ops,
+    # and in degree 1 strikes nothing out
     assert field(50021).vector_kit() is None
     assert len(irreducibles_up_to(field(50021), 1)) == 50021
 
@@ -744,35 +747,111 @@ def test_trial_factorize_over_a_prime_field_past_the_table_cap():
         ([1, 1], 1), ([2, 1], 1), ([3, 1], 1)]
 
 
-def test_prime_field_sieve_arithmetic_near_the_int64_bound():
-    p = 2 ** 31 - 1
-    ctx = field(p)
-    rng = random.Random(3)
-    rows = np.array([[rng.randrange(p), rng.randrange(p), 1]
-                     for _ in range(20)], dtype=np.int64)
-    fixed = [rng.randrange(p) for _ in range(4)]
-    got = _batch_mul_fixed(ctx, None, rows, fixed)
-    for row, out in zip(rows.tolist(), got.tolist()):
-        want = [0] * 6
-        for i, a in enumerate(row):
-            for j, b in enumerate(fixed):
-                want[i + j] = (want[i + j] + a * b) % p
-        assert out == want
-    mask, quo = _batch_remainders(ctx, None, got[0].tolist(), rows, 2)
-    assert mask.tolist() == [True] + [False] * 19
-    assert quo[0].tolist() == fixed
-    assert _field_tables(ctx) is None
-    with pytest.raises(TooLarge):  # p^2 would pass int64
-        _field_tables(field(2 ** 31 + 11))
+def test_extension_fields_without_tables_factor():
+    # F_59049 is past the odd-p table cap and runs the generic digit
+    # arithmetic: its linear polynomials are listed, and a cubic and a
+    # quadratic, once refused for want of tables, are factored
+    ctx = field(3 ** 10)
+    assert ctx.vector_kit() is None
+    assert len(irreducibles_up_to(ctx, 1)) == ctx.q
+    degrees = []
+    for dense in ([6, 11, 6, 1], [2, 0, 1], [6, 1]):
+        f = SparsePoly.from_dense(ctx, dense)
+        fac = trial_factorize(f)
+        assert fac.expand() == f
+        for g, _ in fac.factors:
+            assert dense_is_irreducible(ctx, g.to_dense())
+        degrees.append([(g.degree(), m) for g, m in fac.factors])
+    # x^2 + 2 = (x - 1)(x + 1)
+    assert degrees[1:] == [[(1, 1), (1, 1)], [(1, 1)]]
 
 
-def test_sieve_needs_tables_for_extension_fields():
-    ctx = field(3 ** 10)  # 59049 > 5 * 10^4, the odd-p table cap
-    with pytest.raises(TooLarge):  # degree 1 needs the tables too
-        irreducibles_up_to(ctx, 1)
-    for dense in ([6, 11, 6, 1], [2, 0, 1]):
-        with pytest.raises(TooLarge):
-            trial_factorize(SparsePoly.from_dense(ctx, dense))
-    # a linear polynomial needs no sieve
-    fac = trial_factorize(SparsePoly.from_dense(ctx, [6, 1]))
-    assert [(g.to_dense(), m) for g, m in fac.factors] == [([6, 1], 1)]
+def _checked_factors(f, sieves):
+    """trial_factorize(f), checked: its product is f, and each factor is in
+    the sieve where q^deg <= 4096, and passes Ben-Or's test past that."""
+    ctx = f.ctx
+    fac = trial_factorize(f)
+    assert fac.expand() == f
+    for g, _ in fac.factors:
+        d = g.degree()
+        if ctx.q ** d <= 4096:
+            if (ctx.q, d) not in sieves:
+                sieves[ctx.q, d] = {tuple(h.to_dense()) for h in
+                                    irreducibles_up_to(ctx, d)}
+            assert tuple(g.to_dense()) in sieves[ctx.q, d]
+        else:
+            assert dense_is_irreducible(ctx, g.to_dense())
+    return [(g.to_dense(), m) for g, m in fac.factors]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 3, 9, 27, 5, 7, 25])
+def test_splitting_matches_the_sieve_and_the_operators(q):
+    # products of irreducibles to the powers 1, p, p + 1 and p^2, and
+    # g(x^p), whose derivative is 0, so that its squarefree parts need p-th
+    # roots: against the sieve, and against factorize for all three
+    # operators.  Over F_5, F_7, F_25 and F_27 the p^2-th power takes
+    # q^(deg f / 2) past 10^7, the cap of the old sieve
+    ctx, p = field(q), field(q).p
+    rng = random.Random("split/%d" % q)
+    poly = functools.partial(SparsePoly.from_dense, ctx)
+    cases = [poly(_irreducible(ctx, rng, rng.randint(1, max(1, 4 // m)))) ** m
+             * poly(_irreducible(ctx, rng, rng.randint(1, 4)))
+             for m in (1, p, p + 1, p * p)]
+    g = dense_mul(ctx, _irreducible(ctx, rng, 2), [rng.randrange(q), 1])
+    cases.append(SparsePoly(ctx, 1, {(p * i,): c for i, c in enumerate(g)
+                                     if c}))
+    cases.append(poly([0, 1]) * poly(_irreducible(ctx, rng, 5)))
+    sieves = {}
+    for f in cases:
+        got = _checked_factors(f, sieves)
+        for kind in OperatorKind:
+            if kind == OperatorKind.PSI_MUL and not f.constant_term():
+                continue
+            assert got == [(h.to_dense(), m)
+                           for h, m in factorize(f, kind).factors]
+
+
+def test_splitting_past_the_old_sieve_cap():
+    # deg 60 over F_2, whose sieve would have covered 2^30 rows
+    rng = random.Random(60)
+    F2 = field(2)
+    f2 = SparsePoly.from_dense(F2, _irreducible(F2, rng, 27)) * \
+        SparsePoly.from_dense(F2, _irreducible(F2, rng, 11)) ** 3
+    # x^14 + x + t over F_9, at the old cap's edge: 5 s on 9^7 sieve rows
+    f9 = SparsePoly(field(9), 1, {(14,): 1, (1,): 1, (0,): 3})
+    sieves = {}
+    for f in (f2, f9):
+        got = _checked_factors(f, sieves)
+        for kind in OperatorKind:
+            assert got == [(g.to_dense(), m)
+                           for g, m in factorize(f, kind).factors]
+    # F_(3^10) has no tables, and 2^31 + 11 is past the int64 products
+    # of the old sieve: a cube (over F_(3^10) a p-th power), a quadratic
+    # and a line
+    for q in (3 ** 10, 2 ** 31 + 11):
+        ctx = field(q)
+        poly = functools.partial(SparsePoly.from_dense, ctx)
+        lin = [rng.randrange(q), 1]
+        quad = _irreducible(ctx, rng, 2)
+        f = poly(lin) ** 3 * poly(quad) * poly([ctx.add(lin[0], 1), 1])
+        got = _checked_factors(f, sieves)
+        assert sorted((len(g), m) for g, m in got) == [(2, 1), (2, 3),
+                                                       (3, 1)]
+        assert (lin, 3) in got and (quad, 1) in got
+
+
+def test_factor_cost_cap_refuses_before_any_power(monkeypatch):
+    # deg f = 101 over F_2 is past the cap of d^3 e^2 log q, 100 is not;
+    # the refusal runs no power mod f
+    calls = count_calls(monkeypatch, ["_pow_mod"])
+    with pytest.raises(TooLarge, match="past the cap"):
+        trial_factorize(SparsePoly(field(2), 1, {(101,): 1, (1,): 1,
+                                                 (0,): 1}))
+    # a degree of 10^20 is refused before f is listed densely
+    with pytest.raises(TooLarge, match="past the cap"):
+        trial_factorize(SparsePoly(field(2), 1, {(10 ** 20,): 1, (0,): 1}))
+    # a linear f takes no power, so it is answered over any field
+    line = SparsePoly.from_dense(field(2 ** 128), [5, 1])
+    assert trial_factorize(line).factors == ((line, 1),)
+    assert calls == {"_pow_mod": 0}
+    assert 100 ** 3 <= oracle._MAX_FACTOR < 101 ** 3
